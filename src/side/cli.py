@@ -89,18 +89,23 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     lexicon = dsiq.load_lexicon(cfg.lexicon_path)
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
     determinants = dsiq.DeterminantSet()
-    cutoff = training_cutoff(len(series), cfg.lookback, cfg.horizon, cfg.split)
+    cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
 
     models = {}
     for source, docs in (("social", social_docs), ("news", news_docs)):
+        # Topic models see training-range text only, never validation or test text.
         fit_docs = [d for d in docs if d.timestep < cutoff]
+        if not fit_docs:
+            raise ConfigError(
+                f"no {source} document falls in the training range (before week {cutoff})"
+            )
         models[source] = dsiq.fit_topic_model(
-            fit_docs or docs,
+            fit_docs,
             Source(source),
             determinants,
             backend,
             topic_count=cfg.topic_count,
-            seed=cfg.seed,
+            seed=cfg.train.seed,
             map_threshold=cfg.map_threshold,
         )
 
@@ -134,20 +139,20 @@ def _load_windows(cfg: cfgmod.RunConfig):
         raise ConfigError(
             f"impact series has {len(impacts)} rows but severity has {len(series)}"
         )
-    samples = make_windows(series, impacts, cfg.lookback, cfg.horizon)
+    samples = make_windows(series, impacts, cfg.model.lookback, cfg.model.horizon)
     return chronological_split(samples, cfg.split)
 
 
 def cmd_train(cfg: cfgmod.RunConfig) -> int:
     train_s, val_s, _ = _load_windows(cfg)
     try:
-        result = train_eval.train(train_s, val_s, cfg.model_config(), cfg.train_config())
+        result = train_eval.train(train_s, val_s, cfg.model, cfg.train)
     except DivergenceError as exc:
         if exc.checkpoint is not None:
             fallback = train_eval.TrainResult(
                 params=exc.checkpoint,
-                model_config=cfg.model_config(),
-                train_config=cfg.train_config(),
+                model_config=cfg.model,
+                train_config=cfg.train,
                 standardizer=train_eval.Standardizer.fit(train_s),
                 history=exc.history or [],
                 best_val_loss=float("nan"),
@@ -165,8 +170,8 @@ def cmd_train(cfg: cfgmod.RunConfig) -> int:
     return 0
 
 
-def _write_predictions_csv(path, predictions, lookback: int, delta: int) -> None:
-    names = [f"s_{i}" for i in range(1, delta + 1)] + [f"n_{i}" for i in range(1, delta + 1)]
+def _write_predictions_csv(path, predictions, lookback: int) -> None:
+    names = dsiq.impact_csv_header()[1:]
     header = (
         ["start", "step", "timestep", "severity_true", "severity_pred"]
         + [f"true_{n}" for n in names]
@@ -193,21 +198,16 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
     checkpoint_path = _out_path(cfg, "checkpoint.json")
     _require_files(checkpoint_path)
     train_s, _, test_s = _load_windows(cfg)
-    params, model_cfg, _, standardizer = train_eval.load_run_checkpoint(checkpoint_path)
+    params, standardizer = train_eval.load_run_checkpoint(checkpoint_path, cfg.model)
 
-    result = train_eval.evaluate(params, model_cfg, standardizer, test_s)
+    result = train_eval.evaluate(params, cfg.model, standardizer, test_s)
     reports = {
-        model_cfg.ablation: result.report,
+        cfg.model.ablation: result.report,
         "persistence": train_eval.baseline_persistence(test_s),
         "linear_ar": train_eval.baseline_linear_ar(train_s, test_s),
     }
     train_eval.write_metrics_csv(_out_path(cfg, "metrics.csv"), reports)
-    _write_predictions_csv(
-        _out_path(cfg, "predictions.csv"),
-        result.predictions,
-        model_cfg.lookback,
-        model_cfg.determinant_count,
-    )
+    _write_predictions_csv(_out_path(cfg, "predictions.csv"), result.predictions, cfg.model.lookback)
     severity = result.report.per_target["severity"]
     print(
         f"severity MAE {severity.mae:.3f} RMSE {severity.rmse:.3f} MFA {severity.mfa:.3f}"
@@ -217,9 +217,7 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
 
 def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
     train_s, val_s, test_s = _load_windows(cfg)
-    results = train_eval.run_ablation(
-        train_s, val_s, test_s, cfg.model_config(), cfg.train_config()
-    )
+    results = train_eval.run_ablation(train_s, val_s, test_s, cfg.model, cfg.train)
     reports = {variant: res.report for variant, res in results.items()}
     train_eval.write_metrics_csv(_out_path(cfg, "metrics.csv"), reports)
     for variant, res in results.items():

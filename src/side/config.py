@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .core import DETERMINANT_COUNT
 from .errors import ConfigError
-from .model import ABLATIONS, ModelConfig
+from .model import ModelConfig
 from .train_eval import TrainConfig
 
 STATES = ("ca", "tx", "synth")
@@ -16,169 +15,99 @@ BACKENDS = ("lexicon", "llm")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Input paths, quantification and split settings, plus the network's configs."""
+
     dsci_path: str = "dsci.csv"
     social_path: str = "posts.jsonl"
     news_path: str = "news.jsonl"
     entities_path: str = "entities.txt"
     lexicon_path: str | None = None
     out_dir: str = "run"
-    lookback: int = 52
-    horizon: int = 5
-    determinant_count: int = 11
     topic_count: int = 50
     map_threshold: float = 0.15
-    width: int = 32
-    hidden: int = 64
-    ablation: str = "full"
-    max_epochs: int = 20
-    patience: int = 10
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    lambda_severity: float = 1.0
-    lambda_impact: float = 1.0
     split: tuple[int, int, int] = (7, 1, 2)
     backend: str = "lexicon"
     state: str = "synth"
-    seed: int = 0
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.state not in STATES:
             raise ConfigError(f"state must be one of {STATES}, got {self.state!r}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.ablation not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.determinant_count != DETERMINANT_COUNT:
-            raise ConfigError(
-                f"determinant_count is fixed at {DETERMINANT_COUNT} by the determinant list"
-            )
-        for name in ("lookback", "horizon", "topic_count", "width", "hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.topic_count < 1:
+            raise ConfigError("topic_count must be >= 1")
         if self.map_threshold < 0:
             raise ConfigError("map_threshold must be >= 0")
         if len(self.split) != 3 or any(int(r) <= 0 for r in self.split):
             raise ConfigError(f"split must be three positive integers, got {self.split!r}")
         object.__setattr__(self, "split", tuple(int(r) for r in self.split))
-        try:
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            lookback=self.lookback,
-            horizon=self.horizon,
-            determinant_count=self.determinant_count,
-            width=self.width,
-            hidden=self.hidden,
-            ablation=self.ablation,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            lambda_severity=self.lambda_severity,
-            lambda_impact=self.lambda_impact,
-        )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "state": self.state,
-            "backend": self.backend,
-            "paths": {
-                "dsci": self.dsci_path,
-                "social": self.social_path,
-                "news": self.news_path,
-                "entities": self.entities_path,
-                "lexicon": self.lexicon_path,
-                "out_dir": self.out_dir,
-            },
-            "windows": {"lookback": self.lookback, "horizon": self.horizon},
-            "dsiq": {
-                "determinant_count": self.determinant_count,
-                "topic_count": self.topic_count,
-                "map_threshold": self.map_threshold,
-            },
-            "model": {"width": self.width, "hidden": self.hidden, "ablation": self.ablation},
-            "train": {
-                "max_epochs": self.max_epochs,
-                "patience": self.patience,
-                "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate,
-                "lambda_severity": self.lambda_severity,
-                "lambda_impact": self.lambda_impact,
-            },
-            "split": list(self.split),
-        }
+        out: dict = {}
+        for section, keys in LAYOUT.items():
+            block = out.setdefault(section, {}) if section else out
+            for key, path in keys.items():
+                value = _get(self, path)
+                block[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
-def _section(raw: dict, name: str, allowed: set[str]) -> dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return section
+#: The JSON layout: section ("" is the top level) -> key -> the RunConfig
+#: field the key sets, written ``model.<field>`` or ``train.<field>`` if nested.
+LAYOUT = {
+    "": {"seed": "train.seed", "state": "state", "backend": "backend", "split": "split"},
+    "paths": {
+        "dsci": "dsci_path", "social": "social_path", "news": "news_path",
+        "entities": "entities_path", "lexicon": "lexicon_path", "out_dir": "out_dir",
+    },
+    "windows": {"lookback": "model.lookback", "horizon": "model.horizon"},
+    "dsiq": {"topic_count": "topic_count", "map_threshold": "map_threshold"},
+    "model": {"width": "model.width", "hidden": "model.hidden", "ablation": "model.ablation"},
+    "train": {
+        "max_epochs": "train.max_epochs", "patience": "train.patience",
+        "batch_size": "train.batch_size", "learning_rate": "train.learning_rate",
+        "lambda_severity": "train.lambda_severity", "lambda_impact": "train.lambda_impact",
+    },
+}
+
+
+def _get(cfg: RunConfig, path: str):
+    owner, _, name = path.rpartition(".")
+    return getattr(getattr(cfg, owner) if owner else cfg, name)
+
+
+def _cast(value, default):
+    """Coerce a JSON value to the type of the field's default (str or None if it is None)."""
+    if default is None:
+        return None if value is None else str(value)
+    return type(default)(value)
 
 
 def from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting unknown keys."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    top_allowed = {"seed", "state", "backend", "paths", "windows", "dsiq", "model", "train", "split"}
-    unknown = set(raw) - top_allowed
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-
-    paths = _section(raw, "paths", {"dsci", "social", "news", "entities", "lexicon", "out_dir"})
-    windows = _section(raw, "windows", {"lookback", "horizon"})
-    dsiq = _section(raw, "dsiq", {"determinant_count", "topic_count", "map_threshold"})
-    model = _section(raw, "model", {"width", "hidden", "ablation"})
-    train = _section(
-        raw,
-        "train",
-        {"max_epochs", "patience", "batch_size", "learning_rate", "lambda_severity", "lambda_impact"},
-    )
+    blocks = {section: raw.get(section, {}) if section else raw for section in LAYOUT}
+    for section, keys in LAYOUT.items():
+        if not isinstance(blocks[section], dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        unknown = set(blocks[section]) - set(keys) - (set() if section else set(LAYOUT))
+        if unknown:
+            where = f"keys in config section {section!r}" if section else "top-level config keys"
+            raise ConfigError(f"unknown {where}: {sorted(unknown)}")
 
     defaults = RunConfig()
+    values: dict[str, dict] = {"": {}, "model": {}, "train": {}}
     try:
-        return RunConfig(
-            seed=int(raw.get("seed", defaults.seed)),
-            state=str(raw.get("state", defaults.state)),
-            backend=str(raw.get("backend", defaults.backend)),
-            dsci_path=str(paths.get("dsci", defaults.dsci_path)),
-            social_path=str(paths.get("social", defaults.social_path)),
-            news_path=str(paths.get("news", defaults.news_path)),
-            entities_path=str(paths.get("entities", defaults.entities_path)),
-            lexicon_path=(
-                None
-                if paths.get("lexicon", defaults.lexicon_path) is None
-                else str(paths.get("lexicon"))
-            ),
-            out_dir=str(paths.get("out_dir", defaults.out_dir)),
-            lookback=int(windows.get("lookback", defaults.lookback)),
-            horizon=int(windows.get("horizon", defaults.horizon)),
-            determinant_count=int(dsiq.get("determinant_count", defaults.determinant_count)),
-            topic_count=int(dsiq.get("topic_count", defaults.topic_count)),
-            map_threshold=float(dsiq.get("map_threshold", defaults.map_threshold)),
-            width=int(model.get("width", defaults.width)),
-            hidden=int(model.get("hidden", defaults.hidden)),
-            ablation=str(model.get("ablation", defaults.ablation)),
-            max_epochs=int(train.get("max_epochs", defaults.max_epochs)),
-            patience=int(train.get("patience", defaults.patience)),
-            batch_size=int(train.get("batch_size", defaults.batch_size)),
-            learning_rate=float(train.get("learning_rate", defaults.learning_rate)),
-            lambda_severity=float(train.get("lambda_severity", defaults.lambda_severity)),
-            lambda_impact=float(train.get("lambda_impact", defaults.lambda_impact)),
-            split=tuple(raw.get("split", defaults.split)),
-        )
+        for section, keys in LAYOUT.items():
+            for key, path in keys.items():
+                if key in blocks[section]:
+                    owner, _, name = path.rpartition(".")
+                    values[owner][name] = _cast(blocks[section][key], _get(defaults, path))
+        model, train = ModelConfig(**values["model"]), TrainConfig(**values["train"])
+        return RunConfig(**values[""], model=model, train=train)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
@@ -202,11 +131,7 @@ def save(path, cfg: RunConfig) -> None:
 
 def apply_overrides(cfg: RunConfig, seed=None, backend=None, state=None) -> RunConfig:
     """CLI flags win over file values."""
-    updates = {}
+    updates = {k: v for k, v in (("backend", backend), ("state", state)) if v is not None}
     if seed is not None:
-        updates["seed"] = int(seed)
-    if backend is not None:
-        updates["backend"] = backend
-    if state is not None:
-        updates["state"] = state
+        updates["train"] = replace(cfg.train, seed=int(seed))
     return replace(cfg, **updates) if updates else cfg

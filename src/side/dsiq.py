@@ -112,8 +112,17 @@ class TopicModel:
 
 
 def _fit_tfidf(docs: list[Document]) -> tuple[dict[str, int], np.ndarray, np.ndarray, list[list[str]]]:
+    """Vocabulary, IDF, L2-normalized TF-IDF vectors and token lists of ``docs``.
+
+    The vocabulary keeps terms that appear in at least two documents and
+    are not stopwords; IDF is ln(N / df), so a term present in every
+    document gets zero weight.
+
+    Raises:
+        ValueError: no documents, or the vocabulary comes out empty.
+    """
     if not docs:
-        raise ValueError("vectorize needs at least one document")
+        raise ValueError("TF-IDF needs at least one document")
     token_lists = [tokenize(d.text) for d in docs]
     df: dict[str, int] = {}
     for tokens in token_lists:
@@ -128,20 +137,6 @@ def _fit_tfidf(docs: list[Document]) -> tuple[dict[str, int], np.ndarray, np.nda
     for term, j in vocab.items():
         idf[j] = math.log(n / df[term])
     return vocab, idf, doc_matrix(token_lists, vocab, idf), token_lists
-
-
-def vectorize(docs: list[Document]) -> tuple[dict[str, int], np.ndarray]:
-    """L2-normalized TF-IDF vectors for a document list.
-
-    The vocabulary keeps terms that appear in at least two documents and
-    are not stopwords; IDF is ln(N / df), so a term present in every
-    document gets zero weight.
-
-    Raises:
-        ValueError: no documents, or the vocabulary comes out empty.
-    """
-    vocab, _, vectors, _ = _fit_tfidf(docs)
-    return vocab, vectors
 
 
 def doc_matrix(token_lists: list[list[str]], vocab: dict[str, int], idf: np.ndarray) -> np.ndarray:

@@ -11,11 +11,12 @@ impact MSE terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
+from .core import DETERMINANT_COUNT
 from .errors import ShapeError
 from .numerics import Node
 
@@ -26,7 +27,6 @@ ABLATIONS = ("full", "no_social", "no_news", "no_attention")
 class ModelConfig:
     lookback: int = 52
     horizon: int = 5
-    determinant_count: int = 11
     width: int = 32
     hidden: int = 64
     ablation: str = "full"
@@ -34,13 +34,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
+        for name in ("lookback", "horizon", "width", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def impact_dim(self) -> int:
-        return 2 * self.determinant_count
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return 2 * DETERMINANT_COUNT
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,11 @@ def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], widt
     return nm.matmul(a_md, v_d), nm.matmul(a_dm, v_m)
 
 
-def forward_no_attention(h_impact: Node, h_severity: Node) -> tuple[Node, Node]:
-    """Ablation path: hand the encoder outputs straight to the decoder."""
-    return h_impact, h_severity
-
-
 def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) -> tuple[Node, Node]:
     """Two-layer readout of the concatenated representations.
 
     Returns the severity forecast (standardized units, shape (horizon,))
-    and the impact forecast (shape (horizon, 2 * determinant_count)).
+    and the impact forecast (shape (horizon, 2 * DETERMINANT_COUNT)).
     Impact outputs are plain linear; clamping to [0, 1] is a reporting
     concern, not a model one.
     """
@@ -162,15 +157,15 @@ def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) ->
     return severity, impact
 
 
-def apply_input_mask(impact_in: np.ndarray, ablation: str, determinant_count: int) -> np.ndarray:
+def apply_input_mask(impact_in: np.ndarray, ablation: str) -> np.ndarray:
     """Zero the social or news half of the impact inputs for ablation runs."""
     if ablation == "no_social":
         masked = impact_in.copy()
-        masked[:, :determinant_count] = 0.0
+        masked[:, :DETERMINANT_COUNT] = 0.0
         return masked
     if ablation == "no_news":
         masked = impact_in.copy()
-        masked[:, determinant_count:] = 0.0
+        masked[:, DETERMINANT_COUNT:] = 0.0
         return masked
     return impact_in
 
@@ -186,7 +181,7 @@ def forward(
 
     Args:
         severity_in: standardized severity lookback, shape (lookback,).
-        impact_in: impact lookback, shape (lookback, 2 * determinant_count),
+        impact_in: impact lookback, shape (lookback, 2 * DETERMINANT_COUNT),
             already masked for input ablations.
         positions: optional precomputed positional table node (shared
             across samples to avoid rebuilding it).
@@ -209,7 +204,8 @@ def forward(
     h_d = encode(nm.constant(severity_in.reshape(-1, 1)), params, "enc_severity", positions, cfg.width)
 
     if cfg.ablation == "no_attention":
-        h_md, h_dm = forward_no_attention(h_m, h_d)
+        # Ablation path: hand the encoder outputs straight to the decoder.
+        h_md, h_dm = h_m, h_d
     else:
         h_md, h_dm = cross_attend(h_m, h_d, params, cfg.width)
 

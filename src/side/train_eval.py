@@ -9,14 +9,14 @@ scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
 from .core import WindowedSample
-from .errors import DivergenceError, NumericsError
+from .errors import ConfigError, DivergenceError, NumericsError
 from .model import LossWeights, ModelConfig
 
 MFA_EPSILON = 1e-6
@@ -43,17 +43,6 @@ class TrainConfig:
             )
         if self.max_epochs < 1 or self.batch_size < 1 or self.lr_plateau < 1:
             raise ValueError("max_epochs, batch_size and lr_plateau must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "lambda_severity": self.lambda_severity,
-            "lambda_impact": self.lambda_impact,
-        }
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,7 @@ def _prepare(samples, standardizer: Standardizer, cfg: ModelConfig):
     prepared = []
     for s in samples:
         impact_in = np.array([v.concatenated() for v in s.impact_in], dtype=np.float64)
-        impact_in = mdl.apply_input_mask(impact_in, cfg.ablation, cfg.determinant_count)
+        impact_in = mdl.apply_input_mask(impact_in, cfg.ablation)
         prepared.append(
             {
                 "start": s.start,
@@ -371,15 +360,13 @@ def evaluate(
 # Ablations and baselines
 # ---------------------------------------------------------------------------
 
-ABLATION_VARIANTS = ("full", "no_social", "no_news", "no_attention")
-
 
 def run_ablation(
     train_samples, val_samples, test_samples, model_cfg: ModelConfig, train_cfg: TrainConfig
 ) -> dict[str, EvalResult]:
     """Train and evaluate the four variants on shared splits and seed."""
     results = {}
-    for variant in ABLATION_VARIANTS:
+    for variant in mdl.ABLATIONS:
         cfg = replace(model_cfg, ablation=variant)
         trained = train(train_samples, val_samples, cfg, train_cfg)
         results[variant] = evaluate(
@@ -426,8 +413,8 @@ def baseline_linear_ar(
 
 def save_run_checkpoint(path, result: TrainResult) -> None:
     config = {
-        "model": result.model_config.to_dict(),
-        "train": result.train_config.to_dict(),
+        "model": asdict(result.model_config),
+        "train": asdict(result.train_config),
     }
     extras = {
         "standardizer": {"mean": result.standardizer.mean, "std": result.standardizer.std},
@@ -437,17 +424,26 @@ def save_run_checkpoint(path, result: TrainResult) -> None:
     nm.save_checkpoint(path, result.params, config, extras)
 
 
-def load_run_checkpoint(path):
-    """Returns (params, ModelConfig, train config dict, Standardizer)."""
+def load_run_checkpoint(path, model_cfg: ModelConfig):
+    """Returns (params, Standardizer) of a checkpoint trained for ``model_cfg``.
+
+    Raises:
+        ConfigError: the checkpoint's model block is not a valid
+            ModelConfig (for example one written by an older version), or
+            it differs from ``model_cfg``; evaluating it would report on a
+            model other than the one configured.
+    """
     payload = nm.load_checkpoint(path)
-    model_cfg = ModelConfig(**payload["config"]["model"])
+    try:
+        saved = ModelConfig(**payload["config"]["model"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: invalid checkpoint model config ({exc}); retrain") from exc
+    if saved != model_cfg:
+        raise ConfigError(
+            f"{path}: checkpoint was trained for {saved}, but the run config has {model_cfg}; retrain"
+        )
     std = payload["extras"]["standardizer"]
-    return (
-        payload["params"],
-        model_cfg,
-        payload["config"]["train"],
-        Standardizer(mean=std["mean"], std=std["std"]),
-    )
+    return payload["params"], Standardizer(mean=std["mean"], std=std["std"])
 
 
 def write_history_csv(path, history: list[dict]) -> None:

@@ -1,10 +1,13 @@
 """CLI subcommands end to end on a small synthetic dataset."""
 
 import json
+import shutil
 
 import pytest
 
+from side import numerics as nm
 from side.cli import main
+from side.core import training_cutoff
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,56 @@ def test_predictions_and_export_plots_pass_through(workspace):
     bars = (run / "synth_plot_determinants.csv").read_text().splitlines()
     assert bars[0] == "source,determinant,predicted,actual"
     assert len(bars) - 1 == 22
+
+
+def _copy_of_trained_run(workspace, tmp_path, **sections):
+    """A config whose out_dir holds copies of the workspace's impact CSV and checkpoint."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("synth_impact.csv", "synth_checkpoint.json"):
+        shutil.copy(workspace["run"] / name, run / name)
+    raw = dict(workspace["raw"], paths=dict(workspace["raw"]["paths"], out_dir=str(run)), **sections)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    return cfg_path, run
+
+
+def test_evaluate_rejects_checkpoint_with_stale_model_block(workspace, tmp_path, capsys):
+    cfg_path, run = _copy_of_trained_run(workspace, tmp_path)
+    checkpoint = run / "synth_checkpoint.json"
+    payload = nm.load_checkpoint(checkpoint)
+    payload["config"]["model"]["determinant_count"] = 11  # written before the key was removed
+    nm.save_checkpoint(checkpoint, payload["params"], payload["config"], payload["extras"])
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert "retrain" in capsys.readouterr().err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path, capsys):
+    cfg_path, run = _copy_of_trained_run(workspace, tmp_path, model={"width": 16, "hidden": 16})
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert "trained for" in capsys.readouterr().err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_quantify_refuses_to_fit_topics_on_held_out_text(workspace, tmp_path, capsys):
+    raw = workspace["raw"]
+    weeks = (workspace["data"] / "dsci.csv").read_text().splitlines()[1:]
+    windows = raw["windows"]
+    cutoff = training_cutoff(len(weeks), windows["lookback"], windows["horizon"], (7, 1, 2))
+    first_held_out_week = weeks[cutoff].split(",")[0]
+    news = tmp_path / "news.jsonl"
+    with open(news, "w", encoding="utf-8") as fh:
+        for line in (workspace["data"] / "news.jsonl").read_text().splitlines():
+            if json.loads(line)["timestamp"][:10] >= first_held_out_week:
+                fh.write(line + "\n")
+    assert news.stat().st_size > 0
+    paths = dict(raw["paths"], news=str(news), out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=paths)), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    assert "no news document falls in the training range" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "synth_impact.csv").exists()
 
 
 def test_ablate_writes_four_variants(workspace, tmp_path):

@@ -4,26 +4,59 @@ import pytest
 
 from side import config as cfgmod
 from side.errors import ConfigError
+from side.model import ModelConfig
+from side.train_eval import TrainConfig
 
 
 def test_defaults_mirror_paper_settings():
     cfg = cfgmod.RunConfig()
-    assert cfg.lookback == 52
-    assert cfg.horizon == 5
-    assert cfg.determinant_count == 11
+    assert cfg.model.lookback == 52
+    assert cfg.model.horizon == 5
+    assert cfg.model.impact_dim == 22
     assert cfg.topic_count == 50
-    assert cfg.max_epochs == 20
-    assert cfg.patience == 10
+    assert cfg.train.max_epochs == 20
+    assert cfg.train.patience == 10
     assert cfg.split == (7, 1, 2)
 
 
 def test_round_trip_identity():
-    cfg = cfgmod.RunConfig(seed=9, backend="llm", state="ca", width=16, out_dir="x")
+    cfg = cfgmod.RunConfig(
+        model=ModelConfig(width=16), train=TrainConfig(seed=9), backend="llm", state="ca", out_dir="x"
+    )
     assert cfgmod.from_dict(cfg.to_dict()) == cfg
 
 
+def test_round_trip_non_default_in_every_section():
+    cfg = cfgmod.RunConfig(
+        dsci_path="d.csv",
+        social_path="s.jsonl",
+        news_path="n.jsonl",
+        entities_path="e.txt",
+        lexicon_path="lex.json",
+        out_dir="out",
+        topic_count=7,
+        map_threshold=0.3,
+        split=(6, 2, 2),
+        backend="llm",
+        state="tx",
+        model=ModelConfig(lookback=12, horizon=3, width=8, hidden=24, ablation="no_news"),
+        train=TrainConfig(
+            max_epochs=9,
+            patience=4,
+            batch_size=5,
+            learning_rate=0.02,
+            seed=17,
+            lambda_severity=0.5,
+            lambda_impact=2.0,
+        ),
+    )
+    raw = cfg.to_dict()
+    assert raw["seed"] == 17 and raw["windows"] == {"lookback": 12, "horizon": 3}
+    assert cfgmod.from_dict(raw) == cfg
+
+
 def test_file_round_trip(tmp_path):
-    cfg = cfgmod.RunConfig(seed=3, lookback=12, horizon=2)
+    cfg = cfgmod.RunConfig(model=ModelConfig(lookback=12, horizon=2), train=TrainConfig(seed=3))
     path = tmp_path / "run.json"
     cfgmod.save(path, cfg)
     assert cfgmod.load(path) == cfg
@@ -37,6 +70,9 @@ def test_unknown_top_level_key_rejected():
 def test_unknown_section_key_rejected():
     with pytest.raises(ConfigError, match="train"):
         cfgmod.from_dict({"train": {"momentum": 0.9}})
+    # the determinant count is fixed by the determinant list, not configured
+    with pytest.raises(ConfigError, match="unknown keys in config section 'dsiq'"):
+        cfgmod.from_dict({"dsiq": {"determinant_count": 11}})
 
 
 def test_invalid_values_rejected():
@@ -49,15 +85,23 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         cfgmod.from_dict({"windows": {"lookback": 0}})
     with pytest.raises(ConfigError):
+        cfgmod.from_dict({"model": {"ablation": "no_text"}})
+    with pytest.raises(ConfigError):
         cfgmod.from_dict({"split": [7, 0, 2]})
     with pytest.raises(ConfigError):
         cfgmod.from_dict({"train": {"patience": 30}})
 
 
+def test_null_values():
+    with pytest.raises(ConfigError):
+        cfgmod.from_dict({"train": {"patience": None}})
+    assert cfgmod.from_dict({"paths": {"lexicon": None}}).lexicon_path is None
+
+
 def test_overrides_win():
     cfg = cfgmod.RunConfig()
     out = cfgmod.apply_overrides(cfg, seed=42, backend="llm", state="tx")
-    assert (out.seed, out.backend, out.state) == (42, "llm", "tx")
+    assert (out.train.seed, out.backend, out.state) == (42, "llm", "tx")
     assert cfgmod.apply_overrides(cfg) == cfg
 
 

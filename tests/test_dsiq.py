@@ -18,6 +18,7 @@ from side.dsiq import (
     LlmBackend,
     TopicCluster,
     TopicModel,
+    _fit_tfidf,
     build_impact_series,
     cluster_keywords,
     fit_topic_model,
@@ -27,7 +28,6 @@ from side.dsiq import (
     quantify,
     read_impact_csv,
     tokenize,
-    vectorize,
     write_impact_csv,
 )
 
@@ -41,38 +41,38 @@ def doc(i, text, source=Source.SOCIAL, timestep=0):
 class TestVectorize:
     def test_identical_documents_get_identical_vectors(self):
         docs = [doc(0, "dry crop fields"), doc(1, "dry crop fields")]
-        _, vectors = vectorize(docs)
+        _, _, vectors, _ = _fit_tfidf(docs)
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_term_in_every_document_weighs_zero(self):
         # ln(N/N) = 0, so the shared term contributes nothing
         docs = [doc(0, "drought crop crop"), doc(1, "drought wells wells"), doc(2, "drought crop wells")]
-        vocab, vectors = vectorize(docs)
+        vocab, _, vectors, _ = _fit_tfidf(docs)
         assert vectors[:, vocab["drought"]].max() == 0.0
         assert vectors[:, vocab["crop"]].max() > 0.0
 
     def test_self_cosine_is_one(self):
         docs = [doc(0, "crop crop harvest"), doc(1, "wells water"), doc(2, "crop wells water harvest")]
-        _, vectors = vectorize(docs)
+        _, _, vectors, _ = _fit_tfidf(docs)
         for row in vectors:
             if row.any():
                 assert math.isclose(float(row @ row), 1.0, abs_tol=1e-12)
 
     def test_rare_terms_excluded(self):
         docs = [doc(0, "crop unique1"), doc(1, "crop unique2")]
-        vocab, _ = vectorize(docs)
+        vocab, *_ = _fit_tfidf(docs)
         assert "crop" in vocab
         assert "unique1" not in vocab and "unique2" not in vocab
 
     def test_stopwords_excluded(self):
         docs = [doc(0, "the crop and the field"), doc(1, "the crop of the field")]
-        vocab, _ = vectorize(docs)
+        vocab, *_ = _fit_tfidf(docs)
         assert "the" not in vocab and "and" not in vocab
 
     def test_empty_vocabulary_is_error(self):
         docs = [doc(0, "alpha"), doc(1, "beta")]
         with pytest.raises(ValueError, match="vocabulary"):
-            vectorize(docs)
+            _fit_tfidf(docs)
 
 
 class TestKmeans:

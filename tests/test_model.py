@@ -155,12 +155,6 @@ class TestDecode:
 
 
 class TestForwardNoAttention:
-    def test_identity_contract(self):
-        h_m = nm.constant(np.arange(6.0).reshape(2, 3))
-        h_d = nm.constant(-np.arange(6.0).reshape(2, 3))
-        out_m, out_d = mdl.forward_no_attention(h_m, h_d)
-        assert out_m is h_m and out_d is h_d
-
     def test_ablation_config_routes_around_attention(self):
         cfg = tiny_cfg(ablation="no_attention")
         params = mdl.init_params(cfg, np.random.default_rng(0))
@@ -276,11 +270,11 @@ def test_severity_path_invariant_to_impact_targets_when_masked():
 
 def test_input_mask_zeroes_correct_half():
     imp = np.ones((3, 22))
-    social_masked = mdl.apply_input_mask(imp, "no_social", 11)
-    news_masked = mdl.apply_input_mask(imp, "no_news", 11)
+    social_masked = mdl.apply_input_mask(imp, "no_social")
+    news_masked = mdl.apply_input_mask(imp, "no_news")
     assert social_masked[:, :11].sum() == 0 and social_masked[:, 11:].sum() == 33
     assert news_masked[:, 11:].sum() == 0 and news_masked[:, :11].sum() == 33
-    np.testing.assert_array_equal(mdl.apply_input_mask(imp, "full", 11), imp)
+    np.testing.assert_array_equal(mdl.apply_input_mask(imp, "full"), imp)
 
 
 def test_positional_table_shape_and_range():

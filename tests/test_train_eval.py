@@ -1,6 +1,7 @@
 """Training loop behavior, metrics arithmetic, baselines."""
 
 import math
+from dataclasses import asdict, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -16,12 +17,14 @@ from side.core import (
     chronological_split,
     make_windows,
 )
-from side.errors import DivergenceError
-from side.model import ModelConfig
+from side.errors import ConfigError, DivergenceError
+from side.model import ModelConfig, init_params
+from side.numerics import load_checkpoint
 from side.train_eval import (
     MetricReport,
     Standardizer,
     TrainConfig,
+    TrainResult,
     baseline_linear_ar,
     baseline_persistence,
     compute_metrics,
@@ -211,13 +214,32 @@ class TestEvaluate:
         result, cfg, test_s, _ = self.trained()
         path = tmp_path / "ckpt.json"
         save_run_checkpoint(path, result)
-        params, model_cfg, train_cfg, std = load_run_checkpoint(path)
-        assert model_cfg == cfg
+        params, std = load_run_checkpoint(path, cfg)
         assert std == result.standardizer
-        assert train_cfg["seed"] == 0
         before = evaluate(result.params, cfg, result.standardizer, test_s).report
-        after = evaluate(params, model_cfg, std, test_s).report
+        after = evaluate(params, cfg, std, test_s).report
         assert before.per_target["severity"] == after.per_target["severity"]
+        with pytest.raises(ConfigError, match="trained for"):
+            load_run_checkpoint(path, replace(cfg, hidden=cfg.hidden + 1))
+
+    def test_checkpoint_records_every_train_setting(self, tmp_path):
+        cfg = small_cfg()
+        train_cfg = TrainConfig(lr_plateau=7)
+        params = {k: p.value for k, p in init_params(cfg, np.random.default_rng(0)).items()}
+        result = TrainResult(
+            params=params,
+            model_config=cfg,
+            train_config=train_cfg,
+            standardizer=Standardizer(mean=0.0, std=1.0),
+            history=[],
+            best_val_loss=1.0,
+            best_epoch=1,
+        )
+        path = tmp_path / "ckpt.json"
+        save_run_checkpoint(path, result)
+        config = load_checkpoint(path)["config"]
+        assert config["train"] == asdict(train_cfg)
+        assert config["model"] == asdict(cfg)
 
 
 class TestBaselines:
