@@ -12,7 +12,7 @@ shipped lexicon provides the topic -> determinant scores.
 import tempfile
 
 from side import dsiq, ingest, synth
-from side.core import Source, training_cutoff
+from side.core import DETERMINANT_NAMES, Source, training_cutoff
 
 # Generate a small corpus: severity drives both how much gets written
 # and what it is about (high weeks tilt toward agriculture and water).
@@ -34,32 +34,29 @@ with tempfile.TemporaryDirectory() as tmp:
 
 # Topic models are fitted on the training date range only and then
 # frozen, so validation/test weeks never leak into the vocabulary.
-determinants = dsiq.DeterminantSet()
 backend = dsiq.LexiconBackend()
 cutoff = training_cutoff(len(series), lookback=20, horizon=4)
 
 social_model = dsiq.fit_topic_model(
     [d for d in social_docs if d.timestep < cutoff],
-    Source.SOCIAL, determinants, backend, topic_count=20, seed=0,
+    Source.SOCIAL, backend, topic_count=20, seed=0,
 )
 news_model = dsiq.fit_topic_model(
     [d for d in news_docs if d.timestep < cutoff],
-    Source.NEWS, determinants, backend, topic_count=20, seed=0,
+    Source.NEWS, backend, topic_count=20, seed=0,
 )
 
 print("\nfirst social topics:")
 for cluster in social_model.clusters[:5]:
-    name = determinants.names[cluster.determinant_index]
+    name = DETERMINANT_NAMES[cluster.determinant_index]
     print(f"  topic {cluster.id:2d} -> {name:30s} keywords: {', '.join(cluster.keywords[:5])}")
 
 # One impact vector per week: social and news halves, each either
 # normalized to 1 or all-zero when that source was silent.
-impacts = dsiq.build_impact_series(
-    social_docs, news_docs, len(series), social_model, news_model, determinants
-)
+impacts = dsiq.build_impact_series(social_docs, news_docs, len(series), social_model, news_model)
 
 week = impacts[10]
 print(f"\nweek 10 severity={series.values[10]:.0f}")
-for name, s_val, n_val in zip(determinants.names, week.social_part, week.news_part):
+for name, s_val, n_val in zip(DETERMINANT_NAMES, week.social_part, week.news_part):
     bar = "#" * int(40 * s_val)
     print(f"  {name:32s} social={s_val:.2f} news={n_val:.2f} {bar}")

@@ -7,6 +7,8 @@ determinant distributions, then jointly forecasts drought severity
 
 from .core import (
     DETERMINANT_COUNT,
+    DETERMINANT_NAMES,
+    OTHER_INDEX,
     Document,
     ImpactVector,
     SeveritySeries,
@@ -17,8 +19,6 @@ from .core import (
     make_windows,
 )
 from .dsiq import (
-    DETERMINANT_NAMES,
-    DeterminantSet,
     LexiconBackend,
     LlmBackend,
     TopicCluster,

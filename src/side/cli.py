@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
-from .core import Source, chronological_split, make_windows, training_cutoff
+from .core import DETERMINANT_NAMES, Source, chronological_split, make_windows, training_cutoff
 from .errors import ConfigError, DivergenceError, NumericsError, SideError
 
 USER_ERROR = 2
@@ -88,7 +88,6 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
 
     lexicon = dsiq.load_lexicon(cfg.lexicon_path)
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
-    determinants = dsiq.DeterminantSet()
     cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
 
     models = {}
@@ -102,16 +101,13 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
         models[source] = dsiq.fit_topic_model(
             fit_docs,
             Source(source),
-            determinants,
             backend,
             topic_count=cfg.topic_count,
             seed=cfg.train.seed,
             map_threshold=cfg.map_threshold,
         )
 
-    impacts = dsiq.build_impact_series(
-        social_docs, news_docs, len(series), models["social"], models["news"], determinants
-    )
+    impacts = dsiq.build_impact_series(social_docs, news_docs, len(series), models["social"], models["news"])
     impact_path = _out_path(cfg, "impact.csv")
     dsiq.write_impact_csv(impact_path, impacts)
 
@@ -120,7 +116,7 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
         fh.write("source,cluster_id,determinant,doc_count,keywords\n")
         for source in ("social", "news"):
             for cluster in models[source].clusters:
-                name = determinants.names[cluster.determinant_index]
+                name = DETERMINANT_NAMES[cluster.determinant_index]
                 fh.write(
                     f"{source},{cluster.id},\"{name}\",{len(cluster.member_doc_ids)},"
                     f"{' '.join(cluster.keywords)}\n"
@@ -264,12 +260,11 @@ def cmd_export_plots(run_dir, state: str) -> int:
                 + "\n"
             )
 
-    determinants = dsiq.DeterminantSet()
     bars_path = run / f"{state}_plot_determinants.csv"
     with open(bars_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("source,determinant,predicted,actual\n")
         for source, prefix in (("social", "s"), ("news", "n")):
-            for i, name in enumerate(determinants.names, start=1):
+            for i, name in enumerate(DETERMINANT_NAMES, start=1):
                 true_col = col[f"true_{prefix}_{i}"]
                 pred_col = col[f"pred_{prefix}_{i}"]
                 actual = float(np.mean([float(c[true_col]) for c in rows]))

@@ -40,7 +40,7 @@ class RunConfig:
             raise ConfigError("topic_count must be >= 1")
         if self.map_threshold < 0:
             raise ConfigError("map_threshold must be >= 0")
-        if len(self.split) != 3 or any(int(r) <= 0 for r in self.split):
+        if len(self.split) != 3 or not all(_is_whole(r) and r > 0 for r in self.split):
             raise ConfigError(f"split must be three positive integers, got {self.split!r}")
         object.__setattr__(self, "split", tuple(int(r) for r in self.split))
 
@@ -78,11 +78,25 @@ def _get(cfg: RunConfig, path: str):
     return getattr(getattr(cfg, owner) if owner else cfg, name)
 
 
-def _cast(value, default):
-    """Coerce a JSON value to the type of the field's default (str or None if it is None)."""
+def _is_whole(value) -> bool:
+    """An int or an integral float; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer()
+
+
+def _cast(key: str, value, default):
+    """Coerce a JSON value to the type of the field's default (str or None if it is None).
+
+    Raises:
+        ValueError: a boolean for a numeric field, or a fraction for an int field.
+    """
     if default is None:
         return None if value is None else str(value)
-    return type(default)(value)
+    kind = type(default)
+    if kind is int and isinstance(value, (bool, float)) and not _is_whole(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if kind is float and isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return kind(value)
 
 
 def from_dict(raw: dict) -> RunConfig:
@@ -105,7 +119,7 @@ def from_dict(raw: dict) -> RunConfig:
             for key, path in keys.items():
                 if key in blocks[section]:
                     owner, _, name = path.rpartition(".")
-                    values[owner][name] = _cast(blocks[section][key], _get(defaults, path))
+                    values[owner][name] = _cast(key, blocks[section][key], _get(defaults, path))
         model, train = ModelConfig(**values["model"]), TrainConfig(**values["train"])
         return RunConfig(**values[""], model=model, train=train)
     except (TypeError, ValueError) as exc:

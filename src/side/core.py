@@ -16,8 +16,23 @@ from .errors import AlignmentError, InsufficientDataError
 DSCI_MIN = 0.0
 DSCI_MAX = 500.0
 
-#: Number of societal impact determinants (fixed by the determinant list).
-DETERMINANT_COUNT = 11
+#: The societal impact determinants in canonical order; the order defines the
+#: impact vector component indices, and "Other" is the catch-all topic.
+DETERMINANT_NAMES = (
+    "Agriculture",
+    "Ecosystems",
+    "Energy",
+    "Hazard Planning & Preparedness",
+    "Manufacturing",
+    "Navigation and Transportation",
+    "Public Health",
+    "Recreation and Tourism",
+    "Water Utilities",
+    "Wildfire Management",
+    "Other",
+)
+DETERMINANT_COUNT = len(DETERMINANT_NAMES)
+OTHER_INDEX = DETERMINANT_NAMES.index("Other")
 
 
 class Source(str, Enum):

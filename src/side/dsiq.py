@@ -25,30 +25,16 @@ from importlib import resources
 import numpy as np
 import requests
 
-from .core import DETERMINANT_COUNT, Document, ImpactVector, Source
+from .core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, ImpactVector, Source
 from .errors import ParseError
-
-#: Canonical determinant order; it defines impact vector component indices.
-DETERMINANT_NAMES = (
-    "Agriculture",
-    "Ecosystems",
-    "Energy",
-    "Hazard Planning & Preparedness",
-    "Manufacturing",
-    "Navigation and Transportation",
-    "Public Health",
-    "Recreation and Tourism",
-    "Water Utilities",
-    "Wildfire Management",
-    "Other",
-)
-
-OTHER_INDEX = 10
 
 #: Below this likelihood/cosine score a topic is filed under "Other".
 MAP_THRESHOLD = 0.15
 
 KEYWORDS_PER_TOPIC = 10
+
+#: Concurrent mapping calls to a remote (LLM) backend per topic model.
+MAP_PARALLELISM = 4
 
 STOPWORDS = frozenset(
     """a about above after again all also am an and any are as at be because been
@@ -67,22 +53,6 @@ _TOKEN_RE = re.compile(r"[a-z][a-z']*")
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens with stopwords removed."""
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
-
-
-@dataclass(frozen=True)
-class DeterminantSet:
-    """Ordered determinant names; index 10 must be the catch-all "Other"."""
-
-    names: tuple[str, ...] = DETERMINANT_NAMES
-
-    def __post_init__(self):
-        if len(self.names) != DETERMINANT_COUNT:
-            raise ValueError(f"expected {DETERMINANT_COUNT} determinants, got {len(self.names)}")
-        if self.names[OTHER_INDEX] != "Other":
-            raise ValueError('determinant index 10 must be "Other"')
-
-    def __len__(self) -> int:
-        return len(self.names)
 
 
 @dataclass(frozen=True)
@@ -139,14 +109,25 @@ def _fit_tfidf(docs: list[Document]) -> tuple[dict[str, int], np.ndarray, np.nda
     return vocab, idf, doc_matrix(token_lists, vocab, idf), token_lists
 
 
-def doc_matrix(token_lists: list[list[str]], vocab: dict[str, int], idf: np.ndarray) -> np.ndarray:
-    """TF * IDF rows, L2-normalized; all-out-of-vocabulary rows stay zero."""
-    x = np.zeros((len(token_lists), len(vocab)))
-    for i, tokens in enumerate(token_lists):
+def term_counts(token_lists: list[list[str]], vocab: dict[str, int], rows=None, n_rows=None) -> np.ndarray:
+    """In-vocabulary term counts, shape (n_rows, len(vocab)).
+
+    Token list ``i`` adds to row ``rows[i]`` (default ``i``); ``n_rows``
+    defaults to one row per token list.
+    """
+    rows = range(len(token_lists)) if rows is None else rows
+    counts = np.zeros((len(token_lists) if n_rows is None else n_rows, len(vocab)))
+    for r, tokens in zip(rows, token_lists):
         for t in tokens:
             j = vocab.get(t)
             if j is not None:
-                x[i, j] += 1.0
+                counts[r, j] += 1.0
+    return counts
+
+
+def doc_matrix(token_lists: list[list[str]], vocab: dict[str, int], idf: np.ndarray) -> np.ndarray:
+    """TF * IDF rows, L2-normalized; all-out-of-vocabulary rows stay zero."""
+    x = term_counts(token_lists, vocab)
     x *= idf
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     np.divide(x, norms, out=x, where=norms > 0)
@@ -204,30 +185,27 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def cluster_keywords(
-    member_token_lists: list[list[list[str]]], vocab: dict[str, int], top: int = KEYWORDS_PER_TOPIC
+    token_lists: list[list[str]], assignments, vocab: dict[str, int], top: int = KEYWORDS_PER_TOPIC
 ) -> list[tuple[str, ...]]:
     """Rank keywords per cluster by class-based TF-IDF.
 
-    Each cluster's members are concatenated into one pseudo-document;
-    a term's weight is its frequency there times ln(C / cf) where cf
-    counts the clusters containing it.  When no term has positive weight
-    (a single cluster, or fully shared vocabulary) raw frequency decides.
+    ``assignments[i]`` is the cluster of ``token_lists[i]``; clusters are
+    numbered 0..C-1.  Each cluster's members are concatenated into one
+    pseudo-document; a term's weight is its frequency there times
+    ln(C / cf) where cf counts the clusters containing it.  When no term
+    has positive weight (a single cluster, or fully shared vocabulary)
+    raw frequency decides.
     """
     terms = list(vocab)
-    counts = np.zeros((len(member_token_lists), len(vocab)))
-    for c, token_lists in enumerate(member_token_lists):
-        for tokens in token_lists:
-            for t in tokens:
-                j = vocab.get(t)
-                if j is not None:
-                    counts[c, j] += 1.0
+    n_clusters = int(np.max(assignments, initial=-1)) + 1
+    counts = term_counts(token_lists, vocab, rows=assignments, n_rows=n_clusters)
     cf = (counts > 0).sum(axis=0)
     with np.errstate(divide="ignore"):
-        cluster_idf = np.log(np.where(cf > 0, len(member_token_lists) / np.maximum(cf, 1), 1.0))
+        cluster_idf = np.log(np.where(cf > 0, n_clusters / np.maximum(cf, 1), 1.0))
     weighted = counts * cluster_idf
 
     keywords = []
-    for c in range(len(member_token_lists)):
+    for c in range(n_clusters):
         scores = weighted[c] if (weighted[c] > 0).any() else counts[c]
         ranked = sorted(
             (j for j in range(len(terms)) if scores[j] > 0),
@@ -243,7 +221,14 @@ def cluster_keywords(
 
 
 def load_lexicon(path=None) -> dict[str, list[str]]:
-    """Determinant name -> seed term list; ships with the package."""
+    """Determinant name -> seed term list; ships with the package.
+
+    A lexicon may leave determinants out (they then score 0), but every
+    key must be a determinant name and every value a list of strings.
+
+    Raises:
+        ParseError: the JSON is not such an object.
+    """
     if path is None:
         text = resources.files("side").joinpath("data/lexicon.json").read_text("utf-8")
     else:
@@ -252,7 +237,12 @@ def load_lexicon(path=None) -> dict[str, list[str]]:
     lexicon = json.loads(text)
     if not isinstance(lexicon, dict):
         raise ParseError("lexicon must be a JSON object mapping determinant -> term list")
-    return {str(k): [str(t).lower() for t in v] for k, v in lexicon.items()}
+    for name, terms in lexicon.items():
+        if name not in DETERMINANT_NAMES:
+            raise ParseError(f"lexicon key {name!r} is not a determinant name")
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ParseError(f"lexicon entry {name!r} must be a list of strings")
+    return {name: [t.lower() for t in terms] for name, terms in lexicon.items()}
 
 
 class LexiconBackend:
@@ -265,10 +255,10 @@ class LexiconBackend:
     def __init__(self, lexicon: dict[str, list[str]] | None = None):
         self.lexicon = {k: frozenset(v) for k, v in (lexicon or load_lexicon()).items()}
 
-    def score(self, keywords: list[str], determinants: DeterminantSet) -> list[float]:
+    def score(self, keywords: list[str]) -> list[float]:
         kw = set(keywords)
         scores = []
-        for name in determinants.names:
+        for name in DETERMINANT_NAMES:
             lex = self.lexicon.get(name, frozenset())
             if not kw or not lex:
                 scores.append(0.0)
@@ -303,8 +293,8 @@ class LlmBackend:
         self.fallback = fallback or LexiconBackend()
         self.session = session or requests.Session()
 
-    def score(self, keywords: list[str], determinants: DeterminantSet) -> list[float]:
-        body = {"keywords": list(keywords), "determinants": list(determinants.names)}
+    def score(self, keywords: list[str]) -> list[float]:
+        body = {"keywords": list(keywords), "determinants": list(DETERMINANT_NAMES)}
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -313,7 +303,7 @@ class LlmBackend:
                 resp = self.session.post(self.url, json=body, headers=headers, timeout=self.timeout)
                 resp.raise_for_status()
                 scores = resp.json()["scores"]
-                if len(scores) != len(determinants) or not all(
+                if len(scores) != DETERMINANT_COUNT or not all(
                     math.isfinite(float(s)) for s in scores
                 ):
                     raise ValueError(f"backend returned invalid scores: {scores!r}")
@@ -321,7 +311,7 @@ class LlmBackend:
             except Exception:
                 if attempt < self.retries:
                     time.sleep(self.backoff * (2**attempt))
-        return self.fallback.score(keywords, determinants)
+        return self.fallback.score(keywords)
 
 
 def backend_from_env(
@@ -342,18 +332,13 @@ def backend_from_env(
     raise ValueError(f"unknown mapping backend {name!r}")
 
 
-def map_topic(
-    keywords,
-    determinants: DeterminantSet,
-    backend,
-    threshold: float = MAP_THRESHOLD,
-) -> int:
+def map_topic(keywords, backend, threshold: float = MAP_THRESHOLD) -> int:
     """Determinant index for a topic given its ranked keywords.
 
     Argmax of the backend scores, lowest index on ties; anything scoring
     below ``threshold`` everywhere lands on "Other".
     """
-    scores = backend.score(list(keywords), determinants)
+    scores = backend.score(list(keywords))
     best = int(np.argmax(scores))
     if scores[best] < threshold:
         return OTHER_INDEX
@@ -368,12 +353,10 @@ def map_topic(
 def fit_topic_model(
     docs: list[Document],
     source: Source,
-    determinants: DeterminantSet,
     backend,
     topic_count: int = 50,
     seed: int = 0,
     map_threshold: float = MAP_THRESHOLD,
-    map_parallelism: int = 4,
 ) -> TopicModel:
     """Cluster one source's documents and map every topic to a determinant.
 
@@ -385,23 +368,20 @@ def fit_topic_model(
         raise ValueError(f"no documents with source {source.value!r} to fit on")
     vocab, idf, vectors, token_lists = _fit_tfidf(docs)
     assignments, centroids = kmeans(vectors, topic_count, seed)
-    live = sorted(set(int(a) for a in assignments))
+    # Renumber the clusters that kept members as 0..live-1.
+    live, assignments = np.unique(assignments, return_inverse=True)
     centroids = centroids[live]
-    renumber = {old: new for new, old in enumerate(live)}
-    assignments = np.array([renumber[int(a)] for a in assignments])
 
     member_ids: list[list[str]] = [[] for _ in live]
-    member_tokens: list[list[list[str]]] = [[] for _ in live]
-    for i, c in enumerate(assignments):
-        member_ids[c].append(docs[i].id)
-        member_tokens[c].append(token_lists[i])
-    keywords = cluster_keywords(member_tokens, vocab)
+    for d, c in zip(docs, assignments):
+        member_ids[c].append(d.id)
+    keywords = cluster_keywords(token_lists, assignments, vocab)
 
     def _map(kw):
-        return map_topic(kw, determinants, backend, map_threshold)
+        return map_topic(kw, backend, map_threshold)
 
-    if isinstance(backend, LlmBackend) and map_parallelism > 1:
-        with ThreadPoolExecutor(max_workers=map_parallelism) as pool:
+    if isinstance(backend, LlmBackend):
+        with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
             det_indices = list(pool.map(_map, keywords))
     else:
         det_indices = [_map(kw) for kw in keywords]
@@ -425,13 +405,13 @@ def assign_clusters(docs: list[Document], model: TopicModel) -> np.ndarray:
     return np.argmin(_sq_dists(vectors, model.centroids), axis=1)
 
 
-def quantify(docs_at_t: list[Document], model: TopicModel, determinants: DeterminantSet) -> np.ndarray:
+def quantify(docs_at_t: list[Document], model: TopicModel) -> np.ndarray:
     """Normalized determinant distribution of one week's documents.
 
     Counts documents per determinant through their topic assignment and
     divides by the total; an empty week yields the all-zero vector.
     """
-    out = np.zeros(len(determinants))
+    out = np.zeros(DETERMINANT_COUNT)
     if not docs_at_t:
         return out
     for topic_id in assign_clusters(docs_at_t, model):
@@ -445,10 +425,8 @@ def build_impact_series(
     total_steps: int,
     social_model: TopicModel,
     news_model: TopicModel,
-    determinants: DeterminantSet | None = None,
 ) -> list[ImpactVector]:
     """One ImpactVector per timestep from the two frozen topic models."""
-    determinants = determinants or DeterminantSet()
     by_step_social: dict[int, list[Document]] = {}
     for d in social_docs:
         by_step_social.setdefault(d.timestep, []).append(d)
@@ -458,8 +436,8 @@ def build_impact_series(
 
     series = []
     for t in range(total_steps):
-        social = quantify(by_step_social.get(t, []), social_model, determinants)
-        news = quantify(by_step_news.get(t, []), news_model, determinants)
+        social = quantify(by_step_social.get(t, []), social_model)
+        news = quantify(by_step_news.get(t, []), news_model)
         series.append(
             ImpactVector(timestep=t, social_part=tuple(social), news_part=tuple(news))
         )
@@ -471,11 +449,11 @@ def build_impact_series(
 # ---------------------------------------------------------------------------
 
 
-def impact_csv_header(delta: int = DETERMINANT_COUNT) -> list[str]:
+def impact_csv_header() -> list[str]:
     return (
         ["timestep"]
-        + [f"s_{i}" for i in range(1, delta + 1)]
-        + [f"n_{i}" for i in range(1, delta + 1)]
+        + [f"s_{i}" for i in range(1, DETERMINANT_COUNT + 1)]
+        + [f"n_{i}" for i in range(1, DETERMINANT_COUNT + 1)]
     )
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DSCI_MAX, DSCI_MIN
-from .dsiq import DETERMINANT_NAMES, OTHER_INDEX, load_lexicon
+from .core import DETERMINANT_NAMES, DSCI_MAX, DSCI_MIN, OTHER_INDEX
+from .dsiq import load_lexicon
 
 #: In-state location entities embedded in generated texts (and written to
 #: entities.txt).  Multi-word entries exercise token-boundary matching.

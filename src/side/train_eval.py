@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .core import WindowedSample
+from .core import DETERMINANT_NAMES, WindowedSample
 from .errors import ConfigError, DivergenceError, NumericsError
 from .model import LossWeights, ModelConfig
 
@@ -295,9 +295,8 @@ class EvalResult:
     predictions: PredictionSet
 
 
-def impact_target_names(determinants) -> list[str]:
-    names = list(determinants.names)
-    return [f"social:{n}" for n in names] + [f"news:{n}" for n in names]
+def impact_target_names() -> list[str]:
+    return [f"social:{n}" for n in DETERMINANT_NAMES] + [f"news:{n}" for n in DETERMINANT_NAMES]
 
 
 def evaluate(
@@ -305,7 +304,6 @@ def evaluate(
     model_cfg: ModelConfig,
     standardizer: Standardizer,
     test_samples: list[WindowedSample],
-    determinants=None,
 ) -> EvalResult:
     """Metrics over every (test sample, horizon step) pair.
 
@@ -316,10 +314,6 @@ def evaluate(
     """
     if not test_samples:
         raise ValueError("test split is empty")
-    if determinants is None:
-        from .dsiq import DeterminantSet
-
-        determinants = DeterminantSet()
 
     nodes = {k: nm.parameter(v, k) for k, v in params.items()}
     positions = nm.constant(mdl.sinusoidal_positions(model_cfg.lookback, model_cfg.width))
@@ -346,7 +340,7 @@ def evaluate(
     report.per_target["severity"] = compute_metrics(
         predictions.severity_pred, predictions.severity_true
     )
-    for j, name in enumerate(impact_target_names(determinants)):
+    for j, name in enumerate(impact_target_names()):
         report.per_target[name] = compute_metrics(
             predictions.impact_pred[:, :, j], predictions.impact_true[:, :, j]
         )

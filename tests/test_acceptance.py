@@ -192,22 +192,21 @@ def test_criterion_4_invariant_suite():
     from test_dsiq import _toy_model, doc
 
     model = _toy_model()
-    dets = dsiq.DeterminantSet()
     words = ["crop", "clinic", "zzz"]
     for _ in range(100):
         n = int(rng.integers(0, 15))
         docs = [doc(i, words[int(rng.integers(3))]) for i in range(n)]
-        out = dsiq.quantify(docs, model, dets)
+        out = dsiq.quantify(docs, model)
         total = out.sum()
         ok &= bool(np.all(out >= 0.0) and np.all(out <= 1.0))
         ok &= total == 0.0 or abs(total - 1.0) <= 1e-6
 
     # permutation invariance of quantify
     docs = [doc(i, words[int(rng.integers(3))]) for i in range(12)]
-    base = dsiq.quantify(docs, model, dets)
+    base = dsiq.quantify(docs, model)
     for _ in range(100):
         perm = rng.permutation(len(docs))
-        ok &= bool(np.array_equal(dsiq.quantify([docs[i] for i in perm], model, dets), base))
+        ok &= bool(np.array_equal(dsiq.quantify([docs[i] for i in perm], model), base))
 
     # standardizer round trip
     for _ in range(100):
@@ -280,16 +279,15 @@ def _pipeline_severity_mae(seed, tmp_dir, variants):
         ingest.load_documents(paths["news"], Source.NEWS, series).documents, entities
     )
 
-    dets = dsiq.DeterminantSet()
     backend = dsiq.LexiconBackend()
     cutoff = training_cutoff(len(series), 52, 5)
     social_model = dsiq.fit_topic_model(
-        [d for d in social if d.timestep < cutoff], Source.SOCIAL, dets, backend, 50, seed
+        [d for d in social if d.timestep < cutoff], Source.SOCIAL, backend, 50, seed
     )
     news_model = dsiq.fit_topic_model(
-        [d for d in news if d.timestep < cutoff], Source.NEWS, dets, backend, 50, seed
+        [d for d in news if d.timestep < cutoff], Source.NEWS, backend, 50, seed
     )
-    impacts = dsiq.build_impact_series(social, news, len(series), social_model, news_model, dets)
+    impacts = dsiq.build_impact_series(social, news, len(series), social_model, news_model)
 
     samples = make_windows(series, impacts, 52, 5)
     train_s, val_s, test_s = chronological_split(samples)

@@ -171,6 +171,18 @@ def test_quantify_refuses_to_fit_topics_on_held_out_text(workspace, tmp_path, ca
     assert not (tmp_path / "run" / "synth_impact.csv").exists()
 
 
+def test_quantify_rejects_misspelled_lexicon(workspace, tmp_path, capsys):
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text(json.dumps({"Agricultre": ["crop", "farm"]}), encoding="utf-8")
+    raw = workspace["raw"]
+    paths = dict(raw["paths"], lexicon=str(lexicon), out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=paths)), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    assert "'Agricultre' is not a determinant name" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "synth_impact.csv").exists()
+
+
 def test_ablate_writes_four_variants(workspace, tmp_path):
     raw = dict(workspace["raw"])
     raw["paths"] = dict(raw["paths"])

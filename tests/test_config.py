@@ -90,6 +90,23 @@ def test_invalid_values_rejected():
         cfgmod.from_dict({"split": [7, 0, 2]})
     with pytest.raises(ConfigError):
         cfgmod.from_dict({"train": {"patience": 30}})
+    # values that a cast to int or float would silently change
+    with pytest.raises(ConfigError, match="lookback must be an integer"):
+        cfgmod.from_dict({"windows": {"lookback": 12.7}})
+    with pytest.raises(ConfigError, match="split"):
+        cfgmod.from_dict({"split": [7, 1, 2.5]})
+    with pytest.raises(ConfigError, match="split"):
+        cfgmod.from_dict({"split": [7, True, 2]})
+    with pytest.raises(ConfigError, match="patience must be an integer"):
+        cfgmod.from_dict({"train": {"patience": True}})
+    with pytest.raises(ConfigError, match="learning_rate must be a number"):
+        cfgmod.from_dict({"train": {"learning_rate": False}})
+
+
+def test_whole_floats_accepted_for_int_fields():
+    cfg = cfgmod.from_dict({"windows": {"lookback": 12.0}, "split": [7.0, 1, 2]})
+    assert cfg.model.lookback == 12 and type(cfg.model.lookback) is int
+    assert cfg.split == (7, 1, 2) and all(type(r) is int for r in cfg.split)
 
 
 def test_null_values():

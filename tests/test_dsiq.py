@@ -8,12 +8,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from side.core import Document, Source
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source
+from side.errors import ParseError
 from side.dsiq import (
-    DETERMINANT_NAMES,
     KEYWORDS_PER_TOPIC,
-    OTHER_INDEX,
-    DeterminantSet,
     LexiconBackend,
     LlmBackend,
     TopicCluster,
@@ -27,11 +25,10 @@ from side.dsiq import (
     map_topic,
     quantify,
     read_impact_csv,
+    term_counts,
     tokenize,
     write_impact_csv,
 )
-
-DETS = DeterminantSet()
 
 
 def doc(i, text, source=Source.SOCIAL, timestep=0):
@@ -107,29 +104,41 @@ class TestKmeans:
         assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
 
 
+class TestTermCounts:
+    def test_one_row_per_token_list_by_default(self):
+        vocab = {"crop": 0, "wells": 1}
+        counts = term_counts([["crop", "crop", "oov"], [], ["wells", "crop"]], vocab)
+        np.testing.assert_array_equal(counts, [[2.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+
+    def test_rows_pool_token_lists(self):
+        vocab = {"crop": 0, "wells": 1}
+        counts = term_counts([["crop"], ["wells"], ["crop", "wells"]], vocab, rows=[1, 0, 1], n_rows=3)
+        np.testing.assert_array_equal(counts, [[0.0, 1.0], [2.0, 1.0], [0.0, 0.0]])
+
+
 class TestClusterKeywords:
     def test_discriminative_terms_ranked_first(self):
-        clusters = [
-            [["crop", "crop", "harvest", "shared"], ["crop", "shared"]],
-            [["wells", "water", "shared"], ["water", "shared", "shared"]],
+        token_lists = [
+            ["crop", "crop", "harvest", "shared"],
+            ["wells", "water", "shared"],
+            ["crop", "shared"],
+            ["water", "shared", "shared"],
         ]
         vocab = {"crop": 0, "harvest": 1, "shared": 2, "water": 3, "wells": 4}
-        keywords = cluster_keywords(clusters, vocab)
+        keywords = cluster_keywords(token_lists, np.array([0, 1, 0, 1]), vocab)
         assert keywords[0][0] == "crop"
         assert "shared" not in keywords[0]  # appears in every cluster, idf 0
         assert keywords[1][0] == "water"
 
     def test_single_cluster_falls_back_to_frequency(self):
-        clusters = [[["crop", "crop", "harvest"]]]
         vocab = {"crop": 0, "harvest": 1}
-        keywords = cluster_keywords(clusters, vocab)
+        keywords = cluster_keywords([["crop", "crop", "harvest"]], [0], vocab)
         assert keywords[0] == ("crop", "harvest")
 
     def test_top_limit(self):
         terms = [f"t{i}" for i in range(20)]
-        clusters = [[terms], [["other"]]]
         vocab = {t: i for i, t in enumerate(terms + ["other"])}
-        keywords = cluster_keywords(clusters, vocab)
+        keywords = cluster_keywords([terms, ["other"]], [0, 1], vocab)
         assert len(keywords[0]) == KEYWORDS_PER_TOPIC
 
 
@@ -140,43 +149,43 @@ class TestMapTopic:
         lexicon = load_lexicon()
         backend = LexiconBackend(lexicon)
         oracle = []
-        for name in DETS.names:
+        for name in DETERMINANT_NAMES:
             lex = set(lexicon.get(name, []))
             inter = len(set(keywords) & lex)
             oracle.append(inter / math.sqrt(len(keywords) * len(lex)) if lex else 0.0)
-        assert np.argmax(oracle) == DETS.names.index("Agriculture")
+        assert np.argmax(oracle) == DETERMINANT_NAMES.index("Agriculture")
         assert oracle[0] == 3 / math.sqrt(3 * len(lexicon["Agriculture"]))
-        np.testing.assert_allclose(backend.score(keywords, DETS), oracle)
-        assert map_topic(keywords, DETS, backend) == 0
+        np.testing.assert_allclose(backend.score(keywords), oracle)
+        assert map_topic(keywords, backend) == 0
 
     def test_all_zero_scores_map_to_other(self):
         class ZeroBackend:
-            def score(self, keywords, determinants):
-                return [0.0] * len(determinants)
+            def score(self, keywords):
+                return [0.0] * DETERMINANT_COUNT
 
-        assert map_topic(["xyzzy"], DETS, ZeroBackend()) == OTHER_INDEX
+        assert map_topic(["xyzzy"], ZeroBackend()) == OTHER_INDEX
 
     def test_tie_breaks_to_lowest_index(self):
         class TieBackend:
-            def score(self, keywords, determinants):
-                scores = [0.0] * len(determinants)
+            def score(self, keywords):
+                scores = [0.0] * DETERMINANT_COUNT
                 scores[2] = 0.9
                 scores[6] = 0.9
                 return scores
 
-        assert map_topic(["kw"], DETS, TieBackend()) == 2
+        assert map_topic(["kw"], TieBackend()) == 2
 
     def test_below_threshold_maps_to_other(self):
         class WeakBackend:
-            def score(self, keywords, determinants):
-                return [0.14] + [0.0] * (len(determinants) - 1)
+            def score(self, keywords):
+                return [0.14] + [0.0] * (DETERMINANT_COUNT - 1)
 
-        assert map_topic(["kw"], DETS, WeakBackend(), threshold=0.15) == OTHER_INDEX
+        assert map_topic(["kw"], WeakBackend(), threshold=0.15) == OTHER_INDEX
 
     def test_determinism(self):
         backend = LexiconBackend()
         kw = ["water", "reservoir", "rationing"]
-        assert map_topic(kw, DETS, backend) == map_topic(kw, DETS, backend)
+        assert map_topic(kw, backend) == map_topic(kw, backend)
 
 
 class _ScoreHandler(BaseHTTPRequestHandler):
@@ -223,7 +232,7 @@ class TestLlmBackend:
     def test_wire_format_and_scores(self, llm_server):
         url, handler = llm_server
         backend = LlmBackend(url, api_key="secret", backoff=0.0)
-        scores = backend.score(["crop", "harvest"], DETS)
+        scores = backend.score(["crop", "harvest"])
         assert scores[0] == 0.95
         assert handler.calls[0] == {
             "keywords": ["crop", "harvest"],
@@ -234,7 +243,7 @@ class TestLlmBackend:
         url, handler = llm_server
         handler.fail_first = 2
         backend = LlmBackend(url, retries=2, backoff=0.0)
-        scores = backend.score(["water"], DETS)
+        scores = backend.score(["water"])
         assert scores[8] == 0.8
         assert len(handler.calls) == 3
 
@@ -242,13 +251,13 @@ class TestLlmBackend:
         url, handler = llm_server
         handler.fail_first = 10
         backend = LlmBackend(url, retries=2, backoff=0.0)
-        scores = backend.score(["crop", "harvest", "irrigation"], DETS)
+        scores = backend.score(["crop", "harvest", "irrigation"])
         assert len(handler.calls) == 3
         assert np.argmax(scores) == 0  # lexicon cosine took over
 
     def test_unreachable_endpoint_falls_back(self):
         backend = LlmBackend("http://127.0.0.1:9/score", retries=1, backoff=0.0, timeout=0.2)
-        scores = backend.score(["water", "reservoir"], DETS)
+        scores = backend.score(["water", "reservoir"])
         assert np.argmax(scores) == 8
 
 
@@ -274,27 +283,27 @@ class TestQuantify:
     def test_distribution_matches_counts(self):
         model = _toy_model()
         docs = [doc(0, "crop"), doc(1, "crop"), doc(2, "clinic"), doc(3, "zzz")]
-        out = quantify(docs, model, DETS)
+        out = quantify(docs, model)
         expected = np.zeros(11)
         expected[0], expected[6], expected[OTHER_INDEX] = 0.5, 0.25, 0.25
         np.testing.assert_allclose(out, expected)
 
     def test_empty_input_gives_zero_vector(self):
-        out = quantify([], _toy_model(), DETS)
+        out = quantify([], _toy_model())
         np.testing.assert_array_equal(out, np.zeros(11))
 
     def test_output_length_is_delta(self):
-        assert quantify([doc(0, "crop")], _toy_model(), DETS).shape == (11,)
+        assert quantify([doc(0, "crop")], _toy_model()).shape == (11,)
 
     def test_permutation_invariance(self):
         model = _toy_model()
         rng = np.random.default_rng(5)
         texts = ["crop", "clinic", "zzz", "crop", "crop", "clinic"]
         docs = [doc(i, t) for i, t in enumerate(texts)]
-        base = quantify(docs, model, DETS)
+        base = quantify(docs, model)
         for _ in range(100):
             perm = rng.permutation(len(docs))
-            np.testing.assert_array_equal(quantify([docs[i] for i in perm], model, DETS), base)
+            np.testing.assert_array_equal(quantify([docs[i] for i in perm], model), base)
 
     def test_components_bounded_and_normalized(self):
         model = _toy_model()
@@ -303,7 +312,7 @@ class TestQuantify:
         for _ in range(100):
             n = int(rng.integers(0, 12))
             docs = [doc(i, words[rng.integers(3)]) for i in range(n)]
-            out = quantify(docs, model, DETS)
+            out = quantify(docs, model)
             assert np.all(out >= 0) and np.all(out <= 1)
             assert out.sum() == 0.0 or abs(out.sum() - 1.0) <= 1e-6
 
@@ -321,13 +330,13 @@ class TestBuildImpactSeries:
             for i, text in enumerate(["hospital illness report", "hospital illness"])
         ]
         backend = LexiconBackend()
-        sm = fit_topic_model(social, Source.SOCIAL, DETS, backend, topic_count=2, seed=0)
-        nman = fit_topic_model(news, Source.NEWS, DETS, backend, topic_count=2, seed=0)
+        sm = fit_topic_model(social, Source.SOCIAL, backend, topic_count=2, seed=0)
+        nman = fit_topic_model(news, Source.NEWS, backend, topic_count=2, seed=0)
         return social, news, sm, nman
 
     def test_dimensions_and_source_separation(self):
         social, news, sm, nman = self.fit_models()
-        impacts = build_impact_series(social, news, 3, sm, nman, DETS)
+        impacts = build_impact_series(social, news, 3, sm, nman)
         assert len(impacts) == 3
         assert len(impacts[0].concatenated()) == 22
         # week 0 has social docs but no news: news part all-zero, social sums to 1
@@ -336,12 +345,12 @@ class TestBuildImpactSeries:
 
     def test_shuffled_documents_give_identical_series(self):
         social, news, sm, nman = self.fit_models()
-        base = build_impact_series(social, news, 3, sm, nman, DETS)
+        base = build_impact_series(social, news, 3, sm, nman)
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = [social[i] for i in rng.permutation(len(social))]
             n = [news[i] for i in rng.permutation(len(news))]
-            assert build_impact_series(s, n, 3, sm, nman, DETS) == base
+            assert build_impact_series(s, n, 3, sm, nman) == base
 
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
@@ -351,7 +360,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
         doc(2, "water reservoir rationing wells"),
         doc(3, "water reservoir wells aquifer"),
     ]
-    model = fit_topic_model(docs, Source.SOCIAL, DETS, LexiconBackend(), topic_count=2, seed=0)
+    model = fit_topic_model(docs, Source.SOCIAL, LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     for cluster in model.clusters:
         assert cluster.keywords
@@ -360,7 +369,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
 def test_impact_csv_round_trip(tmp_path):
     social, news = [doc(0, "crop crop", timestep=0), doc(1, "crop wells", timestep=1)], []
     model = _toy_model()
-    impacts = build_impact_series(social, news, 2, model, model, DETS)
+    impacts = build_impact_series(social, news, 2, model, model)
     path = tmp_path / "impact.csv"
     write_impact_csv(path, impacts)
     header = path.read_text().splitlines()[0].split(",")
@@ -389,6 +398,22 @@ def test_load_lexicon_custom_path(tmp_path):
     assert lex == {"Agriculture": ["crop", "farm"]}
 
 
+@pytest.mark.parametrize(
+    "lexicon, match",
+    [
+        ({"Agricultre": ["crop", "farm"]}, "'Agricultre' is not a determinant name"),
+        ({"Water Utilities": "reservoir"}, "'Water Utilities' must be a list of strings"),
+        ({"Water Utilities": ["reservoir", 7]}, "'Water Utilities' must be a list of strings"),
+    ],
+    ids=["misspelt_name", "string_value", "non_string_term"],
+)
+def test_load_lexicon_rejects_bad_entries(tmp_path, lexicon, match):
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(lexicon), encoding="utf-8")
+    with pytest.raises(ParseError, match=match):
+        load_lexicon(path)
+
+
 def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
     url, handler = llm_server
     docs = [
@@ -398,9 +423,7 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
         doc(3, "water reservoir rationing"),
     ]
     backend = LlmBackend(url, backoff=0.0)
-    model = fit_topic_model(
-        docs, Source.SOCIAL, DETS, backend, topic_count=2, seed=0, map_parallelism=4
-    )
+    model = fit_topic_model(docs, Source.SOCIAL, backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert len(handler.calls) == len(model.clusters)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from side.core import Source
-from side.dsiq import DETERMINANT_NAMES
+from side.core import DETERMINANT_NAMES
 from side.ingest import EntityList, geofilter, load_documents, load_severity
 from side.synth import (
     IN_STATE_PLACES,
