@@ -20,7 +20,7 @@ w = nm.parameter(rng.normal(size=(3, 2)), name="w")
 loss = nm.mean_all(nm.square(nm.tanh(nm.matmul(x, w))))
 print("loss value:", float(loss.value))
 
-# One backward call fills .grad on every ancestor of the loss.
+# One backward call fills .grad on every leaf the loss depends on.
 nm.backward(loss)
 print("dloss/dw:\n", w.grad)
 

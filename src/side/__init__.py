@@ -14,7 +14,7 @@ from .core import (
     SeveritySeries,
     Source,
     TimeStep,
-    WindowedSample,
+    Windows,
     chronological_split,
     make_windows,
 )

@@ -135,8 +135,8 @@ def _load_windows(cfg: cfgmod.RunConfig):
         raise ConfigError(
             f"impact series has {len(impacts)} rows but severity has {len(series)}"
         )
-    samples = make_windows(series, impacts, cfg.model.lookback, cfg.model.horizon)
-    return chronological_split(samples, cfg.split)
+    windows = make_windows(series, impacts, cfg.model.lookback, cfg.model.horizon)
+    return chronological_split(windows, cfg.split)
 
 
 def cmd_train(cfg: cfgmod.RunConfig) -> int:
@@ -175,13 +175,13 @@ def _write_predictions_csv(path, predictions, lookback: int) -> None:
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        n, horizon = predictions.severity_true.shape
-        for i in range(n):
+        horizon = predictions.severity_true.shape[1]
+        for i, start in enumerate(predictions.starts.tolist()):
             for step in range(horizon):
                 cells = [
-                    str(predictions.starts[i]),
+                    str(start),
                     str(step),
-                    str(predictions.starts[i] + lookback + step),
+                    str(start + lookback + step),
                     repr(float(predictions.severity_true[i, step])),
                     repr(float(predictions.severity_pred[i, step])),
                 ]

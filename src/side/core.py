@@ -7,9 +7,11 @@ frozen after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from enum import Enum
+
+import numpy as np
 
 from .errors import AlignmentError, InsufficientDataError
 
@@ -54,13 +56,6 @@ class TimeStep:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError(f"timestep index must be >= 0, got {self.index}")
-
-    @property
-    def week_end(self) -> date:
-        return self.week_start + timedelta(days=7)
-
-    def contains(self, day: date) -> bool:
-        return self.week_start <= day < self.week_end
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,8 @@ class ImpactVector:
                 raise ValueError(
                     f"{name} part has {len(part)} components, expected {DETERMINANT_COUNT}"
                 )
-            if any(c < 0.0 or c > 1.0 for c in part):
+            # NaN fails every comparison, so this also rejects non-finite values.
+            if not all(0.0 <= c <= 1.0 for c in part):
                 raise ValueError(f"{name} part has components outside [0, 1]")
             total = sum(part)
             if total != 0.0 and abs(total - 1.0) > 1e-6:
@@ -145,25 +141,39 @@ class ImpactVector:
         return self.social_part + self.news_part
 
 
-@dataclass(frozen=True)
-class WindowedSample:
-    """A lookback window and the prediction window that follows it.
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Stacked lookback windows and the prediction windows that follow them.
 
-    ``start`` is the timestep index of the first lookback element; the
-    output window begins at ``start + len(severity_in)``.
+    Row ``i`` is one window: its lookback begins at timestep ``starts[i]``
+    and its output at ``starts[i] + lookback``.  Shapes: ``starts`` (n,),
+    ``severity_in`` (n, lookback), ``severity_out`` (n, horizon),
+    ``impact_in`` (n, lookback, 2 * DETERMINANT_COUNT) and ``impact_out``
+    (n, horizon, 2 * DETERMINANT_COUNT); impact rows are concatenated
+    vectors, social part first.  A slice is again a ``Windows``.
     """
 
-    start: int
-    severity_in: tuple[float, ...]
-    impact_in: tuple[ImpactVector, ...]
-    severity_out: tuple[float, ...]
-    impact_out: tuple[ImpactVector, ...]
+    starts: np.ndarray
+    severity_in: np.ndarray
+    severity_out: np.ndarray
+    impact_in: np.ndarray
+    impact_out: np.ndarray
 
     def __post_init__(self):
-        if len(self.severity_in) != len(self.impact_in):
-            raise AlignmentError("severity_in and impact_in lengths differ")
-        if len(self.severity_out) != len(self.impact_out):
-            raise AlignmentError("severity_out and impact_out lengths differ")
+        if not (
+            self.starts.shape == self.severity_in.shape[:1] == self.severity_out.shape[:1]
+            and self.impact_in.shape[:2] == self.severity_in.shape
+            and self.impact_out.shape[:2] == self.severity_out.shape
+        ):
+            raise AlignmentError("window arrays differ in window count or length")
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    def __getitem__(self, index: slice) -> "Windows":
+        if not isinstance(index, slice):
+            raise TypeError(f"Windows supports slices only, got {type(index).__name__}")
+        return Windows(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def make_windows(
@@ -171,7 +181,7 @@ def make_windows(
     impacts: list[ImpactVector],
     lookback: int,
     horizon: int,
-) -> list[WindowedSample]:
+) -> Windows:
     """Slide a (lookback, horizon) window over the aligned series, stride 1.
 
     Args:
@@ -181,7 +191,7 @@ def make_windows(
         horizon: prediction window length (>= 1).
 
     Returns:
-        Exactly ``T - lookback - horizon + 1`` samples in chronological order.
+        Exactly ``T - lookback - horizon + 1`` windows in chronological order.
 
     Raises:
         AlignmentError: series and impacts differ in length or timestep order.
@@ -202,27 +212,25 @@ def make_windows(
             f"need at least {lookback + horizon} timesteps, have {total}"
         )
 
-    samples = []
-    for start in range(total - lookback - horizon + 1):
-        mid = start + lookback
-        end = mid + horizon
-        samples.append(
-            WindowedSample(
-                start=start,
-                severity_in=tuple(severity.values[start:mid]),
-                impact_in=tuple(impacts[start:mid]),
-                severity_out=tuple(severity.values[mid:end]),
-                impact_out=tuple(impacts[mid:end]),
-            )
-        )
-    return samples
+    values = np.array(severity.values, dtype=np.float64)
+    stacked = np.array([vec.concatenated() for vec in impacts], dtype=np.float64)
+    starts = np.arange(total - lookback - horizon + 1)
+    into = starts[:, None] + np.arange(lookback)
+    out = starts[:, None] + np.arange(lookback, lookback + horizon)
+    return Windows(
+        starts=starts,
+        severity_in=values[into],
+        severity_out=values[out],
+        impact_in=stacked[into],
+        impact_out=stacked[out],
+    )
 
 
 def chronological_split(
-    samples: list[WindowedSample],
+    samples: Windows,
     ratios: tuple[int, int, int] = (7, 1, 2),
-) -> tuple[list[WindowedSample], list[WindowedSample], list[WindowedSample]]:
-    """Partition chronologically ordered samples into train/val/test.
+) -> tuple[Windows, Windows, Windows]:
+    """Partition chronologically ordered windows into train/val/test.
 
     Sizes are ``floor(n * r / sum(r))`` per part with the remainder
     assigned to train, so the partition is contiguous, exhaustive and

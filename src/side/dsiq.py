@@ -483,13 +483,13 @@ def read_impact_csv(path) -> list[ImpactVector]:
             try:
                 t = int(cells[0])
                 values = [float(c) for c in cells[1:]]
+                impacts.append(
+                    ImpactVector(
+                        timestep=t,
+                        social_part=tuple(values[:DETERMINANT_COUNT]),
+                        news_part=tuple(values[DETERMINANT_COUNT:]),
+                    )
+                )
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            impacts.append(
-                ImpactVector(
-                    timestep=t,
-                    social_part=tuple(values[:DETERMINANT_COUNT]),
-                    news_part=tuple(values[DETERMINANT_COUNT:]),
-                )
-            )
     return impacts

@@ -158,14 +158,14 @@ def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) ->
 
 
 def apply_input_mask(impact_in: np.ndarray, ablation: str) -> np.ndarray:
-    """Zero the social or news half of the impact inputs for ablation runs."""
+    """Zero the social or news half of the impact inputs (last axis) for ablation runs."""
     if ablation == "no_social":
         masked = impact_in.copy()
-        masked[:, :DETERMINANT_COUNT] = 0.0
+        masked[..., :DETERMINANT_COUNT] = 0.0
         return masked
     if ablation == "no_news":
         masked = impact_in.copy()
-        masked[:, DETERMINANT_COUNT:] = 0.0
+        masked[..., DETERMINANT_COUNT:] = 0.0
         return masked
     return impact_in
 

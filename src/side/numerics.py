@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,9 @@ __all__ = [
 class Node:
     """One vertex of the computation graph.
 
-    ``value`` is a float64 array, ``grad`` stays None until backward
-    reaches the node.  ``vjp`` maps the output gradient to one gradient
-    per parent, in parent order.
+    ``value`` is a float64 array.  ``grad`` is set only on leaves (nodes
+    without ``vjp``) and stays None until backward reaches them.  ``vjp``
+    maps the output gradient to one gradient per parent, in parent order.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name")
@@ -99,8 +100,10 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(leaf) into ``grad`` of every ancestor.
+    """Accumulate d(root)/d(leaf) into ``grad`` of every leaf ancestor.
 
+    Leaves are the nodes without a ``vjp``: parameters and constants.
+    Intermediate nodes pass their gradient on and keep ``grad`` None.
     ``root`` must be scalar.  Gradients add onto whatever is already in
     ``grad``, so backward of a sum of losses equals the sum of backward
     passes.
@@ -113,11 +116,8 @@ def backward(root: Node) -> None:
         out_grad = local.get(id(node))
         if out_grad is None:
             continue
-        if node.grad is None:
-            node.grad = out_grad.copy()
-        else:
-            node.grad = node.grad + out_grad
         if node.vjp is None:
+            node.grad = out_grad.copy() if node.grad is None else node.grad + out_grad
             continue
         for parent, g in zip(node.parents, node.vjp(out_grad)):
             key = id(parent)
@@ -319,7 +319,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
     """Write parameters + config as JSON.
 
     Floats are serialized via repr, so a float64 round trip through
-    :func:`load_checkpoint` is bit-exact.
+    :func:`load_checkpoint` is bit-exact.  The JSON goes to a temporary
+    file next to ``path`` that then replaces it, so a failed write
+    leaves any earlier checkpoint at ``path`` intact.
     """
     records = []
     for name in sorted(params):
@@ -334,8 +336,14 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
         "extras": extras or {},
         "params": records,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .core import DETERMINANT_NAMES, WindowedSample
+from .core import DETERMINANT_NAMES, Windows
 from .errors import ConfigError, DivergenceError, NumericsError
 from .model import LossWeights, ModelConfig
 
@@ -57,10 +57,8 @@ class Standardizer:
             raise ValueError(f"standardizer std must be > 0, got {self.std}")
 
     @classmethod
-    def fit(cls, samples: list[WindowedSample]) -> "Standardizer":
-        values = np.array(
-            [v for s in samples for v in s.severity_in + s.severity_out], dtype=np.float64
-        )
+    def fit(cls, windows: Windows) -> "Standardizer":
+        values = np.concatenate([windows.severity_in, windows.severity_out], axis=1).ravel()
         std = float(values.std())
         if std == 0.0:
             std = 1.0
@@ -130,42 +128,36 @@ class TrainResult:
     best_epoch: int
 
 
-def _prepare(samples, standardizer: Standardizer, cfg: ModelConfig):
-    prepared = []
-    for s in samples:
-        impact_in = np.array([v.concatenated() for v in s.impact_in], dtype=np.float64)
-        impact_in = mdl.apply_input_mask(impact_in, cfg.ablation)
-        prepared.append(
-            {
-                "start": s.start,
-                "severity_in": standardizer.transform(np.array(s.severity_in)),
-                "impact_in": impact_in,
-                "severity_out_std": standardizer.transform(np.array(s.severity_out)),
-                "severity_out": np.array(s.severity_out, dtype=np.float64),
-                "impact_out": np.array(
-                    [v.concatenated() for v in s.impact_out], dtype=np.float64
-                ),
-            }
-        )
-    return prepared
+def _model_units(windows: Windows, standardizer: Standardizer, cfg: ModelConfig) -> Windows:
+    """The windows as the network sees them: standardized severity, masked impact inputs."""
+    return replace(
+        windows,
+        severity_in=standardizer.transform(windows.severity_in),
+        severity_out=standardizer.transform(windows.severity_out),
+        impact_in=mdl.apply_input_mask(windows.impact_in, cfg.ablation),
+    )
 
 
-def _mean_loss(params, cfg, weights, prepared, positions) -> float:
+def _window_loss(params, cfg, weights, positions, windows: Windows, i: int) -> nm.Node:
+    """Joint loss of window ``i`` of ``windows``, which are in model units."""
+    sev_pred, imp_pred = mdl.forward(
+        params, cfg, windows.severity_in[i], windows.impact_in[i], positions
+    )
+    return mdl.joint_loss(
+        sev_pred, windows.severity_out[i], imp_pred, windows.impact_out[i], weights
+    )
+
+
+def _mean_loss(params, cfg, weights, positions, windows: Windows) -> float:
     total = 0.0
-    for p in prepared:
-        sev_pred, imp_pred = mdl.forward(
-            params, cfg, p["severity_in"], p["impact_in"], positions
-        )
-        loss = mdl.joint_loss(
-            sev_pred, p["severity_out_std"], imp_pred, p["impact_out"], weights
-        )
-        total += float(loss.value)
-    return total / len(prepared)
+    for i in range(len(windows)):
+        total += float(_window_loss(params, cfg, weights, positions, windows, i).value)
+    return total / len(windows)
 
 
 def train(
-    train_samples: list[WindowedSample],
-    val_samples: list[WindowedSample],
+    train_windows: Windows,
+    val_windows: Windows,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ) -> TrainResult:
@@ -179,16 +171,16 @@ def train(
         DivergenceError: training loss went non-finite; the error carries
             the last good parameter snapshot and the history so far.
     """
-    if not train_samples or not val_samples:
+    if not train_windows or not val_windows:
         raise ValueError("train and val splits must both be non-empty")
-    standardizer = Standardizer.fit(train_samples)
+    standardizer = Standardizer.fit(train_windows)
     rng = np.random.default_rng(train_cfg.seed)
     params = mdl.init_params(model_cfg, rng)
     weights = LossWeights(train_cfg.lambda_severity, train_cfg.lambda_impact)
     positions = nm.constant(mdl.sinusoidal_positions(model_cfg.lookback, model_cfg.width))
 
-    train_prep = _prepare(train_samples, standardizer, model_cfg)
-    val_prep = _prepare(val_samples, standardizer, model_cfg)
+    train_units = _model_units(train_windows, standardizer, model_cfg)
+    val_units = _model_units(val_windows, standardizer, model_cfg)
 
     adam = nm.AdamState(learning_rate=train_cfg.learning_rate)
     best_values = {k: p.value.copy() for k, p in params.items()}
@@ -202,19 +194,14 @@ def train(
         return {k: v.copy() for k, v in best_values.items()}
 
     for epoch in range(1, train_cfg.max_epochs + 1):
-        order = rng.permutation(len(train_prep))
+        order = rng.permutation(len(train_units))
         epoch_loss = 0.0
         try:
             for lo in range(0, len(order), train_cfg.batch_size):
-                batch = [train_prep[i] for i in order[lo : lo + train_cfg.batch_size]]
+                batch = order[lo : lo + train_cfg.batch_size]
                 nm.zero_grads(params.values())
-                for p in batch:
-                    sev_pred, imp_pred = mdl.forward(
-                        params, model_cfg, p["severity_in"], p["impact_in"], positions
-                    )
-                    loss = mdl.joint_loss(
-                        sev_pred, p["severity_out_std"], imp_pred, p["impact_out"], weights
-                    )
+                for i in batch:
+                    loss = _window_loss(params, model_cfg, weights, positions, train_units, i)
                     value = float(loss.value)
                     if not np.isfinite(value):
                         raise DivergenceError(
@@ -230,8 +217,8 @@ def train(
                 f"aborted at epoch {epoch}: {exc}", checkpoint=snapshot(), history=history
             ) from exc
 
-        train_loss = epoch_loss / len(train_prep)
-        val_loss = _mean_loss(params, model_cfg, weights, val_prep, positions)
+        train_loss = epoch_loss / len(train_units)
+        val_loss = _mean_loss(params, model_cfg, weights, positions, val_units)
         history.append(
             {
                 "epoch": epoch,
@@ -282,7 +269,7 @@ def train(
 class PredictionSet:
     """De-standardized severity and [0,1]-clamped impact forecasts."""
 
-    starts: list[int]
+    starts: np.ndarray  # (n,) int
     severity_true: np.ndarray  # (n, horizon)
     severity_pred: np.ndarray
     impact_true: np.ndarray  # (n, horizon, 2 * delta)
@@ -303,37 +290,36 @@ def evaluate(
     params: dict[str, np.ndarray],
     model_cfg: ModelConfig,
     standardizer: Standardizer,
-    test_samples: list[WindowedSample],
+    test_windows: Windows,
 ) -> EvalResult:
-    """Metrics over every (test sample, horizon step) pair.
+    """Metrics over every (test window, horizon step) pair.
 
     Severity predictions are de-standardized first; impact predictions
     are clamped to [0, 1] at this reporting boundary.  The report holds
     one row per target: severity, each per-source determinant, and the
     pooled impact aggregate.
     """
-    if not test_samples:
+    if not test_windows:
         raise ValueError("test split is empty")
 
     nodes = {k: nm.parameter(v, k) for k, v in params.items()}
     positions = nm.constant(mdl.sinusoidal_positions(model_cfg.lookback, model_cfg.width))
-    prepared = _prepare(test_samples, standardizer, model_cfg)
+    units = _model_units(test_windows, standardizer, model_cfg)
 
-    starts, sev_true, sev_pred, imp_true, imp_pred = [], [], [], [], []
-    for p in prepared:
-        s_node, i_node = mdl.forward(nodes, model_cfg, p["severity_in"], p["impact_in"], positions)
-        starts.append(p["start"])
-        sev_true.append(p["severity_out"])
-        sev_pred.append(standardizer.inverse(s_node.value))
-        imp_true.append(p["impact_out"])
-        imp_pred.append(np.clip(i_node.value, 0.0, 1.0))
+    sev_pred, imp_pred = [], []
+    for i in range(len(units)):
+        s_node, i_node = mdl.forward(
+            nodes, model_cfg, units.severity_in[i], units.impact_in[i], positions
+        )
+        sev_pred.append(s_node.value)
+        imp_pred.append(i_node.value)
 
     predictions = PredictionSet(
-        starts=starts,
-        severity_true=np.array(sev_true),
-        severity_pred=np.array(sev_pred),
-        impact_true=np.array(imp_true),
-        impact_pred=np.array(imp_pred),
+        starts=test_windows.starts,
+        severity_true=test_windows.severity_out,
+        severity_pred=standardizer.inverse(np.array(sev_pred)),
+        impact_true=test_windows.impact_out,
+        impact_pred=np.clip(np.array(imp_pred), 0.0, 1.0),
     )
 
     report = MetricReport()
@@ -356,47 +342,42 @@ def evaluate(
 
 
 def run_ablation(
-    train_samples, val_samples, test_samples, model_cfg: ModelConfig, train_cfg: TrainConfig
+    train_windows, val_windows, test_windows, model_cfg: ModelConfig, train_cfg: TrainConfig
 ) -> dict[str, EvalResult]:
     """Train and evaluate the four variants on shared splits and seed."""
     results = {}
     for variant in mdl.ABLATIONS:
         cfg = replace(model_cfg, ablation=variant)
-        trained = train(train_samples, val_samples, cfg, train_cfg)
+        trained = train(train_windows, val_windows, cfg, train_cfg)
         results[variant] = evaluate(
-            trained.params, cfg, trained.standardizer, test_samples
+            trained.params, cfg, trained.standardizer, test_windows
         )
     return results
 
 
-def baseline_persistence(test_samples: list[WindowedSample]) -> MetricReport:
+def baseline_persistence(test_windows: Windows) -> MetricReport:
     """Repeat the last observed severity across the horizon; no training."""
-    if not test_samples:
+    if not test_windows:
         raise ValueError("test split is empty")
-    pred = np.array([[s.severity_in[-1]] * len(s.severity_out) for s in test_samples])
-    true = np.array([s.severity_out for s in test_samples])
+    true = test_windows.severity_out
+    pred = np.repeat(test_windows.severity_in[:, -1:], true.shape[1], axis=1)
     report = MetricReport()
     report.per_target["severity"] = compute_metrics(pred, true)
     return report
 
 
-def baseline_linear_ar(
-    train_samples: list[WindowedSample], test_samples: list[WindowedSample]
-) -> MetricReport:
+def baseline_linear_ar(train_windows: Windows, test_windows: Windows) -> MetricReport:
     """Least-squares map from the raw severity lookback to the horizon."""
-    if not train_samples or not test_samples:
+    if not train_windows or not test_windows:
         raise ValueError("both splits must be non-empty")
 
-    def design(samples):
-        x = np.array([s.severity_in for s in samples], dtype=np.float64)
-        return np.hstack([x, np.ones((len(samples), 1))])
+    def design(windows):
+        return np.hstack([windows.severity_in, np.ones((len(windows), 1))])
 
-    y_train = np.array([s.severity_out for s in train_samples], dtype=np.float64)
-    coef, *_ = np.linalg.lstsq(design(train_samples), y_train, rcond=None)
-    pred = design(test_samples) @ coef
-    true = np.array([s.severity_out for s in test_samples])
+    coef, *_ = np.linalg.lstsq(design(train_windows), train_windows.severity_out, rcond=None)
+    pred = design(test_windows) @ coef
     report = MetricReport()
-    report.per_target["severity"] = compute_metrics(pred, true)
+    report.per_target["severity"] = compute_metrics(pred, test_windows.severity_out)
     return report
 
 

@@ -259,6 +259,23 @@ def test_divergence_exits_3_and_saves_last_good_checkpoint(workspace, tmp_path):
     assert (tmp_path / "run3" / "synth_checkpoint.json").exists()
 
 
+def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):
+    run = tmp_path / "run_nan"
+    run.mkdir()
+    lines = (workspace["run"] / "synth_impact.csv").read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    lines[5] = ",".join(cells)
+    (run / "synth_impact.csv").write_text("".join(lines), encoding="utf-8")
+    raw = dict(workspace["raw"])
+    raw["paths"] = dict(raw["paths"], out_dir=str(run))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "synth_impact.csv:6" in capsys.readouterr().err
+    assert not (run / "synth_checkpoint.json").exists()
+
+
 def test_lexicon_backend_makes_no_network_calls(workspace, tmp_path, monkeypatch):
     import requests
 

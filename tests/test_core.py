@@ -12,6 +12,7 @@ from side.core import (
     ImpactVector,
     SeveritySeries,
     TimeStep,
+    Windows,
     chronological_split,
     make_windows,
     split_sizes,
@@ -33,19 +34,38 @@ def zero_impacts(total):
     return [ImpactVector(timestep=t, social_part=zeros, news_part=zeros) for t in range(total)]
 
 
+def onehot_impacts(total):
+    """Impact vectors whose social part marks the timestep, t mod DETERMINANT_COUNT."""
+    zeros = (0.0,) * DETERMINANT_COUNT
+    impacts = []
+    for t in range(total):
+        part = tuple(float(i == t % DETERMINANT_COUNT) for i in range(DETERMINANT_COUNT))
+        impacts.append(ImpactVector(timestep=t, social_part=part, news_part=zeros))
+    return impacts
+
+
 def test_window_count_identity():
     samples = make_windows(make_series(10), zero_impacts(10), 3, 2)
     assert len(samples) == 10 - 3 - 2 + 1 == 6
-    assert [s.start for s in samples] == list(range(6))
+    assert samples.starts.tolist() == list(range(6))
+    middle = samples[1:3]
+    assert isinstance(middle, Windows)
+    assert middle.starts.tolist() == [1, 2]
+    with pytest.raises(TypeError):
+        samples[0]
 
 
 def test_window_contents_are_consecutive():
-    samples = make_windows(make_series(10), zero_impacts(10), 3, 2)
-    first = samples[0]
-    assert first.severity_in == (100.0, 101.0, 102.0)
-    assert first.severity_out == (103.0, 104.0)
-    assert [v.timestep for v in first.impact_in] == [0, 1, 2]
-    assert [v.timestep for v in first.impact_out] == [3, 4]
+    samples = make_windows(make_series(10), onehot_impacts(10), 3, 2)
+    assert samples.severity_in[0].tolist() == [100.0, 101.0, 102.0]
+    assert samples.severity_out[0].tolist() == [103.0, 104.0]
+    assert samples.impact_in.shape == (6, 3, 2 * DETERMINANT_COUNT)
+    assert samples.impact_out.shape == (6, 2, 2 * DETERMINANT_COUNT)
+    social = slice(0, DETERMINANT_COUNT)
+    assert samples.impact_in[0, :, social].argmax(axis=1).tolist() == [0, 1, 2]
+    assert samples.impact_out[0, :, social].argmax(axis=1).tolist() == [3, 4]
+    assert samples.impact_in[5, :, social].argmax(axis=1).tolist() == [5, 6, 7]
+    assert not samples.impact_in[..., DETERMINANT_COUNT:].any()
 
 
 def test_insufficient_data_error():
@@ -73,8 +93,7 @@ def test_window_count_formula_property(total, lookback, horizon):
         return
     samples = make_windows(series, impacts, lookback, horizon)
     assert len(samples) == total - lookback - horizon + 1
-    for prev, cur in zip(samples, samples[1:]):
-        assert cur.start == prev.start + 1
+    assert np.all(np.diff(samples.starts) == 1)
 
 
 def test_split_330_samples():
@@ -109,13 +128,13 @@ def test_split_partition_property(n):
     train, val, test = chronological_split(samples)
     assert len(train) + len(val) + len(test) == len(samples)
     assert len(train) >= 1
-    rebuilt = train + val + test
-    assert [s.start for s in rebuilt] == [s.start for s in samples]
+    rebuilt = np.concatenate([train.starts, val.starts, test.starts])
+    assert rebuilt.tolist() == samples.starts.tolist()
     if val:
-        assert max(s.start for s in train) < min(s.start for s in val)
+        assert train.starts.max() < val.starts.min()
     if test:
-        upper = max(s.start for s in (train + val))
-        assert upper < min(s.start for s in test)
+        upper = np.concatenate([train.starts, val.starts]).max()
+        assert upper < test.starts.min()
 
 
 def test_training_cutoff_matches_last_train_window():
@@ -146,6 +165,10 @@ def test_impact_vector_rejects_bad_sums_and_bounds():
     over = (1.5,) + (0.0,) * (DETERMINANT_COUNT - 1)
     with pytest.raises(ValueError):
         ImpactVector(timestep=0, social_part=over, news_part=zeros)
+    for bad in (np.nan, np.inf):
+        part = (bad,) + (0.0,) * (DETERMINANT_COUNT - 1)
+        with pytest.raises(ValueError):
+            ImpactVector(timestep=0, social_part=zeros, news_part=part)
 
 
 @given(counts=st.lists(st.integers(min_value=0, max_value=40), min_size=11, max_size=11))

@@ -20,6 +20,7 @@ from side.dsiq import (
     build_impact_series,
     cluster_keywords,
     fit_topic_model,
+    impact_csv_header,
     kmeans,
     load_lexicon,
     map_topic,
@@ -376,6 +377,19 @@ def test_impact_csv_round_trip(tmp_path):
     assert header[:2] == ["timestep", "s_1"] and header[-1] == "n_11"
     assert len(header) == 23
     assert read_impact_csv(path) == impacts
+
+
+@pytest.mark.parametrize(
+    "cell, match", [("nan", "outside"), ("0.5", "sums to")], ids=["nan", "bad_sum"]
+)
+def test_read_impact_csv_rejects_bad_row_with_line(tmp_path, cell, match):
+    zeros = ["0.0"] * (2 * DETERMINANT_COUNT)
+    bad = [cell] + zeros[1:]
+    path = tmp_path / "impact.csv"
+    rows = [impact_csv_header(), ["0"] + zeros, ["1"] + bad]
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"impact\.csv:3: social part .*{match}"):
+        read_impact_csv(path)
 
 
 def test_backend_from_env_selection():

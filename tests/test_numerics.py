@@ -55,8 +55,10 @@ def test_matmul_identity():
 def test_mean_square_hand_gradient():
     # d(mean(x^2))/dx at x=[1,2] is [1.0, 2.0]
     x = nm.parameter(np.array([1.0, 2.0]), "x")
-    nm.backward(nm.mean_all(nm.square(x)))
+    sq = nm.square(x)
+    nm.backward(nm.mean_all(sq))
     np.testing.assert_allclose(x.grad, [1.0, 2.0], rtol=0, atol=0)
+    assert sq.grad is None, "only leaves keep a gradient"
 
 
 def test_concat_shape():
@@ -203,6 +205,24 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         restored = loaded["params"][name]
         assert restored.shape == arr.shape
         assert np.array_equal(restored, arr), "float64 round trip must be bit-exact"
+
+
+def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
+    import json
+
+    path = tmp_path / "ckpt.json"
+    nm.save_checkpoint(path, {"w": np.zeros(2)}, {"d": 4})
+    before = path.read_bytes()
+
+    def partial_dump(obj, fh):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", partial_dump)
+    with pytest.raises(OSError, match="disk full"):
+        nm.save_checkpoint(path, {"w": np.ones(2)}, {"d": 4})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_checkpoint_rejects_tampered_config(tmp_path):
