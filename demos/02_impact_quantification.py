@@ -4,7 +4,7 @@ From raw text to weekly impact distributions
 
 Documents are clustered into topics per source, each topic is mapped to
 one of the eleven societal impact determinants, and weekly document
-counts become normalized impact vectors.  Here the corpus is synthetic,
+counts become a normalized impact series, one row per week.  Here the corpus is synthetic,
 so we can see the machinery end to end without any remote service: the
 shipped lexicon provides the topic -> determinant scores.
 """
@@ -12,7 +12,7 @@ shipped lexicon provides the topic -> determinant scores.
 import tempfile
 
 from side import dsiq, ingest, synth
-from side.core import DETERMINANT_NAMES, Source, training_cutoff
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, Source, training_cutoff
 
 # Generate a small corpus: severity drives both how much gets written
 # and what it is about (high weeks tilt toward agriculture and water).
@@ -51,12 +51,14 @@ for cluster in social_model.clusters[:5]:
     name = DETERMINANT_NAMES[cluster.determinant_index]
     print(f"  topic {cluster.id:2d} -> {name:30s} keywords: {', '.join(cluster.keywords[:5])}")
 
-# One impact vector per week: social and news halves, each either
+# One impact row per week: social and news halves, each either
 # normalized to 1 or all-zero when that source was silent.
 impacts = dsiq.build_impact_series(social_docs, news_docs, len(series), social_model, news_model)
+print(f"\nimpact series: {impacts.shape[0]} weeks x {impacts.shape[1]} components")
 
 week = impacts[10]
-print(f"\nweek 10 severity={series.values[10]:.0f}")
-for name, s_val, n_val in zip(DETERMINANT_NAMES, week.social_part, week.news_part):
+print(f"week 10 severity={series.values[10]:.0f}")
+social_part, news_part = week[:DETERMINANT_COUNT], week[DETERMINANT_COUNT:]
+for name, s_val, n_val in zip(DETERMINANT_NAMES, social_part, news_part):
     bar = "#" * int(40 * s_val)
     print(f"  {name:32s} social={s_val:.2f} news={n_val:.2f} {bar}")

@@ -10,11 +10,10 @@ from .core import (
     DETERMINANT_NAMES,
     OTHER_INDEX,
     Document,
-    ImpactVector,
     SeveritySeries,
     Source,
-    TimeStep,
     Windows,
+    check_impacts,
     chronological_split,
     make_windows,
 )

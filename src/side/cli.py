@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
-from .core import DETERMINANT_NAMES, Source, chronological_split, make_windows, training_cutoff
+from .core import DETERMINANT_NAMES, Source, atomic_write, chronological_split, make_windows, training_cutoff
 from .errors import ConfigError, DivergenceError, NumericsError, SideError
 
 USER_ERROR = 2
@@ -112,13 +112,13 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     dsiq.write_impact_csv(impact_path, impacts)
 
     topics_path = _out_path(cfg, "topics.csv")
-    with open(topics_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(topics_path) as fh:
         fh.write("source,cluster_id,determinant,doc_count,keywords\n")
         for source in ("social", "news"):
             for cluster in models[source].clusters:
                 name = DETERMINANT_NAMES[cluster.determinant_index]
                 fh.write(
-                    f"{source},{cluster.id},\"{name}\",{len(cluster.member_doc_ids)},"
+                    f"{source},{cluster.id},\"{name}\",{cluster.doc_count},"
                     f"{' '.join(cluster.keywords)}\n"
                 )
     print(f"wrote {impact_path} and {topics_path}")
@@ -126,15 +126,10 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
 
 
 def _load_windows(cfg: cfgmod.RunConfig):
-    _require_files(cfg.dsci_path)
     impact_path = _out_path(cfg, "impact.csv")
-    _require_files(impact_path)
+    _require_files(cfg.dsci_path, impact_path)
     series = ingest.load_severity(cfg.dsci_path)
     impacts = dsiq.read_impact_csv(impact_path)
-    if len(impacts) != len(series):
-        raise ConfigError(
-            f"impact series has {len(impacts)} rows but severity has {len(series)}"
-        )
     windows = make_windows(series, impacts, cfg.model.lookback, cfg.model.horizon)
     return chronological_split(windows, cfg.split)
 
@@ -173,21 +168,15 @@ def _write_predictions_csv(path, predictions, lookback: int) -> None:
         + [f"true_{n}" for n in names]
         + [f"pred_{n}" for n in names]
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         horizon = predictions.severity_true.shape[1]
         for i, start in enumerate(predictions.starts.tolist()):
             for step in range(horizon):
-                cells = [
-                    str(start),
-                    str(step),
-                    str(start + lookback + step),
-                    repr(float(predictions.severity_true[i, step])),
-                    repr(float(predictions.severity_pred[i, step])),
-                ]
-                cells += [repr(float(v)) for v in predictions.impact_true[i, step]]
-                cells += [repr(float(v)) for v in predictions.impact_pred[i, step]]
-                fh.write(",".join(cells) + "\n")
+                floats = [predictions.severity_true[i, step], predictions.severity_pred[i, step]]
+                floats += [*predictions.impact_true[i, step], *predictions.impact_pred[i, step]]
+                cells = [str(start), str(step), str(start + lookback + step)]
+                fh.write(",".join(cells + [repr(float(v)) for v in floats]) + "\n")
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
@@ -249,19 +238,14 @@ def cmd_export_plots(run_dir, state: str) -> int:
     col = {name: i for i, name in enumerate(header)}
 
     severity_path = run / f"{state}_plot_severity.csv"
-    with open(severity_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(severity_path) as fh:
         fh.write("start,step,timestep,actual,predicted\n")
+        keep = [col[k] for k in ("start", "step", "timestep", "severity_true", "severity_pred")]
         for cells in rows:
-            fh.write(
-                ",".join(
-                    cells[col[k]]
-                    for k in ("start", "step", "timestep", "severity_true", "severity_pred")
-                )
-                + "\n"
-            )
+            fh.write(",".join(cells[j] for j in keep) + "\n")
 
     bars_path = run / f"{state}_plot_determinants.csv"
-    with open(bars_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(bars_path) as fh:
         fh.write("source,determinant,predicted,actual\n")
         for source, prefix in (("social", "s"), ("news", "n")):
             for i, name in enumerate(DETERMINANT_NAMES, start=1):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
+from .core import atomic_write
 from .errors import ConfigError
 from .model import ModelConfig
 from .train_eval import TrainConfig
@@ -87,10 +89,15 @@ def _cast(key: str, value, default):
     """Coerce a JSON value to the type of the field's default (str or None if it is None).
 
     Raises:
-        ValueError: a boolean for a numeric field, or a fraction for an int field.
+        ValueError: a non-string for a string field, a non-finite number,
+            a boolean for a numeric field, or a fraction for an int field.
     """
-    if default is None:
-        return None if value is None else str(value)
+    if default is None or isinstance(default, str):
+        if not isinstance(value, str) and not (default is None and value is None):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     kind = type(default)
     if kind is int and isinstance(value, (bool, float)) and not _is_whole(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -138,7 +145,7 @@ def load(path) -> RunConfig:
 
 
 def save(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

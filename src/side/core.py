@@ -1,14 +1,17 @@
-"""Domain data model and sliding-window construction.
+"""Domain data model, sliding-window construction and atomic file writes.
 
-Weekly drought severity (DSCI) and per-week societal impact vectors are
-the two channels every other module consumes.  All containers here are
-frozen after construction and safe to share across threads.
+Weekly drought severity (DSCI) and the weekly societal impact series are
+the two channels every other module consumes: a ``SeveritySeries`` of T
+values and a (T, 2 * DETERMINANT_COUNT) impact array.  All containers
+here are frozen after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 
 import numpy as np
@@ -42,57 +45,35 @@ class Source(str, Enum):
     NEWS = "news"
 
 
-@dataclass(frozen=True)
-class TimeStep:
-    """One weekly collection period.
+@dataclass(frozen=True, eq=False)
+class SeveritySeries:
+    """Weekly DSCI values; week ``i`` is ``[start + 7i days, start + 7(i+1) days)``.
 
-    ``index`` is zero-based and consecutive; ``week_start`` anchors the
-    7-day interval ``[week_start, week_start + 7d)``.
+    ``values`` is a read-only 1-D float64 copy, every value within [0, 500].
     """
 
-    index: int
-    week_start: date
+    start: date
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"timestep index must be >= 0, got {self.index}")
-
-
-@dataclass(frozen=True)
-class SeveritySeries:
-    """Weekly DSCI values, one per consecutive timestep."""
-
-    steps: tuple[TimeStep, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.steps) != len(self.values):
-            raise AlignmentError(
-                f"{len(self.steps)} timesteps vs {len(self.values)} values"
-            )
-        for i, step in enumerate(self.steps):
-            if step.index != i:
-                raise ValueError(f"timestep {i} carries index {step.index}")
-            if i > 0 and (step.week_start - self.steps[i - 1].week_start) != timedelta(days=7):
-                raise ValueError(
-                    f"week_start at index {i} is not 7 days after its predecessor"
-                )
-        for i, v in enumerate(self.values):
-            if not (DSCI_MIN <= v <= DSCI_MAX):
-                raise ValueError(f"DSCI value {v} at index {i} outside [0, 500]")
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError(f"DSCI values must be 1-D, got shape {values.shape}")
+        # NaN fails both comparisons, so this also rejects non-finite values.
+        outside = ~((values >= DSCI_MIN) & (values <= DSCI_MAX))
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"DSCI value {values[i]} at index {i} outside [0, 500]")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def timestep_of(self, day: date) -> int | None:
         """Index of the week containing ``day``, or None if out of range."""
-        if not self.steps:
-            return None
-        offset = (day - self.steps[0].week_start).days
-        idx = offset // 7
-        if 0 <= idx < len(self.steps):
-            return idx
-        return None
+        idx = (day - self.start).days // 7
+        return idx if 0 <= idx < len(self.values) else None
 
 
 @dataclass(frozen=True)
@@ -111,34 +92,32 @@ class Document:
             raise ValueError(f"document {self.id!r} has negative timestep")
 
 
-@dataclass(frozen=True)
-class ImpactVector:
-    """Per-week normalized determinant distributions, one per source.
+def check_impacts(impacts, labels=None) -> None:
+    """Check a (T, 2 * DETERMINANT_COUNT) impact series, social half first.
 
-    Each part either sums to 1 (documents present) or is all-zero
-    (no documents that week: absence of discourse is kept as signal).
+    Each half row either sums to 1 (documents present) or is all-zero (no
+    documents that week: absence of discourse is kept as signal).
+
+    Raises:
+        ValueError: a wrong shape, or naming the first bad row (as
+            ``labels[i]``, default ``row i``): a component outside [0, 1]
+            (NaN and inf included) or a half summing to neither 0 nor 1.
     """
-
-    timestep: int
-    social_part: tuple[float, ...]
-    news_part: tuple[float, ...]
-
-    def __post_init__(self):
-        for name, part in (("social", self.social_part), ("news", self.news_part)):
-            if len(part) != DETERMINANT_COUNT:
-                raise ValueError(
-                    f"{name} part has {len(part)} components, expected {DETERMINANT_COUNT}"
-                )
-            # NaN fails every comparison, so this also rejects non-finite values.
-            if not all(0.0 <= c <= 1.0 for c in part):
-                raise ValueError(f"{name} part has components outside [0, 1]")
-            total = sum(part)
-            if total != 0.0 and abs(total - 1.0) > 1e-6:
-                raise ValueError(f"{name} part sums to {total}, expected 0 or 1")
-
-    def concatenated(self) -> tuple[float, ...]:
-        """Full 2*delta feature vector, social part first."""
-        return self.social_part + self.news_part
+    impacts = np.asarray(impacts, dtype=np.float64)
+    if impacts.ndim != 2 or impacts.shape[1] != 2 * DETERMINANT_COUNT:
+        raise ValueError(f"impact series must have shape (T, {2 * DETERMINANT_COUNT}), got {impacts.shape}")
+    parts = impacts.reshape(len(impacts), 2, DETERMINANT_COUNT)
+    totals = parts.sum(axis=2)
+    # NaN fails every comparison, so this also rejects non-finite values.
+    outside = ~((parts >= 0.0) & (parts <= 1.0)).all(axis=2)
+    bad_sum = (totals != 0.0) & (np.abs(totals - 1.0) > 1e-6)
+    bad = np.argwhere(outside | bad_sum)  # row-major: the first bad row, social half first
+    if len(bad):
+        i, half = bad[0]
+        label = f"row {i}" if labels is None else labels[i]
+        problem = ("has components outside [0, 1]" if outside[i, half]
+                   else f"sums to {totals[i, half]}, expected 0 or 1")
+        raise ValueError(f"{label}: {('social', 'news')[half]} part {problem}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +157,7 @@ class Windows:
 
 def make_windows(
     severity: SeveritySeries,
-    impacts: list[ImpactVector],
+    impacts: np.ndarray,
     lookback: int,
     horizon: int,
 ) -> Windows:
@@ -186,7 +165,8 @@ def make_windows(
 
     Args:
         severity: weekly DSCI series of length T.
-        impacts: one ImpactVector per timestep, aligned with ``severity``.
+        impacts: (T, 2 * DETERMINANT_COUNT) impact series aligned with
+            ``severity``; see :func:`check_impacts`.
         lookback: input window length (>= 1).
         horizon: prediction window length (>= 1).
 
@@ -194,35 +174,33 @@ def make_windows(
         Exactly ``T - lookback - horizon + 1`` windows in chronological order.
 
     Raises:
-        AlignmentError: series and impacts differ in length or timestep order.
+        AlignmentError: series and impacts differ in length.
+        ValueError: the impact series fails :func:`check_impacts`.
         InsufficientDataError: T < lookback + horizon.
     """
     if lookback < 1 or horizon < 1:
         raise ValueError(f"window sizes must be >= 1, got ({lookback}, {horizon})")
     total = len(severity)
+    impacts = np.asarray(impacts, dtype=np.float64)
     if len(impacts) != total:
         raise AlignmentError(
             f"severity has {total} timesteps but impacts has {len(impacts)}"
         )
-    for i, vec in enumerate(impacts):
-        if vec.timestep != i:
-            raise AlignmentError(f"impact vector at position {i} carries timestep {vec.timestep}")
+    check_impacts(impacts)
     if total < lookback + horizon:
         raise InsufficientDataError(
             f"need at least {lookback + horizon} timesteps, have {total}"
         )
 
-    values = np.array(severity.values, dtype=np.float64)
-    stacked = np.array([vec.concatenated() for vec in impacts], dtype=np.float64)
     starts = np.arange(total - lookback - horizon + 1)
     into = starts[:, None] + np.arange(lookback)
     out = starts[:, None] + np.arange(lookback, lookback + horizon)
     return Windows(
         starts=starts,
-        severity_in=values[into],
-        severity_out=values[out],
-        impact_in=stacked[into],
-        impact_out=stacked[out],
+        severity_in=severity.values[into],
+        severity_out=severity.values[out],
+        impact_in=impacts[into],
+        impact_out=impacts[out],
     )
 
 
@@ -275,3 +253,21 @@ def training_cutoff(
         return total
     n_train, _, _ = split_sizes(n, ratios)
     return min(total, (n_train - 1) + lookback + horizon)
+
+
+@contextmanager
+def atomic_write(path):
+    """Open ``path`` for writing text through a temporary file next to it.
+
+    The temporary file replaces ``path`` only when the block finishes, so
+    a write that fails part-way leaves any earlier file at ``path`` intact.
+    There is no fsync, so a power loss is not covered.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -15,6 +15,7 @@ across timesteps.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
 import time
@@ -25,8 +26,10 @@ from importlib import resources
 import numpy as np
 import requests
 
-from .core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, ImpactVector, Source
+from .core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source, atomic_write, check_impacts
 from .errors import ParseError
+
+log = logging.getLogger(__name__)
 
 #: Below this likelihood/cosine score a topic is filed under "Other".
 MAP_THRESHOLD = 0.15
@@ -57,10 +60,10 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TopicCluster:
-    """One k-means topic: member documents, ranked keywords, determinant."""
+    """One k-means topic: member document count, ranked keywords, determinant."""
 
     id: int
-    member_doc_ids: tuple[str, ...]
+    doc_count: int
     keywords: tuple[str, ...]
     determinant_index: int
 
@@ -272,7 +275,8 @@ class LlmBackend:
 
     POSTs ``{"keywords": [...], "determinants": [...]}`` and expects
     ``{"scores": [...]}`` with one float per determinant.  After the
-    configured retries fail, scoring falls back to the lexicon.
+    configured retries fail, scoring falls back to the lexicon and logs a
+    warning naming the last error.
     """
 
     def __init__(
@@ -308,9 +312,12 @@ class LlmBackend:
                 ):
                     raise ValueError(f"backend returned invalid scores: {scores!r}")
                 return [float(s) for s in scores]
-            except Exception:
+            except Exception as exc:
+                last_error = exc
                 if attempt < self.retries:
                     time.sleep(self.backoff * (2**attempt))
+        log.warning("LLM backend %s failed %d attempts (last error: %r); falling back to the lexicon",
+                    self.url, self.retries + 1, last_error)
         return self.fallback.score(keywords)
 
 
@@ -372,9 +379,7 @@ def fit_topic_model(
     live, assignments = np.unique(assignments, return_inverse=True)
     centroids = centroids[live]
 
-    member_ids: list[list[str]] = [[] for _ in live]
-    for d, c in zip(docs, assignments):
-        member_ids[c].append(d.id)
+    doc_counts = np.bincount(assignments, minlength=len(live))
     keywords = cluster_keywords(token_lists, assignments, vocab)
 
     def _map(kw):
@@ -389,7 +394,7 @@ def fit_topic_model(
     clusters = tuple(
         TopicCluster(
             id=c,
-            member_doc_ids=tuple(member_ids[c]),
+            doc_count=int(doc_counts[c]),
             keywords=keywords[c],
             determinant_index=det_indices[c],
         )
@@ -425,23 +430,18 @@ def build_impact_series(
     total_steps: int,
     social_model: TopicModel,
     news_model: TopicModel,
-) -> list[ImpactVector]:
-    """One ImpactVector per timestep from the two frozen topic models."""
-    by_step_social: dict[int, list[Document]] = {}
-    for d in social_docs:
-        by_step_social.setdefault(d.timestep, []).append(d)
-    by_step_news: dict[int, list[Document]] = {}
-    for d in news_docs:
-        by_step_news.setdefault(d.timestep, []).append(d)
-
-    series = []
-    for t in range(total_steps):
-        social = quantify(by_step_social.get(t, []), social_model)
-        news = quantify(by_step_news.get(t, []), news_model)
-        series.append(
-            ImpactVector(timestep=t, social_part=tuple(social), news_part=tuple(news))
-        )
-    return series
+) -> np.ndarray:
+    """The (total_steps, 2 * DETERMINANT_COUNT) impact series, social half first."""
+    impacts = np.zeros((total_steps, 2, DETERMINANT_COUNT))
+    for half, (docs, model) in enumerate(((social_docs, social_model), (news_docs, news_model))):
+        by_step: dict[int, list[Document]] = {}
+        for d in docs:
+            by_step.setdefault(d.timestep, []).append(d)
+        for t in range(total_steps):
+            impacts[t, half] = quantify(by_step.get(t, []), model)
+    impacts = impacts.reshape(total_steps, 2 * DETERMINANT_COUNT)
+    check_impacts(impacts)
+    return impacts
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +457,22 @@ def impact_csv_header() -> list[str]:
     )
 
 
-def write_impact_csv(path, impacts: list[ImpactVector]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_impact_csv(path, impacts: np.ndarray) -> None:
+    with atomic_write(path) as fh:
         fh.write(",".join(impact_csv_header()) + "\n")
-        for vec in impacts:
-            cells = [str(vec.timestep)] + [
-                repr(float(v)) for v in vec.social_part + vec.news_part
-            ]
-            fh.write(",".join(cells) + "\n")
+        for t, row in enumerate(impacts.tolist()):
+            fh.write(",".join([str(t)] + [repr(v) for v in row]) + "\n")
 
 
-def read_impact_csv(path) -> list[ImpactVector]:
+def read_impact_csv(path) -> np.ndarray:
+    """The impact series written by :func:`write_impact_csv`.
+
+    Raises:
+        ParseError: ``path:line`` of a malformed row, a ``timestep`` that is
+            not the row index, or a row that fails :func:`side.core.check_impacts`.
+    """
     expected = impact_csv_header()
-    impacts = []
+    rows, linenos = [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != expected:
@@ -481,15 +484,16 @@ def read_impact_csv(path) -> list[ImpactVector]:
             if len(cells) != len(expected):
                 raise ParseError(f"{path}:{lineno}: expected {len(expected)} columns")
             try:
-                t = int(cells[0])
-                values = [float(c) for c in cells[1:]]
-                impacts.append(
-                    ImpactVector(
-                        timestep=t,
-                        social_part=tuple(values[:DETERMINANT_COUNT]),
-                        news_part=tuple(values[DETERMINANT_COUNT:]),
-                    )
-                )
+                timestep = int(cells[0])
+                rows.append([float(c) for c in cells[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if timestep != len(linenos):
+                raise ParseError(f"{path}:{lineno}: timestep {timestep} where {len(linenos)} was expected")
+            linenos.append(lineno)
+    impacts = np.array(rows, dtype=np.float64).reshape(len(rows), len(expected) - 1)
+    try:
+        check_impacts(impacts, labels=[f"{path}:{n}" for n in linenos])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return impacts

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
-from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source, TimeStep
+from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -61,13 +61,12 @@ def load_severity(path) -> SeveritySeries:
     Raises:
         ParseError: structural problems, with the offending line number.
     """
-    steps: list[TimeStep] = []
     values: list[float] = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
         if [c.strip() for c in header.split(",")] != ["week_start", "dsci"]:
             raise ParseError(f"{path}:1: expected header 'week_start,dsci', got {header!r}")
-        prev: date | None = None
+        start = prev = None
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -85,28 +84,26 @@ def load_severity(path) -> SeveritySeries:
                 raise ParseError(f"{path}:{lineno}: bad DSCI value {cells[1]!r}") from exc
             if not math.isfinite(value):
                 raise ParseError(f"{path}:{lineno}: non-finite DSCI value {cells[1]!r}")
-            if prev is not None:
-                if day == prev:
-                    raise ParseError(f"{path}:{lineno}: duplicate date {day.isoformat()}")
-                if day < prev:
-                    raise ParseError(
-                        f"{path}:{lineno}: dates not ascending ({day} after {prev})"
-                    )
-                if day - prev != timedelta(days=7):
-                    raise ParseError(
-                        f"{path}:{lineno}: gap between {prev} and {day}; "
-                        "missing weeks are rejected, not imputed"
-                    )
+            if prev is None:
+                start = day
+            elif day == prev:
+                raise ParseError(f"{path}:{lineno}: duplicate date {day.isoformat()}")
+            elif day < prev:
+                raise ParseError(f"{path}:{lineno}: dates not ascending ({day} after {prev})")
+            elif day - prev != timedelta(days=7):
+                raise ParseError(
+                    f"{path}:{lineno}: gap between {prev} and {day}; "
+                    "missing weeks are rejected, not imputed"
+                )
             if value < DSCI_MIN or value > DSCI_MAX:
                 clamped = min(max(value, DSCI_MIN), DSCI_MAX)
                 log.warning("%s:%d: DSCI %s clamped to %s", path, lineno, value, clamped)
                 value = clamped
-            steps.append(TimeStep(index=len(steps), week_start=day))
             values.append(value)
             prev = day
-    if not steps:
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    return SeveritySeries(steps=tuple(steps), values=tuple(values))
+    return SeveritySeries(start=start, values=values)
 
 
 @dataclass

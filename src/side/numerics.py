@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import atomic_write
 from .errors import NumericsError, ShapeError
 
 __all__ = [
@@ -319,9 +319,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
     """Write parameters + config as JSON.
 
     Floats are serialized via repr, so a float64 round trip through
-    :func:`load_checkpoint` is bit-exact.  The JSON goes to a temporary
-    file next to ``path`` that then replaces it, so a failed write
-    leaves any earlier checkpoint at ``path`` intact.
+    :func:`load_checkpoint` is bit-exact.  The write is atomic
+    (:func:`side.core.atomic_write`): a failed save leaves any earlier
+    checkpoint at ``path`` intact.
     """
     records = []
     for name in sorted(params):
@@ -336,26 +336,28 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
         "extras": extras or {},
         "params": records,
     }
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as fh:
+        json.dump(payload, fh)
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; returns params (name -> float64 array), config, extras."""
+    """Read a checkpoint; returns params (name -> float64 array), config, extras.
+
+    Raises:
+        NumericsError: not a checkpoint of this format (invalid JSON, a key
+            missing or of the wrong type), or a config that fails its hash.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _CHECKPOINT_FORMAT:
-        raise NumericsError(f"unrecognized checkpoint format in {path}")
-    if config_hash(payload["config"]) != payload["config_hash"]:
-        raise NumericsError(f"checkpoint config hash mismatch in {path}")
-    params = {}
-    for rec in payload["params"]:
-        arr = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        params[rec["name"]] = arr
-    return {"params": params, "config": payload["config"], "extras": payload["extras"]}
+        try:
+            payload = json.load(fh)
+            if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
+                raise NumericsError(f"unrecognized checkpoint format in {path}")
+            if config_hash(payload["config"]) != payload["config_hash"]:
+                raise NumericsError(f"checkpoint config hash mismatch in {path}")
+            params = {
+                rec["name"]: np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
+                for rec in payload["params"]
+            }
+            return {"params": params, "config": payload["config"], "extras": payload["extras"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NumericsError(f"malformed checkpoint {path}: {exc!r}") from exc

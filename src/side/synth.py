@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DETERMINANT_NAMES, DSCI_MAX, DSCI_MIN, OTHER_INDEX
+from .core import DETERMINANT_NAMES, DSCI_MAX, DSCI_MIN, OTHER_INDEX, atomic_write
 from .dsiq import load_lexicon
 
 #: In-state location entities embedded in generated texts (and written to
@@ -192,16 +192,16 @@ def write_dataset(out_dir, spec: SynthSpec, seed: int) -> dict[str, Path]:
         "news": out / "news.jsonl",
         "entities": out / "entities.txt",
     }
-    with open(paths["dsci"], "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(paths["dsci"]) as fh:
         fh.write("week_start,dsci\n")
         for t, value in enumerate(severity):
             day = spec.start + timedelta(days=7 * t)
             fh.write(f"{day.isoformat()},{float(value)!r}\n")
     for key, docs in (("social", social), ("news", news)):
-        with open(paths[key], "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(paths[key]) as fh:
             for doc in docs:
                 fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    with open(paths["entities"], "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(paths["entities"]) as fh:
         fh.write("# synthetic in-state location entities\n")
         for place in IN_STATE_PLACES:
             fh.write(place + "\n")

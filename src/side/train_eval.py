@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .core import DETERMINANT_NAMES, Windows
+from .core import DETERMINANT_NAMES, Windows, atomic_write
 from .errors import ConfigError, DivergenceError, NumericsError
 from .model import LossWeights, ModelConfig
 
@@ -43,6 +43,8 @@ class TrainConfig:
             )
         if self.max_epochs < 1 or self.batch_size < 1 or self.lr_plateau < 1:
             raise ValueError("max_epochs, batch_size and lr_plateau must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -403,7 +405,9 @@ def load_run_checkpoint(path, model_cfg: ModelConfig):
     """Returns (params, Standardizer) of a checkpoint trained for ``model_cfg``.
 
     Raises:
-        ConfigError: the checkpoint's model block is not a valid
+        NumericsError: the file is not a well-formed checkpoint, or its
+            standardizer is missing or invalid.
+        ConfigError: the checkpoint's model block is missing or not a valid
             ModelConfig (for example one written by an older version), or
             it differs from ``model_cfg``; evaluating it would report on a
             model other than the one configured.
@@ -411,28 +415,29 @@ def load_run_checkpoint(path, model_cfg: ModelConfig):
     payload = nm.load_checkpoint(path)
     try:
         saved = ModelConfig(**payload["config"]["model"])
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid checkpoint model config ({exc}); retrain") from exc
     if saved != model_cfg:
         raise ConfigError(
             f"{path}: checkpoint was trained for {saved}, but the run config has {model_cfg}; retrain"
         )
-    std = payload["extras"]["standardizer"]
-    return payload["params"], Standardizer(mean=std["mean"], std=std["std"])
+    try:
+        std = payload["extras"]["standardizer"]
+        return payload["params"], Standardizer(mean=std["mean"], std=std["std"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NumericsError(f"{path}: checkpoint has no valid standardizer ({exc!r})") from exc
 
 
 def write_history_csv(path, history: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
         for row in history:
-            fh.write(
-                f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},{row['lr']!r}\n"
-            )
+            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},{row['lr']!r}\n")
 
 
 def write_metrics_csv(path, reports: dict[str, MetricReport]) -> None:
     """One row per (variant, target); float cells use repr for determinism."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("variant,target,MAE,MSE,RMSE,MFA\n")
         for variant, report in reports.items():
             for target, mae, mse, rmse, mfa in report.rows():

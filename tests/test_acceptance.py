@@ -235,18 +235,13 @@ def test_criterion_5_overfit_sanity():
     total, lookback, horizon = 16, 4, 1
     t = np.arange(total)
     values = np.clip(250.0 + 100.0 * np.sin(2 * np.pi * t / 26.0) + 5.0 * rng.standard_normal(total), 0, 500)
-    from datetime import date, timedelta
+    from datetime import date
 
-    from side.core import ImpactVector, SeveritySeries, TimeStep
+    from side.core import SeveritySeries
 
-    steps = tuple(TimeStep(i, date(2017, 1, 2) + timedelta(days=7 * i)) for i in range(total))
-    series = SeveritySeries(steps=steps, values=tuple(float(v) for v in values))
-    impacts = []
-    for i in range(total):
-        raw = rng.uniform(0, 1, size=11)
-        part = tuple(float(x) for x in raw / raw.sum())
-        impacts.append(ImpactVector(timestep=i, social_part=part, news_part=part))
-    samples = make_windows(series, impacts, lookback, horizon)[:4]
+    series = SeveritySeries(start=date(2017, 1, 2), values=values)
+    parts = np.stack([raw / raw.sum() for raw in (rng.uniform(0, 1, size=11) for _ in range(total))])
+    samples = make_windows(series, np.concatenate([parts, parts], axis=1), lookback, horizon)[:4]
 
     cfg = ModelConfig(lookback=lookback, horizon=horizon, width=8, hidden=32)
     tc = TrainConfig(

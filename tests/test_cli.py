@@ -151,6 +151,27 @@ def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path
     assert not (run / "synth_metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "defect", ["no_config_hash", "top_level_list", "no_standardizer", "bad_param_shape"]
+)
+def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defect):
+    cfg_path, run = _copy_of_trained_run(workspace, tmp_path)
+    checkpoint = run / "synth_checkpoint.json"
+    payload = json.loads(checkpoint.read_text(encoding="utf-8"))
+    if defect == "no_config_hash":
+        del payload["config_hash"]
+    elif defect == "no_standardizer":
+        del payload["extras"]["standardizer"]
+    elif defect == "bad_param_shape":
+        payload["params"][0]["shape"] = [7, 7, 7]
+    else:
+        payload = [payload]
+    checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_path)]) == 3
+    assert "checkpoint" in capsys.readouterr().err
+    assert not (run / "synth_metrics.csv").exists()
+
+
 def test_quantify_refuses_to_fit_topics_on_held_out_text(workspace, tmp_path, capsys):
     raw = workspace["raw"]
     weeks = (workspace["data"] / "dsci.csv").read_text().splitlines()[1:]

@@ -101,6 +101,19 @@ def test_invalid_values_rejected():
         cfgmod.from_dict({"train": {"patience": True}})
     with pytest.raises(ConfigError, match="learning_rate must be a number"):
         cfgmod.from_dict({"train": {"learning_rate": False}})
+    # values that would spoil a run without an error
+    with pytest.raises(ConfigError, match="dsci must be a string"):
+        cfgmod.from_dict({"paths": {"dsci": 123}})
+    with pytest.raises(ConfigError, match="lexicon must be a string"):
+        cfgmod.from_dict({"paths": {"lexicon": ["lex.json"]}})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="map_threshold must be a finite number"):
+            cfgmod.from_dict({"dsiq": {"map_threshold": bad}})
+        with pytest.raises(ConfigError, match="learning_rate must be a finite number"):
+            cfgmod.from_dict({"train": {"learning_rate": bad}})
+    for lr in (0.0, -1e-3):
+        with pytest.raises(ConfigError, match="learning_rate must be > 0"):
+            cfgmod.from_dict({"train": {"learning_rate": lr}})
 
 
 def test_whole_floats_accepted_for_int_fields():
@@ -113,6 +126,18 @@ def test_null_values():
     with pytest.raises(ConfigError):
         cfgmod.from_dict({"train": {"patience": None}})
     assert cfgmod.from_dict({"paths": {"lexicon": None}}).lexicon_path is None
+    with pytest.raises(ConfigError, match="out_dir must be a string"):
+        cfgmod.from_dict({"paths": {"out_dir": None}})
+    with pytest.raises(ConfigError, match="ablation must be a string"):
+        cfgmod.from_dict({"model": {"ablation": None}})
+
+
+def test_non_finite_literal_in_file_rejected(tmp_path):
+    # Python's json module accepts NaN and Infinity, which JSON itself does not
+    path = tmp_path / "run.json"
+    path.write_text('{"dsiq": {"map_threshold": NaN}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="map_threshold must be a finite number"):
+        cfgmod.load(path)
 
 
 def test_overrides_win():

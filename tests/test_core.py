@@ -1,4 +1,4 @@
-"""Windowing, chronological split, and impact vector invariants."""
+"""Windowing, chronological split, and impact series invariants."""
 
 from datetime import date, timedelta
 
@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from side.core import (
     DETERMINANT_COUNT,
-    ImpactVector,
     SeveritySeries,
-    TimeStep,
     Windows,
+    check_impacts,
     chronological_split,
     make_windows,
     split_sizes,
@@ -24,24 +23,24 @@ WEEK0 = date(2017, 1, 2)
 
 
 def make_series(total, start_value=100.0):
-    steps = tuple(TimeStep(i, WEEK0 + timedelta(days=7 * i)) for i in range(total))
-    values = tuple(float(start_value + (i % 300)) for i in range(total))
-    return SeveritySeries(steps=steps, values=values)
+    return SeveritySeries(start=WEEK0, values=start_value + np.arange(total) % 300)
 
 
 def zero_impacts(total):
-    zeros = (0.0,) * DETERMINANT_COUNT
-    return [ImpactVector(timestep=t, social_part=zeros, news_part=zeros) for t in range(total)]
+    return np.zeros((total, 2 * DETERMINANT_COUNT))
 
 
 def onehot_impacts(total):
-    """Impact vectors whose social part marks the timestep, t mod DETERMINANT_COUNT."""
-    zeros = (0.0,) * DETERMINANT_COUNT
-    impacts = []
-    for t in range(total):
-        part = tuple(float(i == t % DETERMINANT_COUNT) for i in range(DETERMINANT_COUNT))
-        impacts.append(ImpactVector(timestep=t, social_part=part, news_part=zeros))
+    """Impact rows whose social part marks the timestep, t mod DETERMINANT_COUNT."""
+    impacts = zero_impacts(total)
+    impacts[np.arange(total), np.arange(total) % DETERMINANT_COUNT] = 1.0
     return impacts
+
+
+def impact_row(social=None, news=None):
+    """One (1, 22) impact series from two parts, zeros where omitted."""
+    zeros = (0.0,) * DETERMINANT_COUNT
+    return np.array([tuple(social or zeros) + tuple(news or zeros)])
 
 
 def test_window_count_identity():
@@ -151,24 +150,30 @@ def test_training_cutoff_short_series_covers_all():
 
 
 def test_impact_vector_accepts_zero_or_normalized():
-    zeros = (0.0,) * DETERMINANT_COUNT
-    ImpactVector(timestep=0, social_part=zeros, news_part=zeros)
+    check_impacts(impact_row())
     uniform = (1.0 / DETERMINANT_COUNT,) * DETERMINANT_COUNT
-    ImpactVector(timestep=0, social_part=uniform, news_part=zeros)
+    check_impacts(impact_row(social=uniform))
+    check_impacts(np.zeros((0, 2 * DETERMINANT_COUNT)))
 
 
 def test_impact_vector_rejects_bad_sums_and_bounds():
-    zeros = (0.0,) * DETERMINANT_COUNT
     half = (0.5,) + (0.0,) * (DETERMINANT_COUNT - 1)
-    with pytest.raises(ValueError):
-        ImpactVector(timestep=0, social_part=half, news_part=zeros)
+    with pytest.raises(ValueError, match="row 0: social part sums to 0.5"):
+        check_impacts(impact_row(social=half))
     over = (1.5,) + (0.0,) * (DETERMINANT_COUNT - 1)
-    with pytest.raises(ValueError):
-        ImpactVector(timestep=0, social_part=over, news_part=zeros)
+    with pytest.raises(ValueError, match="social part has components outside"):
+        check_impacts(impact_row(social=over))
     for bad in (np.nan, np.inf):
         part = (bad,) + (0.0,) * (DETERMINANT_COUNT - 1)
-        with pytest.raises(ValueError):
-            ImpactVector(timestep=0, social_part=zeros, news_part=part)
+        with pytest.raises(ValueError, match="news part has components outside"):
+            check_impacts(impact_row(news=part))
+    # the first bad row is named, whichever half fails
+    impacts = np.concatenate([impact_row(), impact_row(news=half), impact_row(social=over)])
+    with pytest.raises(ValueError, match="row 1: news part"):
+        check_impacts(impacts)
+    for shape in ((3, 2 * DETERMINANT_COUNT - 1), (2 * DETERMINANT_COUNT,)):
+        with pytest.raises(ValueError, match="shape"):
+            check_impacts(np.zeros(shape))
 
 
 @given(counts=st.lists(st.integers(min_value=0, max_value=40), min_size=11, max_size=11))
@@ -180,20 +185,24 @@ def test_impact_vector_from_counts_property(counts):
         part = (0.0,) * DETERMINANT_COUNT
     else:
         part = tuple(c / total for c in counts)
-    vec = ImpactVector(
-        timestep=0, social_part=part, news_part=(0.0,) * DETERMINANT_COUNT
-    )
-    assert all(0.0 <= c <= 1.0 for c in vec.social_part)
-    s = sum(vec.social_part)
+    row = impact_row(social=part)
+    check_impacts(row)
+    assert np.all((0.0 <= row) & (row <= 1.0))
+    s = row[0, :DETERMINANT_COUNT].sum()
     assert s == 0.0 or abs(s - 1.0) <= 1e-6
 
 
 def test_series_rejects_gap_and_nonfinite():
-    steps = (TimeStep(0, WEEK0), TimeStep(1, WEEK0 + timedelta(days=14)))
-    with pytest.raises(ValueError):
-        SeveritySeries(steps=steps, values=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        SeveritySeries(steps=(TimeStep(0, WEEK0),), values=(np.inf,))
+    # a gap cannot be represented: week i always starts 7 * i days after start
+    series = SeveritySeries(start=WEEK0, values=[1.0, 2.0])
+    assert series.timestep_of(WEEK0 + timedelta(days=13)) == 1
+    for bad in (np.inf, np.nan, -1.0, 501.0):
+        with pytest.raises(ValueError, match="index 1 outside"):
+            SeveritySeries(start=WEEK0, values=[1.0, bad])
+    with pytest.raises(ValueError, match="1-D"):
+        SeveritySeries(start=WEEK0, values=[[1.0]])
+    with pytest.raises(ValueError, match="read-only"):
+        series.values[0] = 3.0
 
 
 def test_timestep_of_brackets_weeks():

@@ -1,6 +1,7 @@
 """Topic clustering, determinant mapping, and weekly quantification."""
 
 import json
+import logging
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -256,6 +257,25 @@ class TestLlmBackend:
         assert len(handler.calls) == 3
         assert np.argmax(scores) == 0  # lexicon cosine took over
 
+    def test_fallback_logs_warning_naming_last_error(self, caplog):
+        class FailingSession:
+            calls = 0
+
+            def post(self, *args, **kwargs):
+                self.calls += 1
+                raise ConnectionError(f"refused on attempt {self.calls}")
+
+        session = FailingSession()
+        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
+        with caplog.at_level(logging.WARNING, logger="side.dsiq"):
+            scores = backend.score(["crop", "harvest", "irrigation"])
+        assert session.calls == 3
+        assert np.argmax(scores) == 0  # lexicon cosine took over
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "refused on attempt 3" in record.getMessage()
+        assert "lexicon" in record.getMessage()
+
     def test_unreachable_endpoint_falls_back(self):
         backend = LlmBackend("http://127.0.0.1:9/score", retries=1, backoff=0.0, timeout=0.2)
         scores = backend.score(["water", "reservoir"])
@@ -267,9 +287,9 @@ def _toy_model():
     vocab = {"clinic": 0, "crop": 1, "zzz": 2}
     centroids = np.eye(3)[[1, 0, 2]]  # cluster 0 reads "crop", 1 "clinic", 2 "zzz"
     clusters = (
-        TopicCluster(id=0, member_doc_ids=("a",), keywords=("crop",), determinant_index=0),
-        TopicCluster(id=1, member_doc_ids=("b",), keywords=("clinic",), determinant_index=6),
-        TopicCluster(id=2, member_doc_ids=("c",), keywords=("zzz",), determinant_index=OTHER_INDEX),
+        TopicCluster(id=0, doc_count=1, keywords=("crop",), determinant_index=0),
+        TopicCluster(id=1, doc_count=1, keywords=("clinic",), determinant_index=6),
+        TopicCluster(id=2, doc_count=1, keywords=("zzz",), determinant_index=OTHER_INDEX),
     )
     return TopicModel(
         source=Source.SOCIAL,
@@ -338,11 +358,10 @@ class TestBuildImpactSeries:
     def test_dimensions_and_source_separation(self):
         social, news, sm, nman = self.fit_models()
         impacts = build_impact_series(social, news, 3, sm, nman)
-        assert len(impacts) == 3
-        assert len(impacts[0].concatenated()) == 22
+        assert impacts.shape == (3, 22)
         # week 0 has social docs but no news: news part all-zero, social sums to 1
-        assert sum(impacts[0].news_part) == 0.0
-        assert abs(sum(impacts[0].social_part) - 1.0) <= 1e-6
+        assert impacts[0, DETERMINANT_COUNT:].sum() == 0.0
+        assert abs(impacts[0, :DETERMINANT_COUNT].sum() - 1.0) <= 1e-6
 
     def test_shuffled_documents_give_identical_series(self):
         social, news, sm, nman = self.fit_models()
@@ -351,7 +370,7 @@ class TestBuildImpactSeries:
         for _ in range(10):
             s = [social[i] for i in rng.permutation(len(social))]
             n = [news[i] for i in rng.permutation(len(news))]
-            assert build_impact_series(s, n, 3, sm, nman) == base
+            assert np.array_equal(build_impact_series(s, n, 3, sm, nman), base)
 
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
@@ -363,6 +382,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
     ]
     model = fit_topic_model(docs, Source.SOCIAL, LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
+    assert sum(c.doc_count for c in model.clusters) == len(docs)
     for cluster in model.clusters:
         assert cluster.keywords
 
@@ -376,19 +396,25 @@ def test_impact_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert header[:2] == ["timestep", "s_1"] and header[-1] == "n_11"
     assert len(header) == 23
-    assert read_impact_csv(path) == impacts
+    assert np.array_equal(read_impact_csv(path), impacts)
 
 
 @pytest.mark.parametrize(
-    "cell, match", [("nan", "outside"), ("0.5", "sums to")], ids=["nan", "bad_sum"]
+    "timestep, cell, match",
+    [
+        ("1", "nan", "social part .*outside"),
+        ("1", "0.5", "social part .*sums to"),
+        ("2", "0.0", "timestep 2 where 1 was expected"),
+    ],
+    ids=["nan", "bad_sum", "timestep_out_of_order"],
 )
-def test_read_impact_csv_rejects_bad_row_with_line(tmp_path, cell, match):
+def test_read_impact_csv_rejects_bad_row_with_line(tmp_path, timestep, cell, match):
     zeros = ["0.0"] * (2 * DETERMINANT_COUNT)
     bad = [cell] + zeros[1:]
     path = tmp_path / "impact.csv"
-    rows = [impact_csv_header(), ["0"] + zeros, ["1"] + bad]
+    rows = [impact_csv_header(), ["0"] + zeros, [timestep] + bad]
     path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
-    with pytest.raises(ParseError, match=rf"impact\.csv:3: social part .*{match}"):
+    with pytest.raises(ParseError, match=rf"impact\.csv:3: {match}"):
         read_impact_csv(path)
 
 
@@ -440,4 +466,5 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
     model = fit_topic_model(docs, Source.SOCIAL, backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
+    assert sum(c.doc_count for c in model.clusters) == len(docs)
     assert len(handler.calls) == len(model.clusters)

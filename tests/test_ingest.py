@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from side.core import Document, SeveritySeries, Source, TimeStep
+from side.core import Document, SeveritySeries, Source
 from side.errors import ParseError
 from side.ingest import EntityList, geofilter, load_documents, load_severity
 
@@ -18,8 +18,7 @@ def write(path, text):
 
 
 def series(total):
-    steps = tuple(TimeStep(i, WEEK0 + timedelta(days=7 * i)) for i in range(total))
-    return SeveritySeries(steps=steps, values=tuple(100.0 for _ in range(total)))
+    return SeveritySeries(start=WEEK0, values=[100.0] * total)
 
 
 class TestLoadSeverity:
@@ -28,7 +27,7 @@ class TestLoadSeverity:
         loaded = load_severity(path)
         assert len(loaded) == 1
         assert loaded.values[0] == 310.5
-        assert loaded.steps[0].week_start == date(2017, 1, 2)
+        assert loaded.start == date(2017, 1, 2)
 
     def test_out_of_range_clamped_with_warning(self, tmp_path, caplog):
         path = write(tmp_path / "dsci.csv", "week_start,dsci\n2017-01-02,612.0\n")

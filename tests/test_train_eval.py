@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import asdict, replace
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from side.core import (
     DETERMINANT_COUNT,
-    ImpactVector,
     SeveritySeries,
-    TimeStep,
     chronological_split,
     make_windows,
 )
@@ -48,15 +46,11 @@ def synthetic_samples(total=60, lookback=8, horizon=2, seed=0, linear=False):
     else:
         values = 250.0 + 100.0 * np.sin(2 * np.pi * t / 26.0) + 5.0 * rng.standard_normal(total)
     values = np.clip(values, 0.0, 500.0)
-    steps = tuple(TimeStep(i, WEEK0 + timedelta(days=7 * i)) for i in range(total))
-    series = SeveritySeries(steps=steps, values=tuple(float(v) for v in values))
+    series = SeveritySeries(start=WEEK0, values=values)
 
-    impacts = []
-    for i in range(total):
-        raw = rng.uniform(0.0, 1.0, size=DETERMINANT_COUNT)
-        part = tuple(float(x) for x in raw / raw.sum())
-        impacts.append(ImpactVector(timestep=i, social_part=part, news_part=part))
-    return make_windows(series, impacts, lookback, horizon)
+    draws = (rng.uniform(0.0, 1.0, size=DETERMINANT_COUNT) for _ in range(total))
+    parts = np.stack([raw / raw.sum() for raw in draws])
+    return make_windows(series, np.concatenate([parts, parts], axis=1), lookback, horizon)
 
 
 def small_cfg(**kw):
@@ -244,14 +238,22 @@ class TestEvaluate:
         assert config["model"] == asdict(cfg)
 
 
+def test_failed_csv_write_keeps_earlier_file(tmp_path):
+    path = tmp_path / "history.csv"
+    row = {"epoch": 1, "train_loss": 0.5, "val_loss": 0.6, "lr": 1e-3}
+    write_history_csv(path, [row])
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        write_history_csv(path, [dict(row, epoch=2), {"epoch": 3}])  # fails after one row
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+
+
 class TestBaselines:
     def test_persistence_on_constant_series(self):
         t = 30
-        steps = tuple(TimeStep(i, WEEK0 + timedelta(days=7 * i)) for i in range(t))
-        series = SeveritySeries(steps=steps, values=(42.0,) * t)
-        zeros = (0.0,) * DETERMINANT_COUNT
-        impacts = [ImpactVector(timestep=i, social_part=zeros, news_part=zeros) for i in range(t)]
-        samples = make_windows(series, impacts, 5, 2)
+        series = SeveritySeries(start=WEEK0, values=np.full(t, 42.0))
+        samples = make_windows(series, np.zeros((t, 2 * DETERMINANT_COUNT)), 5, 2)
         report = baseline_persistence(samples)
         assert report.per_target["severity"].mae == 0.0
 
