@@ -16,11 +16,18 @@ import numpy as np
 
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
-from .core import DETERMINANT_NAMES, Source, atomic_write, chronological_split, make_windows, training_cutoff
-from .errors import ConfigError, DivergenceError, NumericsError, SideError
+from .core import (
+    DETERMINANT_NAMES, Source, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
+)
+from .errors import ConfigError, DivergenceError, NumericsError, ParseError, SideError
 
 USER_ERROR = 2
 NUMERIC_ERROR = 3
+
+#: ``*_predictions.csv``, written by ``evaluate`` and read by ``export-plots``.
+PREDICTIONS_HEADER = ("start", "step", "timestep", "severity_true", "severity_pred") + tuple(
+    f"{kind}_{name}" for kind in ("true", "pred") for name in dsiq.impact_csv_header()[1:]
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +84,13 @@ def _ingest_documents(cfg, series):
     loads = {}
     for path, source in ((cfg.social_path, Source.SOCIAL), (cfg.news_path, Source.NEWS)):
         result = ingest.load_documents(path, source, series)
-        loads[source] = ingest.geofilter(result.documents, entities)
+        kept = loads[source] = ingest.geofilter(result.documents, entities)
+        dropped = result.malformed_count + result.empty_text_count + result.out_of_range_count
+        print(
+            f"{source.value}: read {len(result.documents) + dropped}, malformed {result.malformed_count}, "
+            f"empty {result.empty_text_count}, out of range {result.out_of_range_count}, "
+            f"outside the state {len(result.documents) - len(kept)}, kept {len(kept)}"
+        )
     return loads[Source.SOCIAL], loads[Source.NEWS]
 
 
@@ -112,15 +125,9 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     dsiq.write_impact_csv(impact_path, impacts)
 
     topics_path = _out_path(cfg, "topics.csv")
-    with atomic_write(topics_path) as fh:
-        fh.write("source,cluster_id,determinant,doc_count,keywords\n")
-        for source in ("social", "news"):
-            for cluster in models[source].clusters:
-                name = DETERMINANT_NAMES[cluster.determinant_index]
-                fh.write(
-                    f"{source},{cluster.id},\"{name}\",{cluster.doc_count},"
-                    f"{' '.join(cluster.keywords)}\n"
-                )
+    rows = [(source, c.id, f'"{DETERMINANT_NAMES[c.determinant_index]}"', c.doc_count, " ".join(c.keywords))
+            for source in ("social", "news") for c in models[source].clusters]
+    write_csv(topics_path, ("source", "cluster_id", "determinant", "doc_count", "keywords"), rows)
     print(f"wrote {impact_path} and {topics_path}")
     return 0
 
@@ -162,21 +169,12 @@ def cmd_train(cfg: cfgmod.RunConfig) -> int:
 
 
 def _write_predictions_csv(path, predictions, lookback: int) -> None:
-    names = dsiq.impact_csv_header()[1:]
-    header = (
-        ["start", "step", "timestep", "severity_true", "severity_pred"]
-        + [f"true_{n}" for n in names]
-        + [f"pred_{n}" for n in names]
-    )
-    with atomic_write(path) as fh:
-        fh.write(",".join(header) + "\n")
-        horizon = predictions.severity_true.shape[1]
-        for i, start in enumerate(predictions.starts.tolist()):
-            for step in range(horizon):
-                floats = [predictions.severity_true[i, step], predictions.severity_pred[i, step]]
-                floats += [*predictions.impact_true[i, step], *predictions.impact_pred[i, step]]
-                cells = [str(start), str(step), str(start + lookback + step)]
-                fh.write(",".join(cells + [repr(float(v)) for v in floats]) + "\n")
+    p = predictions
+    severity = [p.severity_true[..., None], p.severity_pred[..., None]]
+    values = np.concatenate(severity + [p.impact_true, p.impact_pred], axis=2)
+    rows = ([start, step, start + lookback + step, *values[i, step].tolist()]
+            for i, start in enumerate(p.starts.tolist()) for step in range(values.shape[1]))
+    write_csv(path, PREDICTIONS_HEADER, rows)
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
@@ -232,28 +230,26 @@ def cmd_export_plots(run_dir, state: str) -> int:
     if not pred_path.exists():
         raise ConfigError(f"missing evaluation artifact: {pred_path}")
 
-    with open(pred_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    col = {name: i for i, name in enumerate(header)}
+    rows = read_csv(pred_path, PREDICTIONS_HEADER)
+    if not rows:
+        raise ParseError(f"{pred_path}: no data rows")
+    table = []
+    for lineno, cells in rows:
+        try:
+            table.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ParseError(f"{pred_path}:{lineno}: {exc}") from exc
+    table = np.array(table)
 
     severity_path = run / f"{state}_plot_severity.csv"
-    with atomic_write(severity_path) as fh:
-        fh.write("start,step,timestep,actual,predicted\n")
-        keep = [col[k] for k in ("start", "step", "timestep", "severity_true", "severity_pred")]
-        for cells in rows:
-            fh.write(",".join(cells[j] for j in keep) + "\n")
+    write_csv(severity_path, ("start", "step", "timestep", "actual", "predicted"), [c[:5] for _, c in rows])
 
+    # true_* then pred_* columns; np.mean per 1-D column, as mean(axis=0) sums in another order
+    means = [float(np.mean(table[:, j])) for j in range(5, table.shape[1])]
+    labels = [(source, f'"{name}"') for source in ("social", "news") for name in DETERMINANT_NAMES]
+    bars = [(*label, means[len(labels) + k], means[k]) for k, label in enumerate(labels)]
     bars_path = run / f"{state}_plot_determinants.csv"
-    with atomic_write(bars_path) as fh:
-        fh.write("source,determinant,predicted,actual\n")
-        for source, prefix in (("social", "s"), ("news", "n")):
-            for i, name in enumerate(DETERMINANT_NAMES, start=1):
-                true_col = col[f"true_{prefix}_{i}"]
-                pred_col = col[f"pred_{prefix}_{i}"]
-                actual = float(np.mean([float(c[true_col]) for c in rows]))
-                predicted = float(np.mean([float(c[pred_col]) for c in rows]))
-                fh.write(f'{source},"{name}",{predicted!r},{actual!r}\n')
+    write_csv(bars_path, ("source", "determinant", "predicted", "actual"), bars)
     print(f"wrote {severity_path} and {bars_path}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Domain data model, sliding-window construction and atomic file writes.
+"""Domain data model, sliding-window construction and the CSV file format.
 
 Weekly drought severity (DSCI) and the weekly societal impact series are
 the two channels every other module consumes: a ``SeveritySeries`` of T
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError
+from .errors import AlignmentError, InsufficientDataError, ParseError
 
 DSCI_MIN = 0.0
 DSCI_MAX = 500.0
@@ -271,3 +271,39 @@ def atomic_write(path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` through :func:`atomic_write`.
+
+    A ``float`` cell (``np.float64`` too) is written as ``repr(float(cell))``,
+    which reads back bit-exact, any other cell as ``str(cell)``; nothing is
+    quoted, so a caller that wants quotes puts them in the cell.
+    """
+    with atomic_write(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([repr(float(c)) if isinstance(c, float) else str(c) for c in row]) + "\n")
+
+
+def read_csv(path, header) -> list[tuple[int, list[str]]]:
+    """``(line number, cells)`` of each non-blank data row of ``path``.
+
+    Cells are split at commas and stripped, so CRLF line ends and spaces
+    around cells are accepted; nothing is quoted.
+
+    Raises:
+        ParseError: ``path:1`` for a header other than ``header``, or
+            ``path:line`` for a row with a different number of cells.
+    """
+    header = list(header)
+    with open(path, encoding="utf-8") as fh:
+        lines = [[c.strip() for c in line.split(",")] for line in fh]
+    if lines[:1] != [header]:
+        got = ",".join(lines[0]) if lines else ""
+        raise ParseError(f"{path}:1: expected header {','.join(header)!r}, got {got!r}")
+    rows = [(lineno, cells) for lineno, cells in enumerate(lines[1:], start=2) if cells != [""]]
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+    return rows

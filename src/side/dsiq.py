@@ -18,15 +18,17 @@ import json
 import logging
 import math
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-import requests
 
-from .core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source, atomic_write, check_impacts
+from .core import (
+    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source, check_impacts, read_csv, write_csv,
+)
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -274,9 +276,9 @@ class LlmBackend:
     """Remote likelihood scorer with retries and a lexicon fallback.
 
     POSTs ``{"keywords": [...], "determinants": [...]}`` and expects
-    ``{"scores": [...]}`` with one float per determinant.  After the
-    configured retries fail, scoring falls back to the lexicon and logs a
-    warning naming the last error.
+    ``{"scores": [...]}`` with one float per determinant.  The first topic
+    whose retries all fail logs a warning naming the last error; from then
+    on this backend scores every topic with the lexicon, without calling.
     """
 
     def __init__(
@@ -295,7 +297,13 @@ class LlmBackend:
         self.retries = retries
         self.backoff = backoff
         self.fallback = fallback or LexiconBackend()
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # only the remote backend needs it; importing it is slow
+
+            session = requests.Session()
+        self.session = session
+        self._failed = False
+        self._failed_lock = threading.Lock()
 
     def score(self, keywords: list[str]) -> list[float]:
         body = {"keywords": list(keywords), "determinants": list(DETERMINANT_NAMES)}
@@ -303,6 +311,8 @@ class LlmBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         for attempt in range(self.retries + 1):
+            if self._failed:
+                return self.fallback.score(keywords)
             try:
                 resp = self.session.post(self.url, json=body, headers=headers, timeout=self.timeout)
                 resp.raise_for_status()
@@ -316,8 +326,12 @@ class LlmBackend:
                 last_error = exc
                 if attempt < self.retries:
                     time.sleep(self.backoff * (2**attempt))
-        log.warning("LLM backend %s failed %d attempts (last error: %r); falling back to the lexicon",
-                    self.url, self.retries + 1, last_error)
+        with self._failed_lock:
+            first, self._failed = not self._failed, True
+        if first:
+            log.warning("LLM backend %s failed %d attempts (last error: %r); "
+                        "scoring this and every later topic with the lexicon",
+                        self.url, self.retries + 1, last_error)
         return self.fallback.score(keywords)
 
 
@@ -458,42 +472,29 @@ def impact_csv_header() -> list[str]:
 
 
 def write_impact_csv(path, impacts: np.ndarray) -> None:
-    with atomic_write(path) as fh:
-        fh.write(",".join(impact_csv_header()) + "\n")
-        for t, row in enumerate(impacts.tolist()):
-            fh.write(",".join([str(t)] + [repr(v) for v in row]) + "\n")
+    write_csv(path, impact_csv_header(), ([t, *row] for t, row in enumerate(impacts.tolist())))
 
 
 def read_impact_csv(path) -> np.ndarray:
     """The impact series written by :func:`write_impact_csv`.
 
     Raises:
-        ParseError: ``path:line`` of a malformed row, a ``timestep`` that is
-            not the row index, or a row that fails :func:`side.core.check_impacts`.
+        ParseError: ``path:line`` of a bad header or row, a ``timestep`` that
+            is not the row index, or a row that fails :func:`side.core.check_impacts`.
     """
-    expected = impact_csv_header()
-    rows, linenos = [], []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != expected:
-            raise ParseError(f"{path}: unexpected impact CSV header {header}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(expected):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected)} columns")
-            try:
-                timestep = int(cells[0])
-                rows.append([float(c) for c in cells[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if timestep != len(linenos):
-                raise ParseError(f"{path}:{lineno}: timestep {timestep} where {len(linenos)} was expected")
-            linenos.append(lineno)
-    impacts = np.array(rows, dtype=np.float64).reshape(len(rows), len(expected) - 1)
+    header = impact_csv_header()
+    rows = read_csv(path, header)
+    impacts = np.empty((len(rows), len(header) - 1))
+    for t, (lineno, cells) in enumerate(rows):
+        try:
+            timestep = int(cells[0])
+            impacts[t] = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if timestep != t:
+            raise ParseError(f"{path}:{lineno}: timestep {timestep} where {t} was expected")
     try:
-        check_impacts(impacts, labels=[f"{path}:{n}" for n in linenos])
+        check_impacts(impacts, labels=[f"{path}:{lineno}" for lineno, _ in rows])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return impacts

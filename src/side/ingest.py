@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
-from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source
+from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source, read_csv
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -59,48 +59,39 @@ def load_severity(path) -> SeveritySeries:
     Values outside [0, 500] are clamped with a warning.
 
     Raises:
-        ParseError: structural problems, with the offending line number.
+        ParseError: structural problems (see :func:`side.core.read_csv`) and
+            bad values, with the offending line number.
     """
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if [c.strip() for c in header.split(",")] != ["week_start", "dsci"]:
-            raise ParseError(f"{path}:1: expected header 'week_start,dsci', got {header!r}")
-        start = prev = None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
-            try:
-                day = date.fromisoformat(cells[0].strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad date {cells[0]!r}: {exc}") from exc
-            try:
-                value = float(cells[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad DSCI value {cells[1]!r}") from exc
-            if not math.isfinite(value):
-                raise ParseError(f"{path}:{lineno}: non-finite DSCI value {cells[1]!r}")
-            if prev is None:
-                start = day
-            elif day == prev:
-                raise ParseError(f"{path}:{lineno}: duplicate date {day.isoformat()}")
-            elif day < prev:
-                raise ParseError(f"{path}:{lineno}: dates not ascending ({day} after {prev})")
-            elif day - prev != timedelta(days=7):
-                raise ParseError(
-                    f"{path}:{lineno}: gap between {prev} and {day}; "
-                    "missing weeks are rejected, not imputed"
-                )
-            if value < DSCI_MIN or value > DSCI_MAX:
-                clamped = min(max(value, DSCI_MIN), DSCI_MAX)
-                log.warning("%s:%d: DSCI %s clamped to %s", path, lineno, value, clamped)
-                value = clamped
-            values.append(value)
-            prev = day
+    start = prev = None
+    for lineno, (day_cell, value_cell) in read_csv(path, ("week_start", "dsci")):
+        try:
+            day = date.fromisoformat(day_cell)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad date {day_cell!r}: {exc}") from exc
+        try:
+            value = float(value_cell)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad DSCI value {value_cell!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: non-finite DSCI value {value_cell!r}")
+        if prev is None:
+            start = day
+        elif day == prev:
+            raise ParseError(f"{path}:{lineno}: duplicate date {day.isoformat()}")
+        elif day < prev:
+            raise ParseError(f"{path}:{lineno}: dates not ascending ({day} after {prev})")
+        elif day - prev != timedelta(days=7):
+            raise ParseError(
+                f"{path}:{lineno}: gap between {prev} and {day}; "
+                "missing weeks are rejected, not imputed"
+            )
+        if value < DSCI_MIN or value > DSCI_MAX:
+            clamped = min(max(value, DSCI_MIN), DSCI_MAX)
+            log.warning("%s:%d: DSCI %s clamped to %s", path, lineno, value, clamped)
+            value = clamped
+        values.append(value)
+        prev = day
     if not values:
         raise ParseError(f"{path}: no data rows")
     return SeveritySeries(start=start, values=values)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DETERMINANT_NAMES, DSCI_MAX, DSCI_MIN, OTHER_INDEX, atomic_write
+from .core import DETERMINANT_NAMES, DSCI_MAX, DSCI_MIN, OTHER_INDEX, atomic_write, write_csv
 from .dsiq import load_lexicon
 
 #: In-state location entities embedded in generated texts (and written to
@@ -192,11 +192,8 @@ def write_dataset(out_dir, spec: SynthSpec, seed: int) -> dict[str, Path]:
         "news": out / "news.jsonl",
         "entities": out / "entities.txt",
     }
-    with atomic_write(paths["dsci"]) as fh:
-        fh.write("week_start,dsci\n")
-        for t, value in enumerate(severity):
-            day = spec.start + timedelta(days=7 * t)
-            fh.write(f"{day.isoformat()},{float(value)!r}\n")
+    weeks = ((spec.start + timedelta(days=7 * t)).isoformat() for t in range(len(severity)))
+    write_csv(paths["dsci"], ("week_start", "dsci"), zip(weeks, severity.tolist()))
     for key, docs in (("social", social), ("news", news)):
         with atomic_write(paths[key]) as fh:
             for doc in docs:

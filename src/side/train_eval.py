@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .core import DETERMINANT_NAMES, Windows, atomic_write
+from .core import DETERMINANT_NAMES, Windows, write_csv
 from .errors import ConfigError, DivergenceError, NumericsError
 from .model import LossWeights, ModelConfig
 
@@ -429,16 +429,11 @@ def load_run_checkpoint(path, model_cfg: ModelConfig):
 
 
 def write_history_csv(path, history: list[dict]) -> None:
-    with atomic_write(path) as fh:
-        fh.write("epoch,train_loss,val_loss,lr\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},{row['lr']!r}\n")
+    columns = ("epoch", "train_loss", "val_loss", "lr")
+    write_csv(path, columns, ([row[c] for c in columns] for row in history))
 
 
 def write_metrics_csv(path, reports: dict[str, MetricReport]) -> None:
-    """One row per (variant, target); float cells use repr for determinism."""
-    with atomic_write(path) as fh:
-        fh.write("variant,target,MAE,MSE,RMSE,MFA\n")
-        for variant, report in reports.items():
-            for target, mae, mse, rmse, mfa in report.rows():
-                fh.write(f"{variant},{target},{mae!r},{mse!r},{rmse!r},{mfa!r}\n")
+    """One row per (variant, target)."""
+    rows = ((variant, *row) for variant, report in reports.items() for row in report.rows())
+    write_csv(path, ("variant", "target", "MAE", "MSE", "RMSE", "MFA"), rows)

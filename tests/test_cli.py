@@ -1,6 +1,8 @@
 """CLI subcommands end to end on a small synthetic dataset."""
 
 import json
+import os
+import re
 import shutil
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from side import numerics as nm
 from side.cli import main
 from side.core import training_cutoff
+from side.dsiq import impact_csv_header
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +313,67 @@ def test_lexicon_backend_makes_no_network_calls(workspace, tmp_path, monkeypatch
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["quantify", "--config", str(cfg_path), "--backend", "lexicon"]) == 0
+
+
+def test_import_cli_leaves_requests_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import side
+
+    env = dict(os.environ, PYTHONPATH=str(Path(side.__file__).parents[1]))
+    code = "import sys, side.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_quantify_reports_ingest_counts(workspace, tmp_path, capsys):
+    posts = tmp_path / "posts.jsonl"
+    original = (workspace["data"] / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    stamp = json.loads(original[0])["timestamp"]
+    extra = ["{not json\n", json.dumps({"id": "blank", "timestamp": stamp, "text": "  "}) + "\n"]
+    posts.write_text("".join(original[:3] + extra + original[3:]), encoding="utf-8")
+    raw = workspace["raw"]
+    paths = dict(raw["paths"], social=str(posts), out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=paths)), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    pattern = (
+        r"{}: read (\d+), malformed (\d+), empty (\d+), out of range (\d+), "
+        r"outside the state (\d+), kept (\d+)\n"
+    )
+    social = [int(n) for n in re.search(pattern.format("social"), out).groups()]
+    news = [int(n) for n in re.search(pattern.format("news"), out).groups()]
+    read, malformed, empty, out_of_range, outside, kept = social
+    assert (read, malformed, empty) == (len(original) + 2, 1, 1)
+    assert malformed + empty + out_of_range + outside + kept == read
+    assert news[1:3] == [0, 0] and sum(news[1:]) == news[0]
+    assert outside > 0 and kept > 0  # synth writes out-of-state documents too
+
+
+@pytest.mark.parametrize("defect", ["missing_column", "short_row", "no_rows", "non_numeric"])
+def test_export_plots_rejects_bad_predictions(tmp_path, capsys, defect):
+    names = impact_csv_header()[1:]
+    header = ["start", "step", "timestep", "severity_true", "severity_pred"]
+    header += [f"true_{n}" for n in names] + [f"pred_{n}" for n in names]
+    row = ["0", "0", "16"] + ["0.5"] * (len(header) - 3)
+    lines = [",".join(header) + "\n"] + [",".join(row) + "\n"] * 2
+    where = "synth_predictions.csv:3"
+    if defect == "missing_column":
+        lines = [line.split(",", 1)[1] for line in lines]  # drop "start" everywhere
+        where = "synth_predictions.csv:1"
+    elif defect == "short_row":
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+    elif defect == "no_rows":
+        lines = lines[:1]
+        where = "synth_predictions.csv"
+    else:
+        cells = lines[2].split(",")
+        cells[4] = "high"
+        lines[2] = ",".join(cells)
+    (tmp_path / "synth_predictions.csv").write_text("".join(lines), encoding="utf-8")
+    assert main(["export-plots", "--run", str(tmp_path), "--state", "synth"]) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "synth_plot_severity.csv").exists()

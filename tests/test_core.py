@@ -1,4 +1,4 @@
-"""Windowing, chronological split, and impact series invariants."""
+"""Windowing, chronological split, impact series invariants and the CSV format."""
 
 from datetime import date, timedelta
 
@@ -14,10 +14,12 @@ from side.core import (
     check_impacts,
     chronological_split,
     make_windows,
+    read_csv,
     split_sizes,
     training_cutoff,
+    write_csv,
 )
-from side.errors import AlignmentError, InsufficientDataError
+from side.errors import AlignmentError, InsufficientDataError, ParseError
 
 WEEK0 = date(2017, 1, 2)
 
@@ -212,3 +214,39 @@ def test_timestep_of_brackets_weeks():
     assert series.timestep_of(WEEK0 + timedelta(days=7)) == 1
     assert series.timestep_of(WEEK0 + timedelta(days=27)) is None
     assert series.timestep_of(WEEK0 - timedelta(days=1)) is None
+
+
+def test_csv_float_round_trip_is_bit_exact(tmp_path):
+    floats = [-0.0, 5e-324, np.float64(0.1) + np.float64(0.2), np.float64(-1e308), 1 / 3, float("inf")]
+    path = tmp_path / "t.csv"
+    write_csv(path, ("i", "label", "x"), [(i, '"q"', x) for i, x in enumerate(floats)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "i,label,x"
+    assert lines[1] == '0,"q",-0.0' and "np.float64" not in path.read_text(encoding="utf-8")
+    rows = read_csv(path, ("i", "label", "x"))
+    assert [lineno for lineno, _ in rows] == list(range(2, 2 + len(floats)))
+    back = np.array([float(cells[2]) for _, cells in rows])
+    assert back.tobytes() == np.array(floats, dtype=np.float64).tobytes()  # -0.0 keeps its sign bit
+
+
+def test_read_csv_rejects_wrong_header_at_line_1(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,c\n1,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"t\.csv:1: expected header 'a,b', got 'a,c'"):
+        read_csv(path, ("a", "b"))
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"t\.csv:1: expected header"):
+        read_csv(path, ("a", "b"))
+
+
+def test_read_csv_rejects_wrong_column_count_with_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n3,4,5\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"t\.csv:4: expected 2 columns, got 3"):
+        read_csv(path, ("a", "b"))
+
+
+def test_read_csv_skips_blank_lines_and_strips_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a, b\r\n\r\n1 ,2\r\n   \n3,\t4\n\n")
+    assert read_csv(path, ("a", "b")) == [(3, ["1", "2"]), (5, ["3", "4"])]

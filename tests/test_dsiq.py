@@ -13,6 +13,7 @@ from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Documen
 from side.errors import ParseError
 from side.dsiq import (
     KEYWORDS_PER_TOPIC,
+    MAP_PARALLELISM,
     LexiconBackend,
     LlmBackend,
     TopicCluster,
@@ -230,6 +231,20 @@ def llm_server():
     thread.join(timeout=2)
 
 
+class FailingSession:
+    """A session whose every POST fails, as a dead service's would; threads may share it."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def post(self, *args, **kwargs):
+        with self._lock:
+            self.calls += 1
+            attempt = self.calls
+        raise ConnectionError(f"refused on attempt {attempt}")
+
+
 class TestLlmBackend:
     def test_wire_format_and_scores(self, llm_server):
         url, handler = llm_server
@@ -258,13 +273,6 @@ class TestLlmBackend:
         assert np.argmax(scores) == 0  # lexicon cosine took over
 
     def test_fallback_logs_warning_naming_last_error(self, caplog):
-        class FailingSession:
-            calls = 0
-
-            def post(self, *args, **kwargs):
-                self.calls += 1
-                raise ConnectionError(f"refused on attempt {self.calls}")
-
         session = FailingSession()
         backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
         with caplog.at_level(logging.WARNING, logger="side.dsiq"):
@@ -275,6 +283,17 @@ class TestLlmBackend:
         assert record.levelno == logging.WARNING
         assert "refused on attempt 3" in record.getMessage()
         assert "lexicon" in record.getMessage()
+
+    def test_dead_service_costs_one_round_of_retries(self, caplog):
+        session = FailingSession()
+        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
+        lexicon = LexiconBackend()
+        topics = [["crop", "harvest"], ["water", "reservoir"], ["fire"], ["clinic"], ["zzz"]]
+        with caplog.at_level(logging.WARNING, logger="side.dsiq"):
+            for keywords in topics:
+                assert backend.score(keywords) == lexicon.score(keywords)
+        assert session.calls == 3  # the first topic's retries, then none
+        assert len(caplog.records) == 1
 
     def test_unreachable_endpoint_falls_back(self):
         backend = LlmBackend("http://127.0.0.1:9/score", retries=1, backoff=0.0, timeout=0.2)
@@ -468,3 +487,18 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
     assert len(handler.calls) == len(model.clusters)
+
+
+def test_fit_topic_model_on_dead_service_bounds_posts(caplog):
+    words = ["crop", "water", "fire", "clinic", "power", "river", "tourism", "factory"]
+    docs = [doc(10 * i + j, f"{w} {w} {w} shared{j}") for i, w in enumerate(words) for j in range(3)]
+    session = FailingSession()
+    backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
+    with caplog.at_level(logging.WARNING, logger="side.dsiq"):
+        model = fit_topic_model(docs, Source.SOCIAL, backend, topic_count=8, seed=0)
+    assert len(model.clusters) == 8
+    # only the topics in flight when the budget ran out may still call
+    assert session.calls <= MAP_PARALLELISM * (backend.retries + 1)
+    assert len(caplog.records) == 1
+    lexicon = fit_topic_model(docs, Source.SOCIAL, LexiconBackend(), topic_count=8, seed=0)
+    assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]

@@ -65,6 +65,13 @@ class TestLoadSeverity:
         with pytest.raises(ParseError, match=r":2"):
             load_severity(path)
 
+    def test_crlf_and_spaced_cells_accepted(self, tmp_path):
+        path = tmp_path / "dsci.csv"
+        path.write_bytes(b"week_start , dsci\r\n 2017-01-02, 10.5 \r\n\r\n2017-01-09 ,11.0\r\n")
+        loaded = load_severity(path)
+        assert loaded.start == date(2017, 1, 2)
+        assert loaded.values.tolist() == [10.5, 11.0]
+
     def test_bad_header_rejected(self, tmp_path):
         path = write(tmp_path / "dsci.csv", "date,value\n2017-01-02,10.0\n")
         with pytest.raises(ParseError, match="header"):
