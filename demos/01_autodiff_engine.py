@@ -7,20 +7,26 @@ autodiff core over float64 numpy arrays.  This script walks through the
 moving parts.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from side import numerics as nm
 
 # Build a tiny computation: loss = mean((tanh(x @ w))^2).
-# parameter() marks leaves we want gradients for; constant() marks data.
+# Params holds the trainable leaves: every value and every gradient is a
+# view of one of two flat vectors, params.value and params.grad.
+# constant() marks data, which never gets a gradient.
 rng = np.random.default_rng(0)
 x = nm.constant(rng.normal(size=(4, 3)))
-w = nm.parameter(rng.normal(size=(3, 2)), name="w")
+params = nm.Params({"w": rng.normal(size=(3, 2))})
+w = params["w"]
 
 loss = nm.mean_all(nm.square(nm.tanh(nm.matmul(x, w))))
 print("loss value:", float(loss.value))
 
-# One backward call fills .grad on every leaf the loss depends on.
+# One backward call adds into .grad of every parameter the loss depends on.
 nm.backward(loss)
 print("dloss/dw:\n", w.grad)
 
@@ -33,17 +39,20 @@ probe[0, 0] -= 2 * h
 lo = float(nm.mean_all(nm.square(nm.tanh(nm.matmul(x, nm.constant(probe))))).value)
 print("analytic grad[0,0]:", w.grad[0, 0], " finite difference:", (hi - lo) / (2 * h))
 
-# Adam drives parameters toward lower loss; moments live in AdamState.
+# Adam drives parameters toward lower loss: one in-place update of the
+# flat value vector, with the flat moments kept in AdamState.
 state = nm.AdamState(learning_rate=0.05)
 for step in range(50):
-    nm.zero_grads([w])
+    params.grad.fill(0.0)
     loss = nm.mean_all(nm.square(nm.tanh(nm.matmul(x, w))))
     nm.backward(loss)
-    nm.adam_step({"w": w}, state)
+    nm.adam_step(params, state)
 print("loss after 50 Adam steps:", float(loss.value))
 
 # Checkpoints round-trip float64 exactly, so retrained and reloaded
 # models produce bit-identical outputs.
-nm.save_checkpoint("/tmp/demo_ckpt.json", {"w": w.value}, config={"demo": True})
-restored = nm.load_checkpoint("/tmp/demo_ckpt.json")["params"]["w"]
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_ckpt.json"
+    nm.save_checkpoint(path, {"w": w.value}, config={"demo": True})
+    restored = nm.load_checkpoint(path)["params"]["w"]
 print("checkpoint round trip exact:", bool(np.array_equal(restored, w.value)))

@@ -71,13 +71,13 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.normal(0.0, std, size=(rows, cols))
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Node]:
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> nm.Params:
     """Fresh parameter set; iteration order is fixed by insertion."""
     d = cfg.width
-    params: dict[str, Node] = {}
+    arrays: dict[str, np.ndarray] = {}
 
     def par(name, rows, cols):
-        params[name] = nm.parameter(_glorot(rng, rows, cols), name)
+        arrays[name] = _glorot(rng, rows, cols)
 
     for prefix, in_dim in (("enc_impact", cfg.impact_dim), ("enc_severity", 1)):
         par(f"{prefix}.proj", in_dim, d)
@@ -89,7 +89,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Node]:
         par(f"cross.{w}", d, d)
     par("dec.w1", cfg.lookback * 2 * d, cfg.hidden)
     par("dec.w2", cfg.hidden, cfg.horizon * (1 + cfg.impact_dim))
-    return params
+    return nm.Params(arrays)
 
 
 def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, width: int) -> Node:

@@ -2,10 +2,11 @@
 
 A Node wraps a numpy array plus the vector-Jacobian rule of the op that
 produced it.  Graphs are built eagerly by the op functions below and
-differentiated by :func:`backward`.  Only the shapes the forecasting
-networks need are supported: 2-D matmul, same-shape elementwise ops and
-scalar scaling -- no implicit broadcasting, so every backward rule stays
-auditable.
+differentiated by :func:`backward` into the parameters, which live
+in :class:`Params` as views of one flat value and one flat gradient
+vector.  Only the shapes the forecasting networks need are supported:
+2-D matmul, same-shape elementwise ops and scalar scaling -- no implicit
+broadcasting, so every backward rule stays auditable.
 """
 
 from __future__ import annotations
@@ -13,74 +14,74 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import atomic_write
 from .errors import NumericsError, ShapeError
 
-__all__ = [
-    "Node",
-    "constant",
-    "parameter",
-    "backward",
-    "zero_grads",
-    "add",
-    "scale",
-    "matmul",
-    "transpose",
-    "concat_last_dim",
-    "slice2d",
-    "reshape",
-    "mean_all",
-    "square",
-    "tanh",
-    "softmax_rows",
-    "layer_norm_rows",
-    "AdamState",
-    "adam_step",
-    "decay_learning_rate",
-    "config_hash",
-    "save_checkpoint",
-    "load_checkpoint",
-]
-
 
 class Node:
     """One vertex of the computation graph.
 
-    ``value`` is a float64 array.  ``grad`` is set only on leaves (nodes
-    without ``vjp``) and stays None until backward reaches them.  ``vjp``
-    maps the output gradient to one gradient per parent, in parent order.
+    ``value`` is a float64 array.  ``grad`` is None except on parameters
+    (see :class:`Params`), where it is a buffer that backward adds into.
+    ``vjp`` maps the output gradient to one gradient per parent, in parent
+    order.
     """
 
-    __slots__ = ("value", "grad", "parents", "vjp", "name")
+    __slots__ = ("value", "grad", "parents", "vjp")
 
-    def __init__(self, value, parents=(), vjp=None, name=None):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = tuple(parents)
         self.vjp = vjp
-        self.name = name
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Node{tag}(shape={self.value.shape})"
+        return f"Node(shape={self.value.shape})"
+
+
+class Params(dict):
+    """Name -> parameter Node, in insertion order, backed by two flat vectors.
+
+    Each node's ``value`` and ``grad`` are reshaped views of ``self.value``
+    and ``self.grad``, so one vector operation resets every gradient
+    (``params.grad.fill(0.0)``) or updates every value (:func:`adam_step`).
+    Gradients start at zero.
+    """
+
+    def __init__(self, arrays: dict):
+        super().__init__((name, Node(a)) for name, a in arrays.items())
+        self.value = np.zeros(sum(node.value.size for node in self.values()))
+        self.grad = np.zeros_like(self.value)
+        views = zip(self.values(), self.arrays(self.value).values(), self.arrays(self.grad).values())
+        for node, value, grad in views:
+            value[...] = node.value
+            node.value, node.grad = value, grad
+
+    def arrays(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> reshaped view of ``flat``, a vector laid out like ``value``."""
+        out, lo = {}, 0
+        for name, node in self.items():
+            out[name] = flat[lo : lo + node.value.size].reshape(node.value.shape)
+            lo += node.value.size
+        return out
 
 
 def constant(value) -> Node:
-    """Leaf node with no gradient rule (targets, fixed tables)."""
+    """Leaf node with no gradient (inputs, targets, fixed tables)."""
     return Node(value)
 
 
 def parameter(value, name: str) -> Node:
-    """Named trainable leaf; Adam updates it in place."""
-    return Node(value, name=name)
+    """Trainable leaf: the one node of a one-entry :class:`Params`."""
+    return Params({name: value})[name]
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -100,13 +101,11 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(leaf) into ``grad`` of every leaf ancestor.
+    """Add d(root)/d(p) in place into ``grad`` of every parameter ancestor p.
 
-    Leaves are the nodes without a ``vjp``: parameters and constants.
-    Intermediate nodes pass their gradient on and keep ``grad`` None.
-    ``root`` must be scalar.  Gradients add onto whatever is already in
-    ``grad``, so backward of a sum of losses equals the sum of backward
-    passes.
+    Constants and intermediate nodes keep ``grad`` None.  ``root`` must be
+    scalar.  Gradients add onto whatever is already in ``grad``, so
+    backward of a sum of losses equals the sum of backward passes.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward needs a scalar root, got shape {root.value.shape}")
@@ -117,7 +116,8 @@ def backward(root: Node) -> None:
         if out_grad is None:
             continue
         if node.vjp is None:
-            node.grad = out_grad.copy() if node.grad is None else node.grad + out_grad
+            if node.grad is not None:
+                node.grad += out_grad
             continue
         for parent, g in zip(node.parents, node.vjp(out_grad)):
             key = id(parent)
@@ -125,11 +125,6 @@ def backward(root: Node) -> None:
                 local[key] = local[key] + g
             else:
                 local[key] = g
-
-
-def zero_grads(nodes) -> None:
-    for node in nodes:
-        node.grad = None
 
 
 def _require_2d(x: Node, op: str) -> None:
@@ -251,7 +246,7 @@ def layer_norm_rows(a: Node, eps: float = 1e-5) -> Node:
 
 @dataclass
 class AdamState:
-    """Adam moments plus the plateau-halving learning-rate schedule."""
+    """Adam moments (flat, laid out like ``Params.value``) plus the plateau-halving schedule."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -259,41 +254,44 @@ class AdamState:
     epsilon: float = 1e-8
     lr_decay: float = 0.5
     step: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
-def adam_step(params: dict[str, Node], state: AdamState) -> None:
-    """One bias-corrected Adam update over every parameter, in place.
+def adam_step(params: Params, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params.value``, in place.
 
-    Parameters with no accumulated gradient are treated as zero-gradient
-    and stay unchanged.
+    Per element this is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``
+    and ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, evaluated in that
+    order over the whole vector with two scratch arrays.  A parameter
+    that received no gradient has a zero one and stays unchanged.
 
     Raises:
-        NumericsError: a gradient contains NaN/inf, naming the parameter.
+        NumericsError: a gradient contains NaN/inf, naming the first such
+            parameter; nothing is updated.
     """
+    g = params.grad
+    if not np.all(np.isfinite(g)):
+        name = next(k for k, p in params.items() if not np.all(np.isfinite(p.grad)))
+        raise NumericsError(f"non-finite gradient in parameter {name!r}")
+    if state.first_moment is None:
+        state.first_moment, state.second_moment = np.zeros_like(g), np.zeros_like(g)
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.value)
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient in parameter {name!r}")
-        m = state.first_moment.get(name)
-        v = state.second_moment.get(name)
-        if m is None:
-            m = np.zeros_like(p.value)
-            v = np.zeros_like(p.value)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.value = p.value - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v, t = state.first_moment, state.second_moment, state.step
+    a = np.multiply(1.0 - state.beta1, g)
+    m *= state.beta1
+    m += a
+    np.multiply(g, g, out=a)
+    a *= 1.0 - state.beta2
+    v *= state.beta2
+    v += a
+    b = np.divide(v, 1.0 - state.beta2**t)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    np.divide(m, 1.0 - state.beta1**t, out=a)
+    a *= state.learning_rate
+    a /= b
+    params.value -= a
 
 
 def decay_learning_rate(state: AdamState) -> float:

@@ -185,15 +185,12 @@ def train(
     val_units = _model_units(val_windows, standardizer, model_cfg)
 
     adam = nm.AdamState(learning_rate=train_cfg.learning_rate)
-    best_values = {k: p.value.copy() for k, p in params.items()}
+    best = params.value.copy()
     best_val = float("inf")
     best_epoch = 0
     stale = 0
     decay_stale = 0
     history: list[dict] = []
-
-    def snapshot():
-        return {k: v.copy() for k, v in best_values.items()}
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(train_units))
@@ -201,14 +198,14 @@ def train(
         try:
             for lo in range(0, len(order), train_cfg.batch_size):
                 batch = order[lo : lo + train_cfg.batch_size]
-                nm.zero_grads(params.values())
+                params.grad.fill(0.0)
                 for i in batch:
                     loss = _window_loss(params, model_cfg, weights, positions, train_units, i)
                     value = float(loss.value)
                     if not np.isfinite(value):
                         raise DivergenceError(
                             f"non-finite training loss at epoch {epoch}",
-                            checkpoint=snapshot(),
+                            checkpoint=params.arrays(best),
                             history=history,
                         )
                     epoch_loss += value
@@ -216,7 +213,7 @@ def train(
                 nm.adam_step(params, adam)
         except NumericsError as exc:
             raise DivergenceError(
-                f"aborted at epoch {epoch}: {exc}", checkpoint=snapshot(), history=history
+                f"aborted at epoch {epoch}: {exc}", checkpoint=params.arrays(best), history=history
             ) from exc
 
         train_loss = epoch_loss / len(train_units)
@@ -232,14 +229,14 @@ def train(
         if not np.isfinite(val_loss):
             raise DivergenceError(
                 f"non-finite validation loss at epoch {epoch}",
-                checkpoint=snapshot(),
+                checkpoint=params.arrays(best),
                 history=history,
             )
 
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_values = {k: p.value.copy() for k, p in params.items()}
+            best = params.value.copy()
             stale = 0
             decay_stale = 0
         else:
@@ -252,7 +249,7 @@ def train(
                 break
 
     return TrainResult(
-        params=best_values,
+        params=params.arrays(best),
         model_config=model_cfg,
         train_config=train_cfg,
         standardizer=standardizer,
@@ -304,7 +301,7 @@ def evaluate(
     if not test_windows:
         raise ValueError("test split is empty")
 
-    nodes = {k: nm.parameter(v, k) for k, v in params.items()}
+    nodes = nm.Params(params)
     positions = nm.constant(mdl.sinusoidal_positions(model_cfg.lookback, model_cfg.width))
     units = _model_units(test_windows, standardizer, model_cfg)
 

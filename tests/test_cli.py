@@ -15,7 +15,12 @@ from side.dsiq import impact_csv_header
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Synthetic inputs plus a small config shared by the command tests."""
+    """Synthetic inputs, a small config, and one quantify/train/evaluate run of it.
+
+    ``run`` holds that run's impact CSV, checkpoint and predictions.  Tests
+    copy what they need out of it (see ``_run_config``) and never write
+    into it, so each test passes on its own and in any order.
+    """
     root = tmp_path_factory.mktemp("cliws")
     data = root / "data"
     code = main(
@@ -53,7 +58,28 @@ def workspace(tmp_path_factory):
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    return {"root": root, "data": data, "config": cfg_path, "run": root / "run", "raw": cfg}
+    for command in ("quantify", "train", "evaluate"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    return {"data": data, "run": root / "run", "raw": cfg}
+
+
+#: The workspace files that ``evaluate`` reads.
+TRAINED = ("synth_impact.csv", "synth_checkpoint.json")
+
+
+def _run_config(workspace, tmp_path, *files, **sections):
+    """A config whose out_dir is a fresh ``tmp_path/run`` holding copies of ``files`` from the workspace run.
+
+    ``sections`` replace top-level config sections (``train=...``, say).
+    """
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in files:
+        shutil.copy(workspace["run"] / name, run / name)
+    raw = dict(workspace["raw"], paths=dict(workspace["raw"]["paths"], out_dir=str(run)), **sections)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    return cfg_path, run
 
 
 def test_synth_deterministic(tmp_path):
@@ -63,36 +89,38 @@ def test_synth_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_quantify_writes_impact_and_topics(workspace):
-    assert main(["quantify", "--config", str(workspace["config"])]) == 0
-    impact = workspace["run"] / "synth_impact.csv"
+def test_quantify_writes_impact_and_topics(workspace, tmp_path):
+    cfg_path, run = _run_config(workspace, tmp_path)
+    assert main(["quantify", "--config", str(cfg_path)]) == 0
+    impact = run / "synth_impact.csv"
     lines = impact.read_text().splitlines()
     assert lines[0].split(",")[0] == "timestep"
     assert len(lines[0].split(",")) == 23
     assert len(lines) - 1 == 120  # one row per week
-    topics = (workspace["run"] / "synth_topics.csv").read_text().splitlines()
+    topics = (run / "synth_topics.csv").read_text().splitlines()
     assert topics[0] == "source,cluster_id,determinant,doc_count,keywords"
     assert any(line.startswith("social,") for line in topics[1:])
     assert any(line.startswith("news,") for line in topics[1:])
 
 
-def test_quantify_rerun_byte_identical(workspace):
-    impact = workspace["run"] / "synth_impact.csv"
-    first = impact.read_bytes()
-    assert main(["quantify", "--config", str(workspace["config"])]) == 0
-    assert impact.read_bytes() == first
+def test_quantify_rerun_byte_identical(workspace, tmp_path):
+    cfg_path, run = _run_config(workspace, tmp_path)
+    assert main(["quantify", "--config", str(cfg_path)]) == 0
+    for name in ("synth_impact.csv", "synth_topics.csv"):
+        assert (run / name).read_bytes() == (workspace["run"] / name).read_bytes(), name
 
 
-def test_train_then_evaluate_and_determinism(workspace):
-    cfg = str(workspace["config"])
+def test_train_then_evaluate_and_determinism(workspace, tmp_path):
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv")
+    cfg = str(cfg_path)
     assert main(["train", "--config", cfg]) == 0
-    checkpoint = workspace["run"] / "synth_checkpoint.json"
-    history = workspace["run"] / "synth_history.csv"
+    checkpoint = run / "synth_checkpoint.json"
+    history = run / "synth_history.csv"
     assert checkpoint.exists() and history.exists()
     assert history.read_text().splitlines()[0] == "epoch,train_loss,val_loss,lr"
 
     assert main(["evaluate", "--config", cfg]) == 0
-    metrics = workspace["run"] / "synth_metrics.csv"
+    metrics = run / "synth_metrics.csv"
     first = metrics.read_bytes()
     rows = metrics.read_text().splitlines()
     assert rows[0] == "variant,target,MAE,MSE,RMSE,MFA"
@@ -105,8 +133,8 @@ def test_train_then_evaluate_and_determinism(workspace):
     assert metrics.read_bytes() == first
 
 
-def test_predictions_and_export_plots_pass_through(workspace):
-    run = workspace["run"]
+def test_predictions_and_export_plots_pass_through(workspace, tmp_path):
+    _, run = _run_config(workspace, tmp_path, "synth_predictions.csv")
     predictions = run / "synth_predictions.csv"
     assert predictions.exists()
     assert main(["export-plots", "--run", str(run), "--state", "synth"]) == 0
@@ -124,20 +152,8 @@ def test_predictions_and_export_plots_pass_through(workspace):
     assert len(bars) - 1 == 22
 
 
-def _copy_of_trained_run(workspace, tmp_path, **sections):
-    """A config whose out_dir holds copies of the workspace's impact CSV and checkpoint."""
-    run = tmp_path / "run"
-    run.mkdir()
-    for name in ("synth_impact.csv", "synth_checkpoint.json"):
-        shutil.copy(workspace["run"] / name, run / name)
-    raw = dict(workspace["raw"], paths=dict(workspace["raw"]["paths"], out_dir=str(run)), **sections)
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
-    return cfg_path, run
-
-
 def test_evaluate_rejects_checkpoint_with_stale_model_block(workspace, tmp_path, capsys):
-    cfg_path, run = _copy_of_trained_run(workspace, tmp_path)
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
     checkpoint = run / "synth_checkpoint.json"
     payload = nm.load_checkpoint(checkpoint)
     payload["config"]["model"]["determinant_count"] = 11  # written before the key was removed
@@ -148,7 +164,7 @@ def test_evaluate_rejects_checkpoint_with_stale_model_block(workspace, tmp_path,
 
 
 def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path, capsys):
-    cfg_path, run = _copy_of_trained_run(workspace, tmp_path, model={"width": 16, "hidden": 16})
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED, model={"width": 16, "hidden": 16})
     assert main(["evaluate", "--config", str(cfg_path)]) == 2
     assert "trained for" in capsys.readouterr().err
     assert not (run / "synth_metrics.csv").exists()
@@ -158,7 +174,7 @@ def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path
     "defect", ["no_config_hash", "top_level_list", "no_standardizer", "bad_param_shape"]
 )
 def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defect):
-    cfg_path, run = _copy_of_trained_run(workspace, tmp_path)
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
     checkpoint = run / "synth_checkpoint.json"
     payload = json.loads(checkpoint.read_text(encoding="utf-8"))
     if defect == "no_config_hash":
@@ -208,14 +224,10 @@ def test_quantify_rejects_misspelled_lexicon(workspace, tmp_path, capsys):
 
 
 def test_ablate_writes_four_variants(workspace, tmp_path):
-    raw = dict(workspace["raw"])
-    raw["paths"] = dict(raw["paths"])
-    raw["paths"]["out_dir"] = str(workspace["run"])  # reuse the impact csv
-    raw["train"] = dict(raw["train"], max_epochs=1, patience=1)
-    cfg_path = tmp_path / "ablate.json"
-    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    train = dict(workspace["raw"]["train"], max_epochs=1, patience=1)
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train)
     assert main(["ablate", "--config", str(cfg_path)]) == 0
-    rows = (workspace["run"] / "synth_metrics.csv").read_text().splitlines()[1:]
+    rows = (run / "synth_metrics.csv").read_text().splitlines()[1:]
     variants = {line.split(",")[0] for line in rows}
     assert variants == {"full", "no_social", "no_news", "no_attention"}
     targets = {line.split(",")[1] for line in rows if line.startswith("full,")}
@@ -253,48 +265,31 @@ def test_missing_run_dir_export_exits_2(tmp_path):
 
 
 def test_seed_override_changes_outputs(workspace, tmp_path):
-    raw = dict(workspace["raw"])
-    raw["paths"] = dict(raw["paths"])
-    raw["paths"]["out_dir"] = str(tmp_path / "run2")
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    cfg_path, run = _run_config(workspace, tmp_path)
     assert main(["quantify", "--config", str(cfg_path)]) == 0
     assert main(["train", "--config", str(cfg_path), "--seed", "11"]) == 0
-    hist_11 = (tmp_path / "run2" / "synth_history.csv").read_bytes()
+    hist_11 = (run / "synth_history.csv").read_bytes()
     assert main(["train", "--config", str(cfg_path), "--seed", "12"]) == 0
-    assert (tmp_path / "run2" / "synth_history.csv").read_bytes() != hist_11
+    assert (run / "synth_history.csv").read_bytes() != hist_11
 
 
 def test_divergence_exits_3_and_saves_last_good_checkpoint(workspace, tmp_path):
     import numpy as np
 
-    raw = dict(workspace["raw"])
-    raw["paths"] = dict(raw["paths"], out_dir=str(tmp_path / "run3"))
-    raw["train"] = dict(raw["train"], learning_rate=1e200)
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
-    # reuse the existing impact csv by pointing out_dir at a copy
-    import shutil
-
-    (tmp_path / "run3").mkdir()
-    shutil.copy(workspace["run"] / "synth_impact.csv", tmp_path / "run3" / "synth_impact.csv")
+    train = dict(workspace["raw"]["train"], learning_rate=1e200)
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train)
     with np.errstate(all="ignore"):
         assert main(["train", "--config", str(cfg_path)]) == 3
-    assert (tmp_path / "run3" / "synth_checkpoint.json").exists()
+    assert (run / "synth_checkpoint.json").exists()
 
 
 def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):
-    run = tmp_path / "run_nan"
-    run.mkdir()
-    lines = (workspace["run"] / "synth_impact.csv").read_text().splitlines(keepends=True)
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv")
+    lines = (run / "synth_impact.csv").read_text().splitlines(keepends=True)
     cells = lines[5].split(",")
     cells[1] = "nan"
     lines[5] = ",".join(cells)
     (run / "synth_impact.csv").write_text("".join(lines), encoding="utf-8")
-    raw = dict(workspace["raw"])
-    raw["paths"] = dict(raw["paths"], out_dir=str(run))
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "synth_impact.csv:6" in capsys.readouterr().err
     assert not (run / "synth_checkpoint.json").exists()
@@ -308,10 +303,7 @@ def test_lexicon_backend_makes_no_network_calls(workspace, tmp_path, monkeypatch
 
     monkeypatch.setattr(requests.Session, "post", boom)
     monkeypatch.setattr(requests.Session, "request", boom)
-    raw = dict(workspace["raw"])
-    raw["paths"] = dict(raw["paths"], out_dir=str(tmp_path / "run4"))
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    cfg_path, _ = _run_config(workspace, tmp_path)
     assert main(["quantify", "--config", str(cfg_path), "--backend", "lexicon"]) == 0
 
 

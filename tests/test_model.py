@@ -147,8 +147,7 @@ class TestDecode:
     def test_zero_parameters_give_zero_outputs(self):
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, np.random.default_rng(0))
-        for p in params.values():
-            p.value = np.zeros_like(p.value)
+        params.value.fill(0.0)
         sev, imp = mdl.forward(params, cfg, np.zeros(cfg.lookback), np.zeros((cfg.lookback, 22)))
         np.testing.assert_array_equal(sev.value, np.zeros(cfg.horizon))
         np.testing.assert_array_equal(imp.value, np.zeros((cfg.horizon, 22)))
@@ -165,7 +164,7 @@ class TestForwardNoAttention:
         base_sev, base_imp = mdl.forward(params, cfg, sev_in, imp_in)
         for name, p in params.items():
             if name.startswith("cross."):
-                p.value = np.zeros_like(p.value)
+                p.value.fill(0.0)
         sev, imp = mdl.forward(params, cfg, sev_in, imp_in)
         np.testing.assert_array_equal(sev.value, base_sev.value)
         np.testing.assert_array_equal(imp.value, base_imp.value)

@@ -139,6 +139,30 @@ def test_backward_linearity():
     np.testing.assert_allclose(p2.grad, combined, rtol=1e-12)
 
 
+def test_shared_constant_keeps_no_gradient():
+    # the positional table is one constant shared by every window's graph
+    table = nm.constant(np.ones((2, 2)))
+    w = nm.parameter(np.eye(2), "w")
+    for _ in range(2):
+        nm.backward(nm.mean_all(nm.square(nm.add(nm.matmul(table, w), table))))
+    assert table.grad is None
+    assert np.all(w.grad != 0.0)
+
+
+def test_params_are_views_of_two_flat_vectors():
+    params = nm.Params({"a": np.arange(6.0).reshape(2, 3), "b": [7.0, 8.0]})
+    np.testing.assert_array_equal(params.value, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+    np.testing.assert_array_equal(params.grad, np.zeros(8))
+    params.value[6] = -1.0
+    params["a"].grad[1, 2] = 5.0
+    assert params["b"].value[0] == -1.0 and params.grad[5] == 5.0
+    snapshot = params.value.copy()
+    arrays = params.arrays(snapshot)
+    assert list(arrays) == ["a", "b"] and arrays["a"].shape == (2, 3)
+    assert all(np.shares_memory(a, snapshot) for a in arrays.values())
+    np.testing.assert_array_equal(arrays["b"], [-1.0, 8.0])
+
+
 def test_backward_requires_scalar_root():
     with pytest.raises(ShapeError):
         nm.backward(nm.constant(np.zeros((2, 2))))
@@ -146,41 +170,88 @@ def test_backward_requires_scalar_root():
 
 def test_adam_first_step_hand_value():
     # g=1, lr=0.1: bias-corrected update is -0.1 / (1 + 1e-8)
-    p = nm.parameter(np.array([0.0]), "w")
-    p.grad = np.array([1.0])
+    params = nm.Params({"w": np.array([0.0])})
+    params["w"].grad[0] = 1.0
     state = nm.AdamState(learning_rate=0.1)
-    nm.adam_step({"w": p}, state)
+    nm.adam_step(params, state)
     expected = -0.1 * (1.0 / (1.0 + 1e-8))
-    np.testing.assert_allclose(p.value, [expected], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(params["w"].value, [expected], rtol=0, atol=1e-15)
 
 
 def test_adam_zero_gradient_no_change():
-    p = nm.parameter(np.array([1.5, -2.0]), "w")
-    p.grad = np.zeros(2)
-    nm.adam_step({"w": p}, nm.AdamState(learning_rate=0.1))
-    np.testing.assert_array_equal(p.value, [1.5, -2.0])
+    params = nm.Params({"w": np.array([1.5, -2.0])})
+    np.testing.assert_array_equal(params["w"].grad, np.zeros(2))
+    nm.adam_step(params, nm.AdamState(learning_rate=0.1))
+    np.testing.assert_array_equal(params["w"].value, [1.5, -2.0])
 
 
 def test_adam_nan_gradient_names_parameter():
-    p = nm.parameter(np.array([0.0]), "enc.w1")
-    p.grad = np.array([np.nan])
-    with pytest.raises(NumericsError, match="enc.w1"):
-        nm.adam_step({"enc.w1": p}, nm.AdamState())
+    params = nm.Params({"enc.w0": np.array([0.0]), "enc.w1": np.array([0.0]), "enc.w2": np.array([0.0])})
+    params["enc.w0"].grad[0] = 1.0
+    params["enc.w1"].grad[0] = np.nan
+    params["enc.w2"].grad[0] = np.inf
+    state = nm.AdamState()
+    with pytest.raises(NumericsError, match="'enc.w1'"):
+        nm.adam_step(params, state)
+    np.testing.assert_array_equal(params.value, np.zeros(3))  # nothing was updated
+    assert state.step == 0
 
 
 def test_adam_deterministic_bitwise():
     def run():
         rng = np.random.default_rng(42)
-        p = nm.parameter(rng.normal(size=(4, 4)), "w")
+        params = nm.Params({"w": rng.normal(size=(4, 4))})
         state = nm.AdamState(learning_rate=0.01)
         for _ in range(25):
-            nm.zero_grads([p])
-            nm.backward(nm.mean_all(nm.square(nm.tanh(p))))
-            nm.adam_step({"w": p}, state)
-        return p.value
+            params.grad.fill(0.0)
+            nm.backward(nm.mean_all(nm.square(nm.tanh(params["w"]))))
+            nm.adam_step(params, state)
+        return params.value
 
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+def test_adam_flat_update_equals_per_name_loop():
+    rng = np.random.default_rng(3)
+    shapes = {"a": (3, 4), "b": (5,), "frozen": (2, 2), "c": (4, 1)}
+    params = nm.Params({name: rng.normal(size=shape) for name, shape in shapes.items()})
+    state = nm.AdamState(learning_rate=0.05)
+    initial = params.arrays(params.value.copy())
+    ref = {name: p.value.copy() for name, p in params.items()}
+    first, second = {}, {}
+    for t in range(1, 26):
+        if t == 10:
+            nm.decay_learning_rate(state)
+        params.grad.fill(0.0)
+        fit = nm.mean_all(nm.square(nm.tanh(nm.matmul(params["a"], params["c"]))))
+        nm.backward(nm.add(fit, nm.mean_all(nm.square(params["b"]))))
+        grads = {name: p.grad.copy() for name, p in params.items()}
+        grads["frozen"] = None  # never reached by backward
+        nm.adam_step(params, state)
+
+        # the per-name update that the flat one replaced
+        bc1 = 1.0 - state.beta1**t
+        bc2 = 1.0 - state.beta2**t
+        for name, g in grads.items():
+            if g is None:
+                g = np.zeros_like(ref[name])
+            m = first.get(name)
+            v = second.get(name)
+            if m is None:
+                m = np.zeros_like(ref[name])
+                v = np.zeros_like(ref[name])
+            m = state.beta1 * m + (1.0 - state.beta1) * g
+            v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+            first[name] = m
+            second[name] = v
+            m_hat = m / bc1
+            v_hat = v / bc2
+            ref[name] = ref[name] - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        for name, p in params.items():
+            assert np.array_equal(p.value, ref[name]), (t, name)
+    assert not np.array_equal(params["a"].value, initial["a"])
+    np.testing.assert_array_equal(params["frozen"].value, initial["frozen"])
 
 
 def test_learning_rate_decay_factor():
