@@ -95,10 +95,12 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> nm.Params:
 def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, width: int) -> Node:
     """Project, add positions, then one self-attention + feed-forward block.
 
-    Residual connections wrap both sub-blocks; each is followed by row
-    layer normalization.
+    ``seq`` is ``(..., lookback, features)`` and ``positions`` is
+    ``(..., lookback, width)`` with the same leading axes; each window
+    attends only within itself.  Residual connections wrap both
+    sub-blocks; each is followed by layer normalization over the last axis.
     """
-    if seq.value.ndim != 2 or seq.value.shape[0] != positions.value.shape[0]:
+    if seq.value.ndim < 2 or seq.value.shape[:-1] != positions.value.shape[:-1]:
         raise ShapeError(
             f"encode: sequence shape {seq.value.shape} does not match "
             f"positional table {positions.value.shape}"
@@ -120,8 +122,9 @@ def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], widt
     """Bidirectional single-head cross-attention between the two channels.
 
     Returns the impact representation cross-attended onto severity and
-    vice versa.  No output projection; one head; rowwise softmax over
-    scores scaled by 1/sqrt(width).
+    vice versa, each shaped like the inputs, ``(..., lookback, width)``.
+    No output projection; one head; rowwise softmax over scores scaled by
+    1/sqrt(width), within each window.
     """
     if h_impact.value.shape != h_severity.value.shape:
         raise ShapeError(f"cross_attend: {h_impact.value.shape} vs {h_severity.value.shape}")
@@ -143,17 +146,20 @@ def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], widt
 def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) -> tuple[Node, Node]:
     """Two-layer readout of the concatenated representations.
 
-    Returns the severity forecast (standardized units, shape (horizon,))
-    and the impact forecast (shape (horizon, 2 * DETERMINANT_COUNT)).
-    Impact outputs are plain linear; clamping to [0, 1] is a reporting
-    concern, not a model one.
+    The inputs are ``(n, lookback, width)``.  Returns the severity forecast
+    (standardized units, shape (n, horizon)) and the impact forecast
+    (shape (n, horizon, 2 * DETERMINANT_COUNT)).  Impact outputs are plain
+    linear; clamping to [0, 1] is a reporting concern, not a model one.
     """
     joined = nm.concat_last_dim(h_md, h_dm)
-    flat = nm.reshape(joined, (1, joined.value.size))
+    if joined.value.ndim != 3:
+        raise ShapeError(f"decode: expected (n, lookback, width) inputs, got {h_md.value.shape}")
+    n, lookback, joint_width = joined.value.shape
+    flat = nm.reshape(joined, (n, lookback * joint_width))
     hidden = nm.tanh(nm.matmul(flat, params["dec.w1"]))
-    out = nm.reshape(nm.matmul(hidden, params["dec.w2"]), (cfg.horizon, 1 + cfg.impact_dim))
-    severity = nm.reshape(nm.slice2d(out, slice(None), slice(0, 1)), (cfg.horizon,))
-    impact = nm.slice2d(out, slice(None), slice(1, None))
+    out = nm.reshape(nm.matmul(hidden, params["dec.w2"]), (n, cfg.horizon, 1 + cfg.impact_dim))
+    severity = nm.reshape(nm.slice_last_dim(out, 0, 1), (n, cfg.horizon))
+    impact = nm.slice_last_dim(out, 1, 1 + cfg.impact_dim)
     return severity, impact
 
 
@@ -175,33 +181,33 @@ def forward(
     cfg: ModelConfig,
     severity_in: np.ndarray,
     impact_in: np.ndarray,
-    positions: Node | None = None,
 ) -> tuple[Node, Node]:
-    """Full network pass for one window.
+    """Full network pass for a stack of ``n`` windows, as one graph.
 
     Args:
-        severity_in: standardized severity lookback, shape (lookback,).
-        impact_in: impact lookback, shape (lookback, 2 * DETERMINANT_COUNT),
+        severity_in: standardized severity lookbacks, shape (n, lookback).
+        impact_in: impact lookbacks, shape (n, lookback, 2 * DETERMINANT_COUNT),
             already masked for input ablations.
-        positions: optional precomputed positional table node (shared
-            across samples to avoid rebuilding it).
 
     Returns:
-        (severity forecast, impact forecast) nodes.
+        (severity forecast, impact forecast) nodes, shapes (n, horizon)
+        and (n, horizon, 2 * DETERMINANT_COUNT); row ``i`` depends on
+        window ``i`` only.
     """
     severity_in = np.asarray(severity_in, dtype=np.float64)
     impact_in = np.asarray(impact_in, dtype=np.float64)
-    if severity_in.shape != (cfg.lookback,):
-        raise ShapeError(f"severity_in shape {severity_in.shape}, expected ({cfg.lookback},)")
-    if impact_in.shape != (cfg.lookback, cfg.impact_dim):
+    if severity_in.ndim != 2 or severity_in.shape[1] != cfg.lookback:
+        raise ShapeError(f"severity_in shape {severity_in.shape}, expected (n, {cfg.lookback})")
+    n = severity_in.shape[0]
+    if impact_in.shape != (n, cfg.lookback, cfg.impact_dim):
         raise ShapeError(
-            f"impact_in shape {impact_in.shape}, expected ({cfg.lookback}, {cfg.impact_dim})"
+            f"impact_in shape {impact_in.shape}, expected ({n}, {cfg.lookback}, {cfg.impact_dim})"
         )
-    if positions is None:
-        positions = nm.constant(sinusoidal_positions(cfg.lookback, cfg.width))
+    table = sinusoidal_positions(cfg.lookback, cfg.width)
+    positions = nm.constant(np.broadcast_to(table, (n, cfg.lookback, cfg.width)))
 
     h_m = encode(nm.constant(impact_in), params, "enc_impact", positions, cfg.width)
-    h_d = encode(nm.constant(severity_in.reshape(-1, 1)), params, "enc_severity", positions, cfg.width)
+    h_d = encode(nm.constant(severity_in[..., None]), params, "enc_severity", positions, cfg.width)
 
     if cfg.ablation == "no_attention":
         # Ablation path: hand the encoder outputs straight to the decoder.
@@ -219,10 +225,13 @@ def joint_loss(
     impact_true: np.ndarray,
     weights: LossWeights,
 ) -> Node:
-    """Weighted two-task objective, summed over the prediction window.
+    """Weighted two-task objective, averaged over the windows.
 
     Per step, the severity term is the squared error and the impact term
-    is the MSE over vector components; steps are summed, not averaged.
+    is the MSE over vector components; a window's steps are summed, not
+    averaged.  Shapes are ``(..., horizon)`` for severity and
+    ``(..., horizon, components)`` for impact, the leading axes indexing
+    windows.
     """
     severity_true = np.asarray(severity_true, dtype=np.float64)
     impact_true = np.asarray(impact_true, dtype=np.float64)
@@ -230,7 +239,7 @@ def joint_loss(
         raise ShapeError(f"joint_loss: {severity_pred.value.shape} vs {severity_true.shape}")
     if impact_pred.value.shape != impact_true.shape:
         raise ShapeError(f"joint_loss: {impact_pred.value.shape} vs {impact_true.shape}")
-    horizon = severity_true.shape[0]
+    horizon = severity_true.shape[-1]
 
     sev_err = nm.square(nm.add(severity_pred, nm.constant(-severity_true)))
     imp_err = nm.square(nm.add(impact_pred, nm.constant(-impact_true)))

@@ -24,6 +24,13 @@ MFA_EPSILON = 1e-6
 #: Consecutive epochs without validation improvement before halving the lr.
 LR_PLATEAU_EPOCHS = 3
 
+#: Most windows in one autodiff graph; training, validation and evaluate
+#: all run in graphs of at most this many.  Larger graphs are faster but
+#: hold more memory: at model defaults `side train` on 330 weeks peaked at
+#: 54.9 MB of RSS with 1 window per graph (17.5 s), 56.8 MB with 4
+#: (10.9 s), 62.1 MB with 8 and 72.6 MB with 16.
+GRAPH_WINDOWS = 4
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -140,20 +147,42 @@ def _model_units(windows: Windows, standardizer: Standardizer, cfg: ModelConfig)
     )
 
 
-def _window_loss(params, cfg, weights, positions, windows: Windows, i: int) -> nm.Node:
-    """Joint loss of window ``i`` of ``windows``, which are in model units."""
-    sev_pred, imp_pred = mdl.forward(
-        params, cfg, windows.severity_in[i], windows.impact_in[i], positions
-    )
+def _chunks(order: np.ndarray):
+    """Consecutive runs of at most GRAPH_WINDOWS window indices of ``order``."""
+    return (order[lo : lo + GRAPH_WINDOWS] for lo in range(0, len(order), GRAPH_WINDOWS))
+
+
+def _chunk_loss(params, cfg, weights, windows: Windows, idx: np.ndarray) -> nm.Node:
+    """Mean joint loss of windows ``idx`` of ``windows`` (in model units), as one graph."""
+    sev_pred, imp_pred = mdl.forward(params, cfg, windows.severity_in[idx], windows.impact_in[idx])
     return mdl.joint_loss(
-        sev_pred, windows.severity_out[i], imp_pred, windows.impact_out[i], weights
+        sev_pred, windows.severity_out[idx], imp_pred, windows.impact_out[idx], weights
     )
 
 
-def _mean_loss(params, cfg, weights, positions, windows: Windows) -> float:
+def _accumulate_batch(params, cfg, weights, windows: Windows, batch: np.ndarray) -> float:
+    """Add the gradient of the mean loss over ``batch`` into ``params.grad``.
+
+    Each chunk's graph gives the mean over its windows, so its share of
+    the batch mean is ``len(chunk) / len(batch)``.  Returns the summed
+    loss of the batch's windows; at the first non-finite chunk loss it
+    returns at once, before that chunk's backward pass.
+    """
     total = 0.0
-    for i in range(len(windows)):
-        total += float(_window_loss(params, cfg, weights, positions, windows, i).value)
+    for idx in _chunks(batch):
+        loss = _chunk_loss(params, cfg, weights, windows, idx)
+        total += float(loss.value) * len(idx)
+        if not np.isfinite(total):
+            break
+        nm.backward(nm.scale(loss, len(idx) / len(batch)))
+        del loss  # free this graph before the next chunk's forward pass
+    return total
+
+
+def _mean_loss(params, cfg, weights, windows: Windows) -> float:
+    total = 0.0
+    for idx in _chunks(np.arange(len(windows))):
+        total += float(_chunk_loss(params, cfg, weights, windows, idx).value) * len(idx)
     return total / len(windows)
 
 
@@ -179,7 +208,6 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
     params = mdl.init_params(model_cfg, rng)
     weights = LossWeights(train_cfg.lambda_severity, train_cfg.lambda_impact)
-    positions = nm.constant(mdl.sinusoidal_positions(model_cfg.lookback, model_cfg.width))
 
     train_units = _model_units(train_windows, standardizer, model_cfg)
     val_units = _model_units(val_windows, standardizer, model_cfg)
@@ -197,19 +225,17 @@ def train(
         epoch_loss = 0.0
         try:
             for lo in range(0, len(order), train_cfg.batch_size):
-                batch = order[lo : lo + train_cfg.batch_size]
                 params.grad.fill(0.0)
-                for i in batch:
-                    loss = _window_loss(params, model_cfg, weights, positions, train_units, i)
-                    value = float(loss.value)
-                    if not np.isfinite(value):
-                        raise DivergenceError(
-                            f"non-finite training loss at epoch {epoch}",
-                            checkpoint=params.arrays(best),
-                            history=history,
-                        )
-                    epoch_loss += value
-                    nm.backward(nm.scale(loss, 1.0 / len(batch)))
+                batch_loss = _accumulate_batch(
+                    params, model_cfg, weights, train_units, order[lo : lo + train_cfg.batch_size]
+                )
+                if not np.isfinite(batch_loss):
+                    raise DivergenceError(
+                        f"non-finite training loss at epoch {epoch}",
+                        checkpoint=params.arrays(best),
+                        history=history,
+                    )
+                epoch_loss += batch_loss
                 nm.adam_step(params, adam)
         except NumericsError as exc:
             raise DivergenceError(
@@ -217,7 +243,7 @@ def train(
             ) from exc
 
         train_loss = epoch_loss / len(train_units)
-        val_loss = _mean_loss(params, model_cfg, weights, positions, val_units)
+        val_loss = _mean_loss(params, model_cfg, weights, val_units)
         history.append(
             {
                 "epoch": epoch,
@@ -302,23 +328,21 @@ def evaluate(
         raise ValueError("test split is empty")
 
     nodes = nm.Params(params)
-    positions = nm.constant(mdl.sinusoidal_positions(model_cfg.lookback, model_cfg.width))
     units = _model_units(test_windows, standardizer, model_cfg)
 
     sev_pred, imp_pred = [], []
-    for i in range(len(units)):
-        s_node, i_node = mdl.forward(
-            nodes, model_cfg, units.severity_in[i], units.impact_in[i], positions
-        )
+    for idx in _chunks(np.arange(len(units))):
+        s_node, i_node = mdl.forward(nodes, model_cfg, units.severity_in[idx], units.impact_in[idx])
         sev_pred.append(s_node.value)
         imp_pred.append(i_node.value)
+        del s_node, i_node  # free this graph before the next chunk's forward pass
 
     predictions = PredictionSet(
         starts=test_windows.starts,
         severity_true=test_windows.severity_out,
-        severity_pred=standardizer.inverse(np.array(sev_pred)),
+        severity_pred=standardizer.inverse(np.concatenate(sev_pred)),
         impact_true=test_windows.impact_out,
-        impact_pred=np.clip(np.array(imp_pred), 0.0, 1.0),
+        impact_pred=np.clip(np.concatenate(imp_pred), 0.0, 1.0),
     )
 
     report = MetricReport()

@@ -79,26 +79,33 @@ def _check_op_gradients(seed):
             worst = max(worst, rel_err(nodes[i].grad, finite_diff(f, v.copy())))
 
     fd_against(lambda n: nm.mean_all(nm.matmul(n[0], n[1])), (3, 4), (4, 2))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.matmul(n[0], n[1]))), (2, 3, 4), (4, 2))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.matmul(n[0], n[1]))), (2, 3, 4), (2, 4, 2))
     fd_against(lambda n: nm.mean_all(nm.square(nm.add(n[0], n[1]))), (3, 3), (3, 3))
     fd_against(lambda n: nm.mean_all(nm.square(nm.scale(n[0], -1.3))), (2, 4))
     fd_against(lambda n: nm.mean_all(nm.square(nm.transpose(n[0]))), (2, 4))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.transpose(n[0]))), (3, 2, 4))
     fd_against(lambda n: nm.mean_all(nm.square(nm.concat_last_dim(n[0], n[1]))), (2, 3), (2, 2))
-    fd_against(lambda n: nm.mean_all(nm.square(nm.slice2d(n[0], slice(0, 2), slice(1, 3)))), (3, 4))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.concat_last_dim(n[0], n[1]))), (2, 3, 2), (2, 3, 4))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.slice_last_dim(n[0], 1, 3))), (3, 4))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.slice_last_dim(n[0], 1, 3))), (2, 3, 4))
     fd_against(lambda n: nm.mean_all(nm.square(nm.reshape(n[0], (2, 6)))), (3, 4))
     fd_against(lambda n: nm.mean_all(nm.square(nm.tanh(n[0]))), (3, 3))
     fd_against(lambda n: nm.mean_all(nm.square(nm.softmax_rows(n[0]))), (3, 4))
     fd_against(lambda n: nm.mean_all(nm.square(nm.layer_norm_rows(n[0]))), (3, 5))
+    fd_against(lambda n: nm.mean_all(nm.square(nm.layer_norm_rows(n[0]))), (2, 3, 5))
     return worst
 
 
 def _check_full_path_gradient(seed, coords_per_tensor=4):
+    # one graph of 3 windows, as training builds them
     cfg = ModelConfig(lookback=6, horizon=2, width=4, hidden=8)
     rng = np.random.default_rng(seed)
     params = mdl.init_params(cfg, rng)
-    sev_in = rng.normal(size=cfg.lookback)
-    imp_in = rng.uniform(0, 1, size=(cfg.lookback, cfg.impact_dim))
-    sev_out = rng.normal(size=cfg.horizon)
-    imp_out = rng.uniform(0, 1, size=(cfg.horizon, cfg.impact_dim))
+    sev_in = rng.normal(size=(3, cfg.lookback))
+    imp_in = rng.uniform(0, 1, size=(3, cfg.lookback, cfg.impact_dim))
+    sev_out = rng.normal(size=(3, cfg.horizon))
+    imp_out = rng.uniform(0, 1, size=(3, cfg.horizon, cfg.impact_dim))
     weights = LossWeights()
 
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)

@@ -138,19 +138,19 @@ class TestDecode:
         cfg = ModelConfig(lookback=52, horizon=5, width=8, hidden=16)
         params = mdl.init_params(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        h_md = nm.constant(rng.normal(size=(52, 8)))
-        h_dm = nm.constant(rng.normal(size=(52, 8)))
+        h_md = nm.constant(rng.normal(size=(3, 52, 8)))
+        h_dm = nm.constant(rng.normal(size=(3, 52, 8)))
         sev, imp = mdl.decode(h_md, h_dm, params, cfg)
-        assert sev.value.shape == (5,)
-        assert imp.value.shape == (5, 22)
+        assert sev.value.shape == (3, 5)
+        assert imp.value.shape == (3, 5, 22)
 
     def test_zero_parameters_give_zero_outputs(self):
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, np.random.default_rng(0))
         params.value.fill(0.0)
-        sev, imp = mdl.forward(params, cfg, np.zeros(cfg.lookback), np.zeros((cfg.lookback, 22)))
-        np.testing.assert_array_equal(sev.value, np.zeros(cfg.horizon))
-        np.testing.assert_array_equal(imp.value, np.zeros((cfg.horizon, 22)))
+        sev, imp = mdl.forward(params, cfg, np.zeros((2, cfg.lookback)), np.zeros((2, cfg.lookback, 22)))
+        np.testing.assert_array_equal(sev.value, np.zeros((2, cfg.horizon)))
+        np.testing.assert_array_equal(imp.value, np.zeros((2, cfg.horizon, 22)))
 
 
 class TestForwardNoAttention:
@@ -159,8 +159,8 @@ class TestForwardNoAttention:
         params = mdl.init_params(cfg, np.random.default_rng(0))
         # zero every cross-attention weight: outputs must be unaffected
         rng = np.random.default_rng(2)
-        sev_in = rng.normal(size=cfg.lookback)
-        imp_in = rng.normal(size=(cfg.lookback, cfg.impact_dim))
+        sev_in = rng.normal(size=(3, cfg.lookback))
+        imp_in = rng.normal(size=(3, cfg.lookback, cfg.impact_dim))
         base_sev, base_imp = mdl.forward(params, cfg, sev_in, imp_in)
         for name, p in params.items():
             if name.startswith("cross."):
@@ -229,10 +229,10 @@ def test_end_to_end_gradient_matches_finite_differences(seed):
     cfg = tiny_cfg()
     rng = np.random.default_rng(seed)
     params = mdl.init_params(cfg, rng)
-    sev_in = rng.normal(size=cfg.lookback)
-    imp_in = rng.uniform(0, 1, size=(cfg.lookback, cfg.impact_dim))
-    sev_out = rng.normal(size=cfg.horizon)
-    imp_out = rng.uniform(0, 1, size=(cfg.horizon, cfg.impact_dim))
+    sev_in = rng.normal(size=(2, cfg.lookback))
+    imp_in = rng.uniform(0, 1, size=(2, cfg.lookback, cfg.impact_dim))
+    sev_out = rng.normal(size=(2, cfg.horizon))
+    imp_out = rng.uniform(0, 1, size=(2, cfg.horizon, cfg.impact_dim))
 
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)
     nm.backward(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, LossWeights()))
@@ -248,20 +248,36 @@ def test_end_to_end_gradient_matches_finite_differences(seed):
         assert rel_err(params[name].grad, fd) < 1e-4, name
 
 
+@pytest.mark.parametrize("ablation", mdl.ABLATIONS)
+def test_batched_forward_rows_equal_single_window_forward(ablation):
+    # 7 windows: not a multiple of the 4 windows per graph that training uses
+    cfg = tiny_cfg(ablation=ablation)
+    rng = np.random.default_rng(11)
+    params = mdl.init_params(cfg, rng)
+    sev_in = rng.normal(size=(7, cfg.lookback))
+    imp_in = mdl.apply_input_mask(rng.uniform(0, 1, size=(7, cfg.lookback, cfg.impact_dim)), ablation)
+    sev, imp = mdl.forward(params, cfg, sev_in, imp_in)
+    assert sev.value.shape == (7, cfg.horizon) and imp.value.shape == (7, cfg.horizon, cfg.impact_dim)
+    for i in range(7):
+        one_sev, one_imp = mdl.forward(params, cfg, sev_in[i : i + 1], imp_in[i : i + 1])
+        assert rel_err(sev.value[i], one_sev.value[0]) < 1e-12, i
+        assert rel_err(imp.value[i], one_imp.value[0]) < 1e-12, i
+
+
 def test_severity_path_invariant_to_impact_targets_when_masked():
     # lambda_M = 0 and zeroed impact inputs: severity forecast ignores impact
     cfg = tiny_cfg()
     rng = np.random.default_rng(7)
     params = mdl.init_params(cfg, rng)
-    sev_in = rng.normal(size=cfg.lookback)
-    zeros = np.zeros((cfg.lookback, cfg.impact_dim))
+    sev_in = rng.normal(size=(1, cfg.lookback))
+    zeros = np.zeros((1, cfg.lookback, cfg.impact_dim))
     sev_a, imp_a = mdl.forward(params, cfg, sev_in, zeros)
     sev_b, imp_b = mdl.forward(params, cfg, sev_in, zeros.copy())
     np.testing.assert_array_equal(sev_a.value, sev_b.value)
     weights = LossWeights(severity=1.0, impact=0.0)
-    targets = rng.normal(size=cfg.horizon)
-    imp_targets_1 = rng.normal(size=(cfg.horizon, cfg.impact_dim))
-    imp_targets_2 = rng.normal(size=(cfg.horizon, cfg.impact_dim))
+    targets = rng.normal(size=(1, cfg.horizon))
+    imp_targets_1 = rng.normal(size=(1, cfg.horizon, cfg.impact_dim))
+    imp_targets_2 = rng.normal(size=(1, cfg.horizon, cfg.impact_dim))
     l1 = mdl.joint_loss(sev_a, targets, imp_a, imp_targets_1, weights)
     l2 = mdl.joint_loss(sev_b, targets, imp_b, imp_targets_2, weights)
     assert float(l1.value) == float(l2.value)

@@ -76,23 +76,47 @@ def test_shape_errors_name_both_shapes():
 @pytest.mark.parametrize("seed", range(5))
 def test_op_gradients_match_finite_differences(seed):
     check_grad(lambda n: nm.mean_all(nm.matmul(n[0], n[1])), [(3, 4), (4, 2)], seed)
+    check_grad(lambda n: nm.mean_all(nm.square(nm.matmul(n[0], n[1]))), [(2, 3, 4), (4, 2)], seed)
+    check_grad(lambda n: nm.mean_all(nm.square(nm.matmul(n[0], n[1]))), [(2, 3, 4), (2, 4, 2)], seed)
     check_grad(lambda n: nm.mean_all(nm.square(nm.add(n[0], n[1]))), [(3, 3), (3, 3)], seed)
     check_grad(lambda n: nm.mean_all(nm.scale(n[0], -1.7)), [(2, 5)], seed)
     check_grad(lambda n: nm.mean_all(nm.square(nm.transpose(n[0]))), [(2, 4)], seed)
-    check_grad(
-        lambda n: nm.mean_all(nm.square(nm.concat_last_dim(n[0], n[1]))),
-        [(2, 3), (2, 4)],
-        seed,
-    )
-    check_grad(
-        lambda n: nm.mean_all(nm.square(nm.slice2d(n[0], slice(0, 2), slice(1, 3)))),
-        [(3, 4)],
-        seed,
-    )
+    check_grad(lambda n: nm.mean_all(nm.square(nm.transpose(n[0]))), [(3, 2, 4)], seed)
+    for shapes in ([(2, 3), (2, 4)], [(2, 3, 2), (2, 3, 4)]):
+        check_grad(lambda n: nm.mean_all(nm.square(nm.concat_last_dim(n[0], n[1]))), shapes, seed)
+    for shape in ((3, 4), (2, 3, 4)):
+        check_grad(lambda n: nm.mean_all(nm.square(nm.slice_last_dim(n[0], 1, 3))), [shape], seed)
     check_grad(lambda n: nm.mean_all(nm.square(nm.reshape(n[0], (6, 2)))), [(3, 4)], seed)
     check_grad(lambda n: nm.mean_all(nm.square(nm.tanh(n[0]))), [(3, 3)], seed)
     check_grad(lambda n: nm.mean_all(nm.square(nm.softmax_rows(n[0]))), [(3, 4)], seed)
+    check_grad(lambda n: nm.mean_all(nm.square(nm.softmax_rows(n[0]))), [(2, 3, 4)], seed)
     check_grad(lambda n: nm.mean_all(nm.square(nm.layer_norm_rows(n[0]))), [(3, 5)], seed)
+    check_grad(lambda n: nm.mean_all(nm.square(nm.layer_norm_rows(n[0]))), [(2, 3, 5)], seed)
+
+
+def test_batched_ops_equal_per_matrix_ops():
+    rng = np.random.default_rng(5)
+    a, b, w = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5)), rng.normal(size=(4, 5))
+    shared = nm.matmul(nm.constant(a), nm.constant(w)).value
+    stacked = nm.matmul(nm.constant(a), nm.constant(b)).value
+    swapped = nm.transpose(nm.constant(a)).value
+    normed = nm.layer_norm_rows(nm.constant(a)).value
+    for i in range(3):
+        np.testing.assert_allclose(shared[i], a[i] @ w, rtol=1e-14)
+        np.testing.assert_allclose(stacked[i], a[i] @ b[i], rtol=1e-14)
+        np.testing.assert_array_equal(swapped[i], a[i].T)
+        np.testing.assert_allclose(normed[i], nm.layer_norm_rows(nm.constant(a[i])).value, rtol=1e-14)
+    np.testing.assert_array_equal(nm.slice_last_dim(nm.constant(a), 1, 3).value, a[..., 1:3])
+
+
+def test_matmul_rejects_broadcasting():
+    x = nm.constant(np.zeros((3, 2, 4)))
+    with pytest.raises(ShapeError, match=r"\(3, 2, 4\).*\(2, 4, 5\)"):
+        nm.matmul(x, nm.constant(np.zeros((2, 4, 5))))
+    with pytest.raises(ShapeError):
+        nm.matmul(nm.constant(np.zeros((2, 4))), nm.constant(np.zeros((3, 4, 5))))
+    with pytest.raises(ShapeError):
+        nm.concat_last_dim(x, nm.constant(np.zeros((2, 4))))
 
 
 def test_softmax_uniform_row():
@@ -214,7 +238,8 @@ def test_adam_deterministic_bitwise():
 
 def test_adam_flat_update_equals_per_name_loop():
     rng = np.random.default_rng(3)
-    shapes = {"a": (3, 4), "b": (5,), "frozen": (2, 2), "c": (4, 1)}
+    # "big" makes the flat vector span three blocks of adam_step
+    shapes = {"a": (3, 4), "big": (2 * nm._ADAM_BLOCK + 7,), "b": (5,), "frozen": (2, 2), "c": (4, 1)}
     params = nm.Params({name: rng.normal(size=shape) for name, shape in shapes.items()})
     state = nm.AdamState(learning_rate=0.05)
     initial = params.arrays(params.value.copy())
@@ -225,7 +250,8 @@ def test_adam_flat_update_equals_per_name_loop():
             nm.decay_learning_rate(state)
         params.grad.fill(0.0)
         fit = nm.mean_all(nm.square(nm.tanh(nm.matmul(params["a"], params["c"]))))
-        nm.backward(nm.add(fit, nm.mean_all(nm.square(params["b"]))))
+        rest = nm.add(nm.mean_all(nm.square(params["b"])), nm.mean_all(nm.tanh(params["big"])))
+        nm.backward(nm.add(fit, rest))
         grads = {name: p.grad.copy() for name, p in params.items()}
         grads["frozen"] = None  # never reached by backward
         nm.adam_step(params, state)
@@ -251,6 +277,7 @@ def test_adam_flat_update_equals_per_name_loop():
         for name, p in params.items():
             assert np.array_equal(p.value, ref[name]), (t, name)
     assert not np.array_equal(params["a"].value, initial["a"])
+    assert not np.array_equal(params["big"].value, initial["big"])
     np.testing.assert_array_equal(params["frozen"].value, initial["frozen"])
 
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from side import model as mdl
+from side import numerics as nm
 from side.core import (
     DETERMINANT_COUNT,
     SeveritySeries,
@@ -16,9 +18,10 @@ from side.core import (
     make_windows,
 )
 from side.errors import ConfigError, DivergenceError
-from side.model import ModelConfig, init_params
+from side.model import LossWeights, ModelConfig, init_params
 from side.numerics import load_checkpoint
 from side.train_eval import (
+    GRAPH_WINDOWS,
     MetricReport,
     Standardizer,
     TrainConfig,
@@ -33,7 +36,11 @@ from side.train_eval import (
     train,
     write_history_csv,
     write_metrics_csv,
+    _accumulate_batch,
+    _model_units,
 )
+
+from test_numerics import rel_err
 
 WEEK0 = date(2017, 1, 2)
 
@@ -164,6 +171,34 @@ class TestTrain:
         )
         result = train(samples, samples, cfg, tc)
         assert min(row["train_loss"] for row in result.history) < 1e-3
+
+
+@pytest.mark.parametrize("batch_size", [16, 7, 1])
+def test_minibatch_gradient_is_mean_of_window_gradients(batch_size):
+    # 16: a full minibatch; 7: a ragged last graph; 1: the last minibatch
+    # of the 193 training windows at defaults (193 % 16 = 1)
+    assert GRAPH_WINDOWS < 7
+    windows = synthetic_samples(total=40)
+    cfg = small_cfg()
+    units = _model_units(windows, Standardizer.fit(windows), cfg)
+    params = init_params(cfg, np.random.default_rng(0))
+    weights = LossWeights(0.7, 1.3)
+    batch = np.random.default_rng(1).permutation(len(units))[:batch_size]
+
+    params.grad.fill(0.0)
+    total = _accumulate_batch(params, cfg, weights, units, batch)
+    accumulated = params.grad.copy()
+
+    grads, losses = [], []
+    for i in batch:
+        params.grad.fill(0.0)
+        sev, imp = mdl.forward(params, cfg, units.severity_in[i : i + 1], units.impact_in[i : i + 1])
+        loss = mdl.joint_loss(sev, units.severity_out[i : i + 1], imp, units.impact_out[i : i + 1], weights)
+        nm.backward(loss)
+        grads.append(params.grad.copy())
+        losses.append(float(loss.value))
+    assert rel_err(accumulated, np.mean(grads, axis=0)) < 1e-12
+    assert math.isclose(total, sum(losses), rel_tol=1e-12)
 
 
 class TestEvaluate:
