@@ -9,6 +9,7 @@ Subcommands: ``quantify``, ``train``, ``evaluate``, ``ablate``,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from .errors import ConfigError, DivergenceError, NumericsError, ParseError, Sid
 USER_ERROR = 2
 NUMERIC_ERROR = 3
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
 #: ``*_predictions.csv``, written by ``evaluate`` and read by ``export-plots``.
 PREDICTIONS_HEADER = ("start", "step", "timestep", "severity_true", "severity_pred") + tuple(
     f"{kind}_{name}" for kind in ("true", "pred") for name in dsiq.impact_csv_header()[1:]
@@ -34,6 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="side", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_parser(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--log-level", choices=LOG_LEVELS, default="WARNING",
+                       help="lowest level of log records printed to stderr (default WARNING)")
+        return p
+
     def with_common(p):
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -41,12 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", choices=cfgmod.STATES, default=None)
         return p
 
-    with_common(sub.add_parser("quantify", help="text -> weekly impact distributions"))
-    with_common(sub.add_parser("train", help="fit the joint forecaster"))
-    with_common(sub.add_parser("evaluate", help="metrics on the test split"))
-    with_common(sub.add_parser("ablate", help="train/evaluate all four variants"))
+    with_common(add_parser("quantify", help="text -> weekly impact distributions"))
+    with_common(add_parser("train", help="fit the joint forecaster"))
+    with_common(add_parser("evaluate", help="metrics on the test split"))
+    with_common(add_parser("ablate", help="train/evaluate all four variants"))
 
-    sp = sub.add_parser("synth", help="generate a synthetic dataset")
+    sp = add_parser("synth", help="generate a synthetic dataset")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--weeks", type=int, default=330)
@@ -56,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lead", type=int, default=4)
     sp.add_argument("--docs-per-week", type=float, default=10.0)
 
-    ep = sub.add_parser("export-plots", help="plot-ready CSVs from a finished run")
+    ep = add_parser("export-plots", help="plot-ready CSVs from a finished run")
     ep.add_argument("--run", required=True, help="run directory holding predictions")
     ep.add_argument("--state", choices=cfgmod.STATES, default="synth")
     return parser
@@ -256,6 +265,22 @@ def cmd_export_plots(run_dir, state: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The handler and level sit on the package logger only for this call, so
+    # calling main again in one process (as the tests do) stacks no handlers.
+    logger = logging.getLogger("side")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.setLevel(args.log_level)
+    logger.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)

@@ -156,10 +156,11 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
     n = vectors.shape[0]
     k = min(n_clusters, n)
     rng = np.random.default_rng(seed)
+    x_sq = (vectors * vectors).sum(axis=1)
 
     centroids = np.empty((k, vectors.shape[1]))
     centroids[0] = vectors[rng.integers(n)]
-    closest = _sq_dists(vectors, centroids[0][None, :])[:, 0]
+    closest = _sq_dists(vectors, centroids[0][None, :], x_sq)[:, 0]
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -167,26 +168,41 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
         else:
             idx = rng.choice(n, p=closest / total)
         centroids[c] = vectors[idx]
-        closest = np.minimum(closest, _sq_dists(vectors, centroids[c][None, :])[:, 0])
+        closest = np.minimum(closest, _sq_dists(vectors, centroids[c][None, :], x_sq)[:, 0])
 
     assignments = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
-        new_assignments = np.argmin(_sq_dists(vectors, centroids), axis=1)
-        for c in range(k):
-            members = vectors[new_assignments == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+    for i in range(max_iter):
+        new_assignments = np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1)
+        # A cluster that kept exactly its members keeps its mean, bit for bit;
+        # the first pass replaces the k-means++ seeds, so it updates them all.
+        moved = new_assignments != assignments
+        stale = range(k) if i == 0 else np.union1d(new_assignments[moved], assignments[moved])
+        # Members in row order, as a boolean mask would pick them, so every
+        # mean sums the same rows in the same order.
+        order = np.argsort(new_assignments, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(new_assignments, minlength=k))[:-1])
+        for c in stale:
+            if len(groups[c]):
+                centroids[c] = vectors[groups[c]].mean(axis=0)
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments
             break
         assignments = new_assignments
-    return np.argmin(_sq_dists(vectors, centroids), axis=1), centroids
+    return np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1), centroids
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d = (x * x).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1)[None, :]
-    d -= 2.0 * (x @ centroids.T)
-    return np.maximum(d, 0.0)
+def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances, shape (len(x), len(centroids)), clipped at 0.
+
+    ``x_sq`` is ``(x * x).sum(axis=1)``, passed in by callers that reuse it.
+    """
+    if x_sq is None:
+        x_sq = (x * x).sum(axis=1)
+    g = x @ centroids.T
+    g *= 2.0
+    d = x_sq[:, None] + (centroids * centroids).sum(axis=1)[None, :]
+    d -= g
+    return np.maximum(d, 0.0, out=d)
 
 
 def cluster_keywords(
@@ -272,6 +288,51 @@ class LexiconBackend:
         return scores
 
 
+#: ``post`` below takes its body as ``json=``, like ``requests``; the name hides the module there.
+_dumps = json.dumps
+
+
+class _HttpResponse:
+    """Status and body of one reply, with the two ``requests`` methods the backend uses."""
+
+    def __init__(self, url: str, status: int, body: bytes):
+        self.url = url
+        self.status = status
+        self.body = body
+
+    def raise_for_status(self) -> None:
+        if self.status >= 400:
+            raise OSError(f"HTTP {self.status} from {self.url}")
+
+    def json(self):
+        return json.loads(self.body)
+
+
+class _UrllibSession:
+    """The default client of :class:`LlmBackend`: one JSON POST per call on ``urllib.request``.
+
+    It has the ``post(url, json=, headers=, timeout=)`` signature of a
+    ``requests.Session``, the seam through which tests inject a fake.
+    """
+
+    def post(self, url: str, *, json, headers: dict[str, str], timeout: float) -> _HttpResponse:
+        import urllib.error
+        import urllib.request  # only the remote backend needs it; importing it costs ~35 ms
+
+        request = urllib.request.Request(
+            url,
+            data=_dumps(json).encode("utf-8"),
+            headers={"Content-Type": "application/json", **headers},
+            method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as reply:
+                return _HttpResponse(url, reply.status, reply.read())
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return _HttpResponse(url, exc.code, exc.read())
+
+
 class LlmBackend:
     """Remote likelihood scorer with retries and a lexicon fallback.
 
@@ -297,11 +358,7 @@ class LlmBackend:
         self.retries = retries
         self.backoff = backoff
         self.fallback = fallback or LexiconBackend()
-        if session is None:
-            import requests  # only the remote backend needs it; importing it is slow
-
-            session = requests.Session()
-        self.session = session
+        self.session = session if session is not None else _UrllibSession()
         self._failed = False
         self._failed_lock = threading.Lock()
 

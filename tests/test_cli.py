@@ -296,15 +296,18 @@ def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):
 
 
 def test_lexicon_backend_makes_no_network_calls(workspace, tmp_path, monkeypatch):
-    import requests
+    import urllib.request
+
+    calls = []
 
     def boom(*args, **kwargs):
+        calls.append(args)
         raise AssertionError("network call attempted with lexicon backend")
 
-    monkeypatch.setattr(requests.Session, "post", boom)
-    monkeypatch.setattr(requests.Session, "request", boom)
+    monkeypatch.setattr(urllib.request, "urlopen", boom)
     cfg_path, _ = _run_config(workspace, tmp_path)
     assert main(["quantify", "--config", str(cfg_path), "--backend", "lexicon"]) == 0
+    assert calls == []
 
 
 def test_import_cli_leaves_requests_unloaded():
@@ -343,6 +346,21 @@ def test_quantify_reports_ingest_counts(workspace, tmp_path, capsys):
     assert malformed + empty + out_of_range + outside + kept == read
     assert news[1:3] == [0, 0] and sum(news[1:]) == news[0]
     assert outside > 0 and kept > 0  # synth writes out-of-state documents too
+
+
+@pytest.mark.parametrize("level, shown", [("INFO", True), (None, False)])
+def test_log_level_shows_ingest_info_on_stderr(workspace, tmp_path, capsys, level, shown):
+    posts = tmp_path / "posts.jsonl"
+    original = (workspace["data"] / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    posts.write_text("".join(original[:3] + ["{not json\n"] + original[3:]), encoding="utf-8")
+    raw = workspace["raw"]
+    paths = dict(raw["paths"], social=str(posts), out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=paths)), encoding="utf-8")
+    argv = ["quantify", "--config", str(cfg_path)] + (["--log-level", level] if level else [])
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert (f"INFO side.ingest: {posts}: skipped 1 malformed lines" in err) is shown
 
 
 @pytest.mark.parametrize("defect", ["missing_column", "short_row", "no_rows", "non_numeric"])

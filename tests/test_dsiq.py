@@ -19,6 +19,7 @@ from side.dsiq import (
     TopicCluster,
     TopicModel,
     _fit_tfidf,
+    _sq_dists,
     build_impact_series,
     cluster_keywords,
     fit_topic_model,
@@ -84,11 +85,9 @@ class TestKmeans:
         points = np.vstack([blob_a, blob_b])
         assignments, centroids = kmeans(points, 2, seed=0)
 
-        labels = np.array([0] * 20 + [1] * 20)
         first = assignments[0]
         assert np.all(assignments[:20] == first)
         assert np.all(assignments[20:] == 1 - first)
-        del labels
         for i, point in enumerate(points):
             dists = ((centroids - point) ** 2).sum(axis=1)
             assert assignments[i] == int(np.argmin(dists))
@@ -105,6 +104,87 @@ class TestKmeans:
         a1, c1 = kmeans(points, 5, seed=7)
         a2, c2 = kmeans(points, 5, seed=7)
         assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
+
+
+def _reference_kmeans(vectors, n_clusters, seed, max_iter=100):
+    """k-means as first written: norms per distance call, one boolean mask per cluster."""
+    n = vectors.shape[0]
+    k = min(n_clusters, n)
+    rng = np.random.default_rng(seed)
+
+    centroids = np.empty((k, vectors.shape[1]))
+    centroids[0] = vectors[rng.integers(n)]
+    closest = _reference_sq_dists(vectors, centroids[0][None, :])[:, 0]
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=closest / total)
+        centroids[c] = vectors[idx]
+        closest = np.minimum(closest, _reference_sq_dists(vectors, centroids[c][None, :])[:, 0])
+
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iter):
+        new_assignments = np.argmin(_reference_sq_dists(vectors, centroids), axis=1)
+        for c in range(k):
+            members = vectors[new_assignments == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+        if np.array_equal(new_assignments, assignments):
+            assignments = new_assignments
+            break
+        assignments = new_assignments
+    return np.argmin(_reference_sq_dists(vectors, centroids), axis=1), centroids
+
+
+def _reference_sq_dists(x, centroids):
+    d = (x * x).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1)[None, :]
+    d -= 2.0 * (x @ centroids.T)
+    return np.maximum(d, 0.0)
+
+
+def _tfidf_like(rng, n, d, zero_rows):
+    """Sparse non-negative L2-normalised rows, ``zero_rows`` of them all zero."""
+    x = rng.random((n, d)) * (rng.random((n, d)) < 0.15)
+    x[rng.choice(n, zero_rows, replace=False)] = 0.0
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    np.divide(x, norms, out=x, where=norms > 0)
+    return x
+
+
+def _kmeans_cases():
+    rng = np.random.default_rng(0)
+    tfidf = _tfidf_like(rng, 400, 40, zero_rows=30)
+    distinct = _tfidf_like(rng, 8, 12, zero_rows=0)
+    duplicates = distinct[rng.permutation(np.repeat(np.arange(8), 5))]
+    # With seed 56 the seeds are -1.5, 0 and 5; after one update 0 and 2
+    # sit closer to the outer means than to their own, so that cluster empties.
+    emptied = np.array([-1.5] + [-0.8] * 4 + [0.0, 2.0] + [2.6] * 6 + [5.0])[:, None]
+    return {
+        "tfidf": (tfidf, 16, 3, 100),
+        "duplicate_rows": (duplicates, 6, 1, 100),
+        "k_above_n": (tfidf[:7], 20, 0, 100),
+        "emptied_cluster": (emptied, 3, 56, 100),
+        "all_zero": (np.zeros((15, 6)), 4, 2, 100),
+        "one_cluster": (tfidf, 1, 0, 100),
+        "max_iter_1": (tfidf, 16, 3, 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_kmeans_cases()))
+def test_kmeans_matches_reference(case):
+    vectors, n_clusters, seed, max_iter = _kmeans_cases()[case]
+    want_a, want_c = _reference_kmeans(vectors, n_clusters, seed, max_iter)
+    got_a, got_c = kmeans(vectors, n_clusters, seed, max_iter)
+    assert np.array_equal(got_a, want_a)
+    assert np.array_equal(got_c, want_c)
+    x_sq = (vectors * vectors).sum(axis=1)
+    assert np.array_equal(_sq_dists(vectors, want_c, x_sq), _reference_sq_dists(vectors, want_c))
+    if case == "emptied_cluster":
+        assert len(np.unique(want_a)) == 2
+    if case == "max_iter_1":
+        assert not np.array_equal(want_a, _reference_kmeans(vectors, n_clusters, seed)[0])
 
 
 class TestTermCounts:
