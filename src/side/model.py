@@ -10,6 +10,7 @@ impact MSE terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,12 +58,18 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
+@functools.cache
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
-    """Fixed sin/cos positional table, shape (length, width)."""
+    """Fixed sin/cos positional table, shape (length, width).
+
+    Built once per ``(length, width)`` and shared by every later call, so
+    the returned array is read-only.
+    """
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(width, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * (i // 2) / width)
     table = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
+    table.flags.writeable = False
     return table
 
 

@@ -26,9 +26,10 @@ LR_PLATEAU_EPOCHS = 3
 
 #: Most windows in one autodiff graph; training, validation and evaluate
 #: all run in graphs of at most this many.  Larger graphs are faster but
-#: hold more memory: at model defaults `side train` on 330 weeks peaked at
-#: 54.9 MB of RSS with 1 window per graph (17.5 s), 56.8 MB with 4
-#: (10.9 s), 62.1 MB with 8 and 72.6 MB with 16.
+#: hold more memory: at model defaults `side train` on 330 weeks (one CPU,
+#: one BLAS thread) peaked at 55.0 MB of RSS with 1 window per graph
+#: (14.3 s), 58.7 MB with 4 (6.9 s), 64.0 MB with 8 (6.0 s) and 74.4 MB
+#: with 16 (5.7 s).
 GRAPH_WINDOWS = 4
 
 

@@ -295,6 +295,30 @@ def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):
     assert not (run / "synth_checkpoint.json").exists()
 
 
+def test_train_runs_where_c_library_has_no_mallopt(workspace, tmp_path, monkeypatch):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert (run / "synth_checkpoint.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sets", [("quantify", False), ("evaluate", False), ("train", True), ("ablate", True)]
+)
+def test_only_training_commands_set_the_allocator(workspace, tmp_path, monkeypatch, command, sets):
+    import ctypes
+    from types import SimpleNamespace
+
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: libc)
+    cfg_path, _ = _run_config(workspace, tmp_path, *TRAINED)
+    assert main([command, "--config", str(cfg_path)]) == 0
+    assert calls == ([(-1, 64 << 20), (-3, 1 << 20)] if sets else [])
+
+
 def test_lexicon_backend_makes_no_network_calls(workspace, tmp_path, monkeypatch):
     import urllib.request
 

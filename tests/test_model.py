@@ -297,3 +297,5 @@ def test_positional_table_shape_and_range():
     assert table.shape == (10, 8)
     assert np.all(np.abs(table) <= 1.0)
     assert table[0, 0] == 0.0 and table[0, 1] == 1.0  # sin(0), cos(0)
+    # built once and shared by every forward pass, so nobody may write into it
+    assert mdl.sinusoidal_positions(10, 8) is table and not table.flags.writeable

@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, gradients vs finite differences, Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,13 +175,53 @@ def test_shared_constant_keeps_no_gradient():
     assert np.all(w.grad != 0.0)
 
 
+def test_weight_gradient_allocates_no_weight_sized_array():
+    # the shared-weight GEMM writes into the parameter's work view; the first
+    # backward is a warm-up, so only the steady state is measured
+    rng = np.random.default_rng(11)
+    w = nm.parameter(rng.normal(size=(2000, 64)), "w")
+    loss = nm.mean_all(nm.square(nm.matmul(nm.constant(rng.normal(size=(2, 3, 2000))), w)))
+    nm.backward(loss)
+    tracemalloc.start()
+    try:
+        nm.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.value.nbytes, f"backward peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weight_used_twice_gets_both_contributions(seed):
+    # two shared-weight matmuls, and a matmul plus an elementwise use
+    check_grad(
+        lambda n: nm.mean_all(nm.square(nm.add(nm.matmul(n[0], n[1]), nm.matmul(nm.tanh(n[2]), n[1])))),
+        [(2, 3, 4), (4, 5), (2, 3, 4)],
+        seed,
+    )
+    check_grad(lambda n: nm.mean_all(nm.square(nm.add(nm.matmul(n[0], n[1]), n[1]))), [(4, 4), (4, 4)], seed)
+
+
+def test_weight_gradient_adds_each_pass_in_place():
+    rng = np.random.default_rng(12)
+    w0, a1, a2 = rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 4)), rng.normal(size=(6, 4))
+    w = nm.parameter(w0, "w")
+    for a in (a1, a2):
+        nm.backward(nm.mean_all(nm.square(nm.matmul(nm.constant(a), w))))
+    # the gradient of mean(square(a @ w)) at the product, as the vjp of square builds it
+    g1, g2 = (np.full(out.shape, 1.0 / out.size) * 2.0 * out for out in (a1 @ w0, a2 @ w0))
+    expected = (a1.reshape(-1, 4).T @ g1.reshape(-1, 5)) + (a2.reshape(-1, 4).T @ g2.reshape(-1, 5))
+    assert np.array_equal(w.grad, expected)
+
+
 def test_params_are_views_of_two_flat_vectors():
     params = nm.Params({"a": np.arange(6.0).reshape(2, 3), "b": [7.0, 8.0]})
     np.testing.assert_array_equal(params.value, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
     np.testing.assert_array_equal(params.grad, np.zeros(8))
     params.value[6] = -1.0
     params["a"].grad[1, 2] = 5.0
-    assert params["b"].value[0] == -1.0 and params.grad[5] == 5.0
+    params["b"].work[1] = 3.0
+    assert params["b"].value[0] == -1.0 and params.grad[5] == 5.0 and params.work[7] == 3.0
     snapshot = params.value.copy()
     arrays = params.arrays(snapshot)
     assert list(arrays) == ["a", "b"] and arrays["a"].shape == (2, 3)
