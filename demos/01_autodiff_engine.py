@@ -53,6 +53,6 @@ print("loss after 50 Adam steps:", float(loss.value))
 # models produce bit-identical outputs.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo_ckpt.json"
-    nm.save_checkpoint(path, {"w": w.value}, config={"demo": True})
-    restored = nm.load_checkpoint(path)["params"]["w"]
-print("checkpoint round trip exact:", bool(np.array_equal(restored, w.value)))
+    nm.save_checkpoint(path, params, config={"demo": True})
+    restored = nm.load_checkpoint(path)["params"]["w"].value
+print("checkpoint round trip exact:", restored.tobytes() == w.value.tobytes())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import logging
 import sys
 from pathlib import Path
@@ -142,6 +143,15 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     return 0
 
 
+def _provenance(cfg: cfgmod.RunConfig) -> dict:
+    """What ``train`` records in the checkpoint and ``evaluate`` checks: the split and the input digests."""
+    def sha256(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    return {"split": list(cfg.split), "dsci_sha256": sha256(cfg.dsci_path),
+            "impact_sha256": sha256(_out_path(cfg, "impact.csv"))}
+
+
 def _load_windows(cfg: cfgmod.RunConfig):
     impact_path = _out_path(cfg, "impact.csv")
     _require_files(cfg.dsci_path, impact_path)
@@ -181,6 +191,7 @@ def _keep_freed_heap() -> None:
 def cmd_train(cfg: cfgmod.RunConfig) -> int:
     _keep_freed_heap()
     train_s, val_s, _ = _load_windows(cfg)
+    provenance = _provenance(cfg)
     try:
         result = train_eval.train(train_s, val_s, cfg.model, cfg.train)
     except DivergenceError as exc:
@@ -194,10 +205,10 @@ def cmd_train(cfg: cfgmod.RunConfig) -> int:
                 best_val_loss=float("nan"),
                 best_epoch=0,
             )
-            train_eval.save_run_checkpoint(_out_path(cfg, "checkpoint.json"), fallback)
+            train_eval.save_run_checkpoint(_out_path(cfg, "checkpoint.json"), fallback, provenance)
         print(f"training diverged: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    train_eval.save_run_checkpoint(_out_path(cfg, "checkpoint.json"), result)
+    train_eval.save_run_checkpoint(_out_path(cfg, "checkpoint.json"), result, provenance)
     train_eval.write_history_csv(_out_path(cfg, "history.csv"), result.history)
     print(
         f"trained {len(result.history)} epochs, best val loss "
@@ -219,7 +230,7 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
     checkpoint_path = _out_path(cfg, "checkpoint.json")
     _require_files(checkpoint_path)
     train_s, _, test_s = _load_windows(cfg)
-    params, standardizer = train_eval.load_run_checkpoint(checkpoint_path, cfg.model)
+    params, standardizer = train_eval.load_run_checkpoint(checkpoint_path, cfg.model, _provenance(cfg))
 
     result = train_eval.evaluate(params, cfg.model, standardizer, test_s)
     reports = {

@@ -288,49 +288,27 @@ class LexiconBackend:
         return scores
 
 
-#: ``post`` below takes its body as ``json=``, like ``requests``; the name hides the module there.
-_dumps = json.dumps
+def _post_json(url: str, body, headers: dict[str, str], timeout: float):
+    """POST ``body`` as JSON with ``urllib.request`` and return the decoded JSON reply.
 
-
-class _HttpResponse:
-    """Status and body of one reply, with the two ``requests`` methods the backend uses."""
-
-    def __init__(self, url: str, status: int, body: bytes):
-        self.url = url
-        self.status = status
-        self.body = body
-
-    def raise_for_status(self) -> None:
-        if self.status >= 400:
-            raise OSError(f"HTTP {self.status} from {self.url}")
-
-    def json(self):
-        return json.loads(self.body)
-
-
-class _UrllibSession:
-    """The default client of :class:`LlmBackend`: one JSON POST per call on ``urllib.request``.
-
-    It has the ``post(url, json=, headers=, timeout=)`` signature of a
-    ``requests.Session``, the seam through which tests inject a fake.
+    The default transport of :class:`LlmBackend`.  An HTTP error status
+    raises ``urllib.error.HTTPError`` after closing its body.
     """
+    import urllib.error
+    import urllib.request  # only the remote backend needs it; importing it costs ~35 ms
 
-    def post(self, url: str, *, json, headers: dict[str, str], timeout: float) -> _HttpResponse:
-        import urllib.error
-        import urllib.request  # only the remote backend needs it; importing it costs ~35 ms
-
-        request = urllib.request.Request(
-            url,
-            data=_dumps(json).encode("utf-8"),
-            headers={"Content-Type": "application/json", **headers},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as reply:
-                return _HttpResponse(url, reply.status, reply.read())
-        except urllib.error.HTTPError as exc:
-            with exc:
-                return _HttpResponse(url, exc.code, exc.read())
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json", **headers},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as reply:
+            return json.loads(reply.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise
 
 
 class LlmBackend:
@@ -340,6 +318,8 @@ class LlmBackend:
     ``{"scores": [...]}`` with one float per determinant.  The first topic
     whose retries all fail logs a warning naming the last error; from then
     on this backend scores every topic with the lexicon, without calling.
+    ``post(url, body, headers, timeout)`` sends one request and returns the
+    decoded reply, or raises; tests pass a fake.
     """
 
     def __init__(
@@ -350,7 +330,7 @@ class LlmBackend:
         retries: int = 2,
         backoff: float = 0.5,
         fallback: LexiconBackend | None = None,
-        session=None,
+        post=_post_json,
     ):
         self.url = url
         self.api_key = api_key
@@ -358,7 +338,7 @@ class LlmBackend:
         self.retries = retries
         self.backoff = backoff
         self.fallback = fallback or LexiconBackend()
-        self.session = session if session is not None else _UrllibSession()
+        self.post = post
         self._failed = False
         self._failed_lock = threading.Lock()
 
@@ -371,9 +351,7 @@ class LlmBackend:
             if self._failed:
                 return self.fallback.score(keywords)
             try:
-                resp = self.session.post(self.url, json=body, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-                scores = resp.json()["scores"]
+                scores = self.post(self.url, body, headers, self.timeout)["scores"]
                 if len(scores) != DETERMINANT_COUNT or not all(
                     math.isfinite(float(s)) for s in scores
                 ):

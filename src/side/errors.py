@@ -32,8 +32,8 @@ class NumericsError(SideError):
 class DivergenceError(SideError):
     """Training loss became non-finite.
 
-    Carries the last checkpoint that was still finite so callers can
-    persist it before exiting.
+    Carries the parameters, holding the last values that were still
+    finite, so callers can persist them before exiting.
     """
 
     def __init__(self, message, checkpoint=None, history=None):

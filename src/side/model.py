@@ -73,30 +73,29 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     return table
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    std = math.sqrt(2.0 / (rows + cols))
-    return rng.normal(0.0, std, size=(rows, cols))
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Parameter name -> shape, in the order :func:`init_params` draws and lays them out."""
+    d = cfg.width
+    shapes = {}
+    for prefix, in_dim in (("enc_impact", cfg.impact_dim), ("enc_severity", 1)):
+        shapes[f"{prefix}.proj"] = (in_dim, d)
+        for w in ("wq", "wk", "wv", "wo"):
+            shapes[f"{prefix}.attn.{w}"] = (d, d)
+        shapes[f"{prefix}.ff.w1"] = (d, 4 * d)
+        shapes[f"{prefix}.ff.w2"] = (4 * d, d)
+    for w in ("wq_m", "wk_d", "wv_d", "wq_d", "wk_m", "wv_m"):
+        shapes[f"cross.{w}"] = (d, d)
+    shapes["dec.w1"] = (cfg.lookback * 2 * d, cfg.hidden)
+    shapes["dec.w2"] = (cfg.hidden, cfg.horizon * (1 + cfg.impact_dim))
+    return shapes
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> nm.Params:
-    """Fresh parameter set; iteration order is fixed by insertion."""
-    d = cfg.width
-    arrays: dict[str, np.ndarray] = {}
-
-    def par(name, rows, cols):
-        arrays[name] = _glorot(rng, rows, cols)
-
-    for prefix, in_dim in (("enc_impact", cfg.impact_dim), ("enc_severity", 1)):
-        par(f"{prefix}.proj", in_dim, d)
-        for w in ("wq", "wk", "wv", "wo"):
-            par(f"{prefix}.attn.{w}", d, d)
-        par(f"{prefix}.ff.w1", d, 4 * d)
-        par(f"{prefix}.ff.w2", 4 * d, d)
-    for w in ("wq_m", "wk_d", "wv_d", "wq_d", "wk_m", "wv_m"):
-        par(f"cross.{w}", d, d)
-    par("dec.w1", cfg.lookback * 2 * d, cfg.hidden)
-    par("dec.w2", cfg.hidden, cfg.horizon * (1 + cfg.impact_dim))
-    return nm.Params(arrays)
+    """Fresh Glorot-normal parameter set, drawn in :func:`param_shapes` order."""
+    return nm.Params({
+        name: rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=(rows, cols))
+        for name, (rows, cols) in param_shapes(cfg).items()
+    })
 
 
 def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, width: int) -> Node:

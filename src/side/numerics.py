@@ -13,6 +13,7 @@ so every backward rule stays auditable.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import atomic_write
-from .errors import NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 
 
 class Node:
@@ -357,7 +358,7 @@ def decay_learning_rate(state: AdamState) -> float:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "side-checkpoint-v1"
+_CHECKPOINT_FORMAT = "side-checkpoint-v2"
 
 
 def config_hash(config: dict) -> str:
@@ -366,49 +367,52 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: dict | None = None) -> None:
+def save_checkpoint(path, params: Params, config: dict, extras: dict | None = None) -> None:
     """Write parameters + config as JSON.
 
-    Floats are serialized via repr, so a float64 round trip through
-    :func:`load_checkpoint` is bit-exact.  The write is atomic
-    (:func:`side.core.atomic_write`): a failed save leaves any earlier
-    checkpoint at ``path`` intact.
+    ``layout`` lists ``[name, shape]`` in :class:`Params` order and
+    ``values`` is ``params.value`` as base64 of little-endian float64, so
+    a round trip through :func:`load_checkpoint` is bit-exact.  The write
+    is atomic (:func:`side.core.atomic_write`): a failed save leaves any
+    earlier checkpoint at ``path`` intact.
     """
-    records = []
-    for name in sorted(params):
-        arr = np.asarray(params[name], dtype=np.float64)
-        records.append(
-            {"name": name, "shape": list(arr.shape), "values": arr.ravel(order="C").tolist()}
-        )
-    payload = {
+    text = json.dumps({
         "format": _CHECKPOINT_FORMAT,
         "config": config,
         "config_hash": config_hash(config),
         "extras": extras or {},
-        "params": records,
-    }
+        "layout": [[name, list(node.shape)] for name, node in params.items()],
+        "values": base64.b64encode(params.value.astype("<f8", copy=False).tobytes()).decode("ascii"),
+    })
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; returns params (name -> float64 array), config, extras.
+    """Read a checkpoint; returns params (a :class:`Params`), config, extras.
 
     Raises:
+        ConfigError: a ``side-checkpoint-v1`` file, which must be retrained.
         NumericsError: not a checkpoint of this format (invalid JSON, a key
-            missing or of the wrong type), or a config that fails its hash.
+            missing or of the wrong type, a bad shape or base64, too few or
+            too many values), or a config that fails its hash.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-            if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
+            fmt = payload.get("format") if isinstance(payload, dict) else None
+            if fmt == "side-checkpoint-v1":
+                raise ConfigError(f"{path} is a {fmt} checkpoint, which this version does not read; retrain")
+            if fmt != _CHECKPOINT_FORMAT:
                 raise NumericsError(f"unrecognized checkpoint format in {path}")
             if config_hash(payload["config"]) != payload["config_hash"]:
                 raise NumericsError(f"checkpoint config hash mismatch in {path}")
-            params = {
-                rec["name"]: np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-                for rec in payload["params"]
-            }
+            layout = {name: tuple(shape) for name, shape in payload["layout"]}
+            values = np.frombuffer(base64.b64decode(payload["values"], validate=True), dtype="<f8")
+            if values.size != sum(map(math.prod, layout.values())):  # checked before allocating
+                raise ValueError(f"{values.size} values do not fill the layout")
+            params = Params({name: np.zeros(shape) for name, shape in layout.items()})
+            params.value[...] = values
             return {"params": params, "config": payload["config"], "extras": payload["extras"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise NumericsError(f"malformed checkpoint {path}: {exc!r}") from exc

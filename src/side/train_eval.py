@@ -10,6 +10,7 @@ scales.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def compute_metrics(pred: np.ndarray, true: np.ndarray) -> TargetMetrics:
 
 @dataclass
 class TrainResult:
-    params: dict[str, np.ndarray]
+    params: nm.Params
     model_config: ModelConfig
     train_config: TrainConfig
     standardizer: Standardizer
@@ -197,11 +198,11 @@ def train(
 
     Runs at most ``max_epochs`` epochs, halves the learning rate after
     three stagnant epochs, stops after ``patience`` stagnant epochs, and
-    returns the parameters from the best-validation epoch.
+    returns the parameters holding the values of the best-validation epoch.
 
     Raises:
         DivergenceError: training loss went non-finite; the error carries
-            the last good parameter snapshot and the history so far.
+            the parameters at their last good values and the history so far.
     """
     if not train_windows or not val_windows:
         raise ValueError("train and val splits must both be non-empty")
@@ -221,6 +222,10 @@ def train(
     decay_stale = 0
     history: list[dict] = []
 
+    def diverged(message: str) -> DivergenceError:
+        params.value[...] = best
+        return DivergenceError(message, checkpoint=params, history=history)
+
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(train_units))
         epoch_loss = 0.0
@@ -231,17 +236,11 @@ def train(
                     params, model_cfg, weights, train_units, order[lo : lo + train_cfg.batch_size]
                 )
                 if not np.isfinite(batch_loss):
-                    raise DivergenceError(
-                        f"non-finite training loss at epoch {epoch}",
-                        checkpoint=params.arrays(best),
-                        history=history,
-                    )
+                    raise diverged(f"non-finite training loss at epoch {epoch}")
                 epoch_loss += batch_loss
                 nm.adam_step(params, adam)
         except NumericsError as exc:
-            raise DivergenceError(
-                f"aborted at epoch {epoch}: {exc}", checkpoint=params.arrays(best), history=history
-            ) from exc
+            raise diverged(f"aborted at epoch {epoch}: {exc}") from exc
 
         train_loss = epoch_loss / len(train_units)
         val_loss = _mean_loss(params, model_cfg, weights, val_units)
@@ -254,11 +253,7 @@ def train(
             }
         )
         if not np.isfinite(val_loss):
-            raise DivergenceError(
-                f"non-finite validation loss at epoch {epoch}",
-                checkpoint=params.arrays(best),
-                history=history,
-            )
+            raise diverged(f"non-finite validation loss at epoch {epoch}")
 
         if val_loss < best_val:
             best_val = val_loss
@@ -275,8 +270,9 @@ def train(
             if stale >= train_cfg.patience:
                 break
 
+    params.value[...] = best
     return TrainResult(
-        params=params.arrays(best),
+        params=params,
         model_config=model_cfg,
         train_config=train_cfg,
         standardizer=standardizer,
@@ -313,7 +309,7 @@ def impact_target_names() -> list[str]:
 
 
 def evaluate(
-    params: dict[str, np.ndarray],
+    params: nm.Params,
     model_cfg: ModelConfig,
     standardizer: Standardizer,
     test_windows: Windows,
@@ -328,12 +324,11 @@ def evaluate(
     if not test_windows:
         raise ValueError("test split is empty")
 
-    nodes = nm.Params(params)
     units = _model_units(test_windows, standardizer, model_cfg)
 
     sev_pred, imp_pred = [], []
     for idx in _chunks(np.arange(len(units))):
-        s_node, i_node = mdl.forward(nodes, model_cfg, units.severity_in[idx], units.impact_in[idx])
+        s_node, i_node = mdl.forward(params, model_cfg, units.severity_in[idx], units.impact_in[idx])
         sev_pred.append(s_node.value)
         imp_pred.append(i_node.value)
         del s_node, i_node  # free this graph before the next chunk's forward pass
@@ -373,9 +368,8 @@ def run_ablation(
     for variant in mdl.ABLATIONS:
         cfg = replace(model_cfg, ablation=variant)
         trained = train(train_windows, val_windows, cfg, train_cfg)
-        results[variant] = evaluate(
-            trained.params, cfg, trained.standardizer, test_windows
-        )
+        results[variant] = evaluate(trained.params, cfg, trained.standardizer, test_windows)
+        del trained  # its parameter, gradient and work vectors, before the next variant trains
     return results
 
 
@@ -410,7 +404,8 @@ def baseline_linear_ar(train_windows: Windows, test_windows: Windows) -> MetricR
 # ---------------------------------------------------------------------------
 
 
-def save_run_checkpoint(path, result: TrainResult) -> None:
+def save_run_checkpoint(path, result: TrainResult, provenance: dict | None = None) -> None:
+    """Write ``result`` as a checkpoint; ``provenance`` (what it was trained on) goes into its extras."""
     config = {
         "model": asdict(result.model_config),
         "train": asdict(result.train_config),
@@ -419,20 +414,25 @@ def save_run_checkpoint(path, result: TrainResult) -> None:
         "standardizer": {"mean": result.standardizer.mean, "std": result.standardizer.std},
         "best_val_loss": result.best_val_loss,
         "best_epoch": result.best_epoch,
+        **(provenance or {}),
     }
     nm.save_checkpoint(path, result.params, config, extras)
 
 
-def load_run_checkpoint(path, model_cfg: ModelConfig):
+def load_run_checkpoint(path, model_cfg: ModelConfig, provenance: dict | None = None):
     """Returns (params, Standardizer) of a checkpoint trained for ``model_cfg``.
 
+    Each field of ``provenance`` must equal the one the checkpoint recorded.
+
     Raises:
-        NumericsError: the file is not a well-formed checkpoint, or its
-            standardizer is missing or invalid.
+        NumericsError: the file is not a well-formed checkpoint, its
+            parameters are not those of ``model_cfg`` (naming the first
+            that differs), or its standardizer is missing or invalid.
         ConfigError: the checkpoint's model block is missing or not a valid
             ModelConfig (for example one written by an older version), or
-            it differs from ``model_cfg``; evaluating it would report on a
-            model other than the one configured.
+            it differs from ``model_cfg``, or a ``provenance`` field differs
+            or is missing; evaluating it would report on a model other than
+            the one configured, or on data it was not trained for.
     """
     payload = nm.load_checkpoint(path)
     try:
@@ -443,11 +443,24 @@ def load_run_checkpoint(path, model_cfg: ModelConfig):
         raise ConfigError(
             f"{path}: checkpoint was trained for {saved}, but the run config has {model_cfg}; retrain"
         )
+    layout = ((name, node.shape) for name, node in payload["params"].items())
+    for got, want in zip_longest(layout, mdl.param_shapes(model_cfg).items(), fillvalue=(None, None)):
+        if got != want:
+            raise NumericsError(
+                f"{path}: checkpoint parameter {got[0]!r} {got[1]} is not the model's {want[0]!r} {want[1]}"
+            )
     try:
         std = payload["extras"]["standardizer"]
-        return payload["params"], Standardizer(mean=std["mean"], std=std["std"])
+        standardizer = Standardizer(mean=std["mean"], std=std["std"])
     except (KeyError, TypeError, ValueError) as exc:
         raise NumericsError(f"{path}: checkpoint has no valid standardizer ({exc!r})") from exc
+    for key, value in (provenance or {}).items():
+        trained_on = payload["extras"].get(key)
+        if trained_on != value:
+            raise ConfigError(
+                f"{path}: checkpoint was trained with {key} {trained_on!r}, but this run has {value!r}; retrain"
+            )
+    return payload["params"], standardizer
 
 
 def write_history_csv(path, history: list[dict]) -> None:

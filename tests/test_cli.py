@@ -1,5 +1,6 @@
 """CLI subcommands end to end on a small synthetic dataset."""
 
+import base64
 import json
 import os
 import re
@@ -171,7 +172,18 @@ def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path
 
 
 @pytest.mark.parametrize(
-    "defect", ["no_config_hash", "top_level_list", "no_standardizer", "bad_param_shape"]
+    "defect",
+    [
+        "no_config_hash",
+        "top_level_list",
+        "no_standardizer",
+        "bad_param_shape",
+        "bad_base64",
+        "wrong_value_count",
+        "no_layout",
+        "no_values",
+        "renamed_param",
+    ],
 )
 def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defect):
     cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
@@ -182,12 +194,68 @@ def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defe
     elif defect == "no_standardizer":
         del payload["extras"]["standardizer"]
     elif defect == "bad_param_shape":
-        payload["params"][0]["shape"] = [7, 7, 7]
+        payload["layout"][0][1] = [-7, 7]
+    elif defect == "bad_base64":
+        payload["values"] = payload["values"][:-4] + "*!*!"
+    elif defect == "wrong_value_count":
+        payload["values"] = base64.b64encode(b"\0" * 8).decode()  # one float64 for the whole layout
+    elif defect in ("no_layout", "no_values"):
+        del payload[defect[3:]]
+    elif defect == "renamed_param":
+        [entry] = [e for e in payload["layout"] if e[0] == "cross.wk_d"]
+        entry[0] = "cross.wk_dx"
     else:
         payload = [payload]
     checkpoint.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["evaluate", "--config", str(cfg_path)]) == 3
-    assert "checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "checkpoint" in err
+    assert defect != "renamed_param" or "'cross.wk_dx'" in err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_evaluate_rejects_v1_checkpoint(workspace, tmp_path, capsys):
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
+    checkpoint = run / "synth_checkpoint.json"
+    payload = json.loads(checkpoint.read_text(encoding="utf-8"))
+    payload["format"] = "side-checkpoint-v1"
+    checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert "retrain" in capsys.readouterr().err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_evaluate_rejects_another_split(workspace, tmp_path, capsys):
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED, split=[1, 1, 8])
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "split" in err and "retrain" in err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_evaluate_rejects_requantified_impacts(workspace, tmp_path, capsys):
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED, dsiq={"topic_count": 9})
+    assert main(["quantify", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "impact_sha256" in err and "retrain" in err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_evaluate_rejects_edited_dsci(workspace, tmp_path, capsys):
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
+    dsci = tmp_path / "dsci.csv"
+    lines = (workspace["data"] / "dsci.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    week, value = lines[-1].rstrip("\n").split(",")
+    lines[-1] = f"{week},{float(value) / 2}\n"  # a test-split week, still in range
+    dsci.write_text("".join(lines), encoding="utf-8")
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    raw["paths"]["dsci"] = str(dsci)
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "dsci_sha256" in err and "retrain" in err
     assert not (run / "synth_metrics.csv").exists()
 
 

@@ -308,17 +308,18 @@ def llm_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/score", _ScoreHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 
-class FailingSession:
-    """A session whose every POST fails, as a dead service's would; threads may share it."""
+class FailingPost:
+    """A transport whose every POST fails, as a dead service's would; threads may share it."""
 
     def __init__(self):
         self.calls = 0
         self._lock = threading.Lock()
 
-    def post(self, *args, **kwargs):
+    def __call__(self, url, body, headers, timeout):
         with self._lock:
             self.calls += 1
             attempt = self.calls
@@ -353,11 +354,11 @@ class TestLlmBackend:
         assert np.argmax(scores) == 0  # lexicon cosine took over
 
     def test_fallback_logs_warning_naming_last_error(self, caplog):
-        session = FailingSession()
-        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
+        post = FailingPost()
+        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
         with caplog.at_level(logging.WARNING, logger="side.dsiq"):
             scores = backend.score(["crop", "harvest", "irrigation"])
-        assert session.calls == 3
+        assert post.calls == 3
         assert np.argmax(scores) == 0  # lexicon cosine took over
         [record] = caplog.records
         assert record.levelno == logging.WARNING
@@ -365,14 +366,14 @@ class TestLlmBackend:
         assert "lexicon" in record.getMessage()
 
     def test_dead_service_costs_one_round_of_retries(self, caplog):
-        session = FailingSession()
-        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
+        post = FailingPost()
+        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
         lexicon = LexiconBackend()
         topics = [["crop", "harvest"], ["water", "reservoir"], ["fire"], ["clinic"], ["zzz"]]
         with caplog.at_level(logging.WARNING, logger="side.dsiq"):
             for keywords in topics:
                 assert backend.score(keywords) == lexicon.score(keywords)
-        assert session.calls == 3  # the first topic's retries, then none
+        assert post.calls == 3  # the first topic's retries, then none
         assert len(caplog.records) == 1
 
     def test_unreachable_endpoint_falls_back(self):
@@ -572,13 +573,13 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
 def test_fit_topic_model_on_dead_service_bounds_posts(caplog):
     words = ["crop", "water", "fire", "clinic", "power", "river", "tourism", "factory"]
     docs = [doc(10 * i + j, f"{w} {w} {w} shared{j}") for i, w in enumerate(words) for j in range(3)]
-    session = FailingSession()
-    backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, session=session)
+    post = FailingPost()
+    backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):
         model = fit_topic_model(docs, Source.SOCIAL, backend, topic_count=8, seed=0)
     assert len(model.clusters) == 8
     # only the topics in flight when the budget ran out may still call
-    assert session.calls <= MAP_PARALLELISM * (backend.retries + 1)
+    assert post.calls <= MAP_PARALLELISM * (backend.retries + 1)
     assert len(caplog.records) == 1
     lexicon = fit_topic_model(docs, Source.SOCIAL, LexiconBackend(), topic_count=8, seed=0)
     assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]

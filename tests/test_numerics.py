@@ -331,36 +331,51 @@ def test_learning_rate_decay_factor():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(9)
-    params = {
+    params = nm.Params({
         "a.w": rng.normal(size=(3, 5)),
-        "b.w": np.array([0.1, 1.0 / 3.0, 1e-308, 1.7976931348623157e308, -0.0]),
-    }
+        "b.w": np.array([0.1, 1.0 / 3.0, 1e-308, 5e-324, 1.7976931348623157e308, -0.0]),
+    })
     config = {"model": {"width": 4}, "train": {"lr": 0.001}}
     path = tmp_path / "ckpt.json"
     nm.save_checkpoint(path, params, config, extras={"note": 1})
     loaded = nm.load_checkpoint(path)
     assert loaded["config"] == config
     assert loaded["extras"] == {"note": 1}
-    for name, arr in params.items():
-        restored = loaded["params"][name]
-        assert restored.shape == arr.shape
-        assert np.array_equal(restored, arr), "float64 round trip must be bit-exact"
+    assert list(loaded["params"]) == list(params)
+    for name, node in params.items():
+        restored = loaded["params"][name].value
+        assert restored.shape == node.shape
+        # tobytes, not array_equal, which counts -0.0 equal to 0.0
+        assert restored.tobytes() == node.value.tobytes(), "float64 round trip must be bit-exact"
 
 
 def test_checkpoint_failed_save_keeps_earlier_file(tmp_path, monkeypatch):
-    import json
+    from side import core
 
     path = tmp_path / "ckpt.json"
-    nm.save_checkpoint(path, {"w": np.zeros(2)}, {"d": 4})
+    nm.save_checkpoint(path, nm.Params({"w": np.zeros(2)}), {"d": 4})
     before = path.read_bytes()
 
-    def partial_dump(obj, fh):
-        fh.write('{"format": ')
-        raise OSError("disk full")
+    class HalfWrite:
+        """The file atomic_write opens, on a disk that fills halfway through the write."""
 
-    monkeypatch.setattr(json, "dump", partial_dump)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(core, "open", lambda *a, **kw: HalfWrite(real_open(*a, **kw)), raising=False)
     with pytest.raises(OSError, match="disk full"):
-        nm.save_checkpoint(path, {"w": np.ones(2)}, {"d": 4})
+        nm.save_checkpoint(path, nm.Params({"w": np.ones(2)}), {"d": 4})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
@@ -369,7 +384,7 @@ def test_checkpoint_rejects_tampered_config(tmp_path):
     import json
 
     path = tmp_path / "ckpt.json"
-    nm.save_checkpoint(path, {"w": np.zeros(2)}, {"d": 4})
+    nm.save_checkpoint(path, nm.Params({"w": np.zeros(2)}), {"d": 4})
     payload = json.loads(path.read_text())
     payload["config"]["d"] = 8
     path.write_text(json.dumps(payload))

@@ -150,8 +150,9 @@ class TestTrain:
         tc = TrainConfig(max_epochs=5, patience=5, seed=0, learning_rate=1e200)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
             train(train_s, val_s, cfg, tc)
-        assert isinstance(excinfo.value.checkpoint, dict)
-        assert excinfo.value.checkpoint
+        # the training parameters, put back to the values of the last finite epoch
+        assert isinstance(excinfo.value.checkpoint, nm.Params)
+        assert np.all(np.isfinite(excinfo.value.checkpoint.value))
 
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ValueError):
@@ -256,9 +257,8 @@ class TestEvaluate:
     def test_checkpoint_records_every_train_setting(self, tmp_path):
         cfg = small_cfg()
         train_cfg = TrainConfig(lr_plateau=7)
-        params = {k: p.value for k, p in init_params(cfg, np.random.default_rng(0)).items()}
         result = TrainResult(
-            params=params,
+            params=init_params(cfg, np.random.default_rng(0)),
             model_config=cfg,
             train_config=train_cfg,
             standardizer=Standardizer(mean=0.0, std=1.0),
