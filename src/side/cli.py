@@ -192,24 +192,16 @@ def cmd_train(cfg: cfgmod.RunConfig) -> int:
     _keep_freed_heap()
     train_s, val_s, _ = _load_windows(cfg)
     provenance = _provenance(cfg)
+    diverged = None
     try:
         result = train_eval.train(train_s, val_s, cfg.model, cfg.train)
     except DivergenceError as exc:
-        if exc.checkpoint is not None:
-            fallback = train_eval.TrainResult(
-                params=exc.checkpoint,
-                model_config=cfg.model,
-                train_config=cfg.train,
-                standardizer=train_eval.Standardizer.fit(train_s),
-                history=exc.history or [],
-                best_val_loss=float("nan"),
-                best_epoch=0,
-            )
-            train_eval.save_run_checkpoint(_out_path(cfg, "checkpoint.json"), fallback, provenance)
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return NUMERIC_ERROR
+        result, diverged = exc.result, exc
     train_eval.save_run_checkpoint(_out_path(cfg, "checkpoint.json"), result, provenance)
     train_eval.write_history_csv(_out_path(cfg, "history.csv"), result.history)
+    if diverged:
+        print(f"training diverged: {diverged}", file=sys.stderr)
+        return NUMERIC_ERROR
     print(
         f"trained {len(result.history)} epochs, best val loss "
         f"{result.best_val_loss:.6f} at epoch {result.best_epoch}"

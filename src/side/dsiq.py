@@ -416,8 +416,7 @@ def fit_topic_model(
 ) -> TopicModel:
     """Cluster one source's documents and map every topic to a determinant.
 
-    Remote-backend mapping calls run with bounded parallelism; the
-    lexicon backend is scored inline.
+    Topics are mapped on ``MAP_PARALLELISM`` threads, in topic order.
     """
     docs = [d for d in docs if d.source == source]
     if not docs:
@@ -431,14 +430,8 @@ def fit_topic_model(
     doc_counts = np.bincount(assignments, minlength=len(live))
     keywords = cluster_keywords(token_lists, assignments, vocab)
 
-    def _map(kw):
-        return map_topic(kw, backend, map_threshold)
-
-    if isinstance(backend, LlmBackend):
-        with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
-            det_indices = list(pool.map(_map, keywords))
-    else:
-        det_indices = [_map(kw) for kw in keywords]
+    with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
+        det_indices = list(pool.map(lambda kw: map_topic(kw, backend, map_threshold), keywords))
 
     clusters = tuple(
         TopicCluster(

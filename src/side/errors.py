@@ -32,11 +32,11 @@ class NumericsError(SideError):
 class DivergenceError(SideError):
     """Training loss became non-finite.
 
-    Carries the parameters, holding the last values that were still
-    finite, so callers can persist them before exiting.
+    ``result`` is the :class:`side.train_eval.TrainResult` of the run so
+    far, with the best epoch's parameters, so callers can persist it
+    before exiting.
     """
 
-    def __init__(self, message, checkpoint=None, history=None):
+    def __init__(self, message, result=None):
         super().__init__(message)
-        self.checkpoint = checkpoint
-        self.history = history
+        self.result = result

@@ -3,8 +3,7 @@
 Severity comes from ``dsci.csv`` (``week_start,dsci``), documents from
 JSONL dumps with ``id``/``timestamp``/``text`` per line, and the
 state-specific location entities from a plain text file.  Real dumps
-contain junk lines, so JSONL parsing is lenient by default and counts
-what it drops; a strict flag turns every malformed line into an error.
+contain junk lines, so JSONL parsing is lenient: it counts what it drops.
 """
 
 from __future__ import annotations
@@ -114,29 +113,27 @@ def _parse_timestamp(raw: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-def load_documents(
-    path, source: Source, series: SeveritySeries, strict: bool = False
-) -> DocumentLoadResult:
+def load_documents(path, source: Source, series: SeveritySeries) -> DocumentLoadResult:
     """Read one JSONL document dump and bucket rows into weekly timesteps.
 
     Each document lands in the timestep whose week contains its
     timestamp; documents outside the severity date range and documents
-    with empty text are dropped and counted.  Malformed lines are
-    counted in lenient mode and fatal in strict mode.
+    with empty text are dropped and counted.  Malformed lines are dropped
+    and counted too: invalid JSON, a missing key, a ``timestamp`` or
+    ``text`` that is not a JSON string, or a timestamp that is not ISO-8601.
     """
     result = DocumentLoadResult()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-                doc_id = str(row["id"])
-                stamp = _parse_timestamp(str(row["timestamp"]))
-                text = str(row["text"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if strict:
-                    raise ParseError(f"{path}:{lineno}: malformed document line: {exc}") from exc
+                doc_id, stamp, text = str(row["id"]), row["timestamp"], row["text"]
+                if not (isinstance(stamp, str) and isinstance(text, str)):
+                    raise TypeError("timestamp and text must be strings")
+                stamp = _parse_timestamp(stamp)
+            except (KeyError, TypeError, ValueError):  # json.JSONDecodeError is a ValueError
                 result.malformed_count += 1
                 continue
             if not text.strip():

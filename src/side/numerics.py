@@ -372,9 +372,11 @@ def save_checkpoint(path, params: Params, config: dict, extras: dict | None = No
 
     ``layout`` lists ``[name, shape]`` in :class:`Params` order and
     ``values`` is ``params.value`` as base64 of little-endian float64, so
-    a round trip through :func:`load_checkpoint` is bit-exact.  The write
-    is atomic (:func:`side.core.atomic_write`): a failed save leaves any
-    earlier checkpoint at ``path`` intact.
+    a round trip through :func:`load_checkpoint` is bit-exact.  The JSON
+    is strict: a non-finite float in ``config`` or ``extras`` raises
+    ``ValueError`` before anything is written.  The write is atomic
+    (:func:`side.core.atomic_write`): a failed save leaves any earlier
+    checkpoint at ``path`` intact.
     """
     text = json.dumps({
         "format": _CHECKPOINT_FORMAT,
@@ -383,7 +385,7 @@ def save_checkpoint(path, params: Params, config: dict, extras: dict | None = No
         "extras": extras or {},
         "layout": [[name, list(node.shape)] for name, node in params.items()],
         "values": base64.b64encode(params.value.astype("<f8", copy=False).tobytes()).decode("ascii"),
-    })
+    }, allow_nan=False)
     with atomic_write(path) as fh:
         fh.write(text)
 
@@ -405,6 +407,8 @@ def load_checkpoint(path) -> dict:
                 raise ConfigError(f"{path} is a {fmt} checkpoint, which this version does not read; retrain")
             if fmt != _CHECKPOINT_FORMAT:
                 raise NumericsError(f"unrecognized checkpoint format in {path}")
+            if not (isinstance(payload["config"], dict) and isinstance(payload["extras"], dict)):
+                raise NumericsError(f"checkpoint config or extras in {path} is not a JSON object")
             if config_hash(payload["config"]) != payload["config_hash"]:
                 raise NumericsError(f"checkpoint config hash mismatch in {path}")
             layout = {name: tuple(shape) for name, shape in payload["layout"]}

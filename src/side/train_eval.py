@@ -201,8 +201,8 @@ def train(
     returns the parameters holding the values of the best-validation epoch.
 
     Raises:
-        DivergenceError: training loss went non-finite; the error carries
-            the parameters at their last good values and the history so far.
+        DivergenceError: a loss went non-finite; its ``result`` is this
+            TrainResult of the epochs so far (``best_epoch`` 0 if none finished).
     """
     if not train_windows or not val_windows:
         raise ValueError("train and val splits must both be non-empty")
@@ -222,9 +222,9 @@ def train(
     decay_stale = 0
     history: list[dict] = []
 
-    def diverged(message: str) -> DivergenceError:
+    def result() -> TrainResult:
         params.value[...] = best
-        return DivergenceError(message, checkpoint=params, history=history)
+        return TrainResult(params, model_cfg, train_cfg, standardizer, history, best_val, best_epoch)
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(train_units))
@@ -236,11 +236,11 @@ def train(
                     params, model_cfg, weights, train_units, order[lo : lo + train_cfg.batch_size]
                 )
                 if not np.isfinite(batch_loss):
-                    raise diverged(f"non-finite training loss at epoch {epoch}")
+                    raise DivergenceError(f"non-finite training loss at epoch {epoch}", result())
                 epoch_loss += batch_loss
                 nm.adam_step(params, adam)
         except NumericsError as exc:
-            raise diverged(f"aborted at epoch {epoch}: {exc}") from exc
+            raise DivergenceError(f"aborted at epoch {epoch}: {exc}", result()) from exc
 
         train_loss = epoch_loss / len(train_units)
         val_loss = _mean_loss(params, model_cfg, weights, val_units)
@@ -253,7 +253,7 @@ def train(
             }
         )
         if not np.isfinite(val_loss):
-            raise diverged(f"non-finite validation loss at epoch {epoch}")
+            raise DivergenceError(f"non-finite validation loss at epoch {epoch}", result())
 
         if val_loss < best_val:
             best_val = val_loss
@@ -270,16 +270,7 @@ def train(
             if stale >= train_cfg.patience:
                 break
 
-    params.value[...] = best
-    return TrainResult(
-        params=params,
-        model_config=model_cfg,
-        train_config=train_cfg,
-        standardizer=standardizer,
-        history=history,
-        best_val_loss=best_val,
-        best_epoch=best_epoch,
-    )
+    return result()
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +403,7 @@ def save_run_checkpoint(path, result: TrainResult, provenance: dict | None = Non
     }
     extras = {
         "standardizer": {"mean": result.standardizer.mean, "std": result.standardizer.std},
-        "best_val_loss": result.best_val_loss,
+        "best_val_loss": result.best_val_loss if result.best_epoch else None,
         "best_epoch": result.best_epoch,
         **(provenance or {}),
     }
@@ -422,27 +413,27 @@ def save_run_checkpoint(path, result: TrainResult, provenance: dict | None = Non
 def load_run_checkpoint(path, model_cfg: ModelConfig, provenance: dict | None = None):
     """Returns (params, Standardizer) of a checkpoint trained for ``model_cfg``.
 
-    Each field of ``provenance`` must equal the one the checkpoint recorded.
+    The checkpoint's model block and each field of ``provenance`` must
+    equal what the checkpoint recorded.
 
     Raises:
         NumericsError: the file is not a well-formed checkpoint, its
             parameters are not those of ``model_cfg`` (naming the first
-            that differs), or its standardizer is missing or invalid.
-        ConfigError: the checkpoint's model block is missing or not a valid
-            ModelConfig (for example one written by an older version), or
-            it differs from ``model_cfg``, or a ``provenance`` field differs
-            or is missing; evaluating it would report on a model other than
-            the one configured, or on data it was not trained for.
+            that differs), its standardizer is missing or invalid, or no
+            training epoch finished before it was written.
+        ConfigError: the checkpoint's model block (missing, or written by
+            an older version, say) or a ``provenance`` field differs from
+            this run's or is missing; evaluating it would report on a model
+            other than the one configured, or on data it was not trained for.
     """
     payload = nm.load_checkpoint(path)
-    try:
-        saved = ModelConfig(**payload["config"]["model"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid checkpoint model config ({exc}); retrain") from exc
-    if saved != model_cfg:
-        raise ConfigError(
-            f"{path}: checkpoint was trained for {saved}, but the run config has {model_cfg}; retrain"
-        )
+    recorded = {"model": payload["config"].get("model"), **payload["extras"]}
+    for key, value in {"model": asdict(model_cfg), **(provenance or {})}.items():
+        if recorded.get(key) != value:
+            raise ConfigError(
+                f"{path}: checkpoint was trained for {key} {recorded.get(key)!r}, "
+                f"but this run has {value!r}; retrain"
+            )
     layout = ((name, node.shape) for name, node in payload["params"].items())
     for got, want in zip_longest(layout, mdl.param_shapes(model_cfg).items(), fillvalue=(None, None)):
         if got != want:
@@ -454,12 +445,8 @@ def load_run_checkpoint(path, model_cfg: ModelConfig, provenance: dict | None = 
         standardizer = Standardizer(mean=std["mean"], std=std["std"])
     except (KeyError, TypeError, ValueError) as exc:
         raise NumericsError(f"{path}: checkpoint has no valid standardizer ({exc!r})") from exc
-    for key, value in (provenance or {}).items():
-        trained_on = payload["extras"].get(key)
-        if trained_on != value:
-            raise ConfigError(
-                f"{path}: checkpoint was trained with {key} {trained_on!r}, but this run has {value!r}; retrain"
-            )
+    if payload["extras"].get("best_epoch") == 0:
+        raise NumericsError(f"{path}: no training epoch finished before this checkpoint was written; retrain")
     return payload["params"], standardizer
 
 

@@ -183,6 +183,7 @@ def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path
         "no_layout",
         "no_values",
         "renamed_param",
+        "extras_not_object",
     ],
 )
 def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defect):
@@ -204,6 +205,8 @@ def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defe
     elif defect == "renamed_param":
         [entry] = [e for e in payload["layout"] if e[0] == "cross.wk_d"]
         entry[0] = "cross.wk_dx"
+    elif defect == "extras_not_object":
+        payload["extras"] = [payload["extras"]]
     else:
         payload = [payload]
     checkpoint.write_text(json.dumps(payload), encoding="utf-8")
@@ -341,14 +344,24 @@ def test_seed_override_changes_outputs(workspace, tmp_path):
     assert (run / "synth_history.csv").read_bytes() != hist_11
 
 
-def test_divergence_exits_3_and_saves_last_good_checkpoint(workspace, tmp_path):
+def test_divergence_exits_3_and_saves_last_good_checkpoint(workspace, tmp_path, capsys):
     import numpy as np
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
 
     train = dict(workspace["raw"]["train"], learning_rate=1e200)
     cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train)
     with np.errstate(all="ignore"):
         assert main(["train", "--config", str(cfg_path)]) == 3
-    assert (run / "synth_checkpoint.json").exists()
+    assert (run / "synth_history.csv").exists()
+    text = (run / "synth_checkpoint.json").read_text(encoding="utf-8")
+    extras = json.loads(text, parse_constant=no_constants)["extras"]
+    assert extras["best_epoch"] == 0 and extras["best_val_loss"] is None
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 3
+    assert "retrain" in capsys.readouterr().err
+    assert not (run / "synth_metrics.csv").exists()
 
 
 def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):

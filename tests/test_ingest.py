@@ -108,11 +108,6 @@ class TestLoadDocuments:
         assert len(result.documents) == 3
         assert result.malformed_count == 1
 
-    def test_strict_mode_raises_on_malformed(self, tmp_path):
-        path = write(tmp_path / "posts.jsonl", "{not json\n")
-        with pytest.raises(ParseError, match=r":1"):
-            load_documents(path, Source.SOCIAL, series(4), strict=True)
-
     def test_out_of_range_dropped_and_counted(self, tmp_path):
         path = write(
             tmp_path / "posts.jsonl",
@@ -126,6 +121,20 @@ class TestLoadDocuments:
     def test_missing_key_is_malformed(self, tmp_path):
         path = write(tmp_path / "posts.jsonl", '{"id": "a", "text": "no stamp"}\n')
         result = load_documents(path, Source.SOCIAL, series(4))
+        assert result.malformed_count == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"timestamp": "2017-01-03T00:00:00Z", "text": ["dust", "crop failure"]',
+            '"timestamp": 20170103, "text": "dust"',  # str() of it is an ISO-8601 basic date
+        ],
+        ids=["text", "timestamp"],
+    )
+    def test_non_string_field_is_malformed(self, tmp_path, fields):
+        path = write(tmp_path / "posts.jsonl", '{"id": "a", %s}\n' % fields)
+        result = load_documents(path, Source.SOCIAL, series(4))
+        assert result.documents == []
         assert result.malformed_count == 1
 
 

@@ -390,3 +390,10 @@ def test_checkpoint_rejects_tampered_config(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(NumericsError, match="hash"):
         nm.load_checkpoint(path)
+
+
+def test_checkpoint_with_non_finite_extras_is_not_written(tmp_path):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError):
+        nm.save_checkpoint(path, nm.Params({"w": np.zeros(2)}), {"d": 4}, {"loss": float("nan")})
+    assert not path.exists()

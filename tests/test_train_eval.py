@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from side import model as mdl
 from side import numerics as nm
+from side import train_eval
 from side.core import (
     DETERMINANT_COUNT,
     SeveritySeries,
@@ -151,8 +152,31 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
             train(train_s, val_s, cfg, tc)
         # the training parameters, put back to the values of the last finite epoch
-        assert isinstance(excinfo.value.checkpoint, nm.Params)
-        assert np.all(np.isfinite(excinfo.value.checkpoint.value))
+        result = excinfo.value.result
+        assert isinstance(result.params, nm.Params)
+        assert np.all(np.isfinite(result.params.value))
+
+    def test_divergence_after_an_epoch_keeps_that_epoch(self, monkeypatch):
+        samples = synthetic_samples()
+        train_s, val_s, _ = chronological_split(samples)
+        real_mean_loss = train_eval._mean_loss
+        epoch_one = []
+
+        def mean_loss(params, *args):
+            if epoch_one:
+                return float("nan")
+            epoch_one.append(params.value.copy())
+            return real_mean_loss(params, *args)
+
+        monkeypatch.setattr(train_eval, "_mean_loss", mean_loss)
+        tc = TrainConfig(max_epochs=5, patience=5, seed=0)
+        with pytest.raises(DivergenceError, match="validation loss at epoch 2") as excinfo:
+            train(train_s, val_s, small_cfg(), tc)
+        result = excinfo.value.result
+        assert result.best_epoch == 1
+        assert result.best_val_loss == result.history[0]["val_loss"]
+        assert len(result.history) == 2 and math.isnan(result.history[1]["val_loss"])
+        assert result.params.value.tobytes() == epoch_one[0].tobytes()
 
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ValueError):
