@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import hashlib
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .core import (
     DETERMINANT_NAMES, Source, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
 )
 from .errors import ConfigError, DivergenceError, NumericsError, ParseError, SideError
+from .model import ModelConfig, param_shapes
 
 USER_ERROR = 2
 NUMERIC_ERROR = 3
@@ -161,35 +163,36 @@ def _load_windows(cfg: cfgmod.RunConfig):
     return chronological_split(windows, cfg.split)
 
 
-#: glibc ``mallopt`` parameters (malloc.h) and the values training sets them to.
-_M_TRIM_THRESHOLD, _TRIM_BYTES = -1, 64 << 20
-_M_MMAP_THRESHOLD, _MMAP_BYTES = -3, 1 << 20
+#: glibc ``mallopt`` parameters (malloc.h) and the trim threshold training sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES = 64 << 20
 
 
-def _keep_freed_heap() -> None:
+def _keep_freed_heap(model_cfg: ModelConfig) -> None:
     """Let freed heap memory stay in the process for the rest of its life.
 
-    Training builds and frees one autodiff graph per few windows.  Under
-    glibc's defaults each free hands the top of the heap back to the OS
-    and the next graph faults the same pages in again, which costs more
-    system time than the graph's arithmetic.  With these settings freed
-    memory goes back only once 64 MB of it sits at the top of the heap,
-    and blocks up to 1 MB come from the heap, not from their own mmap (a
-    4 MB mmap threshold raised peak memory by about 6 MB).  A no-op where
-    the C library has no ``mallopt``.
+    Training builds and frees one autodiff graph per few windows, and each
+    backward pass allocates the weight gradients afresh.  These must come
+    from kept heap, not from a fresh mmap that the next graph faults in
+    again at more system time than the graph's arithmetic.  So freed
+    memory goes back to the OS only once 64 MB of it sits at the top of
+    the heap, and blocks up to the byte size of the largest parameter of
+    ``model_cfg``, rounded up to a whole MiB (at least 1 MiB), come from
+    the heap.  A no-op where the C library has no ``mallopt``.
     """
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     except (OSError, TypeError):  # no C library to open by this name
         return
     if mallopt is not None:
+        largest_bytes = 8 * max(math.prod(shape) for shape in param_shapes(model_cfg).values())
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, max(1, math.ceil(largest_bytes / (1 << 20))) << 20)
 
 
 def cmd_train(cfg: cfgmod.RunConfig) -> int:
-    _keep_freed_heap()
+    _keep_freed_heap(cfg.model)
     train_s, val_s, _ = _load_windows(cfg)
     provenance = _provenance(cfg)
     diverged = None
@@ -240,7 +243,7 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
-    _keep_freed_heap()
+    _keep_freed_heap(cfg.model)
     train_s, val_s, test_s = _load_windows(cfg)
     results = train_eval.run_ablation(train_s, val_s, test_s, cfg.model, cfg.train)
     reports = {variant: res.report for variant, res in results.items()}

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .core import atomic_write
+from .dsiq import MAP_THRESHOLD
 from .errors import ConfigError
 from .model import ModelConfig
 from .train_eval import TrainConfig
@@ -26,7 +27,7 @@ class RunConfig:
     lexicon_path: str | None = None
     out_dir: str = "run"
     topic_count: int = 50
-    map_threshold: float = 0.15
+    map_threshold: float = MAP_THRESHOLD
     split: tuple[int, int, int] = (7, 1, 2)
     backend: str = "lexicon"
     state: str = "synth"

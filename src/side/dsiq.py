@@ -410,8 +410,8 @@ def fit_topic_model(
     docs: list[Document],
     source: Source,
     backend,
-    topic_count: int = 50,
-    seed: int = 0,
+    topic_count: int,
+    seed: int,
     map_threshold: float = MAP_THRESHOLD,
 ) -> TopicModel:
     """Cluster one source's documents and map every topic to a determinant.

@@ -28,20 +28,17 @@ from .errors import ConfigError, NumericsError, ShapeError
 class Node:
     """One vertex of the computation graph.
 
-    ``value`` is a float64 array.  ``grad`` and ``work`` are None except on
-    parameters (see :class:`Params`): ``grad`` is a buffer that backward
-    adds into, ``work`` one of the same shape that an op may overwrite
-    with a gradient contribution before adding it.  ``vjp`` maps the
-    output gradient to one gradient per parent, in parent order; None
-    stands for a contribution the rule has already added itself.
+    ``value`` is a float64 array.  ``grad`` is None except on parameters
+    (see :class:`Params`), where it is a buffer that backward adds into.
+    ``vjp`` maps the output gradient to one gradient per parent, in parent
+    order.
     """
 
-    __slots__ = ("value", "grad", "work", "parents", "vjp")
+    __slots__ = ("value", "grad", "parents", "vjp")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.work = None
         self.parents = tuple(parents)
         self.vjp = vjp
 
@@ -54,26 +51,22 @@ class Node:
 
 
 class Params(dict):
-    """Name -> parameter Node, in insertion order, backed by three flat vectors.
+    """Name -> parameter Node, in insertion order, backed by two flat vectors.
 
-    Each node's ``value``, ``grad`` and ``work`` are reshaped views of
-    ``self.value``, ``self.grad`` and ``self.work``, so one vector operation
-    resets every gradient (``params.grad.fill(0.0)``) or updates every value
-    (:func:`adam_step`).  Gradients start at zero.  ``work`` is scratch
-    space for :func:`matmul`'s weight gradient, so no parameter-sized array
-    is allocated per backward pass.
+    Each node's ``value`` and ``grad`` are reshaped views of ``self.value``
+    and ``self.grad``, so one vector operation resets every gradient
+    (``params.grad.fill(0.0)``) or updates every value (:func:`adam_step`).
+    Gradients start at zero.
     """
 
     def __init__(self, arrays: dict):
         super().__init__((name, Node(a)) for name, a in arrays.items())
         self.value = np.zeros(sum(node.value.size for node in self.values()))
         self.grad = np.zeros_like(self.value)
-        self.work = np.zeros_like(self.value)
-        flats = (self.value, self.grad, self.work)
-        views = zip(self.values(), *(self.arrays(flat).values() for flat in flats))
-        for node, value, grad, work in views:
+        views = zip(self.values(), self.arrays(self.value).values(), self.arrays(self.grad).values())
+        for node, value, grad in views:
             value[...] = node.value
-            node.value, node.grad, node.work = value, grad, work
+            node.value, node.grad = value, grad
 
     def arrays(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> reshaped view of ``flat``, a vector laid out like ``value``."""
@@ -132,8 +125,6 @@ def backward(root: Node) -> None:
                 node.grad += out_grad
             continue
         for parent, g in zip(node.parents, node.vjp(out_grad)):
-            if g is None:
-                continue
             key = id(parent)
             if key in local:
                 local[key] = local[key] + g
@@ -161,9 +152,7 @@ def matmul(a: Node, b: Node) -> Node:
     """``(..., n, k) @ (k, m)``, or ``(..., n, k) @ (..., k, m)`` with equal leading axes.
 
     In the first form ``b`` is a weight shared by every leading index of
-    ``a``, and its gradient is one GEMM over all of them.  When ``b`` is a
-    parameter, that GEMM writes into ``b.work`` and is added to ``b.grad``
-    right away; a weight used by several matmuls gets one add from each.
+    ``a``, and its gradient is one GEMM over all of them.
     """
     _require_rank(a, 2, "matmul")
     _require_rank(b, 2, "matmul")
@@ -175,11 +164,7 @@ def matmul(a: Node, b: Node) -> Node:
     def vjp(g):
         if shared:
             k, m = bv.shape
-            if b.work is None:
-                return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, m)
-            np.matmul(av.reshape(-1, k).T, g.reshape(-1, m), out=b.work)
-            b.grad += b.work
-            return g @ bv.T, None
+            return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, m)
         return g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g
 
     return Node(av @ bv, (a, b), vjp)

@@ -9,6 +9,7 @@ scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 
@@ -58,12 +59,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Training-set severity mean/std; std must be positive."""
+    """Training-set severity mean/std: finite real numbers, std positive."""
 
     mean: float
     std: float
 
     def __post_init__(self):
+        for name, value in (("mean", self.mean), ("std", self.std)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"standardizer {name} must be a finite number, got {value!r}")
         if not self.std > 0:
             raise ValueError(f"standardizer std must be > 0, got {self.std}")
 
@@ -360,7 +364,7 @@ def run_ablation(
         cfg = replace(model_cfg, ablation=variant)
         trained = train(train_windows, val_windows, cfg, train_cfg)
         results[variant] = evaluate(trained.params, cfg, trained.standardizer, test_windows)
-        del trained  # its parameter, gradient and work vectors, before the next variant trains
+        del trained  # its parameter and gradient vectors, before the next variant trains
     return results
 
 

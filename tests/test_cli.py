@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 import os
 import re
 import shutil
@@ -184,6 +185,10 @@ def test_evaluate_rejects_checkpoint_trained_for_other_model(workspace, tmp_path
         "no_values",
         "renamed_param",
         "extras_not_object",
+        "standardizer_mean_null",
+        "standardizer_mean_string",
+        "standardizer_mean_nan",
+        "standardizer_std_inf",
     ],
 )
 def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defect):
@@ -207,6 +212,9 @@ def test_evaluate_rejects_malformed_checkpoint(workspace, tmp_path, capsys, defe
         entry[0] = "cross.wk_dx"
     elif defect == "extras_not_object":
         payload["extras"] = [payload["extras"]]
+    elif defect.startswith("standardizer_"):
+        field, bad = defect.split("_")[1:]
+        payload["extras"]["standardizer"][field] = {"null": None, "string": "0", "nan": math.nan, "inf": math.inf}[bad]
     else:
         payload = [payload]
     checkpoint.write_text(json.dumps(payload), encoding="utf-8")
