@@ -128,6 +128,11 @@ def from_dict(raw: dict) -> RunConfig:
                 if key in blocks[section]:
                     owner, _, name = path.rpartition(".")
                     values[owner][name] = _cast(key, blocks[section][key], _get(defaults, path))
+        # A file that lowers max_epochs without naming patience gets the
+        # default patience capped to it; an explicit patience is kept as given.
+        train_values = values["train"]
+        if "max_epochs" in train_values and "patience" not in train_values:
+            train_values["patience"] = min(defaults.train.patience, train_values["max_epochs"])
         model, train = ModelConfig(**values["model"]), TrainConfig(**values["train"])
         return RunConfig(**values[""], model=model, train=train)
     except (TypeError, ValueError) as exc:

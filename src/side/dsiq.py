@@ -185,7 +185,9 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
             if len(groups[c]):
                 centroids[c] = vectors[groups[c]].mean(axis=0)
         if np.array_equal(new_assignments, assignments):
-            assignments = new_assignments
+            if i:
+                # Nothing moved, so no centroid changed: this pass is the final one.
+                return new_assignments, centroids
             break
         assignments = new_assignments
     return np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1), centroids

@@ -15,8 +15,10 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, fields
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +88,11 @@ class SynthSpec:
     start: date = date(2017, 1, 2)
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        if self.seasonal_period <= 0:
+            raise ValueError(f"seasonal_period must be > 0, got {self.seasonal_period!r}")
         if self.weeks < 1:
             raise ValueError("weeks must be >= 1")
         if self.social_lead < 0:
@@ -134,21 +141,49 @@ def determinant_mixture(severity_value: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _make_text(det_index: int, lexicon: dict, rng: np.random.Generator, out_of_state: bool) -> str:
-    name = DETERMINANT_NAMES[det_index]
-    pool = OTHER_TERMS if det_index == OTHER_INDEX else tuple(lexicon[name])
-    topic_words = list(rng.choice(pool, size=min(3, len(pool)), replace=False))
-    fillers = list(rng.choice(FILLERS, size=2, replace=False))
-    places = OUT_OF_STATE_PLACES if out_of_state else IN_STATE_PLACES
-    place = places[rng.integers(len(places))]
-    return f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}"
+def _sample_without_replacement(draws, n: int, size: int) -> list[int]:
+    """``Generator.choice(n, size, replace=False)`` rebuilt from its bounded draws.
+
+    For ``n <= 10000`` numpy picks with Floyd's algorithm (Bentley & Floyd,
+    CACM 1987), then shuffles the picks; ``draws`` are its ``2 * size - 1``
+    integers, drawn below :func:`_choice_bounds` in that order.
+    """
+    picks: list[int] = []
+    for j, d in zip(range(n - size, n), draws):
+        picks.append(j if d in picks else d)
+    for i, d in zip(range(size - 1, 0, -1), draws[size:]):
+        picks[i], picks[d] = picks[d], picks[i]
+    return picks
+
+
+def _choice_bounds(n: int, size: int) -> tuple[int, ...]:
+    """Exclusive highs of the draws :func:`_sample_without_replacement` reads."""
+    return (*range(n - size + 1, n + 1), *range(size, 1, -1))
 
 
 def generate_documents(
     spec: SynthSpec, severity: np.ndarray, source: str, rng: np.random.Generator
 ) -> list[dict]:
-    """Weekly document dicts (id, timestamp, text) for one source."""
+    """Weekly document dicts (id, timestamp, text) for one source.
+
+    Each document draws, in order: its determinant, as ``rng.choice(11,
+    p=mixture)`` would; whether it is out of state; then one array of
+    bounded integers for day, hour, minute, topic words, fillers and place,
+    the same draws as the scalar ``integers`` and ``choice(pool, k,
+    replace=False)`` calls they stand for.  The stream, and so the output,
+    is the same as with those calls.
+    """
     lexicon = load_lexicon()
+    pools = [OTHER_TERMS if d == OTHER_INDEX else tuple(lexicon[name]) for d, name in enumerate(DETERMINANT_NAMES)]
+    sizes = [min(3, len(pool)) for pool in pools]
+    filler_bounds = _choice_bounds(len(FILLERS), 2)
+    bounds = [
+        [
+            np.array((7, 24, 60, *_choice_bounds(len(pool), k), *filler_bounds, len(places)), dtype=np.int64)
+            for places in (IN_STATE_PLACES, OUT_OF_STATE_PLACES)
+        ]
+        for pool, k in zip(pools, sizes)
+    ]
     lead = spec.social_lead if source == "social" else 0
     docs = []
     for t in range(spec.weeks):
@@ -156,21 +191,24 @@ def generate_documents(
         s = driver / DSCI_MAX
         lam = spec.docs_per_week * (0.35 + 1.3 * s)
         count = int(rng.poisson(lam))
-        mixture = determinant_mixture(driver)
+        cdf = determinant_mixture(driver).cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
         week_start = spec.start + timedelta(days=7 * t)
+        days = [(week_start + timedelta(days=d)).isoformat() for d in range(7)]
         for i in range(count):
-            det = int(rng.choice(len(mixture), p=mixture))
+            det = bisect_right(cdf, rng.random())
             out_of_state = rng.random() < spec.out_of_state_fraction
-            stamp = datetime.combine(
-                week_start + timedelta(days=int(rng.integers(7))),
-                datetime.min.time(),
-                tzinfo=timezone.utc,
-            ) + timedelta(hours=int(rng.integers(24)), minutes=int(rng.integers(60)))
+            day, hour, minute, *draws = rng.integers(0, bounds[det][out_of_state]).tolist()
+            pool, k = pools[det], sizes[det]
+            topic_words = [pool[j] for j in _sample_without_replacement(draws, len(pool), k)]
+            fillers = [FILLERS[j] for j in _sample_without_replacement(draws[2 * k - 1 :], len(FILLERS), 2)]
+            place = (OUT_OF_STATE_PLACES if out_of_state else IN_STATE_PLACES)[draws[-1]]
             docs.append(
                 {
                     "id": f"{source}-{t:04d}-{i:03d}",
-                    "timestamp": stamp.isoformat().replace("+00:00", "Z"),
-                    "text": _make_text(det, lexicon, rng, out_of_state),
+                    "timestamp": f"{days[day]}T{hour:02d}:{minute:02d}:00Z",
+                    "text": f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}",
                 }
             )
     return docs
@@ -194,10 +232,11 @@ def write_dataset(out_dir, spec: SynthSpec, seed: int) -> dict[str, Path]:
     }
     weeks = ((spec.start + timedelta(days=7 * t)).isoformat() for t in range(len(severity)))
     write_csv(paths["dsci"], ("week_start", "dsci"), zip(weeks, severity.tolist()))
+    encode = json.JSONEncoder(sort_keys=True).encode
     for key, docs in (("social", social), ("news", news)):
         with atomic_write(paths[key]) as fh:
             for doc in docs:
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                fh.write(encode(doc) + "\n")
     with atomic_write(paths["entities"]) as fh:
         fh.write("# synthetic in-state location entities\n")
         for place in IN_STATE_PLACES:

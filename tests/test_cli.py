@@ -500,3 +500,13 @@ def test_export_plots_rejects_bad_predictions(tmp_path, capsys, defect):
     assert main(["export-plots", "--run", str(tmp_path), "--state", "synth"]) == 2
     assert where in capsys.readouterr().err
     assert not (tmp_path / "synth_plot_severity.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--period", "0", "seasonal_period"), ("--docs-per-week", "nan", "docs_per_week"), ("--noise", "inf", "noise_scale")],
+)
+def test_synth_rejects_bad_spec_naming_the_field(tmp_path, capsys, flag, value, field):
+    assert main(["synth", "--out", str(tmp_path / "d"), "--weeks", "5", flag, value]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()

@@ -116,6 +116,13 @@ def test_invalid_values_rejected():
             cfgmod.from_dict({"train": {"learning_rate": lr}})
 
 
+@pytest.mark.parametrize("max_epochs, patience", [(3, 3), (10, 10), (40, 10)])
+def test_lowered_max_epochs_caps_the_default_patience(max_epochs, patience):
+    cfg = cfgmod.from_dict({"train": {"max_epochs": max_epochs}})
+    assert (cfg.train.max_epochs, cfg.train.patience) == (max_epochs, patience)
+    assert cfgmod.from_dict(cfg.to_dict()) == cfg
+
+
 def test_whole_floats_accepted_for_int_fields():
     cfg = cfgmod.from_dict({"windows": {"lookback": 12.0}, "split": [7.0, 1, 2]})
     assert cfg.model.lookback == 12 and type(cfg.model.lookback) is int

@@ -161,12 +161,17 @@ def _kmeans_cases():
     # With seed 56 the seeds are -1.5, 0 and 5; after one update 0 and 2
     # sit closer to the outer means than to their own, so that cluster empties.
     emptied = np.array([-1.5] + [-0.8] * 4 + [0.0, 2.0] + [2.6] * 6 + [5.0])[:, None]
+    # Every row is the same point, so the first pass assigns all to cluster 0
+    # and stops; the mean of 15 rows is not bit-equal to the row, so the
+    # pass after it ties the points to cluster 1 instead.
+    identical = np.tile(np.arange(1, 5) / 11, (15, 1))
     return {
         "tfidf": (tfidf, 16, 3, 100),
         "duplicate_rows": (duplicates, 6, 1, 100),
         "k_above_n": (tfidf[:7], 20, 0, 100),
         "emptied_cluster": (emptied, 3, 56, 100),
         "all_zero": (np.zeros((15, 6)), 4, 2, 100),
+        "all_identical": (identical, 3, 0, 100),
         "one_cluster": (tfidf, 1, 0, 100),
         "max_iter_1": (tfidf, 16, 3, 1),
     }
@@ -183,6 +188,8 @@ def test_kmeans_matches_reference(case):
     assert np.array_equal(_sq_dists(vectors, want_c, x_sq), _reference_sq_dists(vectors, want_c))
     if case == "emptied_cluster":
         assert len(np.unique(want_a)) == 2
+    if case == "all_identical":
+        assert np.all(want_a == 1)
     if case == "max_iter_1":
         assert not np.array_equal(want_a, _reference_kmeans(vectors, n_clusters, seed)[0])
 

@@ -1,19 +1,108 @@
 """Synthetic dataset generator: shapes, coupling, reproducibility."""
 
+import json
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
-from side.core import Source
-from side.core import DETERMINANT_NAMES
+from side.core import DETERMINANT_NAMES, DSCI_MAX, OTHER_INDEX, Source
+from side.dsiq import load_lexicon
 from side.ingest import EntityList, geofilter, load_documents, load_severity
 from side.synth import (
+    FILLERS,
     IN_STATE_PLACES,
+    OTHER_TERMS,
+    OUT_OF_STATE_PLACES,
     SynthSpec,
+    _choice_bounds,
+    _sample_without_replacement,
     determinant_mixture,
     generate_documents,
     generate_severity,
     write_dataset,
 )
+
+
+def _make_text(det_index, lexicon, rng, out_of_state):
+    name = DETERMINANT_NAMES[det_index]
+    pool = OTHER_TERMS if det_index == OTHER_INDEX else tuple(lexicon[name])
+    topic_words = list(rng.choice(pool, size=min(3, len(pool)), replace=False))
+    fillers = list(rng.choice(FILLERS, size=2, replace=False))
+    places = OUT_OF_STATE_PLACES if out_of_state else IN_STATE_PLACES
+    place = places[rng.integers(len(places))]
+    return f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}"
+
+
+def _reference_generate_documents(spec, severity, source, rng):
+    """One ``choice`` or ``integers`` call per random value and a datetime
+    stamp per document: the documents ``generate_documents`` must match."""
+    lexicon = load_lexicon()
+    lead = spec.social_lead if source == "social" else 0
+    docs = []
+    for t in range(spec.weeks):
+        driver = severity[min(t + lead, spec.weeks - 1)]
+        lam = spec.docs_per_week * (0.35 + 1.3 * driver / DSCI_MAX)
+        count = int(rng.poisson(lam))
+        mixture = determinant_mixture(driver)
+        week_start = spec.start + timedelta(days=7 * t)
+        for i in range(count):
+            det = int(rng.choice(len(mixture), p=mixture))
+            out_of_state = rng.random() < spec.out_of_state_fraction
+            stamp = datetime.combine(
+                week_start + timedelta(days=int(rng.integers(7))),
+                datetime.min.time(),
+                tzinfo=timezone.utc,
+            ) + timedelta(hours=int(rng.integers(24)), minutes=int(rng.integers(60)))
+            docs.append(
+                {
+                    "id": f"{source}-{t:04d}-{i:03d}",
+                    "timestamp": stamp.isoformat().replace("+00:00", "Z"),
+                    "text": _make_text(det, lexicon, rng, out_of_state),
+                }
+            )
+    return docs
+
+
+@pytest.mark.parametrize("docs_per_week", [0.5, 12.0, 120.0])
+@pytest.mark.parametrize("social_lead", [0, 4])
+@pytest.mark.parametrize("out_of_state_fraction", [0.0, 0.5])
+@pytest.mark.parametrize("seed", [0, 7, 1001])
+def test_documents_match_the_reference_generator(docs_per_week, social_lead, out_of_state_fraction, seed):
+    weeks = 6 if docs_per_week > 100 else 40
+    spec = SynthSpec(
+        weeks=weeks, docs_per_week=docs_per_week, social_lead=social_lead,
+        out_of_state_fraction=out_of_state_fraction,
+    )
+    severity = generate_severity(spec, np.random.default_rng(seed))
+    fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for source in ("social", "news"):
+        got = generate_documents(spec, severity, source, fast)
+        want = _reference_generate_documents(spec, severity, source, slow)
+        assert got == want
+        # the next source (or the next draw of any kind) continues from the same state
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_written_lines_match_the_reference(tmp_path):
+    spec = SynthSpec(weeks=20, docs_per_week=12.0)
+    paths = write_dataset(tmp_path, spec, seed=3)
+    rng = np.random.default_rng(3)
+    severity = generate_severity(spec, rng)
+    for source in ("social", "news"):
+        docs = _reference_generate_documents(spec, severity, source, rng)
+        assert paths[source].read_text() == "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_sample_without_replacement_is_generator_choice(n):
+    for size in range(min(n, 4) + 1):
+        bounds = np.array(_choice_bounds(n, size), dtype=np.int64)
+        for seed in range(50):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_without_replacement(fast.integers(0, bounds).tolist(), n, size)
+            assert got == slow.choice(n, size, replace=False).tolist(), (n, size, seed)
+            assert fast.bit_generator.state == slow.bit_generator.state, (n, size, seed)
 
 
 def test_zero_noise_is_exactly_periodic():
@@ -92,6 +181,20 @@ def test_spec_validation():
         SynthSpec(social_lead=-1)
     with pytest.raises(ValueError):
         SynthSpec(out_of_state_fraction=1.5)
+    for field, value in (
+        ("base_severity", float("nan")),
+        ("seasonal_amplitude", float("inf")),
+        ("seasonal_period", float("-inf")),
+        ("noise_scale", float("nan")),
+        ("ar_coeff", float("inf")),
+        ("docs_per_week", float("nan")),
+        ("docs_per_week", float("inf")),
+        ("out_of_state_fraction", float("nan")),
+        ("seasonal_period", 0.0),
+        ("seasonal_period", -52.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**{field: value})
 
 
 def test_zero_lead_makes_sources_statistically_identical():
