@@ -109,10 +109,10 @@ def _ingest_documents(cfg, series):
 
 def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     _require_files(cfg.dsci_path, cfg.social_path, cfg.news_path, cfg.entities_path)
+    lexicon = dsiq.load_lexicon(cfg.lexicon_path)
     series = ingest.load_severity(cfg.dsci_path)
     social_docs, news_docs = _ingest_documents(cfg, series)
 
-    lexicon = dsiq.load_lexicon(cfg.lexicon_path)
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
     cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
 
@@ -322,16 +322,8 @@ def _run(args) -> int:
             return cmd_synth(args)
         if args.command == "export-plots":
             return cmd_export_plots(args.run, args.state)
-        cfg = _load_config(args)
-        if args.command == "quantify":
-            return cmd_quantify(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {"quantify": cmd_quantify, "train": cmd_train, "evaluate": cmd_evaluate, "ablate": cmd_ablate}
+        return commands[args.command](_load_config(args))
     except (DivergenceError, NumericsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

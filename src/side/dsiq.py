@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -247,24 +248,32 @@ def load_lexicon(path=None) -> dict[str, list[str]]:
     """Determinant name -> seed term list; ships with the package.
 
     A lexicon may leave determinants out (they then score 0), but every
-    key must be a determinant name and every value a list of strings.
+    key must be a determinant name and every value a list of strings, and
+    it must hold at least one term.  Topic keywords come from
+    :func:`tokenize`, so each term, lowercased, must be one token of it:
+    a multi-word term, a stopword or a term with digits could never score.
 
     Raises:
-        ParseError: the JSON is not such an object.
+        ParseError: the file is not such a JSON object; the message names it.
     """
-    if path is None:
-        text = resources.files("side").joinpath("data/lexicon.json").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    lexicon = json.loads(text)
+    source = resources.files("side").joinpath("data/lexicon.json") if path is None else Path(path)
+    try:
+        lexicon = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(lexicon, dict):
-        raise ParseError("lexicon must be a JSON object mapping determinant -> term list")
+        raise ParseError(f"{source}: lexicon must be a JSON object mapping determinant -> term list")
     for name, terms in lexicon.items():
         if name not in DETERMINANT_NAMES:
-            raise ParseError(f"lexicon key {name!r} is not a determinant name")
+            raise ParseError(f"{source}: lexicon key {name!r} is not a determinant name")
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise ParseError(f"lexicon entry {name!r} must be a list of strings")
+            raise ParseError(f"{source}: lexicon entry {name!r} must be a list of strings")
+        for term in terms:
+            if tokenize(term) != [term.lower()]:
+                raise ParseError(f"{source}: lexicon entry {name!r} term {term!r} is not one "
+                                 "tokenizer word (a multi-word term, stopword or digit never scores)")
+    if not any(lexicon.values()):
+        raise ParseError(f"{source}: lexicon holds no term")
     return {name: [t.lower() for t in terms] for name, terms in lexicon.items()}
 
 

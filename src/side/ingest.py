@@ -120,20 +120,22 @@ def load_documents(path, source: Source, series: SeveritySeries) -> DocumentLoad
     timestamp; documents outside the severity date range and documents
     with empty text are dropped and counted.  Malformed lines are dropped
     and counted too: invalid JSON, a missing key, a ``timestamp`` or
-    ``text`` that is not a JSON string, or a timestamp that is not ISO-8601.
+    ``text`` that is not a JSON string, a timestamp that is not ISO-8601,
+    or bytes that are not UTF-8.
     """
     result = DocumentLoadResult()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                # Decode first: json.loads would take a \xff\xfe prefix for UTF-16.
+                row = json.loads(line.decode("utf-8"))
                 doc_id, stamp, text = str(row["id"]), row["timestamp"], row["text"]
                 if not (isinstance(stamp, str) and isinstance(text, str)):
                     raise TypeError("timestamp and text must be strings")
                 stamp = _parse_timestamp(stamp)
-            except (KeyError, TypeError, ValueError):  # json.JSONDecodeError is a ValueError
+            except (KeyError, TypeError, ValueError):  # JSONDecodeError, UnicodeDecodeError are ValueErrors
                 result.malformed_count += 1
                 continue
             if not text.strip():

@@ -302,6 +302,19 @@ def test_quantify_rejects_misspelled_lexicon(workspace, tmp_path, capsys):
     assert not (tmp_path / "run" / "synth_impact.csv").exists()
 
 
+def test_quantify_names_invalid_lexicon_before_ingest(workspace, tmp_path, capsys):
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text('{"Agriculture": ["crop",]}', encoding="utf-8")
+    raw = workspace["raw"]
+    paths = dict(raw["paths"], lexicon=str(lexicon), out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=paths)), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {lexicon}: invalid JSON" in captured.err
+    assert "read" not in captured.out  # no JSONL source was ingested
+
+
 def test_ablate_writes_four_variants(workspace, tmp_path):
     train = dict(workspace["raw"]["train"], max_epochs=1, patience=1)
     cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train)
@@ -423,7 +436,8 @@ def test_lexicon_backend_makes_no_network_calls(workspace, tmp_path, monkeypatch
     assert calls == []
 
 
-def test_import_cli_leaves_requests_unloaded():
+def _fresh_python(code: str) -> str:
+    """Stripped stdout of ``code`` run by a new interpreter that imports this ``side`` package."""
     import subprocess
     import sys
     from pathlib import Path
@@ -431,9 +445,17 @@ def test_import_cli_leaves_requests_unloaded():
     import side
 
     env = dict(os.environ, PYTHONPATH=str(Path(side.__file__).parents[1]))
-    code = "import sys, side.cli; print('requests' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_cli_leaves_requests_unloaded():
+    assert _fresh_python("import sys, side.cli; print('requests' in sys.modules)") == "False"
+
+
+def test_import_core_leaves_network_stack_unloaded():
+    stack = "{'side.dsiq', 'side.model', 'side.numerics', 'side.train_eval'}"
+    assert _fresh_python(f"import sys, side.core; print(sorted({stack} & set(sys.modules)))") == "[]"
 
 
 def test_quantify_reports_ingest_counts(workspace, tmp_path, capsys):

@@ -551,8 +551,13 @@ def test_load_lexicon_custom_path(tmp_path):
         ({"Agricultre": ["crop", "farm"]}, "'Agricultre' is not a determinant name"),
         ({"Water Utilities": "reservoir"}, "'Water Utilities' must be a list of strings"),
         ({"Water Utilities": ["reservoir", 7]}, "'Water Utilities' must be a list of strings"),
+        ({"Agriculture": ["crop", "water restrictions"]}, "'Agriculture' term 'water restrictions' is not one"),
+        ({"Agriculture": ["crop", "more"]}, "'Agriculture' term 'more' is not one"),
+        ({"Agriculture": ["crop", "co2"]}, "'Agriculture' term 'co2' is not one"),
+        ({"Agriculture": [], "Energy": []}, "lex.json: lexicon holds no term"),
     ],
-    ids=["misspelt_name", "string_value", "non_string_term"],
+    ids=["misspelt_name", "string_value", "non_string_term", "multi_word_term", "stopword_term", "digit_term",
+         "no_terms"],
 )
 def test_load_lexicon_rejects_bad_entries(tmp_path, lexicon, match):
     path = tmp_path / "lex.json"

@@ -104,9 +104,11 @@ class TestLoadDocuments:
         good = '{"id": "%d", "timestamp": "2017-01-03T10:00:00Z", "text": "dust"}'
         lines = [good % 1, "{not json", good % 2, good % 3]
         path = write(tmp_path / "posts.jsonl", "\n".join(lines) + "\n")
+        # A line that is not UTF-8 counts as malformed too, and is not read as UTF-16.
+        path.write_bytes(path.read_bytes() + b"\xff\xfe junk line\n")
         result = load_documents(path, Source.SOCIAL, series(4))
         assert len(result.documents) == 3
-        assert result.malformed_count == 1
+        assert result.malformed_count == 2
 
     def test_out_of_range_dropped_and_counted(self, tmp_path):
         path = write(
