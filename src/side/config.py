@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .core import atomic_write
+from .core import atomic_write, not_utf8
 from .dsiq import MAP_THRESHOLD
 from .errors import ConfigError
 from .model import ModelConfig
@@ -145,6 +145,8 @@ def load(path) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(str(not_utf8(path))) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return from_dict(raw)

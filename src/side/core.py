@@ -286,6 +286,17 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join([repr(float(c)) if isinstance(c, float) else str(c) for c in row]) + "\n")
 
 
+def not_utf8(path) -> ParseError:
+    """The error for a text file that failed to decode as UTF-8: ``path:line`` of the first bad line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def read_csv(path, header) -> list[tuple[int, list[str]]]:
     """``(line number, cells)`` of each non-blank data row of ``path``.
 
@@ -294,11 +305,15 @@ def read_csv(path, header) -> list[tuple[int, list[str]]]:
 
     Raises:
         ParseError: ``path:1`` for a header other than ``header``, or
-            ``path:line`` for a row with a different number of cells.
+            ``path:line`` for a row with a different number of cells or
+            bytes that are not UTF-8.
     """
     header = list(header)
-    with open(path, encoding="utf-8") as fh:
-        lines = [[c.strip() for c in line.split(",")] for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [[c.strip() for c in line.split(",")] for line in fh]
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if lines[:1] != [header]:
         got = ",".join(lines[0]) if lines else ""
         raise ParseError(f"{path}:1: expected header {','.join(header)!r}, got {got!r}")

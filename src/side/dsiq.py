@@ -39,6 +39,21 @@ MAP_THRESHOLD = 0.15
 
 KEYWORDS_PER_TOPIC = 10
 
+#: Rows per distance GEMM in a k-means pass (the matrix's row count when it
+#: has fewer), and per squared-norm block.  A GEMM over fewer rows can round
+#: differently from the same rows of the full product (OpenBLAS, below about
+#: 1200 / k rows at k centroids), so a pass pads every block to this shape.
+BLOCK_ROWS = 1024
+
+#: k-means skips a point's distances only when its bounds clear each other by
+#: ``PRUNE_MARGIN * sqrt(delta)``.  ``delta = (2 * dims + 3) * eps * r**2``,
+#: ``r`` the largest row norm (centroids are means, so no longer), bounds the
+#: rounding error of a computed squared distance and ``sqrt(delta)`` that of
+#: its root; any factor above 2 + sqrt(2) keeps every other centroid's computed
+#: squared distance strictly above the point's own, so a full pass would not
+#: move the point.
+PRUNE_MARGIN = 4.0
+
 #: Concurrent mapping calls to a remote (LLM) backend per topic model.
 MAP_PARALLELISM = 4
 
@@ -135,7 +150,7 @@ def doc_matrix(token_lists: list[list[str]], vocab: dict[str, int], idf: np.ndar
     """TF * IDF rows, L2-normalized; all-out-of-vocabulary rows stay zero."""
     x = term_counts(token_lists, vocab)
     x *= idf
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.sqrt(_row_sq_norms(x))[:, None]
     np.divide(x, norms, out=x, where=norms > 0)
     return x
 
@@ -150,14 +165,16 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
 
     The effective cluster count is min(n_clusters, n_points).  Returns
     (assignments, centroids); every point is assigned to its nearest
-    centroid, ties broken by the lowest centroid index.
+    centroid, ties broken by the lowest centroid index.  A Lloyd pass
+    skips the points whose bounds prove their nearest centroid unchanged
+    (Hamerly, SDM 2010) and assigns exactly as a pass over all distances.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     n = vectors.shape[0]
     k = min(n_clusters, n)
     rng = np.random.default_rng(seed)
-    x_sq = (vectors * vectors).sum(axis=1)
+    x_sq = _row_sq_norms(vectors)
 
     centroids = np.empty((k, vectors.shape[1]))
     centroids[0] = vectors[rng.integers(n)]
@@ -171,9 +188,14 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
         centroids[c] = vectors[idx]
         closest = np.minimum(closest, _sq_dists(vectors, centroids[c][None, :], x_sq)[:, 0])
 
+    # Hamerly's bounds, as distances: upper[i] is at least point i's distance
+    # to its centroid, lower[i] at most its distance to any other centroid.
+    upper = np.full(n, np.inf)
+    lower = np.zeros(n)
+    margin = PRUNE_MARGIN * math.sqrt((2 * vectors.shape[1] + 3) * np.finfo(float).eps * x_sq.max())
     assignments = np.zeros(n, dtype=np.int64)
     for i in range(max_iter):
-        new_assignments = np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1)
+        new_assignments = _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin)
         # A cluster that kept exactly its members keeps its mean, bit for bit;
         # the first pass replaces the k-means++ seeds, so it updates them all.
         moved = new_assignments != assignments
@@ -182,16 +204,69 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
         # mean sums the same rows in the same order.
         order = np.argsort(new_assignments, kind="stable")
         groups = np.split(order, np.cumsum(np.bincount(new_assignments, minlength=k))[:-1])
+        before = centroids.copy()
         for c in stale:
             if len(groups[c]):
                 centroids[c] = vectors[groups[c]].mean(axis=0)
+        # A point's centroid moved by at most shift[its cluster], any other by
+        # at most the largest other shift.
+        shift = np.sqrt(((centroids - before) ** 2).sum(axis=1))
+        far = int(np.argmax(shift))
+        upper += shift[new_assignments]
+        lower -= np.where(new_assignments == far, np.max(np.delete(shift, far), initial=0.0), shift[far])
         if np.array_equal(new_assignments, assignments):
             if i:
                 # Nothing moved, so no centroid changed: this pass is the final one.
                 return new_assignments, centroids
             break
         assignments = new_assignments
-    return np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1), centroids
+    return _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin), centroids
+
+
+def _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin) -> np.ndarray:
+    """``np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1)``, bit for bit, from the bounds.
+
+    Only the rows whose ``upper`` and ``lower`` bounds (about
+    ``assignments``) leave their nearest centroid open get distances, and
+    their bounds become exact.  Every GEMM runs on ``min(BLOCK_ROWS, n)``
+    rows: the whole matrix when it is that small, else blocks of open rows,
+    the last one padded with row 0.
+    """
+    n = len(vectors)
+    # A point nearer its centroid than half the way to the centroid's
+    # nearest neighbour is nearer it than any other centroid.
+    between = _sq_dists(centroids, centroids)
+    np.fill_diagonal(between, np.inf)
+    half_gap = 0.5 * np.sqrt(between.min(axis=1))
+    open_rows = np.flatnonzero(upper + margin >= np.maximum(half_gap[assignments], lower))
+    nearest = assignments.copy()
+    size = min(BLOCK_ROWS, n)
+    if len(open_rows) and n == size:
+        open_rows = np.arange(n)
+    padded = np.zeros(-(-len(open_rows) // size) * size, dtype=np.intp)
+    padded[:len(open_rows)] = open_rows
+    block = np.empty((size, vectors.shape[1]))
+    for start in range(0, len(open_rows), size):
+        rows, take = open_rows[start:start + size], padded[start:start + size]
+        # mode="clip" lets take write into block directly; "raise" would buffer.
+        x = vectors if n == size else np.take(vectors, take, axis=0, out=block, mode="clip")
+        d = _sq_dists(x, centroids, x_sq[take])[:len(rows)]
+        best = np.argmin(d, axis=1)
+        nearest[rows] = best
+        took = np.arange(len(rows))
+        upper[rows] = np.sqrt(d[took, best])
+        d[took, best] = np.inf
+        lower[rows] = np.sqrt(d.min(axis=1))
+    return nearest
+
+
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """``(x * x).sum(axis=1)``, bit for bit, squaring ``BLOCK_ROWS`` rows at a time."""
+    out = np.empty(len(x))
+    for start in range(0, len(x), BLOCK_ROWS):
+        block = x[start:start + BLOCK_ROWS]
+        np.sum(block * block, axis=1, out=out[start:start + BLOCK_ROWS])
+    return out
 
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:

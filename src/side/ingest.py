@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
-from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source, read_csv
+from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source, not_utf8, read_csv
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -39,11 +39,14 @@ class EntityList:
     @classmethod
     def from_file(cls, path) -> "EntityList":
         terms = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    terms.append(line)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    line = line.split("#", 1)[0].strip()
+                    if line:
+                        terms.append(line)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
         if not terms:
             raise ParseError(f"{path}: no entities found")
         return cls.from_terms(terms)

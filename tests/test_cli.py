@@ -315,6 +315,23 @@ def test_quantify_names_invalid_lexicon_before_ingest(workspace, tmp_path, capsy
     assert "read" not in captured.out  # no JSONL source was ingested
 
 
+@pytest.mark.parametrize("name", ["dsci", "entities", "config"])
+def test_non_utf8_byte_names_the_file_and_line(workspace, tmp_path, capsys, name):
+    raw = workspace["raw"]
+    paths = dict(raw["paths"], out_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c.json"
+    bad = cfg_path
+    if name != "config":
+        bad = tmp_path / os.path.basename(paths[name])
+        bad.write_bytes(open(paths[name], "rb").read() + b"\xff\n")
+        paths[name] = str(bad)
+    cfg_path.write_bytes(json.dumps(dict(raw, paths=paths)).encode() + (b"\xff" if name == "config" else b""))
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    line = bad.read_bytes().split(b"\xff")[0].count(b"\n") + 1
+    assert f"error: {bad}:{line}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "synth_impact.csv").exists()
+
+
 def test_ablate_writes_four_variants(workspace, tmp_path):
     train = dict(workspace["raw"]["train"], max_epochs=1, patience=1)
     cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train)

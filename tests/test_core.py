@@ -250,3 +250,10 @@ def test_read_csv_skips_blank_lines_and_strips_cells(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a, b\r\n\r\n1 ,2\r\n   \n3,\t4\n\n")
     assert read_csv(path, ("a", "b")) == [(3, ["1", "2"]), (5, ["3", "4"])]
+
+
+def test_read_csv_names_line_of_non_utf8_byte(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\r\n1,2\r\n\r\n3,\xe94\r\n")
+    with pytest.raises(ParseError, match=r"t\.csv:4: not UTF-8 text"):
+        read_csv(path, ("a", "b"))

@@ -4,14 +4,17 @@ import json
 import logging
 import math
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+from side import dsiq
 from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source
 from side.errors import ParseError
 from side.dsiq import (
+    BLOCK_ROWS,
     KEYWORDS_PER_TOPIC,
     MAP_PARALLELISM,
     LexiconBackend,
@@ -19,9 +22,12 @@ from side.dsiq import (
     TopicCluster,
     TopicModel,
     _fit_tfidf,
+    _nearest,
+    _row_sq_norms,
     _sq_dists,
     build_impact_series,
     cluster_keywords,
+    doc_matrix,
     fit_topic_model,
     impact_csv_header,
     kmeans,
@@ -153,6 +159,16 @@ def _tfidf_like(rng, n, d, zero_rows):
     return x
 
 
+def _topical(rng, n, d, topics, zero_rows):
+    """Rows like ``_tfidf_like`` drawn around ``topics`` sparse prototypes, so they cluster."""
+    prototypes = rng.random((topics, d)) * (rng.random((topics, d)) < 0.2)
+    x = prototypes[rng.integers(topics, size=n)] + rng.random((n, d)) * (rng.random((n, d)) < 0.1)
+    x[rng.choice(n, zero_rows, replace=False)] = 0.0
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    np.divide(x, norms, out=x, where=norms > 0)
+    return x
+
+
 def _kmeans_cases():
     rng = np.random.default_rng(0)
     tfidf = _tfidf_like(rng, 400, 40, zero_rows=30)
@@ -165,8 +181,20 @@ def _kmeans_cases():
     # and stops; the mean of 15 rows is not bit-equal to the row, so the
     # pass after it ties the points to cluster 1 instead.
     identical = np.tile(np.arange(1, 5) / 11, (15, 1))
+    # More than three blocks of rows, so later passes skip points and pad blocks.
+    large = _topical(rng, 3 * BLOCK_ROWS + 5, 40, topics=12, zero_rows=50)
+    # Seed 0 picks 4.0 then 0.0 as centroids 0 and 1; 2.0 is halfway between
+    # them, so the first pass must give those points to centroid 0.
+    halfway = np.array([0.0] * 1500 + [4.0] * 1500 + [2.0] * 100)[:, None]
     return {
         "tfidf": (tfidf, 16, 3, 100),
+        "pruned_k2": (large, 2, 1, 100),
+        "pruned_k8": (large, 8, 2, 100),
+        "pruned_k50": (large, 50, 3, 100),
+        "block_rows_minus_1": (large[:BLOCK_ROWS - 1], 16, 4, 100),
+        "block_rows": (large[:BLOCK_ROWS], 16, 4, 100),
+        "block_rows_plus_1": (large[:BLOCK_ROWS + 1], 16, 4, 100),
+        "halfway": (halfway, 2, 0, 100),
         "duplicate_rows": (duplicates, 6, 1, 100),
         "k_above_n": (tfidf[:7], 20, 0, 100),
         "emptied_cluster": (emptied, 3, 56, 100),
@@ -192,6 +220,97 @@ def test_kmeans_matches_reference(case):
         assert np.all(want_a == 1)
     if case == "max_iter_1":
         assert not np.array_equal(want_a, _reference_kmeans(vectors, n_clusters, seed)[0])
+    if case == "halfway":
+        assert np.all(want_a[-100:] == 0) and want_c[:, 0].tolist() == [3.875, 0.0]
+
+
+@pytest.mark.parametrize("case", ["pruned_k2", "pruned_k8", "pruned_k50"])
+def test_kmeans_skips_distances_it_can_bound(monkeypatch, case):
+    vectors, n_clusters, seed, _ = _kmeans_cases()[case]
+    blocks = []  # distance GEMMs per assignment pass
+
+    def nearest(*args):
+        blocks.append(0)
+        return _nearest(*args)
+
+    def sq_dists(x, centroids, x_sq=None):
+        if x is not centroids and len(centroids) == n_clusters:
+            assert len(x) == BLOCK_ROWS  # every pass's GEMMs have one shape
+            blocks[-1] += 1
+        return _sq_dists(x, centroids, x_sq)
+
+    monkeypatch.setattr(dsiq, "_nearest", nearest)
+    monkeypatch.setattr(dsiq, "_sq_dists", sq_dists)
+    kmeans(vectors, n_clusters, seed)
+    full = -(-len(vectors) // BLOCK_ROWS)
+    assert blocks[0] == full and sum(blocks) < 0.8 * full * len(blocks)
+
+
+# At k = 1 OpenBLAS computes x @ c.T as a matrix-vector product whose rounding
+# depends on a row's position, but k-means never needs those distances: every
+# point's nearest centroid is 0.
+@pytest.mark.parametrize("k", [2, 8, 50, 100])
+def test_padded_block_rows_equal_full_product_rows(k):
+    rng = np.random.default_rng(k)
+    x = _tfidf_like(rng, 3 * BLOCK_ROWS + 5, 186, zero_rows=20)
+    centroids = x[rng.choice(len(x), k, replace=False)] * 0.75
+    x_sq = _row_sq_norms(x)
+    full = _sq_dists(x, centroids, x_sq)
+    for rows in (rng.choice(len(x), BLOCK_ROWS, replace=False), np.arange(len(x) - BLOCK_ROWS, len(x))):
+        assert np.array_equal(_sq_dists(x[rows], centroids, x_sq[rows]), full[rows])
+    # A pass pads a few open rows to a block (a GEMM over 3 or 24 rows alone
+    # rounds differently here), so their bounds carry the full product's bits.
+    for count in (3, 24):
+        open_rows = np.sort(rng.choice(len(x), count, replace=False))
+        upper, lower = np.zeros(len(x)), np.full(len(x), np.inf)
+        upper[open_rows] = np.inf
+        nearest = _nearest(x, x_sq, centroids, np.zeros(len(x), dtype=np.int64), upper, lower, 0.0)
+        best = np.argmin(full[open_rows], axis=1)
+        assert np.array_equal(nearest[open_rows], best)
+        assert np.array_equal(upper[open_rows], np.sqrt(full[open_rows, best]))
+        rest = full[open_rows].copy()
+        rest[np.arange(count), best] = np.inf
+        assert np.array_equal(lower[open_rows], np.sqrt(rest.min(axis=1)))
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_row_sq_norms_equal_one_reduction(n):
+    x = np.random.default_rng(n).normal(size=(n, 37))
+    assert np.array_equal(_row_sq_norms(x), (x * x).sum(axis=1))
+
+
+def test_doc_matrix_matches_linalg_norm():
+    rng = np.random.default_rng(9)
+    vocab = {f"t{j}": j for j in range(30)}
+    token_lists = [[f"t{j}" for j in rng.integers(0, 40, rng.integers(0, 12))] for _ in range(2 * BLOCK_ROWS + 3)]
+    idf = rng.random(30)
+    x = term_counts(token_lists, vocab) * idf
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    assert np.array_equal(doc_matrix(token_lists, vocab, idf), np.divide(x, norms, out=x, where=norms > 0))
+
+
+def _peak_bytes(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its peak, beyond what it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in (result if isinstance(result, tuple) else (result,)))
+
+
+def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary():
+    rng = np.random.default_rng(4)
+    n, dims = 20_000, 186
+    vocab = {f"t{j}": j for j in range(dims)}
+    token_lists = [[f"t{j}" for j in rng.integers(0, dims, 12)] for _ in range(n)]
+    idf = rng.random(dims) + 0.5
+    matrix_bytes = n * dims * 8
+    assert _peak_bytes(doc_matrix, token_lists, vocab, idf) < matrix_bytes / 4
+    vectors = doc_matrix(token_lists, vocab, idf)
+    # A mean update still gathers one cluster's rows; at 50 clusters that is small.
+    assert _peak_bytes(kmeans, vectors, 50, 0, 5) < matrix_bytes / 4
 
 
 class TestTermCounts:
