@@ -12,7 +12,7 @@ shipped lexicon provides the topic -> determinant scores.
 import tempfile
 
 from side import dsiq, ingest, synth
-from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, Source, training_cutoff
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, training_cutoff
 
 # Generate a small corpus: severity drives both how much gets written
 # and what it is about (high weeks tilt toward agriculture and water).
@@ -23,8 +23,9 @@ with tempfile.TemporaryDirectory() as tmp:
     series = ingest.load_severity(paths["dsci"])
     entities = ingest.EntityList.from_file(paths["entities"])
 
-    social = ingest.load_documents(paths["social"], Source.SOCIAL, series)
-    news = ingest.load_documents(paths["news"], Source.NEWS, series)
+    # A document's source is the file it came from: one list per source.
+    social = ingest.load_documents(paths["social"], series)
+    news = ingest.load_documents(paths["news"], series)
     print(f"loaded {len(social.documents)} posts, {len(news.documents)} articles")
 
     # Geographic filtering keeps only documents naming an in-state place.
@@ -39,11 +40,11 @@ cutoff = training_cutoff(len(series), lookback=20, horizon=4)
 
 social_model = dsiq.fit_topic_model(
     [d for d in social_docs if d.timestep < cutoff],
-    Source.SOCIAL, backend, topic_count=20, seed=0,
+    backend, topic_count=20, seed=0,
 )
 news_model = dsiq.fit_topic_model(
     [d for d in news_docs if d.timestep < cutoff],
-    Source.NEWS, backend, topic_count=20, seed=0,
+    backend, topic_count=20, seed=0,
 )
 
 print("\nfirst social topics:")

@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
 from .core import (
-    DETERMINANT_NAMES, Source, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
+    DETERMINANT_NAMES, SOURCES, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
 )
 from .errors import ConfigError, DivergenceError, NumericsError, ParseError, SideError
 from .model import ModelConfig, param_shapes
@@ -92,54 +92,46 @@ def _out_path(cfg: cfgmod.RunConfig, suffix: str) -> Path:
     return out / f"{cfg.state}_{suffix}"
 
 
-def _ingest_documents(cfg, series):
-    entities = ingest.EntityList.from_file(cfg.entities_path)
-    loads = {}
-    for path, source in ((cfg.social_path, Source.SOCIAL), (cfg.news_path, Source.NEWS)):
-        result = ingest.load_documents(path, source, series)
-        kept = loads[source] = ingest.geofilter(result.documents, entities)
-        dropped = result.malformed_count + result.empty_text_count + result.out_of_range_count
-        print(
-            f"{source.value}: read {len(result.documents) + dropped}, malformed {result.malformed_count}, "
-            f"empty {result.empty_text_count}, out of range {result.out_of_range_count}, "
-            f"outside the state {len(result.documents) - len(kept)}, kept {len(kept)}"
-        )
-    return loads[Source.SOCIAL], loads[Source.NEWS]
-
-
 def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     _require_files(cfg.dsci_path, cfg.social_path, cfg.news_path, cfg.entities_path)
     lexicon = dsiq.load_lexicon(cfg.lexicon_path)
     series = ingest.load_severity(cfg.dsci_path)
-    social_docs, news_docs = _ingest_documents(cfg, series)
-
+    entities = ingest.EntityList.from_file(cfg.entities_path)
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
     cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
 
-    models = {}
-    for source, docs in (("social", social_docs), ("news", news_docs)):
+    docs, models = {}, {}
+    for source, path in zip(SOURCES, (cfg.social_path, cfg.news_path)):
+        result = ingest.load_documents(path, series)
+        kept = docs[source] = ingest.geofilter(result.documents, entities)
+        dropped = result.malformed_count + result.empty_text_count + result.out_of_range_count
+        print(
+            f"{source}: read {len(result.documents) + dropped}, malformed {result.malformed_count}, "
+            f"empty {result.empty_text_count}, out of range {result.out_of_range_count}, "
+            f"outside the state {len(result.documents) - len(kept)}, kept {len(kept)}"
+        )
+        del result  # the documents the geofilter dropped need not live through the topic fits
         # Topic models see training-range text only, never validation or test text.
-        fit_docs = [d for d in docs if d.timestep < cutoff]
+        fit_docs = [d for d in kept if d.timestep < cutoff]
         if not fit_docs:
             raise ConfigError(
                 f"no {source} document falls in the training range (before week {cutoff})"
             )
         models[source] = dsiq.fit_topic_model(
             fit_docs,
-            Source(source),
             backend,
             topic_count=cfg.topic_count,
             seed=cfg.train.seed,
             map_threshold=cfg.map_threshold,
         )
 
-    impacts = dsiq.build_impact_series(social_docs, news_docs, len(series), models["social"], models["news"])
+    impacts = dsiq.build_impact_series(docs["social"], docs["news"], len(series), models["social"], models["news"])
     impact_path = _out_path(cfg, "impact.csv")
     dsiq.write_impact_csv(impact_path, impacts)
 
     topics_path = _out_path(cfg, "topics.csv")
     rows = [(source, c.id, f'"{DETERMINANT_NAMES[c.determinant_index]}"', c.doc_count, " ".join(c.keywords))
-            for source in ("social", "news") for c in models[source].clusters]
+            for source in SOURCES for c in models[source].clusters]
     write_csv(topics_path, ("source", "cluster_id", "determinant", "doc_count", "keywords"), rows)
     print(f"wrote {impact_path} and {topics_path}")
     return 0
@@ -291,7 +283,7 @@ def cmd_export_plots(run_dir, state: str) -> int:
 
     # true_* then pred_* columns; np.mean per 1-D column, as mean(axis=0) sums in another order
     means = [float(np.mean(table[:, j])) for j in range(5, table.shape[1])]
-    labels = [(source, f'"{name}"') for source in ("social", "news") for name in DETERMINANT_NAMES]
+    labels = [(source, f'"{name}"') for source in SOURCES for name in DETERMINANT_NAMES]
     bars = [(*label, means[len(labels) + k], means[k]) for k, label in enumerate(labels)]
     bars_path = run / f"{state}_plot_determinants.csv"
     write_csv(bars_path, ("source", "determinant", "predicted", "actual"), bars)
@@ -327,7 +319,7 @@ def _run(args) -> int:
     except (DivergenceError, NumericsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except (SideError, FileNotFoundError, ValueError) as exc:
+    except (SideError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
 

@@ -90,20 +90,21 @@ def _cast(key: str, value, default):
     """Coerce a JSON value to the type of the field's default (str or None if it is None).
 
     Raises:
-        ValueError: a non-string for a string field, a non-finite number,
-            a boolean for a numeric field, or a fraction for an int field.
+        ValueError: a non-string for a string field, anything but a JSON
+            number (a string or a boolean, say) for a numeric field, a
+            non-finite number, or a fraction for an int field.
     """
     if default is None or isinstance(default, str):
         if not isinstance(value, str) and not (default is None and value is None):
             raise ValueError(f"{key} must be a string, got {value!r}")
         return value
+    kind = type(default)
+    if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
-    kind = type(default)
-    if kind is int and isinstance(value, (bool, float)) and not _is_whole(value):
+    if kind is int and not _is_whole(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    if kind is float and isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {value!r}")
     return kind(value)
 
 

@@ -2,7 +2,7 @@
 
 Weekly drought severity (DSCI) and the weekly societal impact series are
 the two channels every other module consumes: a ``SeveritySeries`` of T
-values and a (T, 2 * DETERMINANT_COUNT) impact array.  All containers
+values and a (T, IMPACT_DIM) impact array.  All containers
 here are frozen after construction and safe to share across threads.
 """
 
@@ -12,7 +12,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
-from enum import Enum
 
 import numpy as np
 
@@ -39,10 +38,10 @@ DETERMINANT_NAMES = (
 DETERMINANT_COUNT = len(DETERMINANT_NAMES)
 OTHER_INDEX = DETERMINANT_NAMES.index("Other")
 
-
-class Source(str, Enum):
-    SOCIAL = "social"
-    NEWS = "news"
+#: The text sources in the order of the impact vector's halves: each half is
+#: one source's distribution over ``DETERMINANT_NAMES``.
+SOURCES = ("social", "news")
+IMPACT_DIM = len(SOURCES) * DETERMINANT_COUNT
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +82,6 @@ class Document:
     id: str
     timestep: int
     text: str
-    source: Source
 
     def __post_init__(self):
         if not self.text.strip():
@@ -93,7 +91,7 @@ class Document:
 
 
 def check_impacts(impacts, labels=None) -> None:
-    """Check a (T, 2 * DETERMINANT_COUNT) impact series, social half first.
+    """Check a (T, IMPACT_DIM) impact series, one half per source in ``SOURCES`` order.
 
     Each half row either sums to 1 (documents present) or is all-zero (no
     documents that week: absence of discourse is kept as signal).
@@ -104,20 +102,20 @@ def check_impacts(impacts, labels=None) -> None:
             (NaN and inf included) or a half summing to neither 0 nor 1.
     """
     impacts = np.asarray(impacts, dtype=np.float64)
-    if impacts.ndim != 2 or impacts.shape[1] != 2 * DETERMINANT_COUNT:
-        raise ValueError(f"impact series must have shape (T, {2 * DETERMINANT_COUNT}), got {impacts.shape}")
-    parts = impacts.reshape(len(impacts), 2, DETERMINANT_COUNT)
+    if impacts.ndim != 2 or impacts.shape[1] != IMPACT_DIM:
+        raise ValueError(f"impact series must have shape (T, {IMPACT_DIM}), got {impacts.shape}")
+    parts = impacts.reshape(len(impacts), len(SOURCES), DETERMINANT_COUNT)
     totals = parts.sum(axis=2)
     # NaN fails every comparison, so this also rejects non-finite values.
     outside = ~((parts >= 0.0) & (parts <= 1.0)).all(axis=2)
     bad_sum = (totals != 0.0) & (np.abs(totals - 1.0) > 1e-6)
-    bad = np.argwhere(outside | bad_sum)  # row-major: the first bad row, social half first
+    bad = np.argwhere(outside | bad_sum)  # row-major: the first bad row, then its first bad half
     if len(bad):
         i, half = bad[0]
         label = f"row {i}" if labels is None else labels[i]
         problem = ("has components outside [0, 1]" if outside[i, half]
                    else f"sums to {totals[i, half]}, expected 0 or 1")
-        raise ValueError(f"{label}: {('social', 'news')[half]} part {problem}")
+        raise ValueError(f"{label}: {SOURCES[half]} part {problem}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +125,9 @@ class Windows:
     Row ``i`` is one window: its lookback begins at timestep ``starts[i]``
     and its output at ``starts[i] + lookback``.  Shapes: ``starts`` (n,),
     ``severity_in`` (n, lookback), ``severity_out`` (n, horizon),
-    ``impact_in`` (n, lookback, 2 * DETERMINANT_COUNT) and ``impact_out``
-    (n, horizon, 2 * DETERMINANT_COUNT); impact rows are concatenated
-    vectors, social part first.  A slice is again a ``Windows``.
+    ``impact_in`` (n, lookback, IMPACT_DIM) and ``impact_out`` (n, horizon,
+    IMPACT_DIM); impact rows are concatenated vectors, one part per source
+    in ``SOURCES`` order.  A slice is again a ``Windows``.
     """
 
     starts: np.ndarray
@@ -165,7 +163,7 @@ def make_windows(
 
     Args:
         severity: weekly DSCI series of length T.
-        impacts: (T, 2 * DETERMINANT_COUNT) impact series aligned with
+        impacts: (T, IMPACT_DIM) impact series aligned with
             ``severity``; see :func:`check_impacts`.
         lookback: input window length (>= 1).
         horizon: prediction window length (>= 1).

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source, check_impacts, read_csv, write_csv,
+    DETERMINANT_COUNT, DETERMINANT_NAMES, IMPACT_DIM, OTHER_INDEX, SOURCES, Document, check_impacts, read_csv,
+    write_csv,
 )
 from .errors import ParseError
 
@@ -90,7 +91,6 @@ class TopicCluster:
 class TopicModel:
     """Frozen per-source topic model: vocabulary, centroids, mapped clusters."""
 
-    source: Source
     vocabulary: dict[str, int]
     idf: np.ndarray
     centroids: np.ndarray
@@ -494,7 +494,6 @@ def map_topic(keywords, backend, threshold: float = MAP_THRESHOLD) -> int:
 
 def fit_topic_model(
     docs: list[Document],
-    source: Source,
     backend,
     topic_count: int,
     seed: int,
@@ -504,9 +503,6 @@ def fit_topic_model(
 
     Topics are mapped on ``MAP_PARALLELISM`` threads, in topic order.
     """
-    docs = [d for d in docs if d.source == source]
-    if not docs:
-        raise ValueError(f"no documents with source {source.value!r} to fit on")
     vocab, idf, vectors, token_lists = _fit_tfidf(docs)
     assignments, centroids = kmeans(vectors, topic_count, seed)
     # Renumber the clusters that kept members as 0..live-1.
@@ -528,7 +524,7 @@ def fit_topic_model(
         )
         for c in range(len(live))
     )
-    return TopicModel(source=source, vocabulary=vocab, idf=idf, centroids=centroids, clusters=clusters)
+    return TopicModel(vocabulary=vocab, idf=idf, centroids=centroids, clusters=clusters)
 
 
 def assign_clusters(docs: list[Document], model: TopicModel) -> np.ndarray:
@@ -559,15 +555,15 @@ def build_impact_series(
     social_model: TopicModel,
     news_model: TopicModel,
 ) -> np.ndarray:
-    """The (total_steps, 2 * DETERMINANT_COUNT) impact series, social half first."""
-    impacts = np.zeros((total_steps, 2, DETERMINANT_COUNT))
+    """The (total_steps, IMPACT_DIM) impact series, one half per source in ``SOURCES`` order."""
+    impacts = np.zeros((total_steps, len(SOURCES), DETERMINANT_COUNT))
     for half, (docs, model) in enumerate(((social_docs, social_model), (news_docs, news_model))):
         by_step: dict[int, list[Document]] = {}
         for d in docs:
             by_step.setdefault(d.timestep, []).append(d)
         for t in range(total_steps):
             impacts[t, half] = quantify(by_step.get(t, []), model)
-    impacts = impacts.reshape(total_steps, 2 * DETERMINANT_COUNT)
+    impacts = impacts.reshape(total_steps, IMPACT_DIM)
     check_impacts(impacts)
     return impacts
 
@@ -578,11 +574,8 @@ def build_impact_series(
 
 
 def impact_csv_header() -> list[str]:
-    return (
-        ["timestep"]
-        + [f"s_{i}" for i in range(1, DETERMINANT_COUNT + 1)]
-        + [f"n_{i}" for i in range(1, DETERMINANT_COUNT + 1)]
-    )
+    """``timestep``, then one column per impact component: source initial and determinant number."""
+    return ["timestep"] + [f"{source[0]}_{i}" for source in SOURCES for i in range(1, DETERMINANT_COUNT + 1)]
 
 
 def write_impact_csv(path, impacts: np.ndarray) -> None:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
-from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, Source, not_utf8, read_csv
+from .core import DSCI_MAX, DSCI_MIN, Document, SeveritySeries, not_utf8, read_csv
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -116,7 +116,7 @@ def _parse_timestamp(raw: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-def load_documents(path, source: Source, series: SeveritySeries) -> DocumentLoadResult:
+def load_documents(path, series: SeveritySeries) -> DocumentLoadResult:
     """Read one JSONL document dump and bucket rows into weekly timesteps.
 
     Each document lands in the timestep whose week contains its
@@ -148,9 +148,7 @@ def load_documents(path, source: Source, series: SeveritySeries) -> DocumentLoad
             if timestep is None:
                 result.out_of_range_count += 1
                 continue
-            result.documents.append(
-                Document(id=doc_id, timestep=timestep, text=text, source=source)
-            )
+            result.documents.append(Document(id=doc_id, timestep=timestep, text=text))
     if result.malformed_count:
         log.info("%s: skipped %d malformed lines", path, result.malformed_count)
     return result

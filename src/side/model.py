@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .core import DETERMINANT_COUNT
+from .core import DETERMINANT_COUNT, IMPACT_DIM, SOURCES
 from .errors import ShapeError
 from .numerics import Node
 
@@ -38,10 +38,6 @@ class ModelConfig:
         for name in ("lookback", "horizon", "width", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-    @property
-    def impact_dim(self) -> int:
-        return 2 * DETERMINANT_COUNT
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     """Parameter name -> shape, in the order :func:`init_params` draws and lays them out."""
     d = cfg.width
     shapes = {}
-    for prefix, in_dim in (("enc_impact", cfg.impact_dim), ("enc_severity", 1)):
+    for prefix, in_dim in (("enc_impact", IMPACT_DIM), ("enc_severity", 1)):
         shapes[f"{prefix}.proj"] = (in_dim, d)
         for w in ("wq", "wk", "wv", "wo"):
             shapes[f"{prefix}.attn.{w}"] = (d, d)
@@ -86,7 +82,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     for w in ("wq_m", "wk_d", "wv_d", "wq_d", "wk_m", "wv_m"):
         shapes[f"cross.{w}"] = (d, d)
     shapes["dec.w1"] = (cfg.lookback * 2 * d, cfg.hidden)
-    shapes["dec.w2"] = (cfg.hidden, cfg.horizon * (1 + cfg.impact_dim))
+    shapes["dec.w2"] = (cfg.hidden, cfg.horizon * (1 + IMPACT_DIM))
     return shapes
 
 
@@ -154,7 +150,7 @@ def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) ->
 
     The inputs are ``(n, lookback, width)``.  Returns the severity forecast
     (standardized units, shape (n, horizon)) and the impact forecast
-    (shape (n, horizon, 2 * DETERMINANT_COUNT)).  Impact outputs are plain
+    (shape (n, horizon, IMPACT_DIM)).  Impact outputs are plain
     linear; clamping to [0, 1] is a reporting concern, not a model one.
     """
     joined = nm.concat_last_dim(h_md, h_dm)
@@ -163,23 +159,21 @@ def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) ->
     n, lookback, joint_width = joined.value.shape
     flat = nm.reshape(joined, (n, lookback * joint_width))
     hidden = nm.tanh(nm.matmul(flat, params["dec.w1"]))
-    out = nm.reshape(nm.matmul(hidden, params["dec.w2"]), (n, cfg.horizon, 1 + cfg.impact_dim))
+    out = nm.reshape(nm.matmul(hidden, params["dec.w2"]), (n, cfg.horizon, 1 + IMPACT_DIM))
     severity = nm.reshape(nm.slice_last_dim(out, 0, 1), (n, cfg.horizon))
-    impact = nm.slice_last_dim(out, 1, 1 + cfg.impact_dim)
+    impact = nm.slice_last_dim(out, 1, 1 + IMPACT_DIM)
     return severity, impact
 
 
 def apply_input_mask(impact_in: np.ndarray, ablation: str) -> np.ndarray:
-    """Zero the social or news half of the impact inputs (last axis) for ablation runs."""
-    if ablation == "no_social":
-        masked = impact_in.copy()
-        masked[..., :DETERMINANT_COUNT] = 0.0
-        return masked
-    if ablation == "no_news":
-        masked = impact_in.copy()
-        masked[..., DETERMINANT_COUNT:] = 0.0
-        return masked
-    return impact_in
+    """Zero one source's half of the impact inputs (last axis) for a ``no_<source>`` ablation."""
+    source = ablation.removeprefix("no_")
+    if source not in SOURCES:
+        return impact_in
+    masked = impact_in.copy()
+    start = SOURCES.index(source) * DETERMINANT_COUNT
+    masked[..., start:start + DETERMINANT_COUNT] = 0.0
+    return masked
 
 
 def forward(
@@ -192,12 +186,12 @@ def forward(
 
     Args:
         severity_in: standardized severity lookbacks, shape (n, lookback).
-        impact_in: impact lookbacks, shape (n, lookback, 2 * DETERMINANT_COUNT),
+        impact_in: impact lookbacks, shape (n, lookback, IMPACT_DIM),
             already masked for input ablations.
 
     Returns:
         (severity forecast, impact forecast) nodes, shapes (n, horizon)
-        and (n, horizon, 2 * DETERMINANT_COUNT); row ``i`` depends on
+        and (n, horizon, IMPACT_DIM); row ``i`` depends on
         window ``i`` only.
     """
     severity_in = np.asarray(severity_in, dtype=np.float64)
@@ -205,9 +199,9 @@ def forward(
     if severity_in.ndim != 2 or severity_in.shape[1] != cfg.lookback:
         raise ShapeError(f"severity_in shape {severity_in.shape}, expected (n, {cfg.lookback})")
     n = severity_in.shape[0]
-    if impact_in.shape != (n, cfg.lookback, cfg.impact_dim):
+    if impact_in.shape != (n, cfg.lookback, IMPACT_DIM):
         raise ShapeError(
-            f"impact_in shape {impact_in.shape}, expected ({n}, {cfg.lookback}, {cfg.impact_dim})"
+            f"impact_in shape {impact_in.shape}, expected ({n}, {cfg.lookback}, {IMPACT_DIM})"
         )
     table = sinusoidal_positions(cfg.lookback, cfg.width)
     positions = nm.constant(np.broadcast_to(table, (n, cfg.lookback, cfg.width)))

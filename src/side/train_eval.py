@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .core import DETERMINANT_NAMES, Windows, write_csv
+from .core import DETERMINANT_NAMES, SOURCES, Windows, write_csv
 from .errors import ConfigError, DivergenceError, NumericsError
 from .model import LossWeights, ModelConfig
 
@@ -289,7 +289,7 @@ class PredictionSet:
     starts: np.ndarray  # (n,) int
     severity_true: np.ndarray  # (n, horizon)
     severity_pred: np.ndarray
-    impact_true: np.ndarray  # (n, horizon, 2 * delta)
+    impact_true: np.ndarray  # (n, horizon, IMPACT_DIM)
     impact_pred: np.ndarray
 
 
@@ -300,7 +300,7 @@ class EvalResult:
 
 
 def impact_target_names() -> list[str]:
-    return [f"social:{n}" for n in DETERMINANT_NAMES] + [f"news:{n}" for n in DETERMINANT_NAMES]
+    return [f"{source}:{name}" for source in SOURCES for name in DETERMINANT_NAMES]
 
 
 def evaluate(

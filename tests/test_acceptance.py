@@ -18,7 +18,7 @@ from side import model as mdl
 from side import numerics as nm
 from side import synth as sy
 from side.cli import main as cli_main
-from side.core import Source, chronological_split, make_windows, training_cutoff
+from side.core import IMPACT_DIM, chronological_split, make_windows, training_cutoff
 from side.model import LossWeights, ModelConfig
 from side.train_eval import (
     Standardizer,
@@ -103,9 +103,9 @@ def _check_full_path_gradient(seed, coords_per_tensor=4):
     rng = np.random.default_rng(seed)
     params = mdl.init_params(cfg, rng)
     sev_in = rng.normal(size=(3, cfg.lookback))
-    imp_in = rng.uniform(0, 1, size=(3, cfg.lookback, cfg.impact_dim))
+    imp_in = rng.uniform(0, 1, size=(3, cfg.lookback, IMPACT_DIM))
     sev_out = rng.normal(size=(3, cfg.horizon))
-    imp_out = rng.uniform(0, 1, size=(3, cfg.horizon, cfg.impact_dim))
+    imp_out = rng.uniform(0, 1, size=(3, cfg.horizon, IMPACT_DIM))
     weights = LossWeights()
 
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)
@@ -275,19 +275,19 @@ def _pipeline_severity_mae(seed, tmp_dir, variants):
     series = ingest.load_severity(paths["dsci"])
     entities = ingest.EntityList.from_file(paths["entities"])
     social = ingest.geofilter(
-        ingest.load_documents(paths["social"], Source.SOCIAL, series).documents, entities
+        ingest.load_documents(paths["social"], series).documents, entities
     )
     news = ingest.geofilter(
-        ingest.load_documents(paths["news"], Source.NEWS, series).documents, entities
+        ingest.load_documents(paths["news"], series).documents, entities
     )
 
     backend = dsiq.LexiconBackend()
     cutoff = training_cutoff(len(series), 52, 5)
     social_model = dsiq.fit_topic_model(
-        [d for d in social if d.timestep < cutoff], Source.SOCIAL, backend, 50, seed
+        [d for d in social if d.timestep < cutoff], backend, 50, seed
     )
     news_model = dsiq.fit_topic_model(
-        [d for d in news if d.timestep < cutoff], Source.NEWS, backend, 50, seed
+        [d for d in news if d.timestep < cutoff], backend, 50, seed
     )
     impacts = dsiq.build_impact_series(social, news, len(series), social_model, news_model)
 

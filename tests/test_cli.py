@@ -10,9 +10,10 @@ import shutil
 import pytest
 
 from side import numerics as nm
-from side.cli import main
-from side.core import training_cutoff
+from side.cli import PREDICTIONS_HEADER, main
+from side.core import DETERMINANT_NAMES, SOURCES, training_cutoff
 from side.dsiq import impact_csv_header
+from side.train_eval import impact_target_names
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,21 @@ def test_predictions_and_export_plots_pass_through(workspace, tmp_path):
     bars = (run / "synth_plot_determinants.csv").read_text().splitlines()
     assert bars[0] == "source,determinant,predicted,actual"
     assert len(bars) - 1 == 22
+
+
+def test_impact_column_names_follow_sources_then_determinants(workspace, tmp_path):
+    # The impact vector's column order is SOURCES x DETERMINANT_NAMES; every
+    # file that names its columns must list them in that order.
+    order = [(source, i, name) for source in SOURCES for i, name in enumerate(DETERMINANT_NAMES, start=1)]
+    assert impact_csv_header()[1:] == [f"{source[0]}_{i}" for source, i, _ in order]
+    assert impact_target_names() == [f"{source}:{name}" for source, _, name in order]
+    assert PREDICTIONS_HEADER[5:] == tuple(
+        f"{kind}_{source[0]}_{i}" for kind in ("true", "pred") for source, i, _ in order
+    )
+    _, run = _run_config(workspace, tmp_path, "synth_predictions.csv")
+    assert main(["export-plots", "--run", str(run), "--state", "synth"]) == 0
+    bars = (run / "synth_plot_determinants.csv").read_text().splitlines()[1:]
+    assert [tuple(line.split(",")[:2]) for line in bars] == [(source, f'"{name}"') for source, _, name in order]
 
 
 def test_evaluate_rejects_checkpoint_with_stale_model_block(workspace, tmp_path, capsys):
@@ -367,6 +383,22 @@ def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"unknown_key": 1}), encoding="utf-8")
     assert main(["train", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("name", ["dsci", "config"])
+def test_directory_for_a_file_exits_2_naming_it(workspace, tmp_path, capsys, name):
+    directory = tmp_path / name
+    directory.mkdir()
+    raw = workspace["raw"]
+    paths = dict(raw["paths"], out_dir=str(tmp_path / "run"))
+    if name == "dsci":
+        paths["dsci"] = str(directory)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=paths)), encoding="utf-8")
+    config = directory if name == "config" else cfg_path
+    assert main(["quantify", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(directory) in err
 
 
 def test_missing_run_dir_export_exits_2(tmp_path):

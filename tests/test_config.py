@@ -3,6 +3,7 @@
 import pytest
 
 from side import config as cfgmod
+from side.core import IMPACT_DIM
 from side.errors import ConfigError
 from side.model import ModelConfig
 from side.train_eval import TrainConfig
@@ -12,7 +13,7 @@ def test_defaults_mirror_paper_settings():
     cfg = cfgmod.RunConfig()
     assert cfg.model.lookback == 52
     assert cfg.model.horizon == 5
-    assert cfg.model.impact_dim == 22
+    assert IMPACT_DIM == 22
     assert cfg.topic_count == 50
     assert cfg.train.max_epochs == 20
     assert cfg.train.patience == 10
@@ -101,6 +102,16 @@ def test_invalid_values_rejected():
         cfgmod.from_dict({"train": {"patience": True}})
     with pytest.raises(ConfigError, match="learning_rate must be a number"):
         cfgmod.from_dict({"train": {"learning_rate": False}})
+    # a JSON string is not a number, whatever it spells
+    for bad in ("nan", "inf", "5"):
+        with pytest.raises(ConfigError, match="map_threshold must be a number"):
+            cfgmod.from_dict({"dsiq": {"map_threshold": bad}})
+        with pytest.raises(ConfigError, match="lambda_impact must be a number"):
+            cfgmod.from_dict({"train": {"lambda_impact": bad}})
+        with pytest.raises(ConfigError, match="topic_count must be an integer"):
+            cfgmod.from_dict({"dsiq": {"topic_count": bad}})
+        with pytest.raises(ConfigError, match="max_epochs must be an integer"):
+            cfgmod.from_dict({"train": {"max_epochs": bad}})
     # values that would spoil a run without an error
     with pytest.raises(ConfigError, match="dsci must be a string"):
         cfgmod.from_dict({"paths": {"dsci": 123}})

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from side import dsiq
-from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, Source
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document
 from side.errors import ParseError
 from side.dsiq import (
     BLOCK_ROWS,
@@ -41,8 +41,8 @@ from side.dsiq import (
 )
 
 
-def doc(i, text, source=Source.SOCIAL, timestep=0):
-    return Document(id=f"d{i}", timestep=timestep, text=text, source=source)
+def doc(i, text, timestep=0):
+    return Document(id=f"d{i}", timestep=timestep, text=text)
 
 
 class TestVectorize:
@@ -518,7 +518,6 @@ def _toy_model():
         TopicCluster(id=2, doc_count=1, keywords=("zzz",), determinant_index=OTHER_INDEX),
     )
     return TopicModel(
-        source=Source.SOCIAL,
         vocabulary=vocab,
         idf=np.ones(3),
         centroids=centroids,
@@ -567,18 +566,18 @@ class TestQuantify:
 class TestBuildImpactSeries:
     def fit_models(self):
         social = [
-            doc(i, text, Source.SOCIAL, timestep=i % 3)
+            doc(i, text, timestep=i % 3)
             for i, text in enumerate(
                 ["crop harvest dry", "crop harvest", "water wells dry", "water wells"]
             )
         ]
         news = [
-            doc(10 + i, text, Source.NEWS, timestep=1)
+            doc(10 + i, text, timestep=1)
             for i, text in enumerate(["hospital illness report", "hospital illness"])
         ]
         backend = LexiconBackend()
-        sm = fit_topic_model(social, Source.SOCIAL, backend, topic_count=2, seed=0)
-        nman = fit_topic_model(news, Source.NEWS, backend, topic_count=2, seed=0)
+        sm = fit_topic_model(social, backend, topic_count=2, seed=0)
+        nman = fit_topic_model(news, backend, topic_count=2, seed=0)
         return social, news, sm, nman
 
     def test_dimensions_and_source_separation(self):
@@ -606,7 +605,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
         doc(2, "water reservoir rationing wells"),
         doc(3, "water reservoir wells aquifer"),
     ]
-    model = fit_topic_model(docs, Source.SOCIAL, LexiconBackend(), topic_count=2, seed=0)
+    model = fit_topic_model(docs, LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
     for cluster in model.clusters:
@@ -694,7 +693,7 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
         doc(3, "water reservoir rationing"),
     ]
     backend = LlmBackend(url, backoff=0.0)
-    model = fit_topic_model(docs, Source.SOCIAL, backend, topic_count=2, seed=0)
+    model = fit_topic_model(docs, backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
@@ -707,10 +706,10 @@ def test_fit_topic_model_on_dead_service_bounds_posts(caplog):
     post = FailingPost()
     backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):
-        model = fit_topic_model(docs, Source.SOCIAL, backend, topic_count=8, seed=0)
+        model = fit_topic_model(docs, backend, topic_count=8, seed=0)
     assert len(model.clusters) == 8
     # only the topics in flight when the budget ran out may still call
     assert post.calls <= MAP_PARALLELISM * (backend.retries + 1)
     assert len(caplog.records) == 1
-    lexicon = fit_topic_model(docs, Source.SOCIAL, LexiconBackend(), topic_count=8, seed=0)
+    lexicon = fit_topic_model(docs, LexiconBackend(), topic_count=8, seed=0)
     assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from side.core import Document, SeveritySeries, Source
+from side.core import Document, SeveritySeries
 from side.errors import ParseError
 from side.ingest import EntityList, geofilter, load_documents, load_severity
 
@@ -86,17 +86,16 @@ class TestLoadDocuments:
             tmp_path / "posts.jsonl",
             f'{{"id": "a", "timestamp": "{stamp}", "text": "dry fields"}}\n',
         )
-        result = load_documents(path, Source.SOCIAL, series(10))
+        result = load_documents(path, series(10))
         assert len(result.documents) == 1
         assert result.documents[0].timestep == 7
-        assert result.documents[0].source == Source.SOCIAL
 
     def test_empty_text_dropped_and_counted(self, tmp_path):
         path = write(
             tmp_path / "posts.jsonl",
             '{"id": "a", "timestamp": "2017-01-03T00:00:00Z", "text": "  "}\n',
         )
-        result = load_documents(path, Source.SOCIAL, series(4))
+        result = load_documents(path, series(4))
         assert result.documents == []
         assert result.empty_text_count == 1
 
@@ -106,7 +105,7 @@ class TestLoadDocuments:
         path = write(tmp_path / "posts.jsonl", "\n".join(lines) + "\n")
         # A line that is not UTF-8 counts as malformed too, and is not read as UTF-16.
         path.write_bytes(path.read_bytes() + b"\xff\xfe junk line\n")
-        result = load_documents(path, Source.SOCIAL, series(4))
+        result = load_documents(path, series(4))
         assert len(result.documents) == 3
         assert result.malformed_count == 2
 
@@ -116,13 +115,13 @@ class TestLoadDocuments:
             '{"id": "a", "timestamp": "2030-01-01T00:00:00Z", "text": "late"}\n'
             '{"id": "b", "timestamp": "2017-01-03T00:00:00Z", "text": "ok"}\n',
         )
-        result = load_documents(path, Source.NEWS, series(4))
+        result = load_documents(path, series(4))
         assert [d.id for d in result.documents] == ["b"]
         assert result.out_of_range_count == 1
 
     def test_missing_key_is_malformed(self, tmp_path):
         path = write(tmp_path / "posts.jsonl", '{"id": "a", "text": "no stamp"}\n')
-        result = load_documents(path, Source.SOCIAL, series(4))
+        result = load_documents(path, series(4))
         assert result.malformed_count == 1
 
     @pytest.mark.parametrize(
@@ -135,7 +134,7 @@ class TestLoadDocuments:
     )
     def test_non_string_field_is_malformed(self, tmp_path, fields):
         path = write(tmp_path / "posts.jsonl", '{"id": "a", %s}\n' % fields)
-        result = load_documents(path, Source.SOCIAL, series(4))
+        result = load_documents(path, series(4))
         assert result.documents == []
         assert result.malformed_count == 1
 
@@ -143,7 +142,7 @@ class TestLoadDocuments:
 class TestGeofilter:
     def docs(self, *texts):
         return [
-            Document(id=str(i), timestep=0, text=t, source=Source.SOCIAL)
+            Document(id=str(i), timestep=0, text=t)
             for i, t in enumerate(texts)
         ]
 

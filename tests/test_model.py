@@ -7,6 +7,7 @@ import pytest
 
 from side import model as mdl
 from side import numerics as nm
+from side.core import IMPACT_DIM
 from side.model import LossWeights, ModelConfig
 
 from test_numerics import finite_diff, rel_err
@@ -108,7 +109,7 @@ class TestEncode:
         rng = np.random.default_rng(0)
         params = mdl.init_params(cfg, rng)
         pos = nm.constant(mdl.sinusoidal_positions(cfg.lookback, cfg.width))
-        seq = rng.normal(size=(cfg.lookback, cfg.impact_dim))
+        seq = rng.normal(size=(cfg.lookback, IMPACT_DIM))
         h1 = mdl.encode(nm.constant(seq), params, "enc_impact", pos, cfg.width)
         h2 = mdl.encode(nm.constant(seq.copy()), params, "enc_impact", pos, cfg.width)
         assert h1.value.shape == (cfg.lookback, cfg.width)
@@ -160,7 +161,7 @@ class TestForwardNoAttention:
         # zero every cross-attention weight: outputs must be unaffected
         rng = np.random.default_rng(2)
         sev_in = rng.normal(size=(3, cfg.lookback))
-        imp_in = rng.normal(size=(3, cfg.lookback, cfg.impact_dim))
+        imp_in = rng.normal(size=(3, cfg.lookback, IMPACT_DIM))
         base_sev, base_imp = mdl.forward(params, cfg, sev_in, imp_in)
         for name, p in params.items():
             if name.startswith("cross."):
@@ -230,9 +231,9 @@ def test_end_to_end_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     params = mdl.init_params(cfg, rng)
     sev_in = rng.normal(size=(2, cfg.lookback))
-    imp_in = rng.uniform(0, 1, size=(2, cfg.lookback, cfg.impact_dim))
+    imp_in = rng.uniform(0, 1, size=(2, cfg.lookback, IMPACT_DIM))
     sev_out = rng.normal(size=(2, cfg.horizon))
-    imp_out = rng.uniform(0, 1, size=(2, cfg.horizon, cfg.impact_dim))
+    imp_out = rng.uniform(0, 1, size=(2, cfg.horizon, IMPACT_DIM))
 
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)
     nm.backward(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, LossWeights()))
@@ -255,9 +256,9 @@ def test_batched_forward_rows_equal_single_window_forward(ablation):
     rng = np.random.default_rng(11)
     params = mdl.init_params(cfg, rng)
     sev_in = rng.normal(size=(7, cfg.lookback))
-    imp_in = mdl.apply_input_mask(rng.uniform(0, 1, size=(7, cfg.lookback, cfg.impact_dim)), ablation)
+    imp_in = mdl.apply_input_mask(rng.uniform(0, 1, size=(7, cfg.lookback, IMPACT_DIM)), ablation)
     sev, imp = mdl.forward(params, cfg, sev_in, imp_in)
-    assert sev.value.shape == (7, cfg.horizon) and imp.value.shape == (7, cfg.horizon, cfg.impact_dim)
+    assert sev.value.shape == (7, cfg.horizon) and imp.value.shape == (7, cfg.horizon, IMPACT_DIM)
     for i in range(7):
         one_sev, one_imp = mdl.forward(params, cfg, sev_in[i : i + 1], imp_in[i : i + 1])
         assert rel_err(sev.value[i], one_sev.value[0]) < 1e-12, i
@@ -270,14 +271,14 @@ def test_severity_path_invariant_to_impact_targets_when_masked():
     rng = np.random.default_rng(7)
     params = mdl.init_params(cfg, rng)
     sev_in = rng.normal(size=(1, cfg.lookback))
-    zeros = np.zeros((1, cfg.lookback, cfg.impact_dim))
+    zeros = np.zeros((1, cfg.lookback, IMPACT_DIM))
     sev_a, imp_a = mdl.forward(params, cfg, sev_in, zeros)
     sev_b, imp_b = mdl.forward(params, cfg, sev_in, zeros.copy())
     np.testing.assert_array_equal(sev_a.value, sev_b.value)
     weights = LossWeights(severity=1.0, impact=0.0)
     targets = rng.normal(size=(1, cfg.horizon))
-    imp_targets_1 = rng.normal(size=(1, cfg.horizon, cfg.impact_dim))
-    imp_targets_2 = rng.normal(size=(1, cfg.horizon, cfg.impact_dim))
+    imp_targets_1 = rng.normal(size=(1, cfg.horizon, IMPACT_DIM))
+    imp_targets_2 = rng.normal(size=(1, cfg.horizon, IMPACT_DIM))
     l1 = mdl.joint_loss(sev_a, targets, imp_a, imp_targets_1, weights)
     l2 = mdl.joint_loss(sev_b, targets, imp_b, imp_targets_2, weights)
     assert float(l1.value) == float(l2.value)

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from side.core import DETERMINANT_NAMES, DSCI_MAX, OTHER_INDEX, Source
+from side.core import DETERMINANT_NAMES, DSCI_MAX, OTHER_INDEX
 from side.dsiq import load_lexicon
 from side.ingest import EntityList, geofilter, load_documents, load_severity
 from side.synth import (
@@ -165,7 +165,7 @@ def test_outputs_feed_the_ingest_pipeline(tmp_path):
     assert len(series) == 40
     entities = EntityList.from_file(paths["entities"])
     assert entities.entities == frozenset(IN_STATE_PLACES)
-    result = load_documents(paths["social"], Source.SOCIAL, series)
+    result = load_documents(paths["social"], series)
     assert result.malformed_count == 0
     assert len(result.documents) > 0
     kept = geofilter(result.documents, entities)
