@@ -48,13 +48,14 @@ news_model = dsiq.fit_topic_model(
 )
 
 print("\nfirst social topics:")
-for cluster in social_model.clusters[:5]:
+for topic_id, cluster in enumerate(social_model.clusters[:5]):
     name = DETERMINANT_NAMES[cluster.determinant_index]
-    print(f"  topic {cluster.id:2d} -> {name:30s} keywords: {', '.join(cluster.keywords[:5])}")
+    print(f"  topic {topic_id:2d} -> {name:30s} keywords: {', '.join(cluster.keywords[:5])}")
 
 # One impact row per week: social and news halves, each either
-# normalized to 1 or all-zero when that source was silent.
-impacts = dsiq.build_impact_series(social_docs, news_docs, len(series), social_model, news_model)
+# normalized to 1 or all-zero when that source was silent.  The
+# (documents, model) pairs come in the order of the halves.
+impacts = dsiq.build_impact_series([(social_docs, social_model), (news_docs, news_model)], len(series))
 print(f"\nimpact series: {impacts.shape[0]} weeks x {impacts.shape[1]} components")
 
 week = impacts[10]

@@ -87,9 +87,7 @@ def _require_files(*paths) -> None:
 
 
 def _out_path(cfg: cfgmod.RunConfig, suffix: str) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / f"{cfg.state}_{suffix}"
+    return Path(cfg.out_dir) / f"{cfg.state}_{suffix}"
 
 
 def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
@@ -100,10 +98,10 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
     cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
 
-    docs, models = {}, {}
+    fitted = []  # (kept documents, topic model) per source
     for source, path in zip(SOURCES, (cfg.social_path, cfg.news_path)):
         result = ingest.load_documents(path, series)
-        kept = docs[source] = ingest.geofilter(result.documents, entities)
+        kept = ingest.geofilter(result.documents, entities)
         dropped = result.malformed_count + result.empty_text_count + result.out_of_range_count
         print(
             f"{source}: read {len(result.documents) + dropped}, malformed {result.malformed_count}, "
@@ -117,21 +115,22 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
             raise ConfigError(
                 f"no {source} document falls in the training range (before week {cutoff})"
             )
-        models[source] = dsiq.fit_topic_model(
+        model = dsiq.fit_topic_model(
             fit_docs,
             backend,
             topic_count=cfg.topic_count,
             seed=cfg.train.seed,
             map_threshold=cfg.map_threshold,
         )
+        fitted.append((kept, model))
 
-    impacts = dsiq.build_impact_series(docs["social"], docs["news"], len(series), models["social"], models["news"])
+    impacts = dsiq.build_impact_series(fitted, len(series))
     impact_path = _out_path(cfg, "impact.csv")
     dsiq.write_impact_csv(impact_path, impacts)
 
     topics_path = _out_path(cfg, "topics.csv")
-    rows = [(source, c.id, f'"{DETERMINANT_NAMES[c.determinant_index]}"', c.doc_count, " ".join(c.keywords))
-            for source in SOURCES for c in models[source].clusters]
+    rows = [(source, cluster_id, f'"{DETERMINANT_NAMES[c.determinant_index]}"', c.doc_count, " ".join(c.keywords))
+            for source, (_, model) in zip(SOURCES, fitted) for cluster_id, c in enumerate(model.clusters)]
     write_csv(topics_path, ("source", "cluster_id", "determinant", "doc_count", "keywords"), rows)
     print(f"wrote {impact_path} and {topics_path}")
     return 0
@@ -315,7 +314,10 @@ def _run(args) -> int:
         if args.command == "export-plots":
             return cmd_export_plots(args.run, args.state)
         commands = {"quantify": cmd_quantify, "train": cmd_train, "evaluate": cmd_evaluate, "ablate": cmd_ablate}
-        return commands[args.command](_load_config(args))
+        cfg = _load_config(args)
+        # Before any input is read, so an out_dir that cannot be one fails at once.
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        return commands[args.command](cfg)
     except (DivergenceError, NumericsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DETERMINANT_COUNT, DETERMINANT_NAMES, IMPACT_DIM, OTHER_INDEX, SOURCES, Document, check_impacts, read_csv,
+    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SOURCES, Document, check_impacts, not_utf8, read_csv,
     write_csv,
 )
 from .errors import ParseError
@@ -81,7 +81,6 @@ def tokenize(text: str) -> list[str]:
 class TopicCluster:
     """One k-means topic: member document count, ranked keywords, determinant."""
 
-    id: int
     doc_count: int
     keywords: tuple[str, ...]
     determinant_index: int
@@ -89,7 +88,7 @@ class TopicCluster:
 
 @dataclass(frozen=True)
 class TopicModel:
-    """Frozen per-source topic model: vocabulary, centroids, mapped clusters."""
+    """Frozen per-source topic model: vocabulary, centroids, mapped clusters; a topic's id is its index."""
 
     vocabulary: dict[str, int]
     idf: np.ndarray
@@ -130,15 +129,10 @@ def _fit_tfidf(docs: list[Document]) -> tuple[dict[str, int], np.ndarray, np.nda
     return vocab, idf, doc_matrix(token_lists, vocab, idf), token_lists
 
 
-def term_counts(token_lists: list[list[str]], vocab: dict[str, int], rows=None, n_rows=None) -> np.ndarray:
-    """In-vocabulary term counts, shape (n_rows, len(vocab)).
-
-    Token list ``i`` adds to row ``rows[i]`` (default ``i``); ``n_rows``
-    defaults to one row per token list.
-    """
-    rows = range(len(token_lists)) if rows is None else rows
-    counts = np.zeros((len(token_lists) if n_rows is None else n_rows, len(vocab)))
-    for r, tokens in zip(rows, token_lists):
+def term_counts(token_lists: list[list[str]], vocab: dict[str, int]) -> np.ndarray:
+    """In-vocabulary term counts, one row per token list: shape (len(token_lists), len(vocab))."""
+    counts = np.zeros((len(token_lists), len(vocab)))
+    for r, tokens in enumerate(token_lists):
         for t in tokens:
             j = vocab.get(t)
             if j is not None:
@@ -283,10 +277,8 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = No
     return np.maximum(d, 0.0, out=d)
 
 
-def cluster_keywords(
-    token_lists: list[list[str]], assignments, vocab: dict[str, int], top: int = KEYWORDS_PER_TOPIC
-) -> list[tuple[str, ...]]:
-    """Rank keywords per cluster by class-based TF-IDF.
+def cluster_keywords(token_lists: list[list[str]], assignments, vocab: dict[str, int]) -> list[tuple[str, ...]]:
+    """The ``KEYWORDS_PER_TOPIC`` top keywords per cluster by class-based TF-IDF.
 
     ``assignments[i]`` is the cluster of ``token_lists[i]``; clusters are
     numbered 0..C-1.  Each cluster's members are concatenated into one
@@ -297,7 +289,10 @@ def cluster_keywords(
     """
     terms = list(vocab)
     n_clusters = int(np.max(assignments, initial=-1)) + 1
-    counts = term_counts(token_lists, vocab, rows=assignments, n_rows=n_clusters)
+    pseudo_docs = [[] for _ in range(n_clusters)]
+    for c, tokens in zip(assignments, token_lists):
+        pseudo_docs[c].extend(tokens)
+    counts = term_counts(pseudo_docs, vocab)
     cf = (counts > 0).sum(axis=0)
     with np.errstate(divide="ignore"):
         cluster_idf = np.log(np.where(cf > 0, n_clusters / np.maximum(cf, 1), 1.0))
@@ -310,7 +305,7 @@ def cluster_keywords(
             (j for j in range(len(terms)) if scores[j] > 0),
             key=lambda j: (-scores[j], terms[j]),
         )
-        keywords.append(tuple(terms[j] for j in ranked[:top]))
+        keywords.append(tuple(terms[j] for j in ranked[:KEYWORDS_PER_TOPIC]))
     return keywords
 
 
@@ -329,12 +324,15 @@ def load_lexicon(path=None) -> dict[str, list[str]]:
     a multi-word term, a stopword or a term with digits could never score.
 
     Raises:
-        ParseError: the file is not such a JSON object; the message names it.
+        ParseError: the file is not such a JSON object; the message names
+            it, and the line of the first byte that is not UTF-8.
     """
     source = resources.files("side").joinpath("data/lexicon.json") if path is None else Path(path)
     try:
         lexicon = json.loads(source.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except UnicodeDecodeError:
+        raise not_utf8(source) from None
+    except ValueError as exc:  # JSONDecodeError
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(lexicon, dict):
         raise ParseError(f"{source}: lexicon must be a JSON object mapping determinant -> term list")
@@ -517,7 +515,6 @@ def fit_topic_model(
 
     clusters = tuple(
         TopicCluster(
-            id=c,
             doc_count=int(doc_counts[c]),
             keywords=keywords[c],
             determinant_index=det_indices[c],
@@ -540,30 +537,26 @@ def quantify(docs_at_t: list[Document], model: TopicModel) -> np.ndarray:
     Counts documents per determinant through their topic assignment and
     divides by the total; an empty week yields the all-zero vector.
     """
-    out = np.zeros(DETERMINANT_COUNT)
     if not docs_at_t:
-        return out
-    for topic_id in assign_clusters(docs_at_t, model):
-        out[model.clusters[int(topic_id)].determinant_index] += 1.0
-    return out / len(docs_at_t)
+        return np.zeros(DETERMINANT_COUNT)
+    determinants = np.array([c.determinant_index for c in model.clusters])
+    counts = np.bincount(determinants[assign_clusters(docs_at_t, model)], minlength=DETERMINANT_COUNT)
+    return counts / len(docs_at_t)
 
 
-def build_impact_series(
-    social_docs: list[Document],
-    news_docs: list[Document],
-    total_steps: int,
-    social_model: TopicModel,
-    news_model: TopicModel,
-) -> np.ndarray:
-    """The (total_steps, IMPACT_DIM) impact series, one half per source in ``SOURCES`` order."""
-    impacts = np.zeros((total_steps, len(SOURCES), DETERMINANT_COUNT))
-    for half, (docs, model) in enumerate(((social_docs, social_model), (news_docs, news_model))):
+def build_impact_series(fitted: list[tuple[list[Document], TopicModel]], total_steps: int) -> np.ndarray:
+    """The (total_steps, IMPACT_DIM) impact series, one half per ``(documents, model)`` pair of ``fitted``.
+
+    ``fitted`` holds one pair per source, in ``SOURCES`` order; any other count raises ``ValueError``.
+    """
+    impacts = np.zeros((total_steps, len(fitted), DETERMINANT_COUNT))
+    for half, (docs, model) in enumerate(fitted):
         by_step: dict[int, list[Document]] = {}
         for d in docs:
             by_step.setdefault(d.timestep, []).append(d)
         for t in range(total_steps):
             impacts[t, half] = quantify(by_step.get(t, []), model)
-    impacts = impacts.reshape(total_steps, IMPACT_DIM)
+    impacts = impacts.reshape(total_steps, len(fitted) * DETERMINANT_COUNT)
     check_impacts(impacts)
     return impacts
 

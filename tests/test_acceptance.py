@@ -289,7 +289,7 @@ def _pipeline_severity_mae(seed, tmp_dir, variants):
     news_model = dsiq.fit_topic_model(
         [d for d in news if d.timestep < cutoff], backend, 50, seed
     )
-    impacts = dsiq.build_impact_series(social, news, len(series), social_model, news_model)
+    impacts = dsiq.build_impact_series([(social, social_model), (news, news_model)], len(series))
 
     samples = make_windows(series, impacts, 52, 5)
     train_s, val_s, test_s = chronological_split(samples)

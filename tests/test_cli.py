@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+from importlib import resources
 
 import pytest
 
@@ -104,6 +105,13 @@ def test_quantify_writes_impact_and_topics(workspace, tmp_path):
     assert topics[0] == "source,cluster_id,determinant,doc_count,keywords"
     assert any(line.startswith("social,") for line in topics[1:])
     assert any(line.startswith("news,") for line in topics[1:])
+    cluster_ids = {}
+    for line in topics[1:]:
+        source, cluster_id = line.split(",")[:2]
+        cluster_ids.setdefault(source, []).append(int(cluster_id))
+    assert list(cluster_ids) == list(SOURCES)
+    for ids in cluster_ids.values():
+        assert ids == list(range(len(ids)))  # a topic's id is its position within its source
 
 
 def test_quantify_rerun_byte_identical(workspace, tmp_path):
@@ -331,10 +339,12 @@ def test_quantify_names_invalid_lexicon_before_ingest(workspace, tmp_path, capsy
     assert "read" not in captured.out  # no JSONL source was ingested
 
 
-@pytest.mark.parametrize("name", ["dsci", "entities", "config"])
+@pytest.mark.parametrize("name", ["dsci", "entities", "lexicon", "config"])
 def test_non_utf8_byte_names_the_file_and_line(workspace, tmp_path, capsys, name):
     raw = workspace["raw"]
     paths = dict(raw["paths"], out_dir=str(tmp_path / "run"))
+    if name == "lexicon":
+        paths[name] = str(resources.files("side").joinpath("data/lexicon.json"))
     cfg_path = tmp_path / "c.json"
     bad = cfg_path
     if name != "config":
@@ -346,6 +356,18 @@ def test_non_utf8_byte_names_the_file_and_line(workspace, tmp_path, capsys, name
     line = bad.read_bytes().split(b"\xff")[0].count(b"\n") + 1
     assert f"error: {bad}:{line}: not UTF-8 text" in capsys.readouterr().err
     assert not (tmp_path / "run" / "synth_impact.csv").exists()
+
+
+def test_out_dir_that_is_a_file_exits_2_before_ingest(workspace, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.write_text("", encoding="utf-8")
+    raw = workspace["raw"]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=dict(raw["paths"], out_dir=str(out_dir)))), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert str(out_dir) in captured.err
+    assert "read" not in captured.out  # no JSONL source was ingested
 
 
 def test_ablate_writes_four_variants(workspace, tmp_path):

@@ -319,11 +319,6 @@ class TestTermCounts:
         counts = term_counts([["crop", "crop", "oov"], [], ["wells", "crop"]], vocab)
         np.testing.assert_array_equal(counts, [[2.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
-    def test_rows_pool_token_lists(self):
-        vocab = {"crop": 0, "wells": 1}
-        counts = term_counts([["crop"], ["wells"], ["crop", "wells"]], vocab, rows=[1, 0, 1], n_rows=3)
-        np.testing.assert_array_equal(counts, [[0.0, 1.0], [2.0, 1.0], [0.0, 0.0]])
-
 
 class TestClusterKeywords:
     def test_discriminative_terms_ranked_first(self):
@@ -513,9 +508,9 @@ def _toy_model():
     vocab = {"clinic": 0, "crop": 1, "zzz": 2}
     centroids = np.eye(3)[[1, 0, 2]]  # cluster 0 reads "crop", 1 "clinic", 2 "zzz"
     clusters = (
-        TopicCluster(id=0, doc_count=1, keywords=("crop",), determinant_index=0),
-        TopicCluster(id=1, doc_count=1, keywords=("clinic",), determinant_index=6),
-        TopicCluster(id=2, doc_count=1, keywords=("zzz",), determinant_index=OTHER_INDEX),
+        TopicCluster(doc_count=1, keywords=("crop",), determinant_index=0),
+        TopicCluster(doc_count=1, keywords=("clinic",), determinant_index=6),
+        TopicCluster(doc_count=1, keywords=("zzz",), determinant_index=OTHER_INDEX),
     )
     return TopicModel(
         vocabulary=vocab,
@@ -582,7 +577,7 @@ class TestBuildImpactSeries:
 
     def test_dimensions_and_source_separation(self):
         social, news, sm, nman = self.fit_models()
-        impacts = build_impact_series(social, news, 3, sm, nman)
+        impacts = build_impact_series([(social, sm), (news, nman)], 3)
         assert impacts.shape == (3, 22)
         # week 0 has social docs but no news: news part all-zero, social sums to 1
         assert impacts[0, DETERMINANT_COUNT:].sum() == 0.0
@@ -590,12 +585,18 @@ class TestBuildImpactSeries:
 
     def test_shuffled_documents_give_identical_series(self):
         social, news, sm, nman = self.fit_models()
-        base = build_impact_series(social, news, 3, sm, nman)
+        base = build_impact_series([(social, sm), (news, nman)], 3)
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = [social[i] for i in rng.permutation(len(social))]
             n = [news[i] for i in rng.permutation(len(news))]
-            assert np.array_equal(build_impact_series(s, n, 3, sm, nman), base)
+            assert np.array_equal(build_impact_series([(s, sm), (n, nman)], 3), base)
+
+    def test_not_one_pair_per_source_is_rejected(self):
+        social, news, sm, nman = self.fit_models()
+        for fitted in ([(social, sm)], [(social, sm), (news, nman), (news, nman)]):
+            with pytest.raises(ValueError, match="shape"):
+                build_impact_series(fitted, 3)
 
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
@@ -615,7 +616,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
 def test_impact_csv_round_trip(tmp_path):
     social, news = [doc(0, "crop crop", timestep=0), doc(1, "crop wells", timestep=1)], []
     model = _toy_model()
-    impacts = build_impact_series(social, news, 2, model, model)
+    impacts = build_impact_series([(social, model), (news, model)], 2)
     path = tmp_path / "impact.csv"
     write_impact_csv(path, impacts)
     header = path.read_text().splitlines()[0].split(",")
