@@ -134,7 +134,7 @@ def load_documents(path, series: SeveritySeries) -> DocumentLoadResult:
             try:
                 # Decode first: json.loads would take a \xff\xfe prefix for UTF-16.
                 row = json.loads(line.decode("utf-8"))
-                doc_id, stamp, text = str(row["id"]), row["timestamp"], row["text"]
+                _, stamp, text = row["id"], row["timestamp"], row["text"]  # id is required, but unused
                 if not (isinstance(stamp, str) and isinstance(text, str)):
                     raise TypeError("timestamp and text must be strings")
                 stamp = _parse_timestamp(stamp)
@@ -148,7 +148,7 @@ def load_documents(path, series: SeveritySeries) -> DocumentLoadResult:
             if timestep is None:
                 result.out_of_range_count += 1
                 continue
-            result.documents.append(Document(id=doc_id, timestep=timestep, text=text))
+            result.documents.append(Document(timestep, text))
     if result.malformed_count:
         log.info("%s: skipped %d malformed lines", path, result.malformed_count)
     return result

@@ -40,20 +40,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Relative task weights; severity first, impact second."""
-
-    severity: float = 1.0
-    impact: float = 1.0
-
-    def __post_init__(self):
-        if self.severity < 0 or self.impact < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.severity == 0 and self.impact == 0:
-            raise ValueError("at least one loss weight must be positive")
-
-
 @functools.cache
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     """Fixed sin/cos positional table, shape (length, width).
@@ -223,15 +209,16 @@ def joint_loss(
     severity_true: np.ndarray,
     impact_pred: Node,
     impact_true: np.ndarray,
-    weights: LossWeights,
+    lambda_severity: float,
+    lambda_impact: float,
 ) -> Node:
     """Weighted two-task objective, averaged over the windows.
 
     Per step, the severity term is the squared error and the impact term
-    is the MSE over vector components; a window's steps are summed, not
-    averaged.  Shapes are ``(..., horizon)`` for severity and
-    ``(..., horizon, components)`` for impact, the leading axes indexing
-    windows.
+    is the MSE over vector components, weighted by ``lambda_severity`` and
+    ``lambda_impact``; a window's steps are summed, not averaged.  Shapes
+    are ``(..., horizon)`` for severity and ``(..., horizon, components)``
+    for impact, the leading axes indexing windows.
     """
     severity_true = np.asarray(severity_true, dtype=np.float64)
     impact_true = np.asarray(impact_true, dtype=np.float64)
@@ -243,6 +230,6 @@ def joint_loss(
 
     sev_err = nm.square(nm.add(severity_pred, nm.constant(-severity_true)))
     imp_err = nm.square(nm.add(impact_pred, nm.constant(-impact_true)))
-    sev_term = nm.scale(nm.mean_all(sev_err), weights.severity * horizon)
-    imp_term = nm.scale(nm.mean_all(imp_err), weights.impact * horizon)
+    sev_term = nm.scale(nm.mean_all(sev_err), lambda_severity * horizon)
+    imp_term = nm.scale(nm.mean_all(imp_err), lambda_impact * horizon)
     return nm.add(sev_term, imp_term)

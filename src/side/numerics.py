@@ -241,13 +241,13 @@ def softmax_rows(a: Node) -> Node:
     return Node(y, (a,), vjp)
 
 
-def layer_norm_rows(a: Node, eps: float = 1e-5) -> Node:
-    """Normalize along the last axis to zero mean, unit variance (no affine params)."""
+def layer_norm_rows(a: Node) -> Node:
+    """Normalize along the last axis to zero mean, unit variance (no affine params; variance offset 1e-5)."""
     _require_rank(a, 1, "layer_norm_rows")
     mu = a.value.mean(axis=-1, keepdims=True)
     centered = a.value - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = centered * inv
 
     def vjp(g):
@@ -270,20 +270,23 @@ def layer_norm_rows(a: Node, eps: float = 1e-5) -> Node:
 #: add less to peak memory than two kept vectors of the full length.
 _ADAM_BLOCK = 16384
 
+#: Adam's moment decay rates and denominator offset (Kingma & Ba, 2015), and
+#: the factor by which :func:`decay_learning_rate` scales the learning rate.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+LR_DECAY = 0.5
+
 
 @dataclass
 class AdamState:
-    """Adam moments (flat, laid out like ``Params.value``) plus the plateau-halving schedule.
+    """Adam moments (flat, laid out like ``Params.value``), step count and learning rate.
 
     ``scratch`` holds the two block-sized work vectors of :func:`adam_step`,
     allocated once with the moments instead of afresh every step.
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    lr_decay: float = 0.5
     step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
@@ -311,22 +314,22 @@ def adam_step(params: Params, state: AdamState) -> None:
         state.first_moment, state.second_moment = np.zeros_like(g), np.zeros_like(g)
         state.scratch = np.empty((2, min(g.size, _ADAM_BLOCK)))
     state.step += 1
-    bc1, bc2 = 1.0 - state.beta1**state.step, 1.0 - state.beta2**state.step
+    bc1, bc2 = 1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step
     for lo in range(0, g.size, _ADAM_BLOCK):
         block = slice(lo, lo + _ADAM_BLOCK)
         gb, p = g[block], params.value[block]
         m, v = state.first_moment[block], state.second_moment[block]
         a, b = state.scratch[:, : gb.size]
-        np.multiply(1.0 - state.beta1, gb, out=a)
-        m *= state.beta1
+        np.multiply(1.0 - ADAM_BETA1, gb, out=a)
+        m *= ADAM_BETA1
         m += a
         np.multiply(gb, gb, out=a)
-        a *= 1.0 - state.beta2
-        v *= state.beta2
+        a *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += a
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += state.epsilon
+        b += ADAM_EPSILON
         np.divide(m, bc1, out=a)
         a *= state.learning_rate
         a /= b
@@ -335,7 +338,7 @@ def adam_step(params: Params, state: AdamState) -> None:
 
 def decay_learning_rate(state: AdamState) -> float:
     """Apply the plateau decay factor; returns the new learning rate."""
-    state.learning_rate *= state.lr_decay
+    state.learning_rate *= LR_DECAY
     return state.learning_rate
 
 

@@ -19,7 +19,7 @@ from . import model as mdl
 from . import numerics as nm
 from .core import DETERMINANT_NAMES, SOURCES, Windows, write_csv
 from .errors import ConfigError, DivergenceError, NumericsError
-from .model import LossWeights, ModelConfig
+from .model import ModelConfig
 
 MFA_EPSILON = 1e-6
 
@@ -51,10 +51,16 @@ class TrainConfig:
             raise ValueError(
                 f"patience {self.patience} exceeds max_epochs {self.max_epochs}"
             )
-        if self.max_epochs < 1 or self.batch_size < 1 or self.lr_plateau < 1:
-            raise ValueError("max_epochs, batch_size and lr_plateau must be >= 1")
+        for name in ("max_epochs", "patience", "batch_size", "lr_plateau"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("lambda_severity", "lambda_impact"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails the comparison too
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        if self.lambda_severity == self.lambda_impact == 0:
+            raise ValueError("lambda_severity and lambda_impact must not both be 0")
 
 
 @dataclass(frozen=True)
@@ -158,15 +164,16 @@ def _chunks(order: np.ndarray):
     return (order[lo : lo + GRAPH_WINDOWS] for lo in range(0, len(order), GRAPH_WINDOWS))
 
 
-def _chunk_loss(params, cfg, weights, windows: Windows, idx: np.ndarray) -> nm.Node:
+def _chunk_loss(params, cfg, train_cfg: TrainConfig, windows: Windows, idx: np.ndarray) -> nm.Node:
     """Mean joint loss of windows ``idx`` of ``windows`` (in model units), as one graph."""
     sev_pred, imp_pred = mdl.forward(params, cfg, windows.severity_in[idx], windows.impact_in[idx])
     return mdl.joint_loss(
-        sev_pred, windows.severity_out[idx], imp_pred, windows.impact_out[idx], weights
+        sev_pred, windows.severity_out[idx], imp_pred, windows.impact_out[idx],
+        train_cfg.lambda_severity, train_cfg.lambda_impact,
     )
 
 
-def _accumulate_batch(params, cfg, weights, windows: Windows, batch: np.ndarray) -> float:
+def _accumulate_batch(params, cfg, train_cfg: TrainConfig, windows: Windows, batch: np.ndarray) -> float:
     """Add the gradient of the mean loss over ``batch`` into ``params.grad``.
 
     Each chunk's graph gives the mean over its windows, so its share of
@@ -176,7 +183,7 @@ def _accumulate_batch(params, cfg, weights, windows: Windows, batch: np.ndarray)
     """
     total = 0.0
     for idx in _chunks(batch):
-        loss = _chunk_loss(params, cfg, weights, windows, idx)
+        loss = _chunk_loss(params, cfg, train_cfg, windows, idx)
         total += float(loss.value) * len(idx)
         if not np.isfinite(total):
             break
@@ -185,10 +192,10 @@ def _accumulate_batch(params, cfg, weights, windows: Windows, batch: np.ndarray)
     return total
 
 
-def _mean_loss(params, cfg, weights, windows: Windows) -> float:
+def _mean_loss(params, cfg, train_cfg: TrainConfig, windows: Windows) -> float:
     total = 0.0
     for idx in _chunks(np.arange(len(windows))):
-        total += float(_chunk_loss(params, cfg, weights, windows, idx).value) * len(idx)
+        total += float(_chunk_loss(params, cfg, train_cfg, windows, idx).value) * len(idx)
     return total / len(windows)
 
 
@@ -201,8 +208,8 @@ def train(
     """Minibatch Adam with early stopping on validation loss.
 
     Runs at most ``max_epochs`` epochs, halves the learning rate after
-    three stagnant epochs, stops after ``patience`` stagnant epochs, and
-    returns the parameters holding the values of the best-validation epoch.
+    every ``lr_plateau`` stagnant epochs in a row, stops after ``patience``
+    of them, and returns the parameters of the best-validation epoch.
 
     Raises:
         DivergenceError: a loss went non-finite; its ``result`` is this
@@ -213,7 +220,6 @@ def train(
     standardizer = Standardizer.fit(train_windows)
     rng = np.random.default_rng(train_cfg.seed)
     params = mdl.init_params(model_cfg, rng)
-    weights = LossWeights(train_cfg.lambda_severity, train_cfg.lambda_impact)
 
     train_units = _model_units(train_windows, standardizer, model_cfg)
     val_units = _model_units(val_windows, standardizer, model_cfg)
@@ -223,7 +229,6 @@ def train(
     best_val = float("inf")
     best_epoch = 0
     stale = 0
-    decay_stale = 0
     history: list[dict] = []
 
     def result() -> TrainResult:
@@ -237,7 +242,7 @@ def train(
             for lo in range(0, len(order), train_cfg.batch_size):
                 params.grad.fill(0.0)
                 batch_loss = _accumulate_batch(
-                    params, model_cfg, weights, train_units, order[lo : lo + train_cfg.batch_size]
+                    params, model_cfg, train_cfg, train_units, order[lo : lo + train_cfg.batch_size]
                 )
                 if not np.isfinite(batch_loss):
                     raise DivergenceError(f"non-finite training loss at epoch {epoch}", result())
@@ -247,7 +252,7 @@ def train(
             raise DivergenceError(f"aborted at epoch {epoch}: {exc}", result()) from exc
 
         train_loss = epoch_loss / len(train_units)
-        val_loss = _mean_loss(params, model_cfg, weights, val_units)
+        val_loss = _mean_loss(params, model_cfg, train_cfg, val_units)
         history.append(
             {
                 "epoch": epoch,
@@ -264,13 +269,10 @@ def train(
             best_epoch = epoch
             best = params.value.copy()
             stale = 0
-            decay_stale = 0
         else:
             stale += 1
-            decay_stale += 1
-            if decay_stale >= train_cfg.lr_plateau:
+            if stale % train_cfg.lr_plateau == 0:
                 nm.decay_learning_rate(adam)
-                decay_stale = 0
             if stale >= train_cfg.patience:
                 break
 
@@ -358,11 +360,14 @@ def evaluate(
 def run_ablation(
     train_windows, val_windows, test_windows, model_cfg: ModelConfig, train_cfg: TrainConfig
 ) -> dict[str, EvalResult]:
-    """Train and evaluate the four variants on shared splits and seed."""
+    """Train and evaluate the four variants on shared splits and seed; a divergence names its variant."""
     results = {}
     for variant in mdl.ABLATIONS:
         cfg = replace(model_cfg, ablation=variant)
-        trained = train(train_windows, val_windows, cfg, train_cfg)
+        try:
+            trained = train(train_windows, val_windows, cfg, train_cfg)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{variant}: {exc}", exc.result) from exc
         results[variant] = evaluate(trained.params, cfg, trained.standardizer, test_windows)
         del trained  # its parameter and gradient vectors, before the next variant trains
     return results

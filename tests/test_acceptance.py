@@ -19,7 +19,7 @@ from side import numerics as nm
 from side import synth as sy
 from side.cli import main as cli_main
 from side.core import IMPACT_DIM, chronological_split, make_windows, training_cutoff
-from side.model import LossWeights, ModelConfig
+from side.model import ModelConfig
 from side.train_eval import (
     Standardizer,
     TrainConfig,
@@ -106,17 +106,16 @@ def _check_full_path_gradient(seed, coords_per_tensor=4):
     imp_in = rng.uniform(0, 1, size=(3, cfg.lookback, IMPACT_DIM))
     sev_out = rng.normal(size=(3, cfg.horizon))
     imp_out = rng.uniform(0, 1, size=(3, cfg.horizon, IMPACT_DIM))
-    weights = LossWeights()
 
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)
-    nm.backward(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, weights))
+    nm.backward(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, 1.0, 1.0))
 
     values = {k: p.value for k, p in params.items()}
 
     def loss_at(probe_values):
         probe = {k: nm.constant(v) for k, v in probe_values.items()}
         s, i = mdl.forward(probe, cfg, sev_in, imp_in)
-        return float(mdl.joint_loss(s, sev_out, i, imp_out, weights).value)
+        return float(mdl.joint_loss(s, sev_out, i, imp_out, 1.0, 1.0).value)
 
     h = 1e-5
     worst = 0.0
@@ -202,14 +201,14 @@ def test_criterion_4_invariant_suite():
     words = ["crop", "clinic", "zzz"]
     for _ in range(100):
         n = int(rng.integers(0, 15))
-        docs = [doc(i, words[int(rng.integers(3))]) for i in range(n)]
+        docs = [doc(words[int(rng.integers(3))]) for _ in range(n)]
         out = dsiq.quantify(docs, model)
         total = out.sum()
         ok &= bool(np.all(out >= 0.0) and np.all(out <= 1.0))
         ok &= total == 0.0 or abs(total - 1.0) <= 1e-6
 
     # permutation invariance of quantify
-    docs = [doc(i, words[int(rng.integers(3))]) for i in range(12)]
+    docs = [doc(words[int(rng.integers(3))]) for _ in range(12)]
     base = dsiq.quantify(docs, model)
     for _ in range(100):
         perm = rng.permutation(len(docs))

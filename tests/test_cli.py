@@ -456,6 +456,27 @@ def test_divergence_exits_3_and_saves_last_good_checkpoint(workspace, tmp_path, 
     assert not (run / "synth_metrics.csv").exists()
 
 
+def test_ablate_divergence_names_the_variant(workspace, tmp_path, capsys):
+    import numpy as np
+
+    train = dict(workspace["raw"]["train"], learning_rate=1e200)
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train)
+    with np.errstate(all="ignore"):
+        assert main(["ablate", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: full: non-finite")
+    assert not (run / "synth_metrics.csv").exists()
+
+
+def test_negative_loss_weight_exits_2_before_any_input_is_read(workspace, tmp_path, capsys):
+    train = dict(workspace["raw"]["train"], lambda_severity=-1)
+    cfg_path, run = _run_config(workspace, tmp_path, train=train)
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "lambda_severity" in captured.err
+    assert "read" not in captured.out  # no JSONL source was ingested
+    assert not (run / "synth_impact.csv").exists()
+
+
 def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):
     cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv")
     lines = (run / "synth_impact.csv").read_text().splitlines(keepends=True)

@@ -127,6 +127,29 @@ def test_invalid_values_rejected():
             cfgmod.from_dict({"train": {"learning_rate": lr}})
 
 
+@pytest.mark.parametrize("patience", [0, -3])
+def test_patience_below_one_rejected(patience):
+    with pytest.raises(ConfigError, match="patience must be >= 1"):
+        cfgmod.from_dict({"train": {"patience": patience, "max_epochs": 2}})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lambda_severity", -1), ("lambda_impact", -0.5), ("lambda_severity", float("nan")), ("lambda_impact", float("inf"))],
+)
+def test_negative_or_non_finite_loss_weight_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        cfgmod.from_dict({"train": {key: value}})
+    with pytest.raises(ValueError, match=f"{key} must be a finite number >= 0"):
+        TrainConfig(**{key: value})
+
+
+def test_loss_weights_must_not_both_be_zero():
+    with pytest.raises(ConfigError, match="lambda_severity and lambda_impact must not both be 0"):
+        cfgmod.from_dict({"train": {"lambda_severity": 0, "lambda_impact": 0}})
+    assert cfgmod.from_dict({"train": {"lambda_impact": 0}}).train.lambda_severity == 1.0
+
+
 @pytest.mark.parametrize("max_epochs, patience", [(3, 3), (10, 10), (40, 10)])
 def test_lowered_max_epochs_caps_the_default_patience(max_epochs, patience):
     cfg = cfgmod.from_dict({"train": {"max_epochs": max_epochs}})

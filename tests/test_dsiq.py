@@ -41,43 +41,43 @@ from side.dsiq import (
 )
 
 
-def doc(i, text, timestep=0):
-    return Document(id=f"d{i}", timestep=timestep, text=text)
+def doc(text, timestep=0):
+    return Document(timestep, text)
 
 
 class TestVectorize:
     def test_identical_documents_get_identical_vectors(self):
-        docs = [doc(0, "dry crop fields"), doc(1, "dry crop fields")]
+        docs = [doc("dry crop fields"), doc("dry crop fields")]
         _, _, vectors, _ = _fit_tfidf(docs)
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_term_in_every_document_weighs_zero(self):
         # ln(N/N) = 0, so the shared term contributes nothing
-        docs = [doc(0, "drought crop crop"), doc(1, "drought wells wells"), doc(2, "drought crop wells")]
+        docs = [doc("drought crop crop"), doc("drought wells wells"), doc("drought crop wells")]
         vocab, _, vectors, _ = _fit_tfidf(docs)
         assert vectors[:, vocab["drought"]].max() == 0.0
         assert vectors[:, vocab["crop"]].max() > 0.0
 
     def test_self_cosine_is_one(self):
-        docs = [doc(0, "crop crop harvest"), doc(1, "wells water"), doc(2, "crop wells water harvest")]
+        docs = [doc("crop crop harvest"), doc("wells water"), doc("crop wells water harvest")]
         _, _, vectors, _ = _fit_tfidf(docs)
         for row in vectors:
             if row.any():
                 assert math.isclose(float(row @ row), 1.0, abs_tol=1e-12)
 
     def test_rare_terms_excluded(self):
-        docs = [doc(0, "crop unique1"), doc(1, "crop unique2")]
+        docs = [doc("crop unique1"), doc("crop unique2")]
         vocab, *_ = _fit_tfidf(docs)
         assert "crop" in vocab
         assert "unique1" not in vocab and "unique2" not in vocab
 
     def test_stopwords_excluded(self):
-        docs = [doc(0, "the crop and the field"), doc(1, "the crop of the field")]
+        docs = [doc("the crop and the field"), doc("the crop of the field")]
         vocab, *_ = _fit_tfidf(docs)
         assert "the" not in vocab and "and" not in vocab
 
     def test_empty_vocabulary_is_error(self):
-        docs = [doc(0, "alpha"), doc(1, "beta")]
+        docs = [doc("alpha"), doc("beta")]
         with pytest.raises(ValueError, match="vocabulary"):
             _fit_tfidf(docs)
 
@@ -523,7 +523,7 @@ def _toy_model():
 class TestQuantify:
     def test_distribution_matches_counts(self):
         model = _toy_model()
-        docs = [doc(0, "crop"), doc(1, "crop"), doc(2, "clinic"), doc(3, "zzz")]
+        docs = [doc("crop"), doc("crop"), doc("clinic"), doc("zzz")]
         out = quantify(docs, model)
         expected = np.zeros(11)
         expected[0], expected[6], expected[OTHER_INDEX] = 0.5, 0.25, 0.25
@@ -534,13 +534,13 @@ class TestQuantify:
         np.testing.assert_array_equal(out, np.zeros(11))
 
     def test_output_length_is_delta(self):
-        assert quantify([doc(0, "crop")], _toy_model()).shape == (11,)
+        assert quantify([doc("crop")], _toy_model()).shape == (11,)
 
     def test_permutation_invariance(self):
         model = _toy_model()
         rng = np.random.default_rng(5)
         texts = ["crop", "clinic", "zzz", "crop", "crop", "clinic"]
-        docs = [doc(i, t) for i, t in enumerate(texts)]
+        docs = [doc(t) for t in texts]
         base = quantify(docs, model)
         for _ in range(100):
             perm = rng.permutation(len(docs))
@@ -552,7 +552,7 @@ class TestQuantify:
         words = ["crop", "clinic", "zzz"]
         for _ in range(100):
             n = int(rng.integers(0, 12))
-            docs = [doc(i, words[rng.integers(3)]) for i in range(n)]
+            docs = [doc(words[rng.integers(3)]) for _ in range(n)]
             out = quantify(docs, model)
             assert np.all(out >= 0) and np.all(out <= 1)
             assert out.sum() == 0.0 or abs(out.sum() - 1.0) <= 1e-6
@@ -561,15 +561,12 @@ class TestQuantify:
 class TestBuildImpactSeries:
     def fit_models(self):
         social = [
-            doc(i, text, timestep=i % 3)
+            doc(text, timestep=i % 3)
             for i, text in enumerate(
                 ["crop harvest dry", "crop harvest", "water wells dry", "water wells"]
             )
         ]
-        news = [
-            doc(10 + i, text, timestep=1)
-            for i, text in enumerate(["hospital illness report", "hospital illness"])
-        ]
+        news = [doc(text, timestep=1) for text in ["hospital illness report", "hospital illness"]]
         backend = LexiconBackend()
         sm = fit_topic_model(social, backend, topic_count=2, seed=0)
         nman = fit_topic_model(news, backend, topic_count=2, seed=0)
@@ -601,10 +598,10 @@ class TestBuildImpactSeries:
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
     docs = [
-        doc(0, "crop harvest irrigation farm"),
-        doc(1, "crop harvest farm fields"),
-        doc(2, "water reservoir rationing wells"),
-        doc(3, "water reservoir wells aquifer"),
+        doc("crop harvest irrigation farm"),
+        doc("crop harvest farm fields"),
+        doc("water reservoir rationing wells"),
+        doc("water reservoir wells aquifer"),
     ]
     model = fit_topic_model(docs, LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
@@ -614,7 +611,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
 
 
 def test_impact_csv_round_trip(tmp_path):
-    social, news = [doc(0, "crop crop", timestep=0), doc(1, "crop wells", timestep=1)], []
+    social, news = [doc("crop crop", timestep=0), doc("crop wells", timestep=1)], []
     model = _toy_model()
     impacts = build_impact_series([(social, model), (news, model)], 2)
     path = tmp_path / "impact.csv"
@@ -688,10 +685,10 @@ def test_load_lexicon_rejects_bad_entries(tmp_path, lexicon, match):
 def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
     url, handler = llm_server
     docs = [
-        doc(0, "crop harvest irrigation"),
-        doc(1, "crop harvest farm"),
-        doc(2, "water reservoir wells"),
-        doc(3, "water reservoir rationing"),
+        doc("crop harvest irrigation"),
+        doc("crop harvest farm"),
+        doc("water reservoir wells"),
+        doc("water reservoir rationing"),
     ]
     backend = LlmBackend(url, backoff=0.0)
     model = fit_topic_model(docs, backend, topic_count=2, seed=0)
@@ -703,7 +700,7 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
 
 def test_fit_topic_model_on_dead_service_bounds_posts(caplog):
     words = ["crop", "water", "fire", "clinic", "power", "river", "tourism", "factory"]
-    docs = [doc(10 * i + j, f"{w} {w} {w} shared{j}") for i, w in enumerate(words) for j in range(3)]
+    docs = [doc(f"{w} {w} {w} shared{j}") for w in words for j in range(3)]
     post = FailingPost()
     backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):

@@ -116,13 +116,18 @@ class TestLoadDocuments:
             '{"id": "b", "timestamp": "2017-01-03T00:00:00Z", "text": "ok"}\n',
         )
         result = load_documents(path, series(4))
-        assert [d.id for d in result.documents] == ["b"]
+        assert [d.text for d in result.documents] == ["ok"]
         assert result.out_of_range_count == 1
 
     def test_missing_key_is_malformed(self, tmp_path):
-        path = write(tmp_path / "posts.jsonl", '{"id": "a", "text": "no stamp"}\n')
+        path = write(
+            tmp_path / "posts.jsonl",
+            '{"id": "a", "text": "no stamp"}\n'
+            '{"timestamp": "2017-01-03T00:00:00Z", "text": "no id"}\n',  # id is required, though not kept
+        )
         result = load_documents(path, series(4))
-        assert result.malformed_count == 1
+        assert result.documents == []
+        assert result.malformed_count == 2
 
     @pytest.mark.parametrize(
         "fields",
@@ -141,10 +146,7 @@ class TestLoadDocuments:
 
 class TestGeofilter:
     def docs(self, *texts):
-        return [
-            Document(id=str(i), timestep=0, text=t)
-            for i, t in enumerate(texts)
-        ]
+        return [Document(0, t) for t in texts]
 
     def test_entity_match_retained(self):
         docs = self.docs("Drought hits Fresno farms")
@@ -163,12 +165,12 @@ class TestGeofilter:
     def test_multi_word_entity(self):
         docs = self.docs("conditions in mercer valley worsen", "mercer report")
         kept = geofilter(docs, EntityList.from_terms(["mercer valley"]))
-        assert [d.id for d in kept] == ["0"]
+        assert [d.text for d in kept] == ["conditions in mercer valley worsen"]
 
     def test_case_insensitive_and_order_preserved(self):
         docs = self.docs("FRESNO update", "fresno again", "elsewhere")
         kept = geofilter(docs, EntityList.from_terms(["Fresno"]))
-        assert [d.id for d in kept] == ["0", "1"]
+        assert [d.text for d in kept] == ["FRESNO update", "fresno again"]
 
     def test_idempotent(self):
         docs = self.docs("fresno a", "other", "bakersfield b")

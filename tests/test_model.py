@@ -8,7 +8,7 @@ import pytest
 from side import model as mdl
 from side import numerics as nm
 from side.core import IMPACT_DIM
-from side.model import LossWeights, ModelConfig
+from side.model import ModelConfig
 
 from test_numerics import finite_diff, rel_err
 
@@ -175,7 +175,7 @@ class TestJointLoss:
     def test_perfect_prediction_zero(self):
         pred_s = nm.constant(np.array([1.0, 2.0]))
         pred_i = nm.constant(np.ones((2, 22)) / 22)
-        loss = mdl.joint_loss(pred_s, np.array([1.0, 2.0]), pred_i, np.ones((2, 22)) / 22, LossWeights())
+        loss = mdl.joint_loss(pred_s, np.array([1.0, 2.0]), pred_i, np.ones((2, 22)) / 22, 1.0, 1.0)
         assert float(loss.value) == 0.0
 
     def test_hand_case_single_step(self):
@@ -185,7 +185,8 @@ class TestJointLoss:
             np.array([0.0]),
             nm.constant(np.zeros((1, 22))),
             np.zeros((1, 22)),
-            LossWeights(severity=1.0, impact=0.0),
+            1.0,
+            0.0,
         )
         assert float(loss.value) == 4.0
 
@@ -195,7 +196,7 @@ class TestJointLoss:
         true_s = rng.normal(size=3)
         pred_i = nm.constant(rng.normal(size=(3, 22)))
         true_i = rng.normal(size=(3, 22))
-        loss = mdl.joint_loss(pred_s, true_s, pred_i, true_i, LossWeights(severity=2.0, impact=0.0))
+        loss = mdl.joint_loss(pred_s, true_s, pred_i, true_i, 2.0, 0.0)
         expected = 2.0 * np.sum((pred_s.value - true_s) ** 2)
         np.testing.assert_allclose(float(loss.value), expected)
 
@@ -205,7 +206,7 @@ class TestJointLoss:
         pred_s, true_s = rng.normal(size=horizon), rng.normal(size=horizon)
         pred_i, true_i = rng.normal(size=(horizon, 22)), rng.normal(size=(horizon, 22))
         loss = mdl.joint_loss(
-            nm.constant(pred_s), true_s, nm.constant(pred_i), true_i, LossWeights(0.7, 1.3)
+            nm.constant(pred_s), true_s, nm.constant(pred_i), true_i, 0.7, 1.3
         )
         expected = sum(
             0.7 * (pred_s[i] - true_s[i]) ** 2
@@ -214,15 +215,11 @@ class TestJointLoss:
         )
         np.testing.assert_allclose(float(loss.value), expected, rtol=1e-12)
 
-    def test_weights_must_not_both_be_zero(self):
-        with pytest.raises(ValueError):
-            LossWeights(severity=0.0, impact=0.0)
-
 
 def end_to_end_loss(param_values, cfg, sev_in, imp_in, sev_out, imp_out):
     params = {k: nm.constant(v) for k, v in param_values.items()}
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)
-    return float(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, LossWeights()).value)
+    return float(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, 1.0, 1.0).value)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -236,7 +233,7 @@ def test_end_to_end_gradient_matches_finite_differences(seed):
     imp_out = rng.uniform(0, 1, size=(2, cfg.horizon, IMPACT_DIM))
 
     sev_pred, imp_pred = mdl.forward(params, cfg, sev_in, imp_in)
-    nm.backward(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, LossWeights()))
+    nm.backward(mdl.joint_loss(sev_pred, sev_out, imp_pred, imp_out, 1.0, 1.0))
 
     values = {k: p.value for k, p in params.items()}
     for name in values:
@@ -275,12 +272,11 @@ def test_severity_path_invariant_to_impact_targets_when_masked():
     sev_a, imp_a = mdl.forward(params, cfg, sev_in, zeros)
     sev_b, imp_b = mdl.forward(params, cfg, sev_in, zeros.copy())
     np.testing.assert_array_equal(sev_a.value, sev_b.value)
-    weights = LossWeights(severity=1.0, impact=0.0)
     targets = rng.normal(size=(1, cfg.horizon))
     imp_targets_1 = rng.normal(size=(1, cfg.horizon, IMPACT_DIM))
     imp_targets_2 = rng.normal(size=(1, cfg.horizon, IMPACT_DIM))
-    l1 = mdl.joint_loss(sev_a, targets, imp_a, imp_targets_1, weights)
-    l2 = mdl.joint_loss(sev_b, targets, imp_b, imp_targets_2, weights)
+    l1 = mdl.joint_loss(sev_a, targets, imp_a, imp_targets_1, 1.0, 0.0)
+    l2 = mdl.joint_loss(sev_b, targets, imp_b, imp_targets_2, 1.0, 0.0)
     assert float(l1.value) == float(l2.value)
 
 

@@ -327,8 +327,8 @@ def test_adam_flat_update_equals_per_name_loop():
         nm.adam_step(params, state)
 
         # the per-name update that the flat one replaced
-        bc1 = 1.0 - state.beta1**t
-        bc2 = 1.0 - state.beta2**t
+        bc1 = 1.0 - nm.ADAM_BETA1**t
+        bc2 = 1.0 - nm.ADAM_BETA2**t
         for name, g in grads.items():
             if g is None:
                 g = np.zeros_like(ref[name])
@@ -337,13 +337,13 @@ def test_adam_flat_update_equals_per_name_loop():
             if m is None:
                 m = np.zeros_like(ref[name])
                 v = np.zeros_like(ref[name])
-            m = state.beta1 * m + (1.0 - state.beta1) * g
-            v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+            m = nm.ADAM_BETA1 * m + (1.0 - nm.ADAM_BETA1) * g
+            v = nm.ADAM_BETA2 * v + (1.0 - nm.ADAM_BETA2) * (g * g)
             first[name] = m
             second[name] = v
             m_hat = m / bc1
             v_hat = v / bc2
-            ref[name] = ref[name] - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            ref[name] = ref[name] - state.learning_rate * m_hat / (np.sqrt(v_hat) + nm.ADAM_EPSILON)
         for name, p in params.items():
             assert np.array_equal(p.value, ref[name]), (t, name)
     assert not np.array_equal(params["a"].value, initial["a"])

@@ -19,7 +19,7 @@ from side.core import (
     make_windows,
 )
 from side.errors import ConfigError, DivergenceError
-from side.model import LossWeights, ModelConfig, init_params
+from side.model import ModelConfig, init_params
 from side.numerics import load_checkpoint
 from side.train_eval import (
     GRAPH_WINDOWS,
@@ -178,6 +178,19 @@ class TestTrain:
         assert len(result.history) == 2 and math.isnan(result.history[1]["val_loss"])
         assert result.params.value.tobytes() == epoch_one[0].tobytes()
 
+    @pytest.mark.parametrize(
+        "lr_plateau, halvings",
+        [(2, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 3]), (3, [0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2])],
+    )
+    def test_learning_rate_halves_every_lr_plateau_stale_epochs(self, monkeypatch, lr_plateau, halvings):
+        # improvements at epochs 1, 2 and 6; every other epoch is stale
+        val_losses = iter([3.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        monkeypatch.setattr(train_eval, "_mean_loss", lambda *args: next(val_losses))
+        train_s, val_s, _ = chronological_split(synthetic_samples())
+        tc = TrainConfig(max_epochs=12, patience=12, seed=0, lr_plateau=lr_plateau)
+        history = train(train_s, val_s, small_cfg(), tc).history
+        assert [row["lr"] for row in history] == [tc.learning_rate * 0.5**k for k in halvings]
+
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=5, patience=10)
@@ -207,18 +220,18 @@ def test_minibatch_gradient_is_mean_of_window_gradients(batch_size):
     cfg = small_cfg()
     units = _model_units(windows, Standardizer.fit(windows), cfg)
     params = init_params(cfg, np.random.default_rng(0))
-    weights = LossWeights(0.7, 1.3)
+    train_cfg = TrainConfig(lambda_severity=0.7, lambda_impact=1.3)
     batch = np.random.default_rng(1).permutation(len(units))[:batch_size]
 
     params.grad.fill(0.0)
-    total = _accumulate_batch(params, cfg, weights, units, batch)
+    total = _accumulate_batch(params, cfg, train_cfg, units, batch)
     accumulated = params.grad.copy()
 
     grads, losses = [], []
     for i in batch:
         params.grad.fill(0.0)
         sev, imp = mdl.forward(params, cfg, units.severity_in[i : i + 1], units.impact_in[i : i + 1])
-        loss = mdl.joint_loss(sev, units.severity_out[i : i + 1], imp, units.impact_out[i : i + 1], weights)
+        loss = mdl.joint_loss(sev, units.severity_out[i : i + 1], imp, units.impact_out[i : i + 1], 0.7, 1.3)
         nm.backward(loss)
         grads.append(params.grad.copy())
         losses.append(float(loss.value))
@@ -340,6 +353,14 @@ def test_run_ablation_covers_all_variants():
     assert set(results) == {"full", "no_social", "no_news", "no_attention"}
     severities = {v: r.report.per_target["severity"].mae for v, r in results.items()}
     assert all(np.isfinite(list(severities.values())))
+
+
+def test_run_ablation_divergence_names_the_variant_and_keeps_its_result():
+    train_s, val_s, test_s = chronological_split(synthetic_samples(total=40))
+    tc = TrainConfig(max_epochs=2, patience=2, seed=0, learning_rate=1e200)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="^full: non-finite") as excinfo:
+        run_ablation(train_s, val_s, test_s, small_cfg(width=4, hidden=8), tc)
+    assert excinfo.value.result.model_config.ablation == "full"
 
 
 def test_csv_writers(tmp_path):
