@@ -11,8 +11,10 @@ shipped lexicon provides the topic -> determinant scores.
 
 import tempfile
 
+import numpy as np
+
 from side import dsiq, ingest, synth
-from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, training_cutoff
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, SOURCES, training_cutoff
 
 # Generate a small corpus: severity drives both how much gets written
 # and what it is about (high weeks tilt toward agriculture and water).
@@ -23,39 +25,30 @@ with tempfile.TemporaryDirectory() as tmp:
     series = ingest.load_severity(paths["dsci"])
     entities = ingest.EntityList.from_file(paths["entities"])
 
-    # A document's source is the file it came from: one list per source.
-    social = ingest.load_documents(paths["social"], series)
-    news = ingest.load_documents(paths["news"], series)
-    print(f"loaded {len(social.documents)} posts, {len(news.documents)} articles")
-
-    # Geographic filtering keeps only documents naming an in-state place.
-    social_docs = ingest.geofilter(social.documents, entities)
-    news_docs = ingest.geofilter(news.documents, entities)
-    print(f"after geofilter: {len(social_docs)} posts, {len(news_docs)} articles")
-
-# Topic models are fitted on the training date range only and then
-# frozen, so validation/test weeks never leak into the vocabulary.
-backend = dsiq.LexiconBackend()
-cutoff = training_cutoff(len(series), lookback=20, horizon=4)
-
-social_model = dsiq.fit_topic_model(
-    [d for d in social_docs if d.timestep < cutoff],
-    backend, topic_count=20, seed=0,
-)
-news_model = dsiq.fit_topic_model(
-    [d for d in news_docs if d.timestep < cutoff],
-    backend, topic_count=20, seed=0,
-)
+    # A document's source is the file it came from.  Per source, the
+    # documents naming no in-state place are dropped, a topic model is
+    # fitted on the training date range only and then frozen (so
+    # validation/test weeks never leak into the vocabulary), and every
+    # week's documents become that source's half of the impact row.
+    backend = dsiq.LexiconBackend()
+    cutoff = training_cutoff(len(series), lookback=20, horizon=4)
+    models, halves = {}, []
+    for source in SOURCES:
+        counts, model, half = dsiq.quantify_source(
+            source, paths[source], series, entities, backend, cutoff, topic_count=20, seed=0
+        )
+        print(f"{source}: read {counts['read']}, kept {counts['kept']} after the geofilter")
+        models[source] = model
+        halves.append(half)
 
 print("\nfirst social topics:")
-for topic_id, cluster in enumerate(social_model.clusters[:5]):
+for topic_id, cluster in enumerate(models["social"].clusters[:5]):
     name = DETERMINANT_NAMES[cluster.determinant_index]
     print(f"  topic {topic_id:2d} -> {name:30s} keywords: {', '.join(cluster.keywords[:5])}")
 
-# One impact row per week: social and news halves, each either
-# normalized to 1 or all-zero when that source was silent.  The
-# (documents, model) pairs come in the order of the halves.
-impacts = dsiq.build_impact_series([(social_docs, social_model), (news_docs, news_model)], len(series))
+# One impact row per week: social and news halves side by side, each
+# either normalized to 1 or all-zero when that source was silent.
+impacts = np.hstack(halves)
 print(f"\nimpact series: {impacts.shape[0]} weeks x {impacts.shape[1]} components")
 
 week = impacts[10]

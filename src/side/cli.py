@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
 from .core import (
-    DETERMINANT_NAMES, SOURCES, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
+    DETERMINANT_NAMES, SOURCES, check_impacts, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
 )
 from .errors import ConfigError, DivergenceError, NumericsError, ParseError, SideError
 from .model import ModelConfig, param_shapes
@@ -98,39 +98,23 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
     cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
 
-    fitted = []  # (kept documents, topic model) per source
+    models, halves = [], []
     for source, path in zip(SOURCES, (cfg.social_path, cfg.news_path)):
-        result = ingest.load_documents(path, series)
-        kept = ingest.geofilter(result.documents, entities)
-        dropped = result.malformed_count + result.empty_text_count + result.out_of_range_count
-        print(
-            f"{source}: read {len(result.documents) + dropped}, malformed {result.malformed_count}, "
-            f"empty {result.empty_text_count}, out of range {result.out_of_range_count}, "
-            f"outside the state {len(result.documents) - len(kept)}, kept {len(kept)}"
+        counts, model, half = dsiq.quantify_source(
+            source, path, series, entities, backend, cutoff, cfg.topic_count, cfg.train.seed, cfg.map_threshold
         )
-        del result  # the documents the geofilter dropped need not live through the topic fits
-        # Topic models see training-range text only, never validation or test text.
-        fit_docs = [d for d in kept if d.timestep < cutoff]
-        if not fit_docs:
-            raise ConfigError(
-                f"no {source} document falls in the training range (before week {cutoff})"
-            )
-        model = dsiq.fit_topic_model(
-            fit_docs,
-            backend,
-            topic_count=cfg.topic_count,
-            seed=cfg.train.seed,
-            map_threshold=cfg.map_threshold,
-        )
-        fitted.append((kept, model))
+        print(f"{source}: " + ", ".join(f"{label} {n}" for label, n in counts.items()))
+        models.append(model)
+        halves.append(half)
 
-    impacts = dsiq.build_impact_series(fitted, len(series))
+    impacts = np.hstack(halves)
+    check_impacts(impacts)
     impact_path = _out_path(cfg, "impact.csv")
     dsiq.write_impact_csv(impact_path, impacts)
 
     topics_path = _out_path(cfg, "topics.csv")
     rows = [(source, cluster_id, f'"{DETERMINANT_NAMES[c.determinant_index]}"', c.doc_count, " ".join(c.keywords))
-            for source, (_, model) in zip(SOURCES, fitted) for cluster_id, c in enumerate(model.clusters)]
+            for source, model in zip(SOURCES, models) for cluster_id, c in enumerate(model.clusters)]
     write_csv(topics_path, ("source", "cluster_id", "determinant", "doc_count", "keywords"), rows)
     print(f"wrote {impact_path} and {topics_path}")
     return 0
@@ -236,12 +220,16 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
 def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
     _keep_freed_heap(cfg.model)
     train_s, val_s, test_s = _load_windows(cfg)
-    results = train_eval.run_ablation(train_s, val_s, test_s, cfg.model, cfg.train)
-    reports = {variant: res.report for variant, res in results.items()}
-    train_eval.write_metrics_csv(_out_path(cfg, "metrics.csv"), reports)
-    for variant, res in results.items():
-        sev = res.report.per_target["severity"]
-        print(f"{variant}: severity MAE {sev.mae:.3f}")
+    results = {}  # filled variant by variant, so a divergence keeps the variants that finished
+    try:
+        train_eval.run_ablation(train_s, val_s, test_s, cfg.model, cfg.train, results)
+    finally:
+        if results:
+            reports = {variant: res.report for variant, res in results.items()}
+            train_eval.write_metrics_csv(_out_path(cfg, "metrics.csv"), reports)
+            for variant, res in results.items():
+                sev = res.report.per_target["severity"]
+                print(f"{variant}: severity MAE {sev.mae:.3f}")
     return 0
 
 

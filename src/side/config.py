@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .core import atomic_write, not_utf8
+from .core import not_utf8
 from .dsiq import MAP_THRESHOLD
 from .errors import ConfigError
 from .model import ModelConfig
@@ -151,12 +151,6 @@ def load(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return from_dict(raw)
-
-
-def save(path, cfg: RunConfig) -> None:
-    with atomic_write(path) as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def apply_overrides(cfg: RunConfig, seed=None, backend=None, state=None) -> RunConfig:

@@ -27,11 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ingest
 from .core import (
-    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SOURCES, Document, check_impacts, not_utf8, read_csv,
-    write_csv,
+    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SOURCES, Document, SeveritySeries, check_impacts, not_utf8,
+    read_csv, write_csv,
 )
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -544,21 +545,37 @@ def quantify(docs_at_t: list[Document], model: TopicModel) -> np.ndarray:
     return counts / len(docs_at_t)
 
 
-def build_impact_series(fitted: list[tuple[list[Document], TopicModel]], total_steps: int) -> np.ndarray:
-    """The (total_steps, IMPACT_DIM) impact series, one half per ``(documents, model)`` pair of ``fitted``.
+def quantify_source(
+    source: str, path, series: SeveritySeries, entities: ingest.EntityList, backend,
+    cutoff: int, topic_count: int, seed: int, map_threshold: float = MAP_THRESHOLD,
+) -> tuple[dict[str, int], TopicModel, np.ndarray]:
+    """Ingest counters, topic model and (len(series), DETERMINANT_COUNT) impact half of one JSONL dump.
 
-    ``fitted`` holds one pair per source, in ``SOURCES`` order; any other count raises ``ValueError``.
+    The model fits the kept documents before week ``cutoff``, and a source with none raises ``ConfigError``;
+    the counters carry the labels ``side quantify`` prints.
     """
-    impacts = np.zeros((total_steps, len(fitted), DETERMINANT_COUNT))
-    for half, (docs, model) in enumerate(fitted):
-        by_step: dict[int, list[Document]] = {}
-        for d in docs:
-            by_step.setdefault(d.timestep, []).append(d)
-        for t in range(total_steps):
-            impacts[t, half] = quantify(by_step.get(t, []), model)
-    impacts = impacts.reshape(total_steps, len(fitted) * DETERMINANT_COUNT)
-    check_impacts(impacts)
-    return impacts
+    loaded = ingest.load_documents(path, series)
+    kept = ingest.geofilter(loaded.documents, entities)
+    dropped = loaded.malformed_count + loaded.empty_text_count + loaded.out_of_range_count
+    counts = {
+        "read": len(loaded.documents) + dropped,
+        "malformed": loaded.malformed_count,
+        "empty": loaded.empty_text_count,
+        "out of range": loaded.out_of_range_count,
+        "outside the state": len(loaded.documents) - len(kept),
+        "kept": len(kept),
+    }
+    del loaded  # the documents the geofilter dropped need not live through the topic fit
+    # Topic models see training-range text only, never validation or test text.
+    fit_docs = [d for d in kept if d.timestep < cutoff]
+    if not fit_docs:
+        raise ConfigError(f"no {source} document falls in the training range (before week {cutoff})")
+    model = fit_topic_model(fit_docs, backend, topic_count=topic_count, seed=seed, map_threshold=map_threshold)
+
+    by_step = [[] for _ in range(len(series))]
+    for d in kept:
+        by_step[d.timestep].append(d)
+    return counts, model, np.array([quantify(docs, model) for docs in by_step])
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,10 @@ def evaluate(
 
 
 def run_ablation(
-    train_windows, val_windows, test_windows, model_cfg: ModelConfig, train_cfg: TrainConfig
+    train_windows, val_windows, test_windows, model_cfg: ModelConfig, train_cfg: TrainConfig, results=None
 ) -> dict[str, EvalResult]:
-    """Train and evaluate the four variants on shared splits and seed; a divergence names its variant."""
-    results = {}
+    """Train and evaluate the four variants on shared splits and seed, into ``results`` as each finishes."""
+    results = {} if results is None else results
     for variant in mdl.ABLATIONS:
         cfg = replace(model_cfg, ablation=variant)
         try:

@@ -18,7 +18,7 @@ from side import model as mdl
 from side import numerics as nm
 from side import synth as sy
 from side.cli import main as cli_main
-from side.core import IMPACT_DIM, chronological_split, make_windows, training_cutoff
+from side.core import IMPACT_DIM, SOURCES, chronological_split, make_windows, training_cutoff
 from side.model import ModelConfig
 from side.train_eval import (
     Standardizer,
@@ -273,22 +273,12 @@ def _pipeline_severity_mae(seed, tmp_dir, variants):
     paths = sy.write_dataset(tmp_dir / f"seed{seed}", spec, seed)
     series = ingest.load_severity(paths["dsci"])
     entities = ingest.EntityList.from_file(paths["entities"])
-    social = ingest.geofilter(
-        ingest.load_documents(paths["social"], series).documents, entities
-    )
-    news = ingest.geofilter(
-        ingest.load_documents(paths["news"], series).documents, entities
-    )
-
     backend = dsiq.LexiconBackend()
     cutoff = training_cutoff(len(series), 52, 5)
-    social_model = dsiq.fit_topic_model(
-        [d for d in social if d.timestep < cutoff], backend, 50, seed
-    )
-    news_model = dsiq.fit_topic_model(
-        [d for d in news if d.timestep < cutoff], backend, 50, seed
-    )
-    impacts = dsiq.build_impact_series([(social, social_model), (news, news_model)], len(series))
+    impacts = np.hstack([
+        dsiq.quantify_source(source, paths[source], series, entities, backend, cutoff, 50, seed)[2]
+        for source in SOURCES
+    ])
 
     samples = make_windows(series, impacts, 52, 5)
     train_s, val_s, test_s = chronological_split(samples)

@@ -467,6 +467,28 @@ def test_ablate_divergence_names_the_variant(workspace, tmp_path, capsys):
     assert not (run / "synth_metrics.csv").exists()
 
 
+def test_ablate_divergence_keeps_the_variants_that_finished(workspace, tmp_path, capsys, monkeypatch):
+    from side import train_eval
+    from side.errors import DivergenceError
+
+    real_train = train_eval.train
+
+    def train(train_windows, val_windows, model_cfg, train_cfg):
+        if model_cfg.ablation == "no_social":
+            raise DivergenceError("non-finite training loss at epoch 1")
+        return real_train(train_windows, val_windows, model_cfg, train_cfg)
+
+    monkeypatch.setattr(train_eval, "train", train)
+    train_section = dict(workspace["raw"]["train"], max_epochs=1, patience=1)
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv", train=train_section)
+    assert main(["ablate", "--config", str(cfg_path)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "numerical failure: no_social: non-finite training loss at epoch 1\n"
+    assert re.fullmatch(r"full: severity MAE \d+\.\d{3}\n", out)
+    rows = (run / "synth_metrics.csv").read_text().splitlines()[1:]
+    assert rows and {line.split(",")[0] for line in rows} == {"full"}
+
+
 def test_negative_loss_weight_exits_2_before_any_input_is_read(workspace, tmp_path, capsys):
     train = dict(workspace["raw"]["train"], lambda_severity=-1)
     cfg_path, run = _run_config(workspace, tmp_path, train=train)

@@ -1,5 +1,7 @@
 """Run config schema: strict parsing, round trip, overrides."""
 
+import json
+
 import pytest
 
 from side import config as cfgmod
@@ -59,7 +61,7 @@ def test_round_trip_non_default_in_every_section():
 def test_file_round_trip(tmp_path):
     cfg = cfgmod.RunConfig(model=ModelConfig(lookback=12, horizon=2), train=TrainConfig(seed=3))
     path = tmp_path / "run.json"
-    cfgmod.save(path, cfg)
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert cfgmod.load(path) == cfg
 
 

@@ -5,14 +5,16 @@ import logging
 import math
 import threading
 import tracemalloc
+from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
 from side import dsiq
-from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document
-from side.errors import ParseError
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, SeveritySeries
+from side.errors import ConfigError, ParseError
+from side.ingest import EntityList
 from side.dsiq import (
     BLOCK_ROWS,
     KEYWORDS_PER_TOPIC,
@@ -25,7 +27,6 @@ from side.dsiq import (
     _nearest,
     _row_sq_norms,
     _sq_dists,
-    build_impact_series,
     cluster_keywords,
     doc_matrix,
     fit_topic_model,
@@ -34,6 +35,7 @@ from side.dsiq import (
     load_lexicon,
     map_topic,
     quantify,
+    quantify_source,
     read_impact_csv,
     term_counts,
     tokenize,
@@ -558,42 +560,68 @@ class TestQuantify:
             assert out.sum() == 0.0 or abs(out.sum() - 1.0) <= 1e-6
 
 
-class TestBuildImpactSeries:
-    def fit_models(self):
-        social = [
-            doc(text, timestep=i % 3)
-            for i, text in enumerate(
-                ["crop harvest dry", "crop harvest", "water wells dry", "water wells"]
-            )
-        ]
-        news = [doc(text, timestep=1) for text in ["hospital illness report", "hospital illness"]]
-        backend = LexiconBackend()
-        sm = fit_topic_model(social, backend, topic_count=2, seed=0)
-        nman = fit_topic_model(news, backend, topic_count=2, seed=0)
-        return social, news, sm, nman
+WEEK0 = date(2021, 1, 4)
 
-    def test_dimensions_and_source_separation(self):
-        social, news, sm, nman = self.fit_models()
-        impacts = build_impact_series([(social, sm), (news, nman)], 3)
-        assert impacts.shape == (3, 22)
-        # week 0 has social docs but no news: news part all-zero, social sums to 1
-        assert impacts[0, DETERMINANT_COUNT:].sum() == 0.0
-        assert abs(impacts[0, :DETERMINANT_COUNT].sum() - 1.0) <= 1e-6
 
-    def test_shuffled_documents_give_identical_series(self):
-        social, news, sm, nman = self.fit_models()
-        base = build_impact_series([(social, sm), (news, nman)], 3)
+def _line(week, text, day=0):
+    """One JSONL document dated ``day`` days into ``week`` (counted from ``WEEK0``)."""
+    stamp = (WEEK0 + timedelta(weeks=week, days=day)).isoformat() + "T12:00:00Z"
+    return json.dumps({"id": f"{week}-{day}", "timestamp": stamp, "text": text})
+
+
+class TestQuantifySource:
+    """Weeks 0-1 are the training range, week 2 holds one document, week 3 none."""
+
+    SERIES = SeveritySeries(start=WEEK0, values=np.full(4, 100.0))
+    ENTITIES = EntityList.from_terms(["fresno"])
+    LINES = [
+        _line(0, "crop harvest fresno"),
+        _line(0, "water wells fresno", day=3),
+        _line(1, "crop harvest fresno"),
+        _line(1, "water wells fresno", day=5),
+        _line(2, "crop harvest near fresno"),
+    ]
+
+    def run(self, tmp_path, lines, topic_count=2, name="posts.jsonl"):
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return quantify_source("social", path, self.SERIES, self.ENTITIES, LexiconBackend(),
+                               cutoff=2, topic_count=topic_count, seed=0)
+
+    def test_silent_week_is_zero_and_other_weeks_sum_to_one(self, tmp_path):
+        _, model, half = self.run(tmp_path, self.LINES)
+        assert half.shape == (4, DETERMINANT_COUNT) and len(model.clusters) == 2
+        assert half[3].sum() == 0.0
+        for t in range(3):
+            assert abs(half[t].sum() - 1.0) <= 1e-6
+
+    def test_shuffled_lines_give_identical_half_and_model(self, tmp_path):
+        # One topic: its centroid sums equal rows and zeros, exact in any order.
+        _, base_model, base = self.run(tmp_path, self.LINES, topic_count=1)
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            s = [social[i] for i in rng.permutation(len(social))]
-            n = [news[i] for i in rng.permutation(len(news))]
-            assert np.array_equal(build_impact_series([(s, sm), (n, nman)], 3), base)
+        for i in range(10):
+            lines = [self.LINES[j] for j in rng.permutation(len(self.LINES))]
+            _, model, half = self.run(tmp_path, lines, topic_count=1, name=f"shuffled{i}.jsonl")
+            assert half.tobytes() == base.tobytes()
+            assert model.vocabulary == base_model.vocabulary and model.clusters == base_model.clusters
+            assert np.array_equal(model.idf, base_model.idf)
+            assert np.array_equal(model.centroids, base_model.centroids)
 
-    def test_not_one_pair_per_source_is_rejected(self):
-        social, news, sm, nman = self.fit_models()
-        for fitted in ([(social, sm)], [(social, sm), (news, nman), (news, nman)]):
-            with pytest.raises(ValueError, match="shape"):
-                build_impact_series(fitted, 3)
+    def test_counters_add_up_to_the_lines_read(self, tmp_path):
+        lines = self.LINES + [
+            "{not json",
+            _line(1, "   "),
+            _line(-1, "crop harvest fresno"),
+            _line(1, "crop harvest dallas"),
+        ]
+        counts, _, _ = self.run(tmp_path, lines)
+        assert counts == {"read": 9, "malformed": 1, "empty": 1, "out of range": 1,
+                          "outside the state": 1, "kept": 5}
+        assert sum(n for label, n in counts.items() if label != "read") == counts["read"] == len(lines)
+
+    def test_no_training_range_document_names_the_source(self, tmp_path):
+        with pytest.raises(ConfigError, match="no social document falls in the training range"):
+            self.run(tmp_path, [_line(2, "crop harvest fresno"), _line(3, "water wells fresno")])
 
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
@@ -611,9 +639,10 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
 
 
 def test_impact_csv_round_trip(tmp_path):
-    social, news = [doc("crop crop", timestep=0), doc("crop wells", timestep=1)], []
     model = _toy_model()
-    impacts = build_impact_series([(social, model), (news, model)], 2)
+    impacts = np.zeros((2, 2 * DETERMINANT_COUNT))  # no news documents: the news half stays zero
+    impacts[0, :DETERMINANT_COUNT] = quantify([doc("crop crop")], model)
+    impacts[1, :DETERMINANT_COUNT] = quantify([doc("crop wells"), doc("clinic")], model)
     path = tmp_path / "impact.csv"
     write_impact_csv(path, impacts)
     header = path.read_text().splitlines()[0].split(",")
