@@ -261,6 +261,8 @@ def cmd_export_plots(run_dir, state: str) -> int:
     for lineno, cells in rows:
         try:
             table.append([float(c) for c in cells])
+            if not np.isfinite(table[-1]).all():
+                raise ValueError(f"a cell is not a finite number: {','.join(cells)!r}")
         except ValueError as exc:
             raise ParseError(f"{pred_path}:{lineno}: {exc}") from exc
     table = np.array(table)

@@ -40,6 +40,7 @@ log = logging.getLogger(__name__)
 MAP_THRESHOLD = 0.15
 
 KEYWORDS_PER_TOPIC = 10
+KMEANS_MAX_ITER = 100
 
 #: Rows per distance GEMM in a k-means pass (the matrix's row count when it
 #: has fewer), and per squared-norm block.  A GEMM over fewer rows can round
@@ -58,6 +59,12 @@ PRUNE_MARGIN = 4.0
 
 #: Concurrent mapping calls to a remote (LLM) backend per topic model.
 MAP_PARALLELISM = 4
+
+#: A remote (LLM) scoring call times out after ``LLM_TIMEOUT_S`` seconds and is
+#: retried ``LLM_RETRIES`` times, the n-th after ``LLM_BACKOFF_S * 2**(n - 1)`` s.
+LLM_TIMEOUT_S = 10.0
+LLM_RETRIES = 2
+LLM_BACKOFF_S = 0.5
 
 STOPWORDS = frozenset(
     """a about above after again all also am an and any are as at be because been
@@ -155,8 +162,8 @@ def doc_matrix(token_lists: list[list[str]], vocab: dict[str, int], idf: np.ndar
 # ---------------------------------------------------------------------------
 
 
-def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means++ plus Lloyd iterations; fully deterministic.
+def kmeans(vectors: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded k-means++ plus at most ``KMEANS_MAX_ITER`` Lloyd passes; fully deterministic.
 
     The effective cluster count is min(n_clusters, n_points).  Returns
     (assignments, centroids); every point is assigned to its nearest
@@ -189,7 +196,7 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int, max_iter: int = 100)
     lower = np.zeros(n)
     margin = PRUNE_MARGIN * math.sqrt((2 * vectors.shape[1] + 3) * np.finfo(float).eps * x_sq.max())
     assignments = np.zeros(n, dtype=np.int64)
-    for i in range(max_iter):
+    for i in range(KMEANS_MAX_ITER):
         new_assignments = _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin)
         # A cluster that kept exactly its members keeps its mean, bit for bit;
         # the first pass replaces the k-means++ seeds, so it updates them all.
@@ -411,17 +418,11 @@ class LlmBackend:
         self,
         url: str,
         api_key: str | None = None,
-        timeout: float = 10.0,
-        retries: int = 2,
-        backoff: float = 0.5,
         fallback: LexiconBackend | None = None,
         post=_post_json,
     ):
         self.url = url
         self.api_key = api_key
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.fallback = fallback or LexiconBackend()
         self.post = post
         self._failed = False
@@ -432,11 +433,11 @@ class LlmBackend:
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        for attempt in range(self.retries + 1):
+        for attempt in range(LLM_RETRIES + 1):
             if self._failed:
                 return self.fallback.score(keywords)
             try:
-                scores = self.post(self.url, body, headers, self.timeout)["scores"]
+                scores = self.post(self.url, body, headers, LLM_TIMEOUT_S)["scores"]
                 if len(scores) != DETERMINANT_COUNT or not all(
                     math.isfinite(float(s)) for s in scores
                 ):
@@ -444,14 +445,14 @@ class LlmBackend:
                 return [float(s) for s in scores]
             except Exception as exc:
                 last_error = exc
-                if attempt < self.retries:
-                    time.sleep(self.backoff * (2**attempt))
+                if attempt < LLM_RETRIES:
+                    time.sleep(LLM_BACKOFF_S * (2**attempt))
         with self._failed_lock:
             first, self._failed = not self._failed, True
         if first:
             log.warning("LLM backend %s failed %d attempts (last error: %r); "
                         "scoring this and every later topic with the lexicon",
-                        self.url, self.retries + 1, last_error)
+                        self.url, LLM_RETRIES + 1, last_error)
         return self.fallback.score(keywords)
 
 

@@ -80,6 +80,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> nm.Params:
     })
 
 
+def _attend(q: Node, k: Node, v: Node, width: int) -> Node:
+    """Scaled dot-product attention within each window: ``softmax_rows(q @ k.T / sqrt(width)) @ v``."""
+    return nm.matmul(nm.softmax_rows(nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / math.sqrt(width))), v)
+
+
 def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, width: int) -> Node:
     """Project, add positions, then one self-attention + feed-forward block.
 
@@ -98,8 +103,7 @@ def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, wid
     q = nm.matmul(x, params[f"{prefix}.attn.wq"])
     k = nm.matmul(x, params[f"{prefix}.attn.wk"])
     v = nm.matmul(x, params[f"{prefix}.attn.wv"])
-    weights = nm.softmax_rows(nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / math.sqrt(width)))
-    attended = nm.matmul(nm.matmul(weights, v), params[f"{prefix}.attn.wo"])
+    attended = nm.matmul(_attend(q, k, v, width), params[f"{prefix}.attn.wo"])
     x = nm.layer_norm_rows(nm.add(x, attended))
 
     ff = nm.matmul(nm.tanh(nm.matmul(x, params[f"{prefix}.ff.w1"])), params[f"{prefix}.ff.w2"])
@@ -116,7 +120,6 @@ def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], widt
     """
     if h_impact.value.shape != h_severity.value.shape:
         raise ShapeError(f"cross_attend: {h_impact.value.shape} vs {h_severity.value.shape}")
-    inv_sqrt_d = 1.0 / math.sqrt(width)
 
     q_m = nm.matmul(h_impact, params["cross.wq_m"])
     k_d = nm.matmul(h_severity, params["cross.wk_d"])
@@ -124,11 +127,7 @@ def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], widt
     q_d = nm.matmul(h_severity, params["cross.wq_d"])
     k_m = nm.matmul(h_impact, params["cross.wk_m"])
     v_m = nm.matmul(h_impact, params["cross.wv_m"])
-
-    a_md = nm.softmax_rows(nm.scale(nm.matmul(q_m, nm.transpose(k_d)), inv_sqrt_d))
-    a_dm = nm.softmax_rows(nm.scale(nm.matmul(q_d, nm.transpose(k_m)), inv_sqrt_d))
-
-    return nm.matmul(a_md, v_d), nm.matmul(a_dm, v_m)
+    return _attend(q_m, k_d, v_d, width), _attend(q_d, k_m, v_m, width)
 
 
 def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) -> tuple[Node, Node]:

@@ -82,11 +82,6 @@ def constant(value) -> Node:
     return Node(value)
 
 
-def parameter(value, name: str) -> Node:
-    """Trainable leaf: the one node of a one-entry :class:`Params`."""
-    return Params({name: value})[name]
-
-
 def _topo_order(root: Node) -> list[Node]:
     order, seen, stack = [], set(), [(root, False)]
     while stack:

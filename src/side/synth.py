@@ -74,18 +74,22 @@ OTHER_TERMS = (
 )
 
 
+#: The first week (a Monday), the level of the seasonal sinusoid, the AR(1)
+#: coefficient of its noise, and the share of documents placed out of state.
+START = date(2017, 1, 2)
+BASE_SEVERITY = 220.0
+AR_COEFF = 0.85
+OUT_OF_STATE_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     weeks: int = 330
-    base_severity: float = 220.0
     seasonal_amplitude: float = 120.0
     seasonal_period: float = 52.0
     noise_scale: float = 18.0
-    ar_coeff: float = 0.85
     social_lead: int = 4
     docs_per_week: float = 10.0
-    out_of_state_fraction: float = 0.1
-    start: date = date(2017, 1, 2)
 
     def __post_init__(self):
         for f in fields(self):
@@ -99,19 +103,17 @@ class SynthSpec:
             raise ValueError("social_lead must be >= 0")
         if self.docs_per_week < 0:
             raise ValueError("docs_per_week must be >= 0")
-        if not 0.0 <= self.out_of_state_fraction < 1.0:
-            raise ValueError("out_of_state_fraction must be in [0, 1)")
 
 
 def generate_severity(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     t = np.arange(spec.weeks)
-    seasonal = spec.base_severity + spec.seasonal_amplitude * np.sin(
+    seasonal = BASE_SEVERITY + spec.seasonal_amplitude * np.sin(
         2.0 * np.pi * t / spec.seasonal_period
     )
     noise = np.zeros(spec.weeks)
     for i in range(spec.weeks):
         prev = noise[i - 1] if i else 0.0
-        noise[i] = spec.ar_coeff * prev + spec.noise_scale * rng.standard_normal()
+        noise[i] = AR_COEFF * prev + spec.noise_scale * rng.standard_normal()
     return np.clip(seasonal + noise, DSCI_MIN, DSCI_MAX)
 
 
@@ -194,11 +196,11 @@ def generate_documents(
         cdf = determinant_mixture(driver).cumsum()
         cdf /= cdf[-1]
         cdf = cdf.tolist()
-        week_start = spec.start + timedelta(days=7 * t)
+        week_start = START + timedelta(days=7 * t)
         days = [(week_start + timedelta(days=d)).isoformat() for d in range(7)]
         for i in range(count):
             det = bisect_right(cdf, rng.random())
-            out_of_state = rng.random() < spec.out_of_state_fraction
+            out_of_state = rng.random() < OUT_OF_STATE_FRACTION
             day, hour, minute, *draws = rng.integers(0, bounds[det][out_of_state]).tolist()
             pool, k = pools[det], sizes[det]
             topic_words = [pool[j] for j in _sample_without_replacement(draws, len(pool), k)]
@@ -230,7 +232,7 @@ def write_dataset(out_dir, spec: SynthSpec, seed: int) -> dict[str, Path]:
         "news": out / "news.jsonl",
         "entities": out / "entities.txt",
     }
-    weeks = ((spec.start + timedelta(days=7 * t)).isoformat() for t in range(len(severity)))
+    weeks = ((START + timedelta(days=7 * t)).isoformat() for t in range(len(severity)))
     write_csv(paths["dsci"], ("week_start", "dsci"), zip(weeks, severity.tolist()))
     encode = json.JSONEncoder(sort_keys=True).encode
     for key, docs in (("social", social), ("news", news)):

@@ -44,14 +44,13 @@ class TrainConfig:
     seed: int = 0
     lambda_severity: float = 1.0
     lambda_impact: float = 1.0
-    lr_plateau: int = LR_PLATEAU_EPOCHS
 
     def __post_init__(self):
         if self.patience > self.max_epochs:
             raise ValueError(
                 f"patience {self.patience} exceeds max_epochs {self.max_epochs}"
             )
-        for name in ("max_epochs", "patience", "batch_size", "lr_plateau"):
+        for name in ("max_epochs", "patience", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.learning_rate > 0:
@@ -208,7 +207,7 @@ def train(
     """Minibatch Adam with early stopping on validation loss.
 
     Runs at most ``max_epochs`` epochs, halves the learning rate after
-    every ``lr_plateau`` stagnant epochs in a row, stops after ``patience``
+    every ``LR_PLATEAU_EPOCHS`` stagnant epochs in a row, stops after ``patience``
     of them, and returns the parameters of the best-validation epoch.
 
     Raises:
@@ -271,7 +270,7 @@ def train(
             stale = 0
         else:
             stale += 1
-            if stale % train_cfg.lr_plateau == 0:
+            if stale % LR_PLATEAU_EPOCHS == 0:
                 nm.decay_learning_rate(adam)
             if stale >= train_cfg.patience:
                 break

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from side import dsiq, ingest
+from side import dsiq, ingest, train_eval
 from side import model as mdl
 from side import numerics as nm
 from side import synth as sy
@@ -66,7 +66,7 @@ def _check_op_gradients(seed):
     def fd_against(build, *shapes):
         nonlocal worst
         values = [rng.uniform(-2.0, 2.0, size=s) for s in shapes]
-        nodes = [nm.parameter(v.copy(), f"x{i}") for i, v in enumerate(values)]
+        nodes = list(nm.Params({f"x{i}": v for i, v in enumerate(values)}).values())
         nm.backward(build(nodes))
         for i, v in enumerate(values):
             def f(x, i=i):
@@ -235,7 +235,7 @@ def test_criterion_4_invariant_suite():
 # -- 5 ----------------------------------------------------------------------
 
 
-def test_criterion_5_overfit_sanity():
+def test_criterion_5_overfit_sanity(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(3)
     total, lookback, horizon = 16, 4, 1
@@ -250,9 +250,8 @@ def test_criterion_5_overfit_sanity():
     samples = make_windows(series, np.concatenate([parts, parts], axis=1), lookback, horizon)[:4]
 
     cfg = ModelConfig(lookback=lookback, horizon=horizon, width=8, hidden=32)
-    tc = TrainConfig(
-        max_epochs=200, patience=200, batch_size=1, learning_rate=1e-2, seed=0, lr_plateau=200
-    )
+    tc = TrainConfig(max_epochs=200, patience=200, batch_size=1, learning_rate=1e-2, seed=0)
+    monkeypatch.setattr(train_eval, "LR_PLATEAU_EPOCHS", 200)  # the learning rate never halves
     result = train(samples, samples, cfg, tc)
     best = min(row["train_loss"] for row in result.history)
     elapsed = time.time() - t0

@@ -612,7 +612,7 @@ def test_log_level_shows_ingest_info_on_stderr(workspace, tmp_path, capsys, leve
     assert (f"INFO side.ingest: {posts}: skipped 1 malformed lines" in err) is shown
 
 
-@pytest.mark.parametrize("defect", ["missing_column", "short_row", "no_rows", "non_numeric"])
+@pytest.mark.parametrize("defect", ["missing_column", "short_row", "no_rows", "non_numeric", "non_finite"])
 def test_export_plots_rejects_bad_predictions(tmp_path, capsys, defect):
     names = impact_csv_header()[1:]
     header = ["start", "step", "timestep", "severity_true", "severity_pred"]
@@ -630,7 +630,7 @@ def test_export_plots_rejects_bad_predictions(tmp_path, capsys, defect):
         where = "synth_predictions.csv"
     else:
         cells = lines[2].split(",")
-        cells[4] = "high"
+        cells[3:5] = ["0.5", "high"] if defect == "non_numeric" else ["nan", "inf"]
         lines[2] = ",".join(cells)
     (tmp_path / "synth_predictions.csv").write_text("".join(lines), encoding="utf-8")
     assert main(["export-plots", "--run", str(tmp_path), "--state", "synth"]) == 2

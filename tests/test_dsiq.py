@@ -208,10 +208,11 @@ def _kmeans_cases():
 
 
 @pytest.mark.parametrize("case", list(_kmeans_cases()))
-def test_kmeans_matches_reference(case):
+def test_kmeans_matches_reference(monkeypatch, case):
     vectors, n_clusters, seed, max_iter = _kmeans_cases()[case]
     want_a, want_c = _reference_kmeans(vectors, n_clusters, seed, max_iter)
-    got_a, got_c = kmeans(vectors, n_clusters, seed, max_iter)
+    monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", max_iter)
+    got_a, got_c = kmeans(vectors, n_clusters, seed)
     assert np.array_equal(got_a, want_a)
     assert np.array_equal(got_c, want_c)
     x_sq = (vectors * vectors).sum(axis=1)
@@ -302,7 +303,7 @@ def _peak_bytes(fn, *args):
     return peak - sum(a.nbytes for a in (result if isinstance(result, tuple) else (result,)))
 
 
-def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary():
+def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary(monkeypatch):
     rng = np.random.default_rng(4)
     n, dims = 20_000, 186
     vocab = {f"t{j}": j for j in range(dims)}
@@ -312,7 +313,8 @@ def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary():
     assert _peak_bytes(doc_matrix, token_lists, vocab, idf) < matrix_bytes / 4
     vectors = doc_matrix(token_lists, vocab, idf)
     # A mean update still gathers one cluster's rows; at 50 clusters that is small.
-    assert _peak_bytes(kmeans, vectors, 50, 0, 5) < matrix_bytes / 4
+    monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", 5)
+    assert _peak_bytes(kmeans, vectors, 50, 0) < matrix_bytes / 4
 
 
 class TestTermCounts:
@@ -449,10 +451,16 @@ class FailingPost:
         raise ConnectionError(f"refused on attempt {attempt}")
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(dsiq, "LLM_BACKOFF_S", 0.0)
+
+
+@pytest.mark.usefixtures("no_backoff")
 class TestLlmBackend:
     def test_wire_format_and_scores(self, llm_server):
         url, handler = llm_server
-        backend = LlmBackend(url, api_key="secret", backoff=0.0)
+        backend = LlmBackend(url, api_key="secret")
         scores = backend.score(["crop", "harvest"])
         assert scores[0] == 0.95
         assert handler.calls[0] == {
@@ -463,7 +471,7 @@ class TestLlmBackend:
     def test_retries_then_succeeds(self, llm_server):
         url, handler = llm_server
         handler.fail_first = 2
-        backend = LlmBackend(url, retries=2, backoff=0.0)
+        backend = LlmBackend(url)
         scores = backend.score(["water"])
         assert scores[8] == 0.8
         assert len(handler.calls) == 3
@@ -471,14 +479,14 @@ class TestLlmBackend:
     def test_falls_back_to_lexicon_after_retries(self, llm_server):
         url, handler = llm_server
         handler.fail_first = 10
-        backend = LlmBackend(url, retries=2, backoff=0.0)
+        backend = LlmBackend(url)
         scores = backend.score(["crop", "harvest", "irrigation"])
         assert len(handler.calls) == 3
         assert np.argmax(scores) == 0  # lexicon cosine took over
 
     def test_fallback_logs_warning_naming_last_error(self, caplog):
         post = FailingPost()
-        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
+        backend = LlmBackend("http://llm.test/score", post=post)
         with caplog.at_level(logging.WARNING, logger="side.dsiq"):
             scores = backend.score(["crop", "harvest", "irrigation"])
         assert post.calls == 3
@@ -490,7 +498,7 @@ class TestLlmBackend:
 
     def test_dead_service_costs_one_round_of_retries(self, caplog):
         post = FailingPost()
-        backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
+        backend = LlmBackend("http://llm.test/score", post=post)
         lexicon = LexiconBackend()
         topics = [["crop", "harvest"], ["water", "reservoir"], ["fire"], ["clinic"], ["zzz"]]
         with caplog.at_level(logging.WARNING, logger="side.dsiq"):
@@ -499,8 +507,10 @@ class TestLlmBackend:
         assert post.calls == 3  # the first topic's retries, then none
         assert len(caplog.records) == 1
 
-    def test_unreachable_endpoint_falls_back(self):
-        backend = LlmBackend("http://127.0.0.1:9/score", retries=1, backoff=0.0, timeout=0.2)
+    def test_unreachable_endpoint_falls_back(self, monkeypatch):
+        monkeypatch.setattr(dsiq, "LLM_RETRIES", 1)
+        monkeypatch.setattr(dsiq, "LLM_TIMEOUT_S", 0.2)
+        backend = LlmBackend("http://127.0.0.1:9/score")
         scores = backend.score(["water", "reservoir"])
         assert np.argmax(scores) == 8
 
@@ -711,7 +721,7 @@ def test_load_lexicon_rejects_bad_entries(tmp_path, lexicon, match):
         load_lexicon(path)
 
 
-def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
+def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server, no_backoff):
     url, handler = llm_server
     docs = [
         doc("crop harvest irrigation"),
@@ -719,7 +729,7 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
         doc("water reservoir wells"),
         doc("water reservoir rationing"),
     ]
-    backend = LlmBackend(url, backoff=0.0)
+    backend = LlmBackend(url)
     model = fit_topic_model(docs, backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
@@ -727,16 +737,16 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server):
     assert len(handler.calls) == len(model.clusters)
 
 
-def test_fit_topic_model_on_dead_service_bounds_posts(caplog):
+def test_fit_topic_model_on_dead_service_bounds_posts(caplog, no_backoff):
     words = ["crop", "water", "fire", "clinic", "power", "river", "tourism", "factory"]
     docs = [doc(f"{w} {w} {w} shared{j}") for w in words for j in range(3)]
     post = FailingPost()
-    backend = LlmBackend("http://llm.test/score", retries=2, backoff=0.0, post=post)
+    backend = LlmBackend("http://llm.test/score", post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):
         model = fit_topic_model(docs, backend, topic_count=8, seed=0)
     assert len(model.clusters) == 8
     # only the topics in flight when the budget ran out may still call
-    assert post.calls <= MAP_PARALLELISM * (backend.retries + 1)
+    assert post.calls <= MAP_PARALLELISM * (dsiq.LLM_RETRIES + 1)
     assert len(caplog.records) == 1
     lexicon = fit_topic_model(docs, LexiconBackend(), topic_count=8, seed=0)
     assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]

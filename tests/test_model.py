@@ -62,13 +62,13 @@ def brute_force_cross_attention(h_m, h_d, w):
 
 def cross_params(rng, d):
     names = ("cross.wq_m", "cross.wk_d", "cross.wv_d", "cross.wq_d", "cross.wk_m", "cross.wv_m")
-    return {n: nm.parameter(rng.normal(size=(d, d)), n) for n in names}
+    return nm.Params({n: rng.normal(size=(d, d)) for n in names})
 
 
 class TestCrossAttend:
     def test_hand_case_one_by_one(self):
         # d=1, T_L=1: softmax of a 1x1 matrix is 1, so outputs swap channels
-        params = {n: nm.parameter(np.array([[1.0]]), n) for n in cross_params(np.random.default_rng(0), 1)}
+        params = nm.Params({n: np.array([[1.0]]) for n in cross_params(np.random.default_rng(0), 1)})
         h_m = nm.constant([[2.0]])
         h_d = nm.constant([[3.0]])
         h_md, h_dm = mdl.cross_attend(h_m, h_d, params, width=1)
@@ -122,7 +122,7 @@ class TestEncode:
         pos = nm.constant(mdl.sinusoidal_positions(cfg.lookback, cfg.width))
         seq_value = rng.normal(size=(cfg.lookback, 1))
 
-        seq = nm.parameter(seq_value.copy(), "seq")
+        seq = nm.Params({"seq": seq_value})["seq"]
         loss = nm.mean_all(nm.square(mdl.encode(seq, params, "enc_severity", pos, cfg.width)))
         nm.backward(loss)
 

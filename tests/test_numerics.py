@@ -40,7 +40,7 @@ def check_grad(build, shapes, seed):
     """build(nodes) -> scalar Node; compares backward grads to FD."""
     rng = np.random.default_rng(seed)
     values = [rng.uniform(-2.0, 2.0, size=s) for s in shapes]
-    nodes = [nm.parameter(v.copy(), f"x{i}") for i, v in enumerate(values)]
+    nodes = list(nm.Params({f"x{i}": v for i, v in enumerate(values)}).values())
     loss = build(nodes)
     nm.backward(loss)
     for i, v in enumerate(values):
@@ -60,7 +60,7 @@ def test_matmul_identity():
 
 def test_mean_square_hand_gradient():
     # d(mean(x^2))/dx at x=[1,2] is [1.0, 2.0]
-    x = nm.parameter(np.array([1.0, 2.0]), "x")
+    x = nm.Params({"x": np.array([1.0, 2.0])})["x"]
     sq = nm.square(x)
     nm.backward(nm.mean_all(sq))
     np.testing.assert_allclose(x.grad, [1.0, 2.0], rtol=0, atol=0)
@@ -157,13 +157,13 @@ def test_softmax_rows_open_interval_on_moderate_logits():
 def test_backward_linearity():
     # backward of (l1 + l2) equals backward(l1) then backward(l2)
     value = RNG.uniform(-1, 1, size=(3, 3))
-    p1 = nm.parameter(value.copy(), "p")
+    p1 = nm.Params({"p": value})["p"]
     l1 = nm.mean_all(nm.square(p1))
     l2 = nm.mean_all(nm.tanh(p1))
     nm.backward(nm.add(l1, l2))
     combined = p1.grad.copy()
 
-    p2 = nm.parameter(value.copy(), "p")
+    p2 = nm.Params({"p": value})["p"]
     nm.backward(nm.mean_all(nm.square(p2)))
     nm.backward(nm.mean_all(nm.tanh(p2)))
     np.testing.assert_allclose(p2.grad, combined, rtol=1e-12)
@@ -172,7 +172,7 @@ def test_backward_linearity():
 def test_shared_constant_keeps_no_gradient():
     # the positional table is one constant shared by every window's graph
     table = nm.constant(np.ones((2, 2)))
-    w = nm.parameter(np.eye(2), "w")
+    w = nm.Params({"w": np.eye(2)})["w"]
     for _ in range(2):
         nm.backward(nm.mean_all(nm.square(nm.add(nm.matmul(table, w), table))))
     assert table.grad is None
@@ -191,7 +191,7 @@ cfg = ModelConfig(width=int(sys.argv[1]))
 cli._keep_freed_heap(cfg)
 rows, cols = param_shapes(cfg)["dec.w1"]
 rng = np.random.default_rng(11)
-w = nm.parameter(rng.normal(size=(rows, cols)), "dec.w1")
+w = nm.Params({"dec.w1": rng.normal(size=(rows, cols))})["dec.w1"]
 loss = nm.mean_all(nm.square(nm.matmul(nm.constant(rng.normal(size=(4, rows))), w)))
 nm.backward(loss)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -234,7 +234,7 @@ def test_weight_used_twice_gets_both_contributions(seed):
 def test_weight_gradient_adds_each_pass_in_place():
     rng = np.random.default_rng(12)
     w0, a1, a2 = rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 4)), rng.normal(size=(6, 4))
-    w = nm.parameter(w0, "w")
+    w = nm.Params({"w": w0})["w"]
     for a in (a1, a2):
         nm.backward(nm.mean_all(nm.square(nm.matmul(nm.constant(a), w))))
     # the gradient of mean(square(a @ w)) at the product, as the vjp of square builds it

@@ -6,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from side import synth
 from side.core import DETERMINANT_NAMES, DSCI_MAX, OTHER_INDEX
 from side.dsiq import load_lexicon
 from side.ingest import EntityList, geofilter, load_documents, load_severity
@@ -45,10 +46,10 @@ def _reference_generate_documents(spec, severity, source, rng):
         lam = spec.docs_per_week * (0.35 + 1.3 * driver / DSCI_MAX)
         count = int(rng.poisson(lam))
         mixture = determinant_mixture(driver)
-        week_start = spec.start + timedelta(days=7 * t)
+        week_start = synth.START + timedelta(days=7 * t)
         for i in range(count):
             det = int(rng.choice(len(mixture), p=mixture))
-            out_of_state = rng.random() < spec.out_of_state_fraction
+            out_of_state = rng.random() < synth.OUT_OF_STATE_FRACTION
             stamp = datetime.combine(
                 week_start + timedelta(days=int(rng.integers(7))),
                 datetime.min.time(),
@@ -68,12 +69,10 @@ def _reference_generate_documents(spec, severity, source, rng):
 @pytest.mark.parametrize("social_lead", [0, 4])
 @pytest.mark.parametrize("out_of_state_fraction", [0.0, 0.5])
 @pytest.mark.parametrize("seed", [0, 7, 1001])
-def test_documents_match_the_reference_generator(docs_per_week, social_lead, out_of_state_fraction, seed):
+def test_documents_match_the_reference_generator(monkeypatch, docs_per_week, social_lead, out_of_state_fraction, seed):
     weeks = 6 if docs_per_week > 100 else 40
-    spec = SynthSpec(
-        weeks=weeks, docs_per_week=docs_per_week, social_lead=social_lead,
-        out_of_state_fraction=out_of_state_fraction,
-    )
+    spec = SynthSpec(weeks=weeks, docs_per_week=docs_per_week, social_lead=social_lead)
+    monkeypatch.setattr(synth, "OUT_OF_STATE_FRACTION", out_of_state_fraction)
     severity = generate_severity(spec, np.random.default_rng(seed))
     fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for source in ("social", "news"):
@@ -179,17 +178,12 @@ def test_spec_validation():
         SynthSpec(weeks=0)
     with pytest.raises(ValueError):
         SynthSpec(social_lead=-1)
-    with pytest.raises(ValueError):
-        SynthSpec(out_of_state_fraction=1.5)
     for field, value in (
-        ("base_severity", float("nan")),
         ("seasonal_amplitude", float("inf")),
         ("seasonal_period", float("-inf")),
         ("noise_scale", float("nan")),
-        ("ar_coeff", float("inf")),
         ("docs_per_week", float("nan")),
         ("docs_per_week", float("inf")),
-        ("out_of_state_fraction", float("nan")),
         ("seasonal_period", 0.0),
         ("seasonal_period", -52.0),
     ):

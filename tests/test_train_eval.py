@@ -1,5 +1,6 @@
 """Training loop behavior, metrics arithmetic, baselines."""
 
+import json
 import math
 from dataclasses import asdict, replace
 from datetime import date
@@ -187,7 +188,8 @@ class TestTrain:
         val_losses = iter([3.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         monkeypatch.setattr(train_eval, "_mean_loss", lambda *args: next(val_losses))
         train_s, val_s, _ = chronological_split(synthetic_samples())
-        tc = TrainConfig(max_epochs=12, patience=12, seed=0, lr_plateau=lr_plateau)
+        monkeypatch.setattr(train_eval, "LR_PLATEAU_EPOCHS", lr_plateau)
+        tc = TrainConfig(max_epochs=12, patience=12, seed=0)
         history = train(train_s, val_s, small_cfg(), tc).history
         assert [row["lr"] for row in history] == [tc.learning_rate * 0.5**k for k in halvings]
 
@@ -195,7 +197,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=5, patience=10)
 
-    def test_overfits_four_samples(self):
+    def test_overfits_four_samples(self, monkeypatch):
         # memorization sanity: with the epoch cap lifted the loss collapses
         samples = synthetic_samples(total=16, lookback=4, horizon=1, seed=3)[:4]
         cfg = small_cfg(lookback=4, horizon=1, width=8, hidden=32)
@@ -205,8 +207,8 @@ class TestTrain:
             batch_size=1,
             learning_rate=1e-2,
             seed=0,
-            lr_plateau=200,
         )
+        monkeypatch.setattr(train_eval, "LR_PLATEAU_EPOCHS", 200)  # the learning rate never halves
         result = train(samples, samples, cfg, tc)
         assert min(row["train_loss"] for row in result.history) < 1e-3
 
@@ -291,9 +293,24 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="trained for"):
             load_run_checkpoint(path, replace(cfg, hidden=cfg.hidden + 1))
 
+    def test_checkpoint_with_a_retired_train_key_still_evaluates(self, tmp_path):
+        # checkpoints written while the learning-rate plateau was a train
+        # setting hold "lr_plateau" in config.train, which evaluation never reads
+        result, cfg, test_s, _ = self.trained()
+        path = tmp_path / "ckpt.json"
+        save_run_checkpoint(path, result)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["config"]["train"]["lr_plateau"] = 3
+        payload["config_hash"] = nm.config_hash(payload["config"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        params, std = load_run_checkpoint(path, cfg)
+        assert std == result.standardizer
+        before = evaluate(result.params, cfg, result.standardizer, test_s).report
+        assert evaluate(params, cfg, std, test_s).report.rows() == before.rows()
+
     def test_checkpoint_records_every_train_setting(self, tmp_path):
         cfg = small_cfg()
-        train_cfg = TrainConfig(lr_plateau=7)
+        train_cfg = TrainConfig(batch_size=7)
         result = TrainResult(
             params=init_params(cfg, np.random.default_rng(0)),
             model_config=cfg,
