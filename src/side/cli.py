@@ -1,7 +1,7 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: ``quantify``, ``train``, ``evaluate``, ``ablate``,
-``synth``, ``export-plots``.  Exit codes: 0 success, 2 user error
+``synth``.  Exit codes: 0 success, 2 user error
 (bad config, missing files, parse failures), 3 numerical failure
 (training divergence).
 """
@@ -21,9 +21,9 @@ import numpy as np
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
 from .core import (
-    DETERMINANT_NAMES, SOURCES, check_impacts, chronological_split, make_windows, read_csv, training_cutoff, write_csv,
+    DETERMINANT_NAMES, SOURCES, check_impacts, chronological_split, make_windows, training_cutoff, write_csv,
 )
-from .errors import ConfigError, DivergenceError, NumericsError, ParseError, SideError
+from .errors import ConfigError, DivergenceError, NumericsError, SideError
 from .model import ModelConfig, param_shapes
 
 USER_ERROR = 2
@@ -31,7 +31,7 @@ NUMERIC_ERROR = 3
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
-#: ``*_predictions.csv``, written by ``evaluate`` and read by ``export-plots``.
+#: ``*_predictions.csv``, written by ``evaluate``.
 PREDICTIONS_HEADER = ("start", "step", "timestep", "severity_true", "severity_pred") + tuple(
     f"{kind}_{name}" for kind in ("true", "pred") for name in dsiq.impact_csv_header()[1:]
 )
@@ -68,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", type=float, default=18.0)
     sp.add_argument("--lead", type=int, default=4)
     sp.add_argument("--docs-per-week", type=float, default=10.0)
-
-    ep = add_parser("export-plots", help="plot-ready CSVs from a finished run")
-    ep.add_argument("--run", required=True, help="run directory holding predictions")
-    ep.add_argument("--state", choices=cfgmod.STATES, default="synth")
     return parser
 
 
@@ -187,13 +183,24 @@ def cmd_train(cfg: cfgmod.RunConfig) -> int:
     return 0
 
 
-def _write_predictions_csv(path, predictions, lookback: int) -> None:
+def _write_predictions_csvs(cfg: cfgmod.RunConfig, predictions) -> None:
+    """``*_predictions.csv``, one row per (test window, step), and the two plot files drawn from it."""
     p = predictions
     severity = [p.severity_true[..., None], p.severity_pred[..., None]]
     values = np.concatenate(severity + [p.impact_true, p.impact_pred], axis=2)
-    rows = ([start, step, start + lookback + step, *values[i, step].tolist()]
-            for i, start in enumerate(p.starts.tolist()) for step in range(values.shape[1]))
-    write_csv(path, PREDICTIONS_HEADER, rows)
+    keys = [(start, step, start + cfg.model.lookback + step)
+            for start in p.starts.tolist() for step in range(values.shape[1])]
+    table = values.reshape(len(keys), values.shape[2])
+    rows = [(*key, *cells) for key, cells in zip(keys, table.tolist())]
+    write_csv(_out_path(cfg, "predictions.csv"), PREDICTIONS_HEADER, rows)
+    write_csv(_out_path(cfg, "plot_severity.csv"), ("start", "step", "timestep", "actual", "predicted"),
+              [row[:5] for row in rows])
+
+    # true_* then pred_* columns; np.mean per 1-D column, as mean(axis=0) sums in another order
+    means = [float(np.mean(table[:, j])) for j in range(2, table.shape[1])]
+    labels = [(source, f'"{name}"') for source in SOURCES for name in DETERMINANT_NAMES]
+    bars = [(*label, means[len(labels) + k], means[k]) for k, label in enumerate(labels)]
+    write_csv(_out_path(cfg, "plot_determinants.csv"), ("source", "determinant", "predicted", "actual"), bars)
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
@@ -209,11 +216,13 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
         "linear_ar": train_eval.baseline_linear_ar(train_s, test_s),
     }
     train_eval.write_metrics_csv(_out_path(cfg, "metrics.csv"), reports)
-    _write_predictions_csv(_out_path(cfg, "predictions.csv"), result.predictions, cfg.model.lookback)
+    _write_predictions_csvs(cfg, result.predictions)
     severity = result.report.per_target["severity"]
     print(
         f"severity MAE {severity.mae:.3f} RMSE {severity.rmse:.3f} MFA {severity.mfa:.3f}"
     )
+    for baseline in ("persistence", "linear_ar"):
+        print(f"{baseline}: severity MAE {reports[baseline].per_target['severity'].mae:.3f}")
     return 0
 
 
@@ -234,6 +243,8 @@ def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = synth.SynthSpec(
         weeks=args.weeks,
         seasonal_amplitude=args.amplitude,
@@ -245,38 +256,6 @@ def cmd_synth(args) -> int:
     paths = synth.write_dataset(args.out, spec, args.seed)
     for name, path in paths.items():
         print(f"{name}: {path}")
-    return 0
-
-
-def cmd_export_plots(run_dir, state: str) -> int:
-    run = Path(run_dir)
-    pred_path = run / f"{state}_predictions.csv"
-    if not pred_path.exists():
-        raise ConfigError(f"missing evaluation artifact: {pred_path}")
-
-    rows = read_csv(pred_path, PREDICTIONS_HEADER)
-    if not rows:
-        raise ParseError(f"{pred_path}: no data rows")
-    table = []
-    for lineno, cells in rows:
-        try:
-            table.append([float(c) for c in cells])
-            if not np.isfinite(table[-1]).all():
-                raise ValueError(f"a cell is not a finite number: {','.join(cells)!r}")
-        except ValueError as exc:
-            raise ParseError(f"{pred_path}:{lineno}: {exc}") from exc
-    table = np.array(table)
-
-    severity_path = run / f"{state}_plot_severity.csv"
-    write_csv(severity_path, ("start", "step", "timestep", "actual", "predicted"), [c[:5] for _, c in rows])
-
-    # true_* then pred_* columns; np.mean per 1-D column, as mean(axis=0) sums in another order
-    means = [float(np.mean(table[:, j])) for j in range(5, table.shape[1])]
-    labels = [(source, f'"{name}"') for source in SOURCES for name in DETERMINANT_NAMES]
-    bars = [(*label, means[len(labels) + k], means[k]) for k, label in enumerate(labels)]
-    bars_path = run / f"{state}_plot_determinants.csv"
-    write_csv(bars_path, ("source", "determinant", "predicted", "actual"), bars)
-    print(f"wrote {severity_path} and {bars_path}")
     return 0
 
 
@@ -301,8 +280,6 @@ def _run(args) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        if args.command == "export-plots":
-            return cmd_export_plots(args.run, args.state)
         commands = {"quantify": cmd_quantify, "train": cmd_train, "evaluate": cmd_evaluate, "ablate": cmd_ablate}
         cfg = _load_config(args)
         # Before any input is read, so an out_dir that cannot be one fails at once.

@@ -91,14 +91,17 @@ def _cast(key: str, value, default):
 
     Raises:
         ValueError: a non-string for a string field, anything but a JSON
-            number (a string or a boolean, say) for a numeric field, a
-            non-finite number, or a fraction for an int field.
+            array for a tuple field, anything but a JSON number (a string or
+            a boolean, say) for a numeric field, a non-finite number, or a
+            fraction for an int field.
     """
     if default is None or isinstance(default, str):
         if not isinstance(value, str) and not (default is None and value is None):
             raise ValueError(f"{key} must be a string, got {value!r}")
         return value
     kind = type(default)
+    if kind is tuple and not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array, got {value!r}")
     if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):

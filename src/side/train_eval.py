@@ -50,9 +50,9 @@ class TrainConfig:
             raise ValueError(
                 f"patience {self.patience} exceeds max_epochs {self.max_epochs}"
             )
-        for name in ("max_epochs", "patience", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("max_epochs", 1), ("patience", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("lambda_severity", "lambda_impact"):

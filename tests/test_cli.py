@@ -8,11 +8,12 @@ import re
 import shutil
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from side import numerics as nm
 from side.cli import PREDICTIONS_HEADER, main
-from side.core import DETERMINANT_NAMES, SOURCES, training_cutoff
+from side.core import DETERMINANT_NAMES, SOURCES, read_csv, training_cutoff, write_csv
 from side.dsiq import impact_csv_header
 from side.train_eval import impact_target_names
 
@@ -132,7 +133,8 @@ def test_train_then_evaluate_and_determinism(workspace, tmp_path):
 
     assert main(["evaluate", "--config", cfg]) == 0
     metrics = run / "synth_metrics.csv"
-    first = metrics.read_bytes()
+    written = ("synth_metrics.csv", "synth_predictions.csv", "synth_plot_severity.csv", "synth_plot_determinants.csv")
+    first = [(run / name).read_bytes() for name in written]
     rows = metrics.read_text().splitlines()
     assert rows[0] == "variant,target,MAE,MSE,RMSE,MFA"
     variants = {line.split(",")[0] for line in rows[1:]}
@@ -141,29 +143,37 @@ def test_train_then_evaluate_and_determinism(workspace, tmp_path):
     # same config and seed: retrain + re-evaluate must be byte-identical
     assert main(["train", "--config", cfg]) == 0
     assert main(["evaluate", "--config", cfg]) == 0
-    assert metrics.read_bytes() == first
+    assert [(run / name).read_bytes() for name in written] == first
 
 
 def test_predictions_and_export_plots_pass_through(workspace, tmp_path):
-    _, run = _run_config(workspace, tmp_path, "synth_predictions.csv")
-    predictions = run / "synth_predictions.csv"
-    assert predictions.exists()
-    assert main(["export-plots", "--run", str(run), "--state", "synth"]) == 0
+    # Oracle: both plot files as computed from *_predictions.csv read back,
+    # which is how they were made before evaluate wrote them.
+    run = workspace["run"]
+    rows = read_csv(run / "synth_predictions.csv", PREDICTIONS_HEADER)
+    table = np.array([[float(c) for c in cells] for _, cells in rows])
+    assert np.isfinite(table).all()
+    test_windows = len({cells[0] for _, cells in rows})
+    assert len(rows) == test_windows * workspace["raw"]["windows"]["horizon"]  # every test window step
 
-    severity = (run / "synth_plot_severity.csv").read_text().splitlines()
-    assert severity[0] == "start,step,timestep,actual,predicted"
-    pred_rows = predictions.read_text().splitlines()[1:]
-    assert len(severity) - 1 == len(pred_rows)  # every test window step
-    # pass-through: first data row equals the predictions file columns
-    first_pred = pred_rows[0].split(",")
-    assert severity[1].split(",") == first_pred[:5]
+    severity = run / "synth_plot_severity.csv"
+    assert severity.read_text().splitlines()[0] == "start,step,timestep,actual,predicted"
+    expected = tmp_path / "severity.csv"
+    write_csv(expected, ("start", "step", "timestep", "actual", "predicted"), [cells[:5] for _, cells in rows])
+    assert severity.read_bytes() == expected.read_bytes()
 
-    bars = (run / "synth_plot_determinants.csv").read_text().splitlines()
-    assert bars[0] == "source,determinant,predicted,actual"
-    assert len(bars) - 1 == 22
+    bars = run / "synth_plot_determinants.csv"
+    assert bars.read_text().splitlines()[0] == "source,determinant,predicted,actual"
+    means = [float(np.mean(table[:, j])) for j in range(5, table.shape[1])]
+    labels = [(source, f'"{name}"') for source in SOURCES for name in DETERMINANT_NAMES]
+    assert len(labels) == 22
+    expected = tmp_path / "determinants.csv"
+    write_csv(expected, ("source", "determinant", "predicted", "actual"),
+              [(*label, means[len(labels) + k], means[k]) for k, label in enumerate(labels)])
+    assert bars.read_bytes() == expected.read_bytes()
 
 
-def test_impact_column_names_follow_sources_then_determinants(workspace, tmp_path):
+def test_impact_column_names_follow_sources_then_determinants(workspace):
     # The impact vector's column order is SOURCES x DETERMINANT_NAMES; every
     # file that names its columns must list them in that order.
     order = [(source, i, name) for source in SOURCES for i, name in enumerate(DETERMINANT_NAMES, start=1)]
@@ -172,10 +182,19 @@ def test_impact_column_names_follow_sources_then_determinants(workspace, tmp_pat
     assert PREDICTIONS_HEADER[5:] == tuple(
         f"{kind}_{source[0]}_{i}" for kind in ("true", "pred") for source, i, _ in order
     )
-    _, run = _run_config(workspace, tmp_path, "synth_predictions.csv")
-    assert main(["export-plots", "--run", str(run), "--state", "synth"]) == 0
-    bars = (run / "synth_plot_determinants.csv").read_text().splitlines()[1:]
+    bars = (workspace["run"] / "synth_plot_determinants.csv").read_text().splitlines()[1:]
     assert [tuple(line.split(",")[:2]) for line in bars] == [(source, f'"{name}"') for source, _, name in order]
+
+
+def test_evaluate_prints_the_baselines_under_the_model(workspace, tmp_path, capsys):
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    mae = {line.split(",")[0]: float(line.split(",")[2])
+           for line in (run / "synth_metrics.csv").read_text().splitlines() if line.split(",")[1] == "severity"}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"severity MAE {mae['full']:.3f} ")
+    assert lines[1:] == [f"persistence: severity MAE {mae['persistence']:.3f}",
+                         f"linear_ar: severity MAE {mae['linear_ar']:.3f}"]
 
 
 def test_evaluate_rejects_checkpoint_with_stale_model_block(workspace, tmp_path, capsys):
@@ -423,10 +442,6 @@ def test_directory_for_a_file_exits_2_naming_it(workspace, tmp_path, capsys, nam
     assert err.startswith("error: ") and str(directory) in err
 
 
-def test_missing_run_dir_export_exits_2(tmp_path):
-    assert main(["export-plots", "--run", str(tmp_path), "--state", "synth"]) == 2
-
-
 def test_seed_override_changes_outputs(workspace, tmp_path):
     cfg_path, run = _run_config(workspace, tmp_path)
     assert main(["quantify", "--config", str(cfg_path)]) == 0
@@ -497,6 +512,14 @@ def test_negative_loss_weight_exits_2_before_any_input_is_read(workspace, tmp_pa
     assert "lambda_severity" in captured.err
     assert "read" not in captured.out  # no JSONL source was ingested
     assert not (run / "synth_impact.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["quantify", "train", "evaluate", "ablate"])
+def test_negative_seed_flag_exits_2_before_any_input_is_read(workspace, tmp_path, capsys, command):
+    cfg_path, run = _run_config(workspace, tmp_path)
+    assert main([command, "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not any(run.iterdir())
 
 
 def test_train_rejects_nan_in_impact_csv(workspace, tmp_path, capsys):
@@ -612,35 +635,10 @@ def test_log_level_shows_ingest_info_on_stderr(workspace, tmp_path, capsys, leve
     assert (f"INFO side.ingest: {posts}: skipped 1 malformed lines" in err) is shown
 
 
-@pytest.mark.parametrize("defect", ["missing_column", "short_row", "no_rows", "non_numeric", "non_finite"])
-def test_export_plots_rejects_bad_predictions(tmp_path, capsys, defect):
-    names = impact_csv_header()[1:]
-    header = ["start", "step", "timestep", "severity_true", "severity_pred"]
-    header += [f"true_{n}" for n in names] + [f"pred_{n}" for n in names]
-    row = ["0", "0", "16"] + ["0.5"] * (len(header) - 3)
-    lines = [",".join(header) + "\n"] + [",".join(row) + "\n"] * 2
-    where = "synth_predictions.csv:3"
-    if defect == "missing_column":
-        lines = [line.split(",", 1)[1] for line in lines]  # drop "start" everywhere
-        where = "synth_predictions.csv:1"
-    elif defect == "short_row":
-        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
-    elif defect == "no_rows":
-        lines = lines[:1]
-        where = "synth_predictions.csv"
-    else:
-        cells = lines[2].split(",")
-        cells[3:5] = ["0.5", "high"] if defect == "non_numeric" else ["nan", "inf"]
-        lines[2] = ",".join(cells)
-    (tmp_path / "synth_predictions.csv").write_text("".join(lines), encoding="utf-8")
-    assert main(["export-plots", "--run", str(tmp_path), "--state", "synth"]) == 2
-    assert where in capsys.readouterr().err
-    assert not (tmp_path / "synth_plot_severity.csv").exists()
-
-
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--period", "0", "seasonal_period"), ("--docs-per-week", "nan", "docs_per_week"), ("--noise", "inf", "noise_scale")],
+    [("--period", "0", "seasonal_period"), ("--docs-per-week", "nan", "docs_per_week"), ("--noise", "inf", "noise_scale"),
+     ("--seed", "-1", "--seed")],
 )
 def test_synth_rejects_bad_spec_naming_the_field(tmp_path, capsys, flag, value, field):
     assert main(["synth", "--out", str(tmp_path / "d"), "--weeks", "5", flag, value]) == 2

@@ -100,6 +100,11 @@ def test_invalid_values_rejected():
         cfgmod.from_dict({"split": [7, 1, 2.5]})
     with pytest.raises(ConfigError, match="split"):
         cfgmod.from_dict({"split": [7, True, 2]})
+    for bad in (5, None, "712", {"train": 7}):
+        with pytest.raises(ConfigError, match="split must be a JSON array"):
+            cfgmod.from_dict({"split": bad})
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+        cfgmod.from_dict({"seed": -5})
     with pytest.raises(ConfigError, match="patience must be an integer"):
         cfgmod.from_dict({"train": {"patience": True}})
     with pytest.raises(ConfigError, match="learning_rate must be a number"):
