@@ -18,9 +18,8 @@ from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, SOURCES, training_cu
 
 # Generate a small corpus: severity drives both how much gets written
 # and what it is about (high weeks tilt toward agriculture and water).
-spec = synth.SynthSpec(weeks=80, docs_per_week=8.0, social_lead=3)
 with tempfile.TemporaryDirectory() as tmp:
-    paths = synth.write_dataset(tmp, spec, seed=1)
+    paths = synth.write_dataset(tmp, weeks=80, docs_per_week=8.0, seed=1)
 
     series = ingest.load_severity(paths["dsci"])
     entities = ingest.EntityList.from_file(paths["entities"])

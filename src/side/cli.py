@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dsiq, ingest, synth, train_eval
 from .core import (
-    DETERMINANT_NAMES, SOURCES, check_impacts, chronological_split, make_windows, training_cutoff, write_csv,
+    DETERMINANT_NAMES, SOURCES, SPLIT, check_impacts, chronological_split, make_windows, training_cutoff, write_csv,
 )
 from .errors import ConfigError, DivergenceError, NumericsError, SideError
 from .model import ModelConfig, param_shapes
@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--weeks", type=int, default=330)
-    sp.add_argument("--amplitude", type=float, default=120.0)
-    sp.add_argument("--period", type=float, default=52.0)
-    sp.add_argument("--noise", type=float, default=18.0)
-    sp.add_argument("--lead", type=int, default=4)
     sp.add_argument("--docs-per-week", type=float, default=10.0)
     return parser
 
@@ -92,12 +88,12 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     series = ingest.load_severity(cfg.dsci_path)
     entities = ingest.EntityList.from_file(cfg.entities_path)
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
-    cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon, cfg.split)
+    cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon)
 
     models, halves = [], []
     for source, path in zip(SOURCES, (cfg.social_path, cfg.news_path)):
         counts, model, half = dsiq.quantify_source(
-            source, path, series, entities, backend, cutoff, cfg.topic_count, cfg.train.seed, cfg.map_threshold
+            source, path, series, entities, backend, cutoff, cfg.topic_count, cfg.train.seed
         )
         print(f"{source}: " + ", ".join(f"{label} {n}" for label, n in counts.items()))
         models.append(model)
@@ -121,7 +117,7 @@ def _provenance(cfg: cfgmod.RunConfig) -> dict:
     def sha256(path):
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-    return {"split": list(cfg.split), "dsci_sha256": sha256(cfg.dsci_path),
+    return {"split": list(SPLIT), "dsci_sha256": sha256(cfg.dsci_path),
             "impact_sha256": sha256(_out_path(cfg, "impact.csv"))}
 
 
@@ -131,7 +127,7 @@ def _load_windows(cfg: cfgmod.RunConfig):
     series = ingest.load_severity(cfg.dsci_path)
     impacts = dsiq.read_impact_csv(impact_path)
     windows = make_windows(series, impacts, cfg.model.lookback, cfg.model.horizon)
-    return chronological_split(windows, cfg.split)
+    return chronological_split(windows)
 
 
 #: glibc ``mallopt`` parameters (malloc.h) and the trim threshold training sets.
@@ -245,15 +241,7 @@ def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
 def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    spec = synth.SynthSpec(
-        weeks=args.weeks,
-        seasonal_amplitude=args.amplitude,
-        seasonal_period=args.period,
-        noise_scale=args.noise,
-        social_lead=args.lead,
-        docs_per_week=args.docs_per_week,
-    )
-    paths = synth.write_dataset(args.out, spec, args.seed)
+    paths = synth.write_dataset(args.out, args.weeks, args.docs_per_week, args.seed)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .core import not_utf8
-from .dsiq import MAP_THRESHOLD
 from .errors import ConfigError
 from .model import ModelConfig
 from .train_eval import TrainConfig
@@ -18,7 +17,7 @@ BACKENDS = ("lexicon", "llm")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Input paths, quantification and split settings, plus the network's configs."""
+    """Input paths and quantification settings, plus the network's configs."""
 
     dsci_path: str = "dsci.csv"
     social_path: str = "posts.jsonl"
@@ -27,8 +26,6 @@ class RunConfig:
     lexicon_path: str | None = None
     out_dir: str = "run"
     topic_count: int = 50
-    map_threshold: float = MAP_THRESHOLD
-    split: tuple[int, int, int] = (7, 1, 2)
     backend: str = "lexicon"
     state: str = "synth"
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -41,32 +38,26 @@ class RunConfig:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.topic_count < 1:
             raise ConfigError("topic_count must be >= 1")
-        if self.map_threshold < 0:
-            raise ConfigError("map_threshold must be >= 0")
-        if len(self.split) != 3 or not all(_is_whole(r) and r > 0 for r in self.split):
-            raise ConfigError(f"split must be three positive integers, got {self.split!r}")
-        object.__setattr__(self, "split", tuple(int(r) for r in self.split))
 
     def to_dict(self) -> dict:
         out: dict = {}
         for section, keys in LAYOUT.items():
             block = out.setdefault(section, {}) if section else out
             for key, path in keys.items():
-                value = _get(self, path)
-                block[key] = list(value) if isinstance(value, tuple) else value
+                block[key] = _get(self, path)
         return out
 
 
 #: The JSON layout: section ("" is the top level) -> key -> the RunConfig
 #: field the key sets, written ``model.<field>`` or ``train.<field>`` if nested.
 LAYOUT = {
-    "": {"seed": "train.seed", "state": "state", "backend": "backend", "split": "split"},
+    "": {"seed": "train.seed", "state": "state", "backend": "backend"},
     "paths": {
         "dsci": "dsci_path", "social": "social_path", "news": "news_path",
         "entities": "entities_path", "lexicon": "lexicon_path", "out_dir": "out_dir",
     },
     "windows": {"lookback": "model.lookback", "horizon": "model.horizon"},
-    "dsiq": {"topic_count": "topic_count", "map_threshold": "map_threshold"},
+    "dsiq": {"topic_count": "topic_count"},
     "model": {"width": "model.width", "hidden": "model.hidden", "ablation": "model.ablation"},
     "train": {
         "max_epochs": "train.max_epochs", "patience": "train.patience",
@@ -81,32 +72,24 @@ def _get(cfg: RunConfig, path: str):
     return getattr(getattr(cfg, owner) if owner else cfg, name)
 
 
-def _is_whole(value) -> bool:
-    """An int or an integral float; booleans are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer()
-
-
 def _cast(key: str, value, default):
     """Coerce a JSON value to the type of the field's default (str or None if it is None).
 
     Raises:
         ValueError: a non-string for a string field, anything but a JSON
-            array for a tuple field, anything but a JSON number (a string or
-            a boolean, say) for a numeric field, a non-finite number, or a
-            fraction for an int field.
+            number (a string or a boolean, say) for a numeric field, a
+            non-finite number, or a fraction for an int field.
     """
     if default is None or isinstance(default, str):
         if not isinstance(value, str) and not (default is None and value is None):
             raise ValueError(f"{key} must be a string, got {value!r}")
         return value
     kind = type(default)
-    if kind is tuple and not isinstance(value, list):
-        raise ValueError(f"{key} must be a JSON array, got {value!r}")
-    if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if kind is int and not _is_whole(value):
+    if kind is int and not float(value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return kind(value)
 

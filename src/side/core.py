@@ -43,6 +43,9 @@ OTHER_INDEX = DETERMINANT_NAMES.index("Other")
 SOURCES = ("social", "news")
 IMPACT_DIM = len(SOURCES) * DETERMINANT_COUNT
 
+#: The chronological train:val:test ratio of the windows.
+SPLIT = (7, 1, 2)
+
 
 @dataclass(frozen=True, eq=False)
 class SeveritySeries:
@@ -203,40 +206,37 @@ def make_windows(
 
 def chronological_split(
     samples: Windows,
-    ratios: tuple[int, int, int] = (7, 1, 2),
 ) -> tuple[Windows, Windows, Windows]:
     """Partition chronologically ordered windows into train/val/test.
 
-    Sizes are ``floor(n * r / sum(r))`` per part with the remainder
-    assigned to train, so the partition is contiguous, exhaustive and
-    leak-free for forecasting.
+    Sizes are ``floor(n * r / sum(r))`` per part of ``SPLIT`` with the
+    remainder assigned to train, so the partition is contiguous,
+    exhaustive and leak-free for forecasting.
 
     Raises:
-        ValueError: empty samples or non-positive ratios.
+        ValueError: empty samples.
     """
     if not samples:
         raise ValueError("cannot split an empty sample list")
-    n_train, n_val, _ = split_sizes(len(samples), ratios)
+    n_train, n_val, _ = split_sizes(len(samples))
     train = samples[:n_train]
     val = samples[n_train : n_train + n_val]
     test = samples[n_train + n_val :]
     return train, val, test
 
 
-def split_sizes(n: int, ratios: tuple[int, int, int] = (7, 1, 2)) -> tuple[int, int, int]:
+def split_sizes(n: int) -> tuple[int, int, int]:
     """(train, val, test) sizes under the floor rule, remainder to train."""
-    if any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be positive, got {ratios}")
-    total_ratio = sum(ratios)
-    n_train = n * ratios[0] // total_ratio
-    n_val = n * ratios[1] // total_ratio
-    n_test = n * ratios[2] // total_ratio
+    total_ratio = sum(SPLIT)
+    n_train = n * SPLIT[0] // total_ratio
+    n_val = n * SPLIT[1] // total_ratio
+    n_test = n * SPLIT[2] // total_ratio
     n_train += n - (n_train + n_val + n_test)
     return n_train, n_val, n_test
 
 
 def training_cutoff(
-    total: int, lookback: int, horizon: int, ratios: tuple[int, int, int] = (7, 1, 2)
+    total: int, lookback: int, horizon: int
 ) -> int:
     """First timestep index NOT touched by any training window.
 
@@ -248,7 +248,7 @@ def training_cutoff(
     n = total - lookback - horizon + 1
     if n < 1:
         return total
-    n_train, _, _ = split_sizes(n, ratios)
+    n_train, _, _ = split_sizes(n)
     return min(total, (n_train - 1) + lookback + horizon)
 
 

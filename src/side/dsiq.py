@@ -474,15 +474,15 @@ def backend_from_env(
     raise ValueError(f"unknown mapping backend {name!r}")
 
 
-def map_topic(keywords, backend, threshold: float = MAP_THRESHOLD) -> int:
+def map_topic(keywords, backend) -> int:
     """Determinant index for a topic given its ranked keywords.
 
     Argmax of the backend scores, lowest index on ties; anything scoring
-    below ``threshold`` everywhere lands on "Other".
+    below ``MAP_THRESHOLD`` everywhere lands on "Other".
     """
     scores = backend.score(list(keywords))
     best = int(np.argmax(scores))
-    if scores[best] < threshold:
+    if scores[best] < MAP_THRESHOLD:
         return OTHER_INDEX
     return best
 
@@ -497,7 +497,6 @@ def fit_topic_model(
     backend,
     topic_count: int,
     seed: int,
-    map_threshold: float = MAP_THRESHOLD,
 ) -> TopicModel:
     """Cluster one source's documents and map every topic to a determinant.
 
@@ -513,7 +512,7 @@ def fit_topic_model(
     keywords = cluster_keywords(token_lists, assignments, vocab)
 
     with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
-        det_indices = list(pool.map(lambda kw: map_topic(kw, backend, map_threshold), keywords))
+        det_indices = list(pool.map(lambda kw: map_topic(kw, backend), keywords))
 
     clusters = tuple(
         TopicCluster(
@@ -548,7 +547,7 @@ def quantify(docs_at_t: list[Document], model: TopicModel) -> np.ndarray:
 
 def quantify_source(
     source: str, path, series: SeveritySeries, entities: ingest.EntityList, backend,
-    cutoff: int, topic_count: int, seed: int, map_threshold: float = MAP_THRESHOLD,
+    cutoff: int, topic_count: int, seed: int,
 ) -> tuple[dict[str, int], TopicModel, np.ndarray]:
     """Ingest counters, topic model and (len(series), DETERMINANT_COUNT) impact half of one JSONL dump.
 
@@ -571,7 +570,7 @@ def quantify_source(
     fit_docs = [d for d in kept if d.timestep < cutoff]
     if not fit_docs:
         raise ConfigError(f"no {source} document falls in the training range (before week {cutoff})")
-    model = fit_topic_model(fit_docs, backend, topic_count=topic_count, seed=seed, map_threshold=map_threshold)
+    model = fit_topic_model(fit_docs, backend, topic_count=topic_count, seed=seed)
 
     by_step = [[] for _ in range(len(series))]
     for d in kept:

@@ -4,7 +4,7 @@ Severity is a seasonal sinusoid plus AR(1) noise clamped to the DSCI
 range.  Documents are drawn per week with a rate that rises with
 severity, and each document's determinant is sampled from a mixture
 that shifts toward Agriculture / Water Utilities / Wildfire Management
-as conditions worsen.  Social documents reflect severity ``social_lead``
+as conditions worsen.  Social documents reflect severity ``SOCIAL_LEAD``
 weeks ahead (social discourse leads the physical signal), news
 documents reflect the current week.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -74,46 +74,29 @@ OTHER_TERMS = (
 )
 
 
-#: The first week (a Monday), the level of the seasonal sinusoid, the AR(1)
-#: coefficient of its noise, and the share of documents placed out of state.
+#: The first week (a Monday); the level, amplitude and period (in weeks) of
+#: the seasonal sinusoid; the AR(1) coefficient and scale of its noise; how
+#: many weeks social documents run ahead of severity; and the share of
+#: documents placed out of state.
 START = date(2017, 1, 2)
 BASE_SEVERITY = 220.0
+SEASONAL_AMPLITUDE = 120.0
+SEASONAL_PERIOD = 52.0
 AR_COEFF = 0.85
+NOISE_SCALE = 18.0
+SOCIAL_LEAD = 4
 OUT_OF_STATE_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    weeks: int = 330
-    seasonal_amplitude: float = 120.0
-    seasonal_period: float = 52.0
-    noise_scale: float = 18.0
-    social_lead: int = 4
-    docs_per_week: float = 10.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.seasonal_period <= 0:
-            raise ValueError(f"seasonal_period must be > 0, got {self.seasonal_period!r}")
-        if self.weeks < 1:
-            raise ValueError("weeks must be >= 1")
-        if self.social_lead < 0:
-            raise ValueError("social_lead must be >= 0")
-        if self.docs_per_week < 0:
-            raise ValueError("docs_per_week must be >= 0")
-
-
-def generate_severity(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    t = np.arange(spec.weeks)
-    seasonal = BASE_SEVERITY + spec.seasonal_amplitude * np.sin(
-        2.0 * np.pi * t / spec.seasonal_period
+def generate_severity(weeks: int, rng: np.random.Generator) -> np.ndarray:
+    t = np.arange(weeks)
+    seasonal = BASE_SEVERITY + SEASONAL_AMPLITUDE * np.sin(
+        2.0 * np.pi * t / SEASONAL_PERIOD
     )
-    noise = np.zeros(spec.weeks)
-    for i in range(spec.weeks):
+    noise = np.zeros(weeks)
+    for i in range(weeks):
         prev = noise[i - 1] if i else 0.0
-        noise[i] = AR_COEFF * prev + spec.noise_scale * rng.standard_normal()
+        noise[i] = AR_COEFF * prev + NOISE_SCALE * rng.standard_normal()
     return np.clip(seasonal + noise, DSCI_MIN, DSCI_MAX)
 
 
@@ -164,9 +147,9 @@ def _choice_bounds(n: int, size: int) -> tuple[int, ...]:
 
 
 def generate_documents(
-    spec: SynthSpec, severity: np.ndarray, source: str, rng: np.random.Generator
-) -> list[dict]:
-    """Weekly document dicts (id, timestamp, text) for one source.
+    severity: np.ndarray, docs_per_week: float, source: str, rng: np.random.Generator
+) -> Iterator[dict]:
+    """Weekly document dicts (id, timestamp, text) for one source, one week of ``severity`` after another.
 
     Each document draws, in order: its determinant, as ``rng.choice(11,
     p=mixture)`` would; whether it is out of state; then one array of
@@ -186,12 +169,12 @@ def generate_documents(
         ]
         for pool, k in zip(pools, sizes)
     ]
-    lead = spec.social_lead if source == "social" else 0
-    docs = []
-    for t in range(spec.weeks):
-        driver = severity[min(t + lead, spec.weeks - 1)]
+    weeks = len(severity)
+    lead = SOCIAL_LEAD if source == "social" else 0
+    for t in range(weeks):
+        driver = severity[min(t + lead, weeks - 1)]
         s = driver / DSCI_MAX
-        lam = spec.docs_per_week * (0.35 + 1.3 * s)
+        lam = docs_per_week * (0.35 + 1.3 * s)
         count = int(rng.poisson(lam))
         cdf = determinant_mixture(driver).cumsum()
         cdf /= cdf[-1]
@@ -206,38 +189,45 @@ def generate_documents(
             topic_words = [pool[j] for j in _sample_without_replacement(draws, len(pool), k)]
             fillers = [FILLERS[j] for j in _sample_without_replacement(draws[2 * k - 1 :], len(FILLERS), 2)]
             place = (OUT_OF_STATE_PLACES if out_of_state else IN_STATE_PLACES)[draws[-1]]
-            docs.append(
-                {
-                    "id": f"{source}-{t:04d}-{i:03d}",
-                    "timestamp": f"{days[day]}T{hour:02d}:{minute:02d}:00Z",
-                    "text": f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}",
-                }
-            )
-    return docs
+            yield {
+                "id": f"{source}-{t:04d}-{i:03d}",
+                "timestamp": f"{days[day]}T{hour:02d}:{minute:02d}:00Z",
+                "text": f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}",
+            }
 
 
-def write_dataset(out_dir, spec: SynthSpec, seed: int) -> dict[str, Path]:
-    """Generate and write dsci.csv, posts.jsonl, news.jsonl, entities.txt."""
+def write_dataset(out_dir, weeks: int, docs_per_week: float, seed: int) -> dict[str, Path]:
+    """Generate and write dsci.csv, posts.jsonl, news.jsonl, entities.txt.
+
+    Each source's documents are written as they are drawn, social first.
+
+    Raises:
+        ValueError: ``weeks`` below 1 or so many that the last week ends
+            after ``date.max``, or ``docs_per_week`` negative or not finite;
+            nothing is created then.
+    """
+    max_weeks = ((date.max - START).days + 1) // 7  # week t runs from START + 7t to START + 7t + 6 days
+    if not 1 <= weeks <= max_weeks:
+        raise ValueError(f"weeks must be within [1, {max_weeks}], got {weeks}")
+    if not (math.isfinite(docs_per_week) and docs_per_week >= 0):
+        raise ValueError(f"docs_per_week must be finite and >= 0, got {docs_per_week!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    severity = generate_severity(spec, rng)
-    social = generate_documents(spec, severity, "social", rng)
-    news = generate_documents(spec, severity, "news", rng)
-
+    severity = generate_severity(weeks, rng)
     paths = {
         "dsci": out / "dsci.csv",
         "social": out / "posts.jsonl",
         "news": out / "news.jsonl",
         "entities": out / "entities.txt",
     }
-    weeks = ((START + timedelta(days=7 * t)).isoformat() for t in range(len(severity)))
-    write_csv(paths["dsci"], ("week_start", "dsci"), zip(weeks, severity.tolist()))
+    week_starts = ((START + timedelta(days=7 * t)).isoformat() for t in range(weeks))
+    write_csv(paths["dsci"], ("week_start", "dsci"), zip(week_starts, severity.tolist()))
     encode = json.JSONEncoder(sort_keys=True).encode
-    for key, docs in (("social", social), ("news", news)):
-        with atomic_write(paths[key]) as fh:
-            for doc in docs:
+    for source in ("social", "news"):
+        with atomic_write(paths[source]) as fh:
+            for doc in generate_documents(severity, docs_per_week, source, rng):
                 fh.write(encode(doc) + "\n")
     with atomic_write(paths["entities"]) as fh:
         fh.write("# synthetic in-state location entities\n")

@@ -268,8 +268,7 @@ def test_criterion_5_overfit_sanity(monkeypatch):
 
 def _pipeline_severity_mae(seed, tmp_dir, variants):
     """Full pipeline: synth text -> DSIQ -> windows -> train -> severity MAE."""
-    spec = sy.SynthSpec(weeks=330, social_lead=4, docs_per_week=12.0)
-    paths = sy.write_dataset(tmp_dir / f"seed{seed}", spec, seed)
+    paths = sy.write_dataset(tmp_dir / f"seed{seed}", 330, 12.0, seed)
     series = ingest.load_severity(paths["dsci"])
     entities = ingest.EntityList.from_file(paths["entities"])
     backend = dsiq.LexiconBackend()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from side import numerics as nm
+from side import synth
 from side.cli import PREDICTIONS_HEADER, main
 from side.core import DETERMINANT_NAMES, SOURCES, read_csv, training_cutoff, write_csv
 from side.dsiq import impact_csv_header
@@ -28,21 +29,9 @@ def workspace(tmp_path_factory):
     """
     root = tmp_path_factory.mktemp("cliws")
     data = root / "data"
-    code = main(
-        [
-            "synth",
-            "--out",
-            str(data),
-            "--seed",
-            "5",
-            "--weeks",
-            "120",
-            "--docs-per-week",
-            "6",
-            "--lead",
-            "2",
-        ]
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "SOCIAL_LEAD", 2)
+        code = main(["synth", "--out", str(data), "--seed", "5", "--weeks", "120", "--docs-per-week", "6"])
     assert code == 0
     cfg = {
         "seed": 5,
@@ -280,7 +269,11 @@ def test_evaluate_rejects_v1_checkpoint(workspace, tmp_path, capsys):
 
 
 def test_evaluate_rejects_another_split(workspace, tmp_path, capsys):
-    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED, split=[1, 1, 8])
+    # a checkpoint trained on another split before the split became a constant
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
+    checkpoint = run / "synth_checkpoint.json"
+    payload = nm.load_checkpoint(checkpoint)
+    nm.save_checkpoint(checkpoint, payload["params"], payload["config"], dict(payload["extras"], split=[1, 1, 8]))
     assert main(["evaluate", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "split" in err and "retrain" in err
@@ -317,7 +310,7 @@ def test_quantify_refuses_to_fit_topics_on_held_out_text(workspace, tmp_path, ca
     raw = workspace["raw"]
     weeks = (workspace["data"] / "dsci.csv").read_text().splitlines()[1:]
     windows = raw["windows"]
-    cutoff = training_cutoff(len(weeks), windows["lookback"], windows["horizon"], (7, 1, 2))
+    cutoff = training_cutoff(len(weeks), windows["lookback"], windows["horizon"])
     first_held_out_week = weeks[cutoff].split(",")[0]
     news = tmp_path / "news.jsonl"
     with open(news, "w", encoding="utf-8") as fh:
@@ -637,8 +630,7 @@ def test_log_level_shows_ingest_info_on_stderr(workspace, tmp_path, capsys, leve
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--period", "0", "seasonal_period"), ("--docs-per-week", "nan", "docs_per_week"), ("--noise", "inf", "noise_scale"),
-     ("--seed", "-1", "--seed")],
+    [("--docs-per-week", "nan", "docs_per_week"), ("--weeks", "416533", "weeks"), ("--seed", "-1", "--seed")],
 )
 def test_synth_rejects_bad_spec_naming_the_field(tmp_path, capsys, flag, value, field):
     assert main(["synth", "--out", str(tmp_path / "d"), "--weeks", "5", flag, value]) == 2

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from side import config as cfgmod
-from side.core import IMPACT_DIM
+from side.core import IMPACT_DIM, SPLIT
 from side.errors import ConfigError
 from side.model import ModelConfig
 from side.train_eval import TrainConfig
@@ -19,7 +19,7 @@ def test_defaults_mirror_paper_settings():
     assert cfg.topic_count == 50
     assert cfg.train.max_epochs == 20
     assert cfg.train.patience == 10
-    assert cfg.split == (7, 1, 2)
+    assert SPLIT == (7, 1, 2)
 
 
 def test_round_trip_identity():
@@ -38,8 +38,6 @@ def test_round_trip_non_default_in_every_section():
         lexicon_path="lex.json",
         out_dir="out",
         topic_count=7,
-        map_threshold=0.3,
-        split=(6, 2, 2),
         backend="llm",
         state="tx",
         model=ModelConfig(lookback=12, horizon=3, width=8, hidden=24, ablation="no_news"),
@@ -76,6 +74,11 @@ def test_unknown_section_key_rejected():
     # the determinant count is fixed by the determinant list, not configured
     with pytest.raises(ConfigError, match="unknown keys in config section 'dsiq'"):
         cfgmod.from_dict({"dsiq": {"determinant_count": 11}})
+    # the split and the topic-mapping threshold are module constants, not configured
+    with pytest.raises(ConfigError, match=r"unknown top-level config keys: \['split'\]"):
+        cfgmod.from_dict({"split": [7, 1, 2]})
+    with pytest.raises(ConfigError, match=r"unknown keys in config section 'dsiq': \['map_threshold'\]"):
+        cfgmod.from_dict({"dsiq": {"map_threshold": 0.15}})
 
 
 def test_invalid_values_rejected():
@@ -90,19 +93,10 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         cfgmod.from_dict({"model": {"ablation": "no_text"}})
     with pytest.raises(ConfigError):
-        cfgmod.from_dict({"split": [7, 0, 2]})
-    with pytest.raises(ConfigError):
         cfgmod.from_dict({"train": {"patience": 30}})
     # values that a cast to int or float would silently change
     with pytest.raises(ConfigError, match="lookback must be an integer"):
         cfgmod.from_dict({"windows": {"lookback": 12.7}})
-    with pytest.raises(ConfigError, match="split"):
-        cfgmod.from_dict({"split": [7, 1, 2.5]})
-    with pytest.raises(ConfigError, match="split"):
-        cfgmod.from_dict({"split": [7, True, 2]})
-    for bad in (5, None, "712", {"train": 7}):
-        with pytest.raises(ConfigError, match="split must be a JSON array"):
-            cfgmod.from_dict({"split": bad})
     with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
         cfgmod.from_dict({"seed": -5})
     with pytest.raises(ConfigError, match="patience must be an integer"):
@@ -111,8 +105,8 @@ def test_invalid_values_rejected():
         cfgmod.from_dict({"train": {"learning_rate": False}})
     # a JSON string is not a number, whatever it spells
     for bad in ("nan", "inf", "5"):
-        with pytest.raises(ConfigError, match="map_threshold must be a number"):
-            cfgmod.from_dict({"dsiq": {"map_threshold": bad}})
+        with pytest.raises(ConfigError, match="lambda_severity must be a number"):
+            cfgmod.from_dict({"train": {"lambda_severity": bad}})
         with pytest.raises(ConfigError, match="lambda_impact must be a number"):
             cfgmod.from_dict({"train": {"lambda_impact": bad}})
         with pytest.raises(ConfigError, match="topic_count must be an integer"):
@@ -125,8 +119,8 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError, match="lexicon must be a string"):
         cfgmod.from_dict({"paths": {"lexicon": ["lex.json"]}})
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="map_threshold must be a finite number"):
-            cfgmod.from_dict({"dsiq": {"map_threshold": bad}})
+        with pytest.raises(ConfigError, match="lambda_severity must be a finite number"):
+            cfgmod.from_dict({"train": {"lambda_severity": bad}})
         with pytest.raises(ConfigError, match="learning_rate must be a finite number"):
             cfgmod.from_dict({"train": {"learning_rate": bad}})
     for lr in (0.0, -1e-3):
@@ -165,9 +159,8 @@ def test_lowered_max_epochs_caps_the_default_patience(max_epochs, patience):
 
 
 def test_whole_floats_accepted_for_int_fields():
-    cfg = cfgmod.from_dict({"windows": {"lookback": 12.0}, "split": [7.0, 1, 2]})
+    cfg = cfgmod.from_dict({"windows": {"lookback": 12.0}})
     assert cfg.model.lookback == 12 and type(cfg.model.lookback) is int
-    assert cfg.split == (7, 1, 2) and all(type(r) is int for r in cfg.split)
 
 
 def test_null_values():
@@ -183,8 +176,8 @@ def test_null_values():
 def test_non_finite_literal_in_file_rejected(tmp_path):
     # Python's json module accepts NaN and Infinity, which JSON itself does not
     path = tmp_path / "run.json"
-    path.write_text('{"dsiq": {"map_threshold": NaN}}', encoding="utf-8")
-    with pytest.raises(ConfigError, match="map_threshold must be a finite number"):
+    path.write_text('{"train": {"lambda_impact": NaN}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="lambda_impact must be a finite number"):
         cfgmod.load(path)
 
 

@@ -383,12 +383,15 @@ class TestMapTopic:
 
         assert map_topic(["kw"], TieBackend()) == 2
 
-    def test_below_threshold_maps_to_other(self):
+    def test_below_threshold_maps_to_other(self, monkeypatch):
         class WeakBackend:
             def score(self, keywords):
                 return [0.14] + [0.0] * (DETERMINANT_COUNT - 1)
 
-        assert map_topic(["kw"], WeakBackend(), threshold=0.15) == OTHER_INDEX
+        assert dsiq.MAP_THRESHOLD == 0.15
+        assert map_topic(["kw"], WeakBackend()) == OTHER_INDEX
+        monkeypatch.setattr(dsiq, "MAP_THRESHOLD", 0.1)  # read at call time
+        assert map_topic(["kw"], WeakBackend()) == 0
 
     def test_determinism(self):
         backend = LexiconBackend()

@@ -15,7 +15,6 @@ from side.synth import (
     IN_STATE_PLACES,
     OTHER_TERMS,
     OUT_OF_STATE_PLACES,
-    SynthSpec,
     _choice_bounds,
     _sample_without_replacement,
     determinant_mixture,
@@ -35,15 +34,16 @@ def _make_text(det_index, lexicon, rng, out_of_state):
     return f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}"
 
 
-def _reference_generate_documents(spec, severity, source, rng):
+def _reference_generate_documents(severity, docs_per_week, source, rng):
     """One ``choice`` or ``integers`` call per random value and a datetime
     stamp per document: the documents ``generate_documents`` must match."""
     lexicon = load_lexicon()
-    lead = spec.social_lead if source == "social" else 0
+    weeks = len(severity)
+    lead = synth.SOCIAL_LEAD if source == "social" else 0
     docs = []
-    for t in range(spec.weeks):
-        driver = severity[min(t + lead, spec.weeks - 1)]
-        lam = spec.docs_per_week * (0.35 + 1.3 * driver / DSCI_MAX)
+    for t in range(weeks):
+        driver = severity[min(t + lead, weeks - 1)]
+        lam = docs_per_week * (0.35 + 1.3 * driver / DSCI_MAX)
         count = int(rng.poisson(lam))
         mixture = determinant_mixture(driver)
         week_start = synth.START + timedelta(days=7 * t)
@@ -71,25 +71,24 @@ def _reference_generate_documents(spec, severity, source, rng):
 @pytest.mark.parametrize("seed", [0, 7, 1001])
 def test_documents_match_the_reference_generator(monkeypatch, docs_per_week, social_lead, out_of_state_fraction, seed):
     weeks = 6 if docs_per_week > 100 else 40
-    spec = SynthSpec(weeks=weeks, docs_per_week=docs_per_week, social_lead=social_lead)
+    monkeypatch.setattr(synth, "SOCIAL_LEAD", social_lead)
     monkeypatch.setattr(synth, "OUT_OF_STATE_FRACTION", out_of_state_fraction)
-    severity = generate_severity(spec, np.random.default_rng(seed))
+    severity = generate_severity(weeks, np.random.default_rng(seed))
     fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for source in ("social", "news"):
-        got = generate_documents(spec, severity, source, fast)
-        want = _reference_generate_documents(spec, severity, source, slow)
+        got = list(generate_documents(severity, docs_per_week, source, fast))
+        want = _reference_generate_documents(severity, docs_per_week, source, slow)
         assert got == want
         # the next source (or the next draw of any kind) continues from the same state
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_written_lines_match_the_reference(tmp_path):
-    spec = SynthSpec(weeks=20, docs_per_week=12.0)
-    paths = write_dataset(tmp_path, spec, seed=3)
+    paths = write_dataset(tmp_path, 20, 12.0, seed=3)
     rng = np.random.default_rng(3)
-    severity = generate_severity(spec, rng)
+    severity = generate_severity(20, rng)
     for source in ("social", "news"):
-        docs = _reference_generate_documents(spec, severity, source, rng)
+        docs = _reference_generate_documents(severity, 12.0, source, rng)
         assert paths[source].read_text() == "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
 
 
@@ -104,15 +103,17 @@ def test_sample_without_replacement_is_generator_choice(n):
             assert fast.bit_generator.state == slow.bit_generator.state, (n, size, seed)
 
 
-def test_zero_noise_is_exactly_periodic():
-    spec = SynthSpec(weeks=104, noise_scale=0.0, seasonal_period=52.0)
-    severity = generate_severity(spec, np.random.default_rng(0))
+def test_zero_noise_is_exactly_periodic(monkeypatch):
+    monkeypatch.setattr(synth, "NOISE_SCALE", 0.0)
+    assert synth.SEASONAL_PERIOD == 52.0
+    severity = generate_severity(104, np.random.default_rng(0))
     np.testing.assert_allclose(severity[:52], severity[52:], atol=1e-9)
 
 
-def test_severity_stays_in_dsci_range():
-    spec = SynthSpec(weeks=200, noise_scale=80.0, seasonal_amplitude=300.0)
-    severity = generate_severity(spec, np.random.default_rng(1))
+def test_severity_stays_in_dsci_range(monkeypatch):
+    monkeypatch.setattr(synth, "NOISE_SCALE", 80.0)
+    monkeypatch.setattr(synth, "SEASONAL_AMPLITUDE", 300.0)
+    severity = generate_severity(200, np.random.default_rng(1))
     assert severity.min() >= 0.0 and severity.max() <= 500.0
 
 
@@ -129,12 +130,12 @@ def test_mixture_is_distribution_and_shifts_with_severity():
     assert high[recreation] < low[recreation]
 
 
-def test_document_rate_rises_with_severity():
-    spec = SynthSpec(weeks=60, docs_per_week=12.0, noise_scale=0.0)
+def test_document_rate_rises_with_severity(monkeypatch):
+    monkeypatch.setattr(synth, "NOISE_SCALE", 0.0)
     rng = np.random.default_rng(2)
-    severity = generate_severity(spec, rng)
-    docs = generate_documents(spec, severity, "news", rng)
-    by_week = np.zeros(spec.weeks)
+    severity = generate_severity(60, rng)
+    docs = generate_documents(severity, 12.0, "news", rng)
+    by_week = np.zeros(60)
     for d in docs:
         week = int(d["id"].split("-")[1])
         by_week[week] += 1
@@ -143,23 +144,20 @@ def test_document_rate_rises_with_severity():
 
 
 def test_write_dataset_reproducible_byte_for_byte(tmp_path):
-    spec = SynthSpec(weeks=30, docs_per_week=4.0)
-    a = write_dataset(tmp_path / "a", spec, seed=7)
-    b = write_dataset(tmp_path / "b", spec, seed=7)
+    a = write_dataset(tmp_path / "a", 30, 4.0, seed=7)
+    b = write_dataset(tmp_path / "b", 30, 4.0, seed=7)
     for key in a:
         assert a[key].read_bytes() == b[key].read_bytes(), key
 
 
 def test_different_seed_changes_output(tmp_path):
-    spec = SynthSpec(weeks=30, docs_per_week=4.0)
-    a = write_dataset(tmp_path / "a", spec, seed=7)
-    b = write_dataset(tmp_path / "b", spec, seed=8)
+    a = write_dataset(tmp_path / "a", 30, 4.0, seed=7)
+    b = write_dataset(tmp_path / "b", 30, 4.0, seed=8)
     assert a["dsci"].read_bytes() != b["dsci"].read_bytes()
 
 
 def test_outputs_feed_the_ingest_pipeline(tmp_path):
-    spec = SynthSpec(weeks=40, docs_per_week=6.0)
-    paths = write_dataset(tmp_path, spec, seed=0)
+    paths = write_dataset(tmp_path, 40, 6.0, seed=0)
     series = load_severity(paths["dsci"])
     assert len(series) == 40
     entities = EntityList.from_file(paths["entities"])
@@ -173,32 +171,35 @@ def test_outputs_feed_the_ingest_pipeline(tmp_path):
     assert len(kept) > 0.7 * len(result.documents)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SynthSpec(weeks=0)
-    with pytest.raises(ValueError):
-        SynthSpec(social_lead=-1)
-    for field, value in (
-        ("seasonal_amplitude", float("inf")),
-        ("seasonal_period", float("-inf")),
-        ("noise_scale", float("nan")),
-        ("docs_per_week", float("nan")),
-        ("docs_per_week", float("inf")),
-        ("seasonal_period", 0.0),
-        ("seasonal_period", -52.0),
+def test_spec_validation(tmp_path):
+    # the week after 2017-01-02 + 416,532 weeks would end past date.max (9999-12-31)
+    for weeks, docs_per_week, field in (
+        (0, 4.0, "weeks"),
+        (416_533, 0.0, "weeks"),
+        (10, float("nan"), "docs_per_week"),
+        (10, float("inf"), "docs_per_week"),
+        (10, -1.0, "docs_per_week"),
     ):
         with pytest.raises(ValueError, match=field):
-            SynthSpec(**{field: value})
+            write_dataset(tmp_path / "d", weeks, docs_per_week, seed=0)
+        assert not (tmp_path / "d").exists()
 
 
-def test_zero_lead_makes_sources_statistically_identical():
+def test_documents_stream_one_at_a_time():
+    # a billion documents a week: the first arrives without the week being drawn
+    severity = generate_severity(3, np.random.default_rng(0))
+    doc = next(generate_documents(severity, 1e9, "social", np.random.default_rng(1)))
+    assert doc["id"] == "social-0000-000"
+
+
+def test_zero_lead_makes_sources_statistically_identical(monkeypatch):
     # same mixture driver for both sources: aggregate determinant
     # frequencies agree up to sampling noise
-    spec = SynthSpec(weeks=150, docs_per_week=20.0, social_lead=0)
+    monkeypatch.setattr(synth, "SOCIAL_LEAD", 0)
     rng = np.random.default_rng(9)
-    severity = generate_severity(spec, rng)
-    social = generate_documents(spec, severity, "social", rng)
-    news = generate_documents(spec, severity, "news", rng)
+    severity = generate_severity(150, rng)
+    social = list(generate_documents(severity, 20.0, "social", rng))
+    news = list(generate_documents(severity, 20.0, "news", rng))
 
     lexicon = {name: set(terms) for name, terms in
                __import__("side.dsiq", fromlist=["load_lexicon"]).load_lexicon().items()}
