@@ -109,48 +109,94 @@ class TopicModel:
 # ---------------------------------------------------------------------------
 
 
-def _fit_tfidf(docs: list[Document]) -> tuple[dict[str, int], np.ndarray, np.ndarray, list[list[str]]]:
-    """Vocabulary, IDF, L2-normalized TF-IDF vectors and token lists of ``docs``.
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """Documents as term ids: document ``i``'s tokens are ``terms[j]`` for ``j`` in ``ids[offsets[i]:offsets[i + 1]]``.
 
-    The vocabulary keeps terms that appear in at least two documents and
-    are not stopwords; IDF is ln(N / df), so a term present in every
-    document gets zero weight.
+    ``ids`` is ``int32`` and ``offsets``, one longer than the documents, ``int64``.
+    """
+
+    terms: tuple[str, ...]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def take(self, rows: np.ndarray) -> Tokens:
+        """The documents ``rows`` (an integer array), in that order."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        index = np.repeat(starts - offsets[:-1], lengths)
+        index += np.arange(offsets[-1])
+        return Tokens(self.terms, self.ids[index], offsets)
+
+    def in_vocabulary(self, vocab: dict[str, int]) -> Tokens:
+        """These documents with each term id replaced by its column in ``vocab``; tokens of other terms are dropped."""
+        columns = np.array([vocab.get(t, -1) for t in self.terms], dtype=np.int32)[self.ids]
+        known = columns >= 0
+        known_before = np.zeros(len(known) + 1, dtype=np.int64)
+        np.cumsum(known, out=known_before[1:])
+        return Tokens(tuple(vocab), columns[known], known_before[self.offsets])
+
+
+def encode(texts) -> Tokens:
+    """The :func:`tokenize` tokens of each text as term ids, numbered in order of first appearance."""
+    index: dict[str, int] = {}
+    ids: list[int] = []
+    offsets = [0]
+    for text in texts:
+        ids += [index.setdefault(t, len(index)) for t in tokenize(text)]
+        offsets.append(len(ids))
+    return Tokens(tuple(index), np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64))
+
+
+def _cells(tokens: Tokens, rows, width: int) -> np.ndarray:
+    """``rows[i] * width + j`` for each term id ``j`` of document ``i``: its cell in a row-major count matrix."""
+    cells = np.repeat(np.asarray(rows, dtype=np.int64) * width, np.diff(tokens.offsets))
+    cells += tokens.ids
+    return cells
+
+
+def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, np.ndarray, Tokens]:
+    """Vocabulary, IDF, L2-normalized TF-IDF vectors of the documents ``tokens``, and those documents in the vocabulary.
+
+    The vocabulary keeps terms that appear in at least two documents, in
+    sorted order; IDF is ln(N / df), so a term present in every document
+    gets zero weight.
 
     Raises:
         ValueError: no documents, or the vocabulary comes out empty.
     """
-    if not docs:
+    n, width = len(tokens), len(tokens.terms)
+    if not n:
         raise ValueError("TF-IDF needs at least one document")
-    token_lists = [tokenize(d.text) for d in docs]
-    df: dict[str, int] = {}
-    for tokens in token_lists:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-    vocab = {term: i for i, term in enumerate(sorted(t for t, c in df.items() if c >= 2))}
-    if not vocab:
+    # A document counts once towards the frequency of each term it holds.
+    cells = np.sort(_cells(tokens, np.arange(n), width))
+    df = np.bincount(cells[np.diff(cells, prepend=-1) != 0] % width, minlength=width).tolist()
+    frequent = sorted((term, df[j]) for j, term in enumerate(tokens.terms) if df[j] >= 2)
+    if not frequent:
         raise ValueError("vocabulary is empty: no term appears in two or more documents")
-
-    n = len(docs)
-    idf = np.zeros(len(vocab))
-    for term, j in vocab.items():
-        idf[j] = math.log(n / df[term])
-    return vocab, idf, doc_matrix(token_lists, vocab, idf), token_lists
+    vocab = {term: j for j, (term, _) in enumerate(frequent)}
+    idf = np.array([math.log(n / count) for _, count in frequent])
+    tokens = tokens.in_vocabulary(vocab)
+    return vocab, idf, doc_matrix(tokens, idf), tokens
 
 
-def term_counts(token_lists: list[list[str]], vocab: dict[str, int]) -> np.ndarray:
-    """In-vocabulary term counts, one row per token list: shape (len(token_lists), len(vocab))."""
-    counts = np.zeros((len(token_lists), len(vocab)))
-    for r, tokens in enumerate(token_lists):
-        for t in tokens:
-            j = vocab.get(t)
-            if j is not None:
-                counts[r, j] += 1.0
-    return counts
+def term_counts(tokens: Tokens, rows=None) -> np.ndarray:
+    """Term counts of shape (rows, len(tokens.terms)); document ``i`` counts into row ``rows[i]``, by default ``i``."""
+    rows = np.arange(len(tokens)) if rows is None else np.asarray(rows)
+    n_rows, width = int(np.max(rows, initial=-1)) + 1, len(tokens.terms)
+    cells = _cells(tokens, rows, width)
+    # Float weights make bincount count straight into the float matrix, with no integer one to convert.
+    return np.bincount(cells, weights=np.ones(len(cells)), minlength=n_rows * width).reshape(n_rows, width)
 
 
-def doc_matrix(token_lists: list[list[str]], vocab: dict[str, int], idf: np.ndarray) -> np.ndarray:
-    """TF * IDF rows, L2-normalized; all-out-of-vocabulary rows stay zero."""
-    x = term_counts(token_lists, vocab)
+def doc_matrix(tokens: Tokens, idf: np.ndarray) -> np.ndarray:
+    """TF * IDF rows, L2-normalized, of documents whose term ids are ``idf``'s columns; rows with no term stay zero."""
+    x = term_counts(tokens)
     x *= idf
     norms = np.sqrt(_row_sq_norms(x))[:, None]
     np.divide(x, norms, out=x, where=norms > 0)
@@ -285,22 +331,19 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = No
     return np.maximum(d, 0.0, out=d)
 
 
-def cluster_keywords(token_lists: list[list[str]], assignments, vocab: dict[str, int]) -> list[tuple[str, ...]]:
+def cluster_keywords(tokens: Tokens, assignments) -> list[tuple[str, ...]]:
     """The ``KEYWORDS_PER_TOPIC`` top keywords per cluster by class-based TF-IDF.
 
-    ``assignments[i]`` is the cluster of ``token_lists[i]``; clusters are
-    numbered 0..C-1.  Each cluster's members are concatenated into one
-    pseudo-document; a term's weight is its frequency there times
+    ``assignments[i]`` is the cluster of document ``i`` of ``tokens``;
+    clusters are numbered 0..C-1.  Each cluster's members are concatenated
+    into one pseudo-document; a term's weight is its frequency there times
     ln(C / cf) where cf counts the clusters containing it.  When no term
-    has positive weight (a single cluster, or fully shared vocabulary)
-    raw frequency decides.
+    has positive weight (a single cluster, or fully shared vocabulary) raw
+    frequency decides.
     """
-    terms = list(vocab)
-    n_clusters = int(np.max(assignments, initial=-1)) + 1
-    pseudo_docs = [[] for _ in range(n_clusters)]
-    for c, tokens in zip(assignments, token_lists):
-        pseudo_docs[c].extend(tokens)
-    counts = term_counts(pseudo_docs, vocab)
+    terms = tokens.terms
+    counts = term_counts(tokens, assignments)
+    n_clusters = len(counts)
     cf = (counts > 0).sum(axis=0)
     with np.errstate(divide="ignore"):
         cluster_idf = np.log(np.where(cf > 0, n_clusters / np.maximum(cf, 1), 1.0))
@@ -493,23 +536,23 @@ def map_topic(keywords, backend) -> int:
 
 
 def fit_topic_model(
-    docs: list[Document],
+    tokens: Tokens,
     backend,
     topic_count: int,
     seed: int,
 ) -> TopicModel:
-    """Cluster one source's documents and map every topic to a determinant.
+    """Cluster one source's documents, given as :func:`encode` made them, and map every topic to a determinant.
 
     Topics are mapped on ``MAP_PARALLELISM`` threads, in topic order.
     """
-    vocab, idf, vectors, token_lists = _fit_tfidf(docs)
+    vocab, idf, vectors, tokens = _fit_tfidf(tokens)
     assignments, centroids = kmeans(vectors, topic_count, seed)
     # Renumber the clusters that kept members as 0..live-1.
     live, assignments = np.unique(assignments, return_inverse=True)
     centroids = centroids[live]
 
     doc_counts = np.bincount(assignments, minlength=len(live))
-    keywords = cluster_keywords(token_lists, assignments, vocab)
+    keywords = cluster_keywords(tokens, assignments)
 
     with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
         det_indices = list(pool.map(lambda kw: map_topic(kw, backend), keywords))
@@ -525,21 +568,24 @@ def fit_topic_model(
     return TopicModel(vocabulary=vocab, idf=idf, centroids=centroids, clusters=clusters)
 
 
-def assign_clusters(docs: list[Document], model: TopicModel) -> np.ndarray:
-    """Nearest-centroid topic ids for documents under a frozen model."""
-    token_lists = [tokenize(d.text) for d in docs]
-    vectors = doc_matrix(token_lists, model.vocabulary, model.idf)
+def assign_clusters(tokens: Tokens, model: TopicModel) -> np.ndarray:
+    """Nearest-centroid topic ids under a frozen model for documents whose term ids are its vocabulary's columns."""
+    vectors = doc_matrix(tokens, model.idf)
     return np.argmin(_sq_dists(vectors, model.centroids), axis=1)
 
 
-def quantify(docs_at_t: list[Document], model: TopicModel) -> np.ndarray:
+def quantify(docs_at_t: list[Document] | Tokens, model: TopicModel) -> np.ndarray:
     """Normalized determinant distribution of one week's documents.
 
-    Counts documents per determinant through their topic assignment and
-    divides by the total; an empty week yields the all-zero vector.
+    The documents come as text, or as :class:`Tokens` whose term ids are
+    the model's vocabulary columns.  Counts documents per determinant
+    through their topic assignment and divides by the total; an empty week
+    yields the all-zero vector.
     """
-    if not docs_at_t:
+    if not len(docs_at_t):
         return np.zeros(DETERMINANT_COUNT)
+    if not isinstance(docs_at_t, Tokens):
+        docs_at_t = encode(d.text for d in docs_at_t).in_vocabulary(model.vocabulary)
     determinants = np.array([c.determinant_index for c in model.clusters])
     counts = np.bincount(determinants[assign_clusters(docs_at_t, model)], minlength=DETERMINANT_COUNT)
     return counts / len(docs_at_t)
@@ -551,8 +597,9 @@ def quantify_source(
 ) -> tuple[dict[str, int], TopicModel, np.ndarray]:
     """Ingest counters, topic model and (len(series), DETERMINANT_COUNT) impact half of one JSONL dump.
 
-    The model fits the kept documents before week ``cutoff``, and a source with none raises ``ConfigError``;
-    the counters carry the labels ``side quantify`` prints.
+    Each kept document is tokenized once.  The model fits the kept documents before week ``cutoff``, and a
+    source with none, or with no term in two of them, raises ``ConfigError``; the counters carry the labels
+    ``side quantify`` prints.
     """
     loaded = ingest.load_documents(path, series)
     kept = ingest.geofilter(loaded.documents, entities)
@@ -566,16 +613,23 @@ def quantify_source(
         "kept": len(kept),
     }
     del loaded  # the documents the geofilter dropped need not live through the topic fit
+    timesteps = np.array([d.timestep for d in kept], dtype=np.int64)
+    tokens = encode(d.text for d in kept)
+    del kept  # each document is tokenized once; no text lives through the topic fit
     # Topic models see training-range text only, never validation or test text.
-    fit_docs = [d for d in kept if d.timestep < cutoff]
-    if not fit_docs:
+    fit_rows = np.flatnonzero(timesteps < cutoff)
+    if not len(fit_rows):
         raise ConfigError(f"no {source} document falls in the training range (before week {cutoff})")
-    model = fit_topic_model(fit_docs, backend, topic_count=topic_count, seed=seed)
+    try:
+        model = fit_topic_model(tokens.take(fit_rows), backend, topic_count=topic_count, seed=seed)
+    except ValueError as exc:  # an empty vocabulary
+        raise ConfigError(f"{source} training range (before week {cutoff}): {exc}") from exc
 
-    by_step = [[] for _ in range(len(series))]
-    for d in kept:
-        by_step[d.timestep].append(d)
-    return counts, model, np.array([quantify(docs, model) for docs in by_step])
+    tokens = tokens.in_vocabulary(model.vocabulary)
+    # Each week's documents in the order they were read.
+    order = np.argsort(timesteps, kind="stable")
+    weeks = np.split(order, np.cumsum(np.bincount(timesteps, minlength=len(series)))[:-1])
+    return counts, model, np.array([quantify(tokens.take(rows), model) for rows in weeks])
 
 
 # ---------------------------------------------------------------------------

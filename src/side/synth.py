@@ -15,7 +15,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from datetime import date, timedelta
@@ -86,6 +85,12 @@ AR_COEFF = 0.85
 NOISE_SCALE = 18.0
 SOCIAL_LEAD = 4
 OUT_OF_STATE_FRACTION = 0.1
+
+#: A week draws its document count from a Poisson rate of at most 1.65 times
+#: ``docs_per_week``.  numpy refuses rates near the largest int64 (about
+#: 9.2e18), and may refuse them from 2**31 where a C long has 32 bits, after
+#: ``dsci.csv`` is written; 1.65e9 is below both.
+MAX_DOCS_PER_WEEK = 1e9
 
 
 def generate_severity(weeks: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,14 +208,14 @@ def write_dataset(out_dir, weeks: int, docs_per_week: float, seed: int) -> dict[
 
     Raises:
         ValueError: ``weeks`` below 1 or so many that the last week ends
-            after ``date.max``, or ``docs_per_week`` negative or not finite;
-            nothing is created then.
+            after ``date.max``, or ``docs_per_week`` negative, not finite or
+            above ``MAX_DOCS_PER_WEEK``; nothing is created then.
     """
     max_weeks = ((date.max - START).days + 1) // 7  # week t runs from START + 7t to START + 7t + 6 days
     if not 1 <= weeks <= max_weeks:
         raise ValueError(f"weeks must be within [1, {max_weeks}], got {weeks}")
-    if not (math.isfinite(docs_per_week) and docs_per_week >= 0):
-        raise ValueError(f"docs_per_week must be finite and >= 0, got {docs_per_week!r}")
+    if not 0 <= docs_per_week <= MAX_DOCS_PER_WEEK:  # NaN fails every comparison
+        raise ValueError(f"docs_per_week must be within [0, {MAX_DOCS_PER_WEEK:g}], got {docs_per_week!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

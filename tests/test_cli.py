@@ -630,7 +630,8 @@ def test_log_level_shows_ingest_info_on_stderr(workspace, tmp_path, capsys, leve
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--docs-per-week", "nan", "docs_per_week"), ("--weeks", "416533", "weeks"), ("--seed", "-1", "--seed")],
+    [("--docs-per-week", "nan", "docs_per_week"), ("--docs-per-week", "1e19", "docs_per_week"),
+     ("--weeks", "416533", "weeks"), ("--seed", "-1", "--seed")],
 )
 def test_synth_rejects_bad_spec_naming_the_field(tmp_path, capsys, flag, value, field):
     assert main(["synth", "--out", str(tmp_path / "d"), "--weeks", "5", flag, value]) == 2

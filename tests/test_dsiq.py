@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from side import dsiq
+from side import dsiq, ingest
 from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, SeveritySeries
 from side.errors import ConfigError, ParseError
 from side.ingest import EntityList
@@ -29,6 +29,7 @@ from side.dsiq import (
     _sq_dists,
     cluster_keywords,
     doc_matrix,
+    encode,
     fit_topic_model,
     impact_csv_header,
     kmeans,
@@ -47,41 +48,58 @@ def doc(text, timestep=0):
     return Document(timestep, text)
 
 
+def encoded(docs):
+    """``docs`` as :func:`encode` gives them to the topic fit."""
+    return encode(d.text for d in docs)
+
+
+def in_vocab(token_lists, vocab):
+    """Token lists through the encoder, as documents in ``vocab``; each token must be one tokenizer word."""
+    assert [tokenize(" ".join(tokens)) for tokens in token_lists] == token_lists
+    return encode(" ".join(tokens) for tokens in token_lists).in_vocabulary(vocab)
+
+
+def term(j):
+    """A tokenizer word for the number ``j``: ``x`` and one letter per digit."""
+    return "x" + "".join("abcdefghij"[int(c)] for c in str(j))
+
+
 class TestVectorize:
     def test_identical_documents_get_identical_vectors(self):
         docs = [doc("dry crop fields"), doc("dry crop fields")]
-        _, _, vectors, _ = _fit_tfidf(docs)
+        _, _, vectors, _ = _fit_tfidf(encoded(docs))
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_term_in_every_document_weighs_zero(self):
         # ln(N/N) = 0, so the shared term contributes nothing
         docs = [doc("drought crop crop"), doc("drought wells wells"), doc("drought crop wells")]
-        vocab, _, vectors, _ = _fit_tfidf(docs)
+        vocab, _, vectors, _ = _fit_tfidf(encoded(docs))
         assert vectors[:, vocab["drought"]].max() == 0.0
         assert vectors[:, vocab["crop"]].max() > 0.0
 
     def test_self_cosine_is_one(self):
         docs = [doc("crop crop harvest"), doc("wells water"), doc("crop wells water harvest")]
-        _, _, vectors, _ = _fit_tfidf(docs)
+        _, _, vectors, _ = _fit_tfidf(encoded(docs))
         for row in vectors:
             if row.any():
                 assert math.isclose(float(row @ row), 1.0, abs_tol=1e-12)
 
     def test_rare_terms_excluded(self):
-        docs = [doc("crop unique1"), doc("crop unique2")]
-        vocab, *_ = _fit_tfidf(docs)
+        # "unique1" and "unique2" would both tokenize to "unique", a term of two documents.
+        docs = [doc("crop uniquea"), doc("crop uniqueb")]
+        vocab, *_ = _fit_tfidf(encoded(docs))
         assert "crop" in vocab
-        assert "unique1" not in vocab and "unique2" not in vocab
+        assert "uniquea" not in vocab and "uniqueb" not in vocab
 
     def test_stopwords_excluded(self):
         docs = [doc("the crop and the field"), doc("the crop of the field")]
-        vocab, *_ = _fit_tfidf(docs)
+        vocab, *_ = _fit_tfidf(encoded(docs))
         assert "the" not in vocab and "and" not in vocab
 
     def test_empty_vocabulary_is_error(self):
         docs = [doc("alpha"), doc("beta")]
         with pytest.raises(ValueError, match="vocabulary"):
-            _fit_tfidf(docs)
+            _fit_tfidf(encoded(docs))
 
 
 class TestKmeans:
@@ -284,12 +302,13 @@ def test_row_sq_norms_equal_one_reduction(n):
 
 def test_doc_matrix_matches_linalg_norm():
     rng = np.random.default_rng(9)
-    vocab = {f"t{j}": j for j in range(30)}
-    token_lists = [[f"t{j}" for j in rng.integers(0, 40, rng.integers(0, 12))] for _ in range(2 * BLOCK_ROWS + 3)]
+    vocab = {term(j): j for j in range(30)}
+    token_lists = [[term(j) for j in rng.integers(0, 40, rng.integers(0, 12))] for _ in range(2 * BLOCK_ROWS + 3)]
+    tokens = in_vocab(token_lists, vocab)
     idf = rng.random(30)
-    x = term_counts(token_lists, vocab) * idf
+    x = term_counts(tokens) * idf
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    assert np.array_equal(doc_matrix(token_lists, vocab, idf), np.divide(x, norms, out=x, where=norms > 0))
+    assert np.array_equal(doc_matrix(tokens, idf), np.divide(x, norms, out=x, where=norms > 0))
 
 
 def _peak_bytes(fn, *args):
@@ -306,21 +325,174 @@ def _peak_bytes(fn, *args):
 def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary(monkeypatch):
     rng = np.random.default_rng(4)
     n, dims = 20_000, 186
-    vocab = {f"t{j}": j for j in range(dims)}
-    token_lists = [[f"t{j}" for j in rng.integers(0, dims, 12)] for _ in range(n)]
+    vocab = {term(j): j for j in range(dims)}
+    tokens = in_vocab([[term(j) for j in rng.integers(0, dims, 12)] for _ in range(n)], vocab)
     idf = rng.random(dims) + 0.5
     matrix_bytes = n * dims * 8
-    assert _peak_bytes(doc_matrix, token_lists, vocab, idf) < matrix_bytes / 4
-    vectors = doc_matrix(token_lists, vocab, idf)
+    assert _peak_bytes(doc_matrix, tokens, idf) < matrix_bytes / 4
+    vectors = doc_matrix(tokens, idf)
     # A mean update still gathers one cluster's rows; at 50 clusters that is small.
     monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", 5)
     assert _peak_bytes(kmeans, vectors, 50, 0) < matrix_bytes / 4
 
 
+def _reference_term_counts(token_lists, vocab):
+    """In-vocabulary term counts as first written: one dict lookup and one scalar ``+=`` per token."""
+    counts = np.zeros((len(token_lists), len(vocab)))
+    for r, tokens in enumerate(token_lists):
+        for t in tokens:
+            j = vocab.get(t)
+            if j is not None:
+                counts[r, j] += 1.0
+    return counts
+
+
+def _reference_doc_matrix(token_lists, vocab, idf):
+    x = _reference_term_counts(token_lists, vocab) * idf
+    norms = np.sqrt((x * x).sum(axis=1))[:, None]
+    return np.divide(x, norms, out=x, where=norms > 0)
+
+
+def _reference_fit_tfidf(texts):
+    """Vocabulary, IDF, TF-IDF rows and token lists of ``texts`` from strings, one ``set(tokens)`` per document."""
+    token_lists = [tokenize(text) for text in texts]
+    df = {}
+    for tokens in token_lists:
+        for t in set(tokens):
+            df[t] = df.get(t, 0) + 1
+    vocab = {t: j for j, t in enumerate(sorted(t for t, c in df.items() if c >= 2))}
+    idf = np.zeros(len(vocab))
+    for t, j in vocab.items():
+        idf[j] = math.log(len(texts) / df[t])
+    return vocab, idf, _reference_doc_matrix(token_lists, vocab, idf), token_lists
+
+
+def _reference_cluster_keywords(token_lists, assignments, vocab):
+    """Class-based TF-IDF keywords from pseudo-documents of concatenated token lists."""
+    terms = list(vocab)
+    n_clusters = int(np.max(assignments, initial=-1)) + 1
+    pseudo_docs = [[] for _ in range(n_clusters)]
+    for c, tokens in zip(assignments, token_lists):
+        pseudo_docs[c].extend(tokens)
+    counts = _reference_term_counts(pseudo_docs, vocab)
+    cf = (counts > 0).sum(axis=0)
+    with np.errstate(divide="ignore"):
+        cluster_idf = np.log(np.where(cf > 0, n_clusters / np.maximum(cf, 1), 1.0))
+    weighted = counts * cluster_idf
+    keywords = []
+    for c in range(n_clusters):
+        scores = weighted[c] if (weighted[c] > 0).any() else counts[c]
+        ranked = sorted((j for j in range(len(terms)) if scores[j] > 0), key=lambda j: (-scores[j], terms[j]))
+        keywords.append(tuple(terms[j] for j in ranked[:KEYWORDS_PER_TOPIC]))
+    return keywords
+
+
+def _reference_quantify(texts, model):
+    """One week's determinant distribution, each text tokenized afresh."""
+    if not texts:
+        return np.zeros(DETERMINANT_COUNT)
+    vectors = _reference_doc_matrix([tokenize(t) for t in texts], model.vocabulary, model.idf)
+    topics = np.argmin(_reference_sq_dists(vectors, model.centroids), axis=1)
+    determinants = np.array([c.determinant_index for c in model.clusters])
+    return np.bincount(determinants[topics], minlength=DETERMINANT_COUNT) / len(texts)
+
+
+#: Words with upper case, apostrophes, digits, stopwords and lexicon terms.
+_WORDS = ("crop", "Crop", "HARVEST", "harvest", "farmer's", "farmers", "don't", "it's", "water", "Wells", "wells",
+          "reservoir", "fire", "Smoke", "clinic", "co2", "x-ray", "drought", "tourism", "the", "And", "of", "'tis")
+
+
+def _random_texts(rng, n, rare_from):
+    """``n`` texts of random words; some stopword-only, some with a term no other text holds."""
+    texts = []
+    for i in range(n):
+        words = [_WORDS[k] for k in rng.integers(0, len(_WORDS), rng.integers(1, 9))]
+        if rng.random() < 0.05:
+            words = ["the", "and", "OF"]
+        if rng.random() < 0.2:
+            words.append(term(rare_from + i).upper())
+        texts.append(" ".join(words))
+    return texts
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, BLOCK_ROWS + 7])
+def test_fit_tfidf_matches_string_reference(n):
+    rng = np.random.default_rng(n)
+    texts = _random_texts(rng, n, rare_from=0)
+    if n < 3:
+        texts = ["Crop crop fields", "the crop's CROP"][:n]
+    want = _reference_fit_tfidf(texts)
+    if not want[0]:
+        with pytest.raises(ValueError, match="vocabulary is empty"):
+            _fit_tfidf(encode(texts))
+        return
+    vocab, idf, rows, tokens = _fit_tfidf(encode(texts))
+    assert list(vocab.items()) == list(want[0].items()) and tokens.terms == tuple(want[0])
+    assert idf.tobytes() == want[1].tobytes()
+    assert rows.tobytes() == want[2].tobytes()
+    in_vocabulary = [[t for t in tokens if t in vocab] for tokens in want[3]]
+    assert [[tokens.terms[j] for j in tokens.ids[a:b]] for a, b in zip(tokens.offsets, tokens.offsets[1:])] \
+        == in_vocabulary
+    assert tokens.ids.dtype == np.int32 and tokens.offsets.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_term_counts_and_keywords_match_string_reference(seed):
+    rng = np.random.default_rng(seed)
+    texts = _random_texts(rng, 3 * BLOCK_ROWS // 2, rare_from=0)
+    vocab, _, _, token_lists = _reference_fit_tfidf(texts)
+    tokens = encode(texts).in_vocabulary(vocab)
+    assert term_counts(tokens).tobytes() == _reference_term_counts(token_lists, vocab).tobytes()
+    # Cluster 3 of 6 holds no document.
+    assignments = rng.choice([0, 1, 2, 4, 5], size=len(texts))
+    assert term_counts(tokens, assignments).tobytes() == _reference_term_counts(
+        [sum((t for t, c in zip(token_lists, assignments) if c == k), []) for k in range(6)], vocab).tobytes()
+    assert cluster_keywords(tokens, assignments) == _reference_cluster_keywords(token_lists, assignments, vocab)
+
+
+def test_weekly_halves_match_string_reference(tmp_path):
+    """Training weeks 0-7 hold more than ``BLOCK_ROWS`` documents; weeks 5 and 10 none; week 9 new terms."""
+    rng = np.random.default_rng(12)
+    weeks, cutoff = 12, 8
+    series = SeveritySeries(start=WEEK0, values=np.full(weeks, 100.0))
+    entities = EntityList.from_terms(["fresno"])
+    lines = []
+    for week in (w for w in range(weeks) if w not in (5, 10)):
+        count = 180 if week < cutoff else 30
+        for i, text in enumerate(_random_texts(rng, count, rare_from=1000 * week)):
+            if week == 9:
+                text += " lateterm Newword"
+            place = "Fresno" if rng.random() < 0.9 else "reno"
+            lines.append(_line(week, f"{text} {place}", day=i % 7))
+    rng.shuffle(lines)
+    path = tmp_path / "posts.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _, model, half = quantify_source("social", path, series, entities, LexiconBackend(),
+                                     cutoff=cutoff, topic_count=12, seed=3)
+
+    kept = ingest.geofilter(ingest.load_documents(path, series).documents, entities)
+    fit_texts = [d.text for d in kept if d.timestep < cutoff]
+    assert len(fit_texts) > BLOCK_ROWS
+    vocab, idf, rows, token_lists = _reference_fit_tfidf(fit_texts)
+    assert "lateterm" not in vocab
+    assignments, centroids = kmeans(rows, 12, 3)
+    live, assignments = np.unique(assignments, return_inverse=True)
+    keywords = _reference_cluster_keywords(token_lists, assignments, vocab)
+    counts = np.bincount(assignments)
+    clusters = tuple(TopicCluster(int(counts[c]), kw, map_topic(kw, LexiconBackend())) for c, kw in enumerate(keywords))
+    assert list(model.vocabulary.items()) == list(vocab.items())
+    assert model.idf.tobytes() == idf.tobytes()
+    assert model.centroids.tobytes() == centroids[live].tobytes()
+    assert model.clusters == clusters
+    want = np.array([_reference_quantify([d.text for d in kept if d.timestep == t], model) for t in range(weeks)])
+    assert half.tobytes() == want.tobytes()
+    assert not half[5].any() and not half[10].any()
+
+
 class TestTermCounts:
     def test_one_row_per_token_list_by_default(self):
         vocab = {"crop": 0, "wells": 1}
-        counts = term_counts([["crop", "crop", "oov"], [], ["wells", "crop"]], vocab)
+        counts = term_counts(in_vocab([["crop", "crop", "oov"], [], ["wells", "crop"]], vocab))
         np.testing.assert_array_equal(counts, [[2.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
 
@@ -333,20 +505,20 @@ class TestClusterKeywords:
             ["water", "shared", "shared"],
         ]
         vocab = {"crop": 0, "harvest": 1, "shared": 2, "water": 3, "wells": 4}
-        keywords = cluster_keywords(token_lists, np.array([0, 1, 0, 1]), vocab)
+        keywords = cluster_keywords(in_vocab(token_lists, vocab), np.array([0, 1, 0, 1]))
         assert keywords[0][0] == "crop"
         assert "shared" not in keywords[0]  # appears in every cluster, idf 0
         assert keywords[1][0] == "water"
 
     def test_single_cluster_falls_back_to_frequency(self):
         vocab = {"crop": 0, "harvest": 1}
-        keywords = cluster_keywords([["crop", "crop", "harvest"]], [0], vocab)
+        keywords = cluster_keywords(in_vocab([["crop", "crop", "harvest"]], vocab), [0])
         assert keywords[0] == ("crop", "harvest")
 
     def test_top_limit(self):
-        terms = [f"t{i}" for i in range(20)]
-        vocab = {t: i for i, t in enumerate(terms + ["other"])}
-        keywords = cluster_keywords([terms, ["other"]], [0, 1], vocab)
+        terms = [term(i) for i in range(20)]
+        vocab = {t: i for i, t in enumerate(terms + ["misc"])}
+        keywords = cluster_keywords(in_vocab([terms, ["misc"]], vocab), [0, 1])
         assert len(keywords[0]) == KEYWORDS_PER_TOPIC
 
 
@@ -636,6 +808,11 @@ class TestQuantifySource:
         with pytest.raises(ConfigError, match="no social document falls in the training range"):
             self.run(tmp_path, [_line(2, "crop harvest fresno"), _line(3, "water wells fresno")])
 
+    def test_one_training_range_document_names_the_source(self, tmp_path):
+        # No term is in two training-range documents, so the vocabulary is empty.
+        with pytest.raises(ConfigError, match=r"social training range \(before week 2\): vocabulary is empty"):
+            self.run(tmp_path, [_line(0, "crop harvest fresno"), _line(2, "crop harvest fresno")])
+
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
     docs = [
@@ -644,7 +821,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
         doc("water reservoir rationing wells"),
         doc("water reservoir wells aquifer"),
     ]
-    model = fit_topic_model(docs, LexiconBackend(), topic_count=2, seed=0)
+    model = fit_topic_model(encoded(docs), LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
     for cluster in model.clusters:
@@ -733,7 +910,7 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server, no_backof
         doc("water reservoir rationing"),
     ]
     backend = LlmBackend(url)
-    model = fit_topic_model(docs, backend, topic_count=2, seed=0)
+    model = fit_topic_model(encoded(docs), backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
@@ -746,10 +923,10 @@ def test_fit_topic_model_on_dead_service_bounds_posts(caplog, no_backoff):
     post = FailingPost()
     backend = LlmBackend("http://llm.test/score", post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):
-        model = fit_topic_model(docs, backend, topic_count=8, seed=0)
+        model = fit_topic_model(encoded(docs), backend, topic_count=8, seed=0)
     assert len(model.clusters) == 8
     # only the topics in flight when the budget ran out may still call
     assert post.calls <= MAP_PARALLELISM * (dsiq.LLM_RETRIES + 1)
     assert len(caplog.records) == 1
-    lexicon = fit_topic_model(docs, LexiconBackend(), topic_count=8, seed=0)
+    lexicon = fit_topic_model(encoded(docs), LexiconBackend(), topic_count=8, seed=0)
     assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]

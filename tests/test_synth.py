@@ -179,6 +179,7 @@ def test_spec_validation(tmp_path):
         (10, float("nan"), "docs_per_week"),
         (10, float("inf"), "docs_per_week"),
         (10, -1.0, "docs_per_week"),
+        (10, 1e19, "docs_per_week"),
     ):
         with pytest.raises(ValueError, match=field):
             write_dataset(tmp_path / "d", weeks, docs_per_week, seed=0)
