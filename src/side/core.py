@@ -78,20 +78,6 @@ class SeveritySeries:
         return idx if 0 <= idx < len(self.values) else None
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
-    """One social post or news article bucketed into a weekly timestep."""
-
-    timestep: int
-    text: str
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError(f"document at timestep {self.timestep} has empty text")
-        if self.timestep < 0:
-            raise ValueError(f"document has negative timestep {self.timestep}")
-
-
 def check_impacts(impacts, labels=None) -> None:
     """Check a (T, IMPACT_DIM) impact series, one half per source in ``SOURCES`` order.
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import ingest
 from .core import (
-    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SOURCES, Document, SeveritySeries, check_impacts, not_utf8,
+    DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SOURCES, SeveritySeries, check_impacts, not_utf8,
     read_csv, write_csv,
 )
 from .errors import ConfigError, ParseError
@@ -574,21 +574,17 @@ def assign_clusters(tokens: Tokens, model: TopicModel) -> np.ndarray:
     return np.argmin(_sq_dists(vectors, model.centroids), axis=1)
 
 
-def quantify(docs_at_t: list[Document] | Tokens, model: TopicModel) -> np.ndarray:
-    """Normalized determinant distribution of one week's documents.
+def quantify(tokens: Tokens, model: TopicModel) -> np.ndarray:
+    """Normalized determinant distribution of one week's documents, whose term ids are the model's vocabulary columns.
 
-    The documents come as text, or as :class:`Tokens` whose term ids are
-    the model's vocabulary columns.  Counts documents per determinant
-    through their topic assignment and divides by the total; an empty week
-    yields the all-zero vector.
+    Counts documents per determinant through their topic assignment and
+    divides by the total; an empty week yields the all-zero vector.
     """
-    if not len(docs_at_t):
+    if not len(tokens):
         return np.zeros(DETERMINANT_COUNT)
-    if not isinstance(docs_at_t, Tokens):
-        docs_at_t = encode(d.text for d in docs_at_t).in_vocabulary(model.vocabulary)
     determinants = np.array([c.determinant_index for c in model.clusters])
-    counts = np.bincount(determinants[assign_clusters(docs_at_t, model)], minlength=DETERMINANT_COUNT)
-    return counts / len(docs_at_t)
+    counts = np.bincount(determinants[assign_clusters(tokens, model)], minlength=DETERMINANT_COUNT)
+    return counts / len(tokens)
 
 
 def quantify_source(
@@ -612,10 +608,9 @@ def quantify_source(
         "outside the state": len(loaded.documents) - len(kept),
         "kept": len(kept),
     }
-    del loaded  # the documents the geofilter dropped need not live through the topic fit
-    timesteps = np.array([d.timestep for d in kept], dtype=np.int64)
-    tokens = encode(d.text for d in kept)
-    del kept  # each document is tokenized once; no text lives through the topic fit
+    timesteps = np.asarray(loaded.timesteps, dtype=np.int64)[kept]
+    tokens = encode(loaded.documents[i] for i in kept)
+    del loaded, kept  # each kept text is tokenized once; no text lives through the topic fit
     # Topic models see training-range text only, never validation or test text.
     fit_rows = np.flatnonzero(timesteps < cutoff)
     if not len(fit_rows):

@@ -195,24 +195,24 @@ def test_criterion_4_invariant_suite():
         ok &= bool(np.allclose(nm.softmax_rows(nm.constant(x)).value.sum(axis=-1), 1.0, atol=1e-6))
 
     # impact vector bounds and sum rule via quantify over random doc counts
-    from test_dsiq import _toy_model, doc
+    from test_dsiq import _toy_model, week
 
     model = _toy_model()
     words = ["crop", "clinic", "zzz"]
     for _ in range(100):
         n = int(rng.integers(0, 15))
-        docs = [doc(words[int(rng.integers(3))]) for _ in range(n)]
-        out = dsiq.quantify(docs, model)
+        texts = [words[int(rng.integers(3))] for _ in range(n)]
+        out = dsiq.quantify(week(texts, model), model)
         total = out.sum()
         ok &= bool(np.all(out >= 0.0) and np.all(out <= 1.0))
         ok &= total == 0.0 or abs(total - 1.0) <= 1e-6
 
     # permutation invariance of quantify
-    docs = [doc(words[int(rng.integers(3))]) for _ in range(12)]
-    base = dsiq.quantify(docs, model)
+    texts = [words[int(rng.integers(3))] for _ in range(12)]
+    base = dsiq.quantify(week(texts, model), model)
     for _ in range(100):
-        perm = rng.permutation(len(docs))
-        ok &= bool(np.array_equal(dsiq.quantify([docs[i] for i in perm], model), base))
+        perm = rng.permutation(len(texts))
+        ok &= bool(np.array_equal(dsiq.quantify(week([texts[i] for i in perm], model), model), base))
 
     # standardizer round trip
     for _ in range(100):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from side import dsiq, ingest
-from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, Document, SeveritySeries
+from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SeveritySeries
 from side.errors import ConfigError, ParseError
 from side.ingest import EntityList
 from side.dsiq import (
@@ -44,13 +44,9 @@ from side.dsiq import (
 )
 
 
-def doc(text, timestep=0):
-    return Document(timestep, text)
-
-
-def encoded(docs):
-    """``docs`` as :func:`encode` gives them to the topic fit."""
-    return encode(d.text for d in docs)
+def week(texts, model):
+    """One week's ``texts`` as :func:`quantify` takes them: encoded, in the vocabulary of ``model``."""
+    return encode(texts).in_vocabulary(model.vocabulary)
 
 
 def in_vocab(token_lists, vocab):
@@ -66,40 +62,40 @@ def term(j):
 
 class TestVectorize:
     def test_identical_documents_get_identical_vectors(self):
-        docs = [doc("dry crop fields"), doc("dry crop fields")]
-        _, _, vectors, _ = _fit_tfidf(encoded(docs))
+        docs = ["dry crop fields", "dry crop fields"]
+        _, _, vectors, _ = _fit_tfidf(encode(docs))
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_term_in_every_document_weighs_zero(self):
         # ln(N/N) = 0, so the shared term contributes nothing
-        docs = [doc("drought crop crop"), doc("drought wells wells"), doc("drought crop wells")]
-        vocab, _, vectors, _ = _fit_tfidf(encoded(docs))
+        docs = ["drought crop crop", "drought wells wells", "drought crop wells"]
+        vocab, _, vectors, _ = _fit_tfidf(encode(docs))
         assert vectors[:, vocab["drought"]].max() == 0.0
         assert vectors[:, vocab["crop"]].max() > 0.0
 
     def test_self_cosine_is_one(self):
-        docs = [doc("crop crop harvest"), doc("wells water"), doc("crop wells water harvest")]
-        _, _, vectors, _ = _fit_tfidf(encoded(docs))
+        docs = ["crop crop harvest", "wells water", "crop wells water harvest"]
+        _, _, vectors, _ = _fit_tfidf(encode(docs))
         for row in vectors:
             if row.any():
                 assert math.isclose(float(row @ row), 1.0, abs_tol=1e-12)
 
     def test_rare_terms_excluded(self):
         # "unique1" and "unique2" would both tokenize to "unique", a term of two documents.
-        docs = [doc("crop uniquea"), doc("crop uniqueb")]
-        vocab, *_ = _fit_tfidf(encoded(docs))
+        docs = ["crop uniquea", "crop uniqueb"]
+        vocab, *_ = _fit_tfidf(encode(docs))
         assert "crop" in vocab
         assert "uniquea" not in vocab and "uniqueb" not in vocab
 
     def test_stopwords_excluded(self):
-        docs = [doc("the crop and the field"), doc("the crop of the field")]
-        vocab, *_ = _fit_tfidf(encoded(docs))
+        docs = ["the crop and the field", "the crop of the field"]
+        vocab, *_ = _fit_tfidf(encode(docs))
         assert "the" not in vocab and "and" not in vocab
 
     def test_empty_vocabulary_is_error(self):
-        docs = [doc("alpha"), doc("beta")]
+        docs = ["alpha", "beta"]
         with pytest.raises(ValueError, match="vocabulary"):
-            _fit_tfidf(encoded(docs))
+            _fit_tfidf(encode(docs))
 
 
 class TestKmeans:
@@ -470,8 +466,9 @@ def test_weekly_halves_match_string_reference(tmp_path):
     _, model, half = quantify_source("social", path, series, entities, LexiconBackend(),
                                      cutoff=cutoff, topic_count=12, seed=3)
 
-    kept = ingest.geofilter(ingest.load_documents(path, series).documents, entities)
-    fit_texts = [d.text for d in kept if d.timestep < cutoff]
+    loaded = ingest.load_documents(path, series)
+    kept = [(loaded.documents[i], loaded.timesteps[i]) for i in ingest.geofilter(loaded.documents, entities)]
+    fit_texts = [text for text, t in kept if t < cutoff]
     assert len(fit_texts) > BLOCK_ROWS
     vocab, idf, rows, token_lists = _reference_fit_tfidf(fit_texts)
     assert "lateterm" not in vocab
@@ -484,7 +481,7 @@ def test_weekly_halves_match_string_reference(tmp_path):
     assert model.idf.tobytes() == idf.tobytes()
     assert model.centroids.tobytes() == centroids[live].tobytes()
     assert model.clusters == clusters
-    want = np.array([_reference_quantify([d.text for d in kept if d.timestep == t], model) for t in range(weeks)])
+    want = np.array([_reference_quantify([text for text, t in kept if t == w], model) for w in range(weeks)])
     assert half.tobytes() == want.tobytes()
     assert not half[5].any() and not half[10].any()
 
@@ -710,28 +707,28 @@ def _toy_model():
 class TestQuantify:
     def test_distribution_matches_counts(self):
         model = _toy_model()
-        docs = [doc("crop"), doc("crop"), doc("clinic"), doc("zzz")]
-        out = quantify(docs, model)
+        out = quantify(week(["crop", "crop", "clinic", "zzz"], model), model)
         expected = np.zeros(11)
         expected[0], expected[6], expected[OTHER_INDEX] = 0.5, 0.25, 0.25
         np.testing.assert_allclose(out, expected)
 
     def test_empty_input_gives_zero_vector(self):
-        out = quantify([], _toy_model())
+        model = _toy_model()
+        out = quantify(week([], model), model)
         np.testing.assert_array_equal(out, np.zeros(11))
 
     def test_output_length_is_delta(self):
-        assert quantify([doc("crop")], _toy_model()).shape == (11,)
+        model = _toy_model()
+        assert quantify(week(["crop"], model), model).shape == (11,)
 
     def test_permutation_invariance(self):
         model = _toy_model()
         rng = np.random.default_rng(5)
         texts = ["crop", "clinic", "zzz", "crop", "crop", "clinic"]
-        docs = [doc(t) for t in texts]
-        base = quantify(docs, model)
+        base = quantify(week(texts, model), model)
         for _ in range(100):
-            perm = rng.permutation(len(docs))
-            np.testing.assert_array_equal(quantify([docs[i] for i in perm], model), base)
+            perm = rng.permutation(len(texts))
+            np.testing.assert_array_equal(quantify(week([texts[i] for i in perm], model), model), base)
 
     def test_components_bounded_and_normalized(self):
         model = _toy_model()
@@ -739,8 +736,8 @@ class TestQuantify:
         words = ["crop", "clinic", "zzz"]
         for _ in range(100):
             n = int(rng.integers(0, 12))
-            docs = [doc(words[rng.integers(3)]) for _ in range(n)]
-            out = quantify(docs, model)
+            texts = [words[rng.integers(3)] for _ in range(n)]
+            out = quantify(week(texts, model), model)
             assert np.all(out >= 0) and np.all(out <= 1)
             assert out.sum() == 0.0 or abs(out.sum() - 1.0) <= 1e-6
 
@@ -816,12 +813,12 @@ class TestQuantifySource:
 
 def test_fit_topic_model_maps_lexicon_terms_correctly():
     docs = [
-        doc("crop harvest irrigation farm"),
-        doc("crop harvest farm fields"),
-        doc("water reservoir rationing wells"),
-        doc("water reservoir wells aquifer"),
+        "crop harvest irrigation farm",
+        "crop harvest farm fields",
+        "water reservoir rationing wells",
+        "water reservoir wells aquifer",
     ]
-    model = fit_topic_model(encoded(docs), LexiconBackend(), topic_count=2, seed=0)
+    model = fit_topic_model(encode(docs), LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
     for cluster in model.clusters:
@@ -831,8 +828,8 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
 def test_impact_csv_round_trip(tmp_path):
     model = _toy_model()
     impacts = np.zeros((2, 2 * DETERMINANT_COUNT))  # no news documents: the news half stays zero
-    impacts[0, :DETERMINANT_COUNT] = quantify([doc("crop crop")], model)
-    impacts[1, :DETERMINANT_COUNT] = quantify([doc("crop wells"), doc("clinic")], model)
+    impacts[0, :DETERMINANT_COUNT] = quantify(week(["crop crop"], model), model)
+    impacts[1, :DETERMINANT_COUNT] = quantify(week(["crop wells", "clinic"], model), model)
     path = tmp_path / "impact.csv"
     write_impact_csv(path, impacts)
     header = path.read_text().splitlines()[0].split(",")
@@ -904,13 +901,13 @@ def test_load_lexicon_rejects_bad_entries(tmp_path, lexicon, match):
 def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server, no_backoff):
     url, handler = llm_server
     docs = [
-        doc("crop harvest irrigation"),
-        doc("crop harvest farm"),
-        doc("water reservoir wells"),
-        doc("water reservoir rationing"),
+        "crop harvest irrigation",
+        "crop harvest farm",
+        "water reservoir wells",
+        "water reservoir rationing",
     ]
     backend = LlmBackend(url)
-    model = fit_topic_model(encoded(docs), backend, topic_count=2, seed=0)
+    model = fit_topic_model(encode(docs), backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
@@ -919,14 +916,14 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server, no_backof
 
 def test_fit_topic_model_on_dead_service_bounds_posts(caplog, no_backoff):
     words = ["crop", "water", "fire", "clinic", "power", "river", "tourism", "factory"]
-    docs = [doc(f"{w} {w} {w} shared{j}") for w in words for j in range(3)]
+    docs = [f"{w} {w} {w} shared{j}" for w in words for j in range(3)]
     post = FailingPost()
     backend = LlmBackend("http://llm.test/score", post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):
-        model = fit_topic_model(encoded(docs), backend, topic_count=8, seed=0)
+        model = fit_topic_model(encode(docs), backend, topic_count=8, seed=0)
     assert len(model.clusters) == 8
     # only the topics in flight when the budget ran out may still call
     assert post.calls <= MAP_PARALLELISM * (dsiq.LLM_RETRIES + 1)
     assert len(caplog.records) == 1
-    lexicon = fit_topic_model(encoded(docs), LexiconBackend(), topic_count=8, seed=0)
+    lexicon = fit_topic_model(encode(docs), LexiconBackend(), topic_count=8, seed=0)
     assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from side.core import Document, SeveritySeries
+from side.core import SeveritySeries
 from side.errors import ParseError
 from side.ingest import EntityList, geofilter, load_documents, load_severity
 
@@ -87,8 +87,8 @@ class TestLoadDocuments:
             f'{{"id": "a", "timestamp": "{stamp}", "text": "dry fields"}}\n',
         )
         result = load_documents(path, series(10))
-        assert len(result.documents) == 1
-        assert result.documents[0].timestep == 7
+        assert result.documents == ["dry fields"]
+        assert result.timesteps == [7]
 
     def test_empty_text_dropped_and_counted(self, tmp_path):
         path = write(
@@ -96,7 +96,7 @@ class TestLoadDocuments:
             '{"id": "a", "timestamp": "2017-01-03T00:00:00Z", "text": "  "}\n',
         )
         result = load_documents(path, series(4))
-        assert result.documents == []
+        assert result.documents == [] and result.timesteps == []
         assert result.empty_text_count == 1
 
     def test_lenient_mode_counts_malformed(self, tmp_path):
@@ -106,7 +106,7 @@ class TestLoadDocuments:
         # A line that is not UTF-8 counts as malformed too, and is not read as UTF-16.
         path.write_bytes(path.read_bytes() + b"\xff\xfe junk line\n")
         result = load_documents(path, series(4))
-        assert len(result.documents) == 3
+        assert result.documents == ["dust"] * 3 and result.timesteps == [0] * 3
         assert result.malformed_count == 2
 
     def test_out_of_range_dropped_and_counted(self, tmp_path):
@@ -116,7 +116,7 @@ class TestLoadDocuments:
             '{"id": "b", "timestamp": "2017-01-03T00:00:00Z", "text": "ok"}\n',
         )
         result = load_documents(path, series(4))
-        assert [d.text for d in result.documents] == ["ok"]
+        assert result.documents == ["ok"] and result.timesteps == [0]
         assert result.out_of_range_count == 1
 
     def test_missing_key_is_malformed(self, tmp_path):
@@ -126,7 +126,7 @@ class TestLoadDocuments:
             '{"timestamp": "2017-01-03T00:00:00Z", "text": "no id"}\n',  # id is required, though not kept
         )
         result = load_documents(path, series(4))
-        assert result.documents == []
+        assert result.documents == [] and result.timesteps == []
         assert result.malformed_count == 2
 
     @pytest.mark.parametrize(
@@ -140,44 +140,70 @@ class TestLoadDocuments:
     def test_non_string_field_is_malformed(self, tmp_path, fields):
         path = write(tmp_path / "posts.jsonl", '{"id": "a", %s}\n' % fields)
         result = load_documents(path, series(4))
-        assert result.documents == []
+        assert result.documents == [] and result.timesteps == []
         assert result.malformed_count == 1
 
 
 class TestGeofilter:
-    def docs(self, *texts):
-        return [Document(0, t) for t in texts]
-
     def test_entity_match_retained(self):
-        docs = self.docs("Drought hits Fresno farms")
-        kept = geofilter(docs, EntityList.from_terms(["fresno"]))
-        assert len(kept) == 1
+        kept = geofilter(["Drought hits Fresno farms"], EntityList.from_terms(["fresno"]))
+        assert kept.tolist() == [0]
 
     def test_token_boundary_drops_substring(self):
-        docs = self.docs("refresno is not a place", "dallastown diner")
+        docs = ["refresno is not a place", "dallastown diner"]
         kept = geofilter(docs, EntityList.from_terms(["fresno", "dallas"]))
-        assert kept == []
+        assert kept.tolist() == []
 
     def test_no_hits_gives_empty_list(self):
-        docs = self.docs("nothing to see", "still nothing")
-        assert geofilter(docs, EntityList.from_terms(["fresno"])) == []
+        docs = ["nothing to see", "still nothing"]
+        assert geofilter(docs, EntityList.from_terms(["fresno"])).tolist() == []
 
     def test_multi_word_entity(self):
-        docs = self.docs("conditions in mercer valley worsen", "mercer report")
+        docs = ["conditions in mercer valley worsen", "mercer report"]
         kept = geofilter(docs, EntityList.from_terms(["mercer valley"]))
-        assert [d.text for d in kept] == ["conditions in mercer valley worsen"]
+        assert [docs[i] for i in kept] == ["conditions in mercer valley worsen"]
 
     def test_case_insensitive_and_order_preserved(self):
-        docs = self.docs("FRESNO update", "fresno again", "elsewhere")
+        docs = ["FRESNO update", "fresno again", "elsewhere"]
         kept = geofilter(docs, EntityList.from_terms(["Fresno"]))
-        assert [d.text for d in kept] == ["FRESNO update", "fresno again"]
+        assert [docs[i] for i in kept] == ["FRESNO update", "fresno again"]
 
     def test_idempotent(self):
-        docs = self.docs("fresno a", "other", "bakersfield b")
+        docs = ["fresno a", "other", "bakersfield b"]
         entities = EntityList.from_terms(["fresno", "bakersfield"])
-        once = geofilter(docs, entities)
-        twice = geofilter(once, entities)
-        assert once == twice
+        once = [docs[i] for i in geofilter(docs, entities)]
+        assert once == ["fresno a", "bakersfield b"]
+        # filtering the kept texts keeps them all
+        assert geofilter(once, entities).tolist() == list(range(len(once)))
+
+
+def test_parallel_lists_stay_aligned_when_lines_are_dropped(tmp_path):
+    def line(week, text):
+        stamp = (WEEK0 + timedelta(weeks=week, days=week % 7)).isoformat() + "T09:30:00Z"
+        return '{"id": "%d", "timestamp": "%s", "text": "%s"}' % (week, stamp, text)
+
+    good = {5: "dust in fresno", 0: "dry wells elsewhere", 3: "fresno crops fail", 9: "rain at last", 1: "fresno again"}
+    dropped = iter([
+        "{not json",
+        line(2, "   "),  # empty text
+        line(40, "fresno after the series ends"),  # out of range
+        '{"id": "x", "text": "no stamp in fresno"}',
+        line(-3, "fresno before the series starts"),  # out of range
+    ])
+    lines = []
+    for week, text in good.items():
+        lines += [line(week, text), next(dropped)]
+    path = write(tmp_path / "posts.jsonl", "\n".join(lines) + "\n")
+
+    result = load_documents(path, series(10))
+    assert (result.malformed_count, result.empty_text_count, result.out_of_range_count) == (2, 1, 2)
+    assert result.documents == list(good.values())
+    assert result.timesteps == list(good)
+    kept = geofilter(result.documents, EntityList.from_terms(["fresno"]))
+    assert kept.tolist() == [0, 2, 4]
+    assert [(result.timesteps[i], result.documents[i]) for i in kept] == [
+        (week, text) for week, text in good.items() if "fresno" in text
+    ]
 
 
 def test_entity_list_from_file_with_comments(tmp_path):
