@@ -82,7 +82,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> nm.Params:
 
 def _attend(q: Node, k: Node, v: Node, width: int) -> Node:
     """Scaled dot-product attention within each window: ``softmax_rows(q @ k.T / sqrt(width)) @ v``."""
-    return nm.matmul(nm.softmax_rows(nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / math.sqrt(width))), v)
+    return nm.attention(q, k, v, 1.0 / math.sqrt(width))
 
 
 def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, width: int) -> Node:
@@ -106,7 +106,7 @@ def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, wid
     attended = nm.matmul(_attend(q, k, v, width), params[f"{prefix}.attn.wo"])
     x = nm.layer_norm_rows(nm.add(x, attended))
 
-    ff = nm.matmul(nm.tanh(nm.matmul(x, params[f"{prefix}.ff.w1"])), params[f"{prefix}.ff.w2"])
+    ff = nm.feed_forward(x, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.w2"])
     return nm.layer_norm_rows(nm.add(x, ff))
 
 

@@ -103,10 +103,18 @@ def backward(root: Node) -> None:
 
     Constants and intermediate nodes keep ``grad`` None.  ``root`` must be
     scalar.  Gradients add onto whatever is already in ``grad``, so
-    backward of a sum of losses equals the sum of backward passes.
+    backward of a sum of losses equals the sum of backward passes.  A
+    parameter adds each consumer's gradient as soon as that consumer's VJP
+    returns it, so none is held until the end of the pass; a parameter
+    with several consumers therefore sums their gradients into ``grad``
+    one at a time.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward needs a scalar root, got shape {root.value.shape}")
+    if root.vjp is None:
+        if root.grad is not None:
+            root.grad += 1.0
+        return
     order = _topo_order(root)
     local = {id(root): np.ones((), dtype=np.float64)}
     for node in reversed(order):
@@ -115,11 +123,12 @@ def backward(root: Node) -> None:
         out_grad = local.pop(id(node), None)
         if out_grad is None:
             continue
-        if node.vjp is None:
-            if node.grad is not None:
-                node.grad += out_grad
-            continue
         for parent, g in zip(node.parents, node.vjp(out_grad)):
+            if parent.vjp is None:
+                # a leaf: a parameter adds its gradient now, a constant drops it
+                if parent.grad is not None:
+                    parent.grad += g
+                continue
             key = id(parent)
             if key in local:
                 local[key] = local[key] + g
@@ -152,17 +161,18 @@ def matmul(a: Node, b: Node) -> Node:
     _require_rank(a, 2, "matmul")
     _require_rank(b, 2, "matmul")
     av, bv = a.value, b.value
-    shared = bv.ndim == 2
-    if av.shape[-1] != bv.shape[-2] or not (shared or av.shape[:-2] == bv.shape[:-2]):
+    if av.shape[-1] != bv.shape[-2] or not (bv.ndim == 2 or av.shape[:-2] == bv.shape[:-2]):
         raise ShapeError(f"matmul: {av.shape} x {bv.shape}")
 
-    def vjp(g):
-        if shared:
-            k, m = bv.shape
-            return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, m)
-        return g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g
+    return Node(av @ bv, (a, b), lambda g: _matmul_grads(av, bv, g))
 
-    return Node(av @ bv, (a, b), vjp)
+
+def _matmul_grads(av: np.ndarray, bv: np.ndarray, g: np.ndarray):
+    """Gradients of ``av @ bv`` w.r.t. both operands, given ``g`` of the product."""
+    if bv.ndim == 2:
+        k, m = bv.shape
+        return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, m)
+    return g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g
 
 
 def transpose(a: Node) -> Node:
@@ -218,22 +228,36 @@ def square(a: Node) -> Node:
 
 def tanh(a: Node) -> Node:
     y = np.tanh(a.value)
-    return Node(y, (a,), lambda g: (g * (1.0 - y * y),))
+    return Node(y, (a,), lambda g: (_tanh_grad(y, g),))
+
+
+def _tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g * (1.0 - y * y)``, each step written into the one new array."""
+    out = y * y
+    np.subtract(1.0, out, out=out)
+    out *= g
+    return out
 
 
 def softmax_rows(a: Node) -> Node:
     """Rowwise softmax along the last axis, max-subtracted for stability."""
     if a.value.ndim < 2:
         raise ShapeError(f"softmax_rows: rank must be >= 2, got shape {a.value.shape}")
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
+    y = _softmax(a.value)
+    return Node(y, (a,), lambda g: (_softmax_grad(y, g),))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
 
-    return Node(y, (a,), vjp)
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    out = g - inner
+    out *= y
+    return out
 
 
 def layer_norm_rows(a: Node) -> Node:
@@ -251,6 +275,75 @@ def layer_norm_rows(a: Node) -> Node:
         return (inv * (g - g_mean - y * gy_mean),)
 
     return Node(y, (a,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# Fused blocks
+# ---------------------------------------------------------------------------
+#
+# Each fused op runs the numpy calls of its primitive chain, on the same
+# operand layouts and in the same order, forward and backward, so its value
+# and gradients are bit for bit those of the chain; an elementwise step may
+# write into a temporary instead of a new array, which changes no bit.  It
+# is one node, though, and keeps fewer arrays alive until backward: the
+# chain's intermediate values are recomputed or never kept.  Its parents
+# come in the order the chain's backward pass reaches them, so an input
+# that other nodes use too sums its gradients in the chain's order.
+
+
+def attention(q: Node, k: Node, v: Node, scale: float) -> Node:
+    """``softmax_rows(q @ k^T * scale) @ v`` within each leading index.
+
+    ``q`` is ``(..., n, d)``, ``k`` is ``(..., t, d)`` and ``v`` is
+    ``(..., t, m)`` with equal leading axes.  Equals
+    ``matmul(softmax_rows(scale(matmul(q, transpose(k)), scale)), v)``, but
+    keeps only ``q``, ``k``, ``v`` and the probabilities, not the transposed
+    keys or the raw and scaled scores.
+    """
+    _require_rank(q, 2, "attention")
+    qv, kv, vv = q.value, k.value, v.value
+    if not (
+        qv.ndim == kv.ndim == vv.ndim
+        and qv.shape[:-2] == kv.shape[:-2] == vv.shape[:-2]
+        and qv.shape[-1] == kv.shape[-1]
+        and kv.shape[-2] == vv.shape[-2]
+    ):
+        raise ShapeError(f"attention: {qv.shape}, {kv.shape}, {vv.shape}")
+    c = float(scale)
+    p = _softmax(qv @ np.swapaxes(kv, -1, -2).copy() * c)
+
+    def vjp(g):
+        dp, dv = _matmul_grads(p, vv, g)
+        ds = _softmax_grad(p, dp)
+        del dp
+        ds *= c
+        dq, dkt = _matmul_grads(qv, np.swapaxes(kv, -1, -2).copy(), ds)
+        return dq, np.swapaxes(dkt, -1, -2), dv
+
+    return Node(p @ vv, (q, k, v), vjp)
+
+
+def feed_forward(x: Node, w1: Node, w2: Node) -> Node:
+    """``tanh(x @ w1) @ w2`` for ``x`` of shape ``(..., n, k)`` and weights ``(k, h)``, ``(h, m)``.
+
+    Equals ``matmul(tanh(matmul(x, w1)), w2)``, but keeps only ``x`` and the
+    tanh output, not the pre-activation.
+    """
+    _require_rank(x, 2, "feed_forward")
+    xv, w1v, w2v = x.value, w1.value, w2.value
+    if w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1] != w1v.shape[0] or w1v.shape[1] != w2v.shape[0]:
+        raise ShapeError(f"feed_forward: {xv.shape} x {w1v.shape} x {w2v.shape}")
+    y = xv @ w1v
+    np.tanh(y, out=y)
+
+    def vjp(g):
+        dy, dw2 = _matmul_grads(y, w2v, g)
+        dh = _tanh_grad(y, dy)
+        del dy
+        dx, dw1 = _matmul_grads(xv, w1v, dh)
+        return dx, dw1, dw2
+
+    return Node(y @ w2v, (x, w1, w2), vjp)
 
 
 # ---------------------------------------------------------------------------

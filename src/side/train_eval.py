@@ -27,12 +27,15 @@ MFA_EPSILON = 1e-6
 LR_PLATEAU_EPOCHS = 3
 
 #: Most windows in one autodiff graph; training, validation and evaluate
-#: all run in graphs of at most this many.  Larger graphs are faster but
-#: hold more memory: at model defaults `side train` on 330 weeks (one CPU,
-#: one BLAS thread) peaked at 55.0 MB of RSS with 1 window per graph
-#: (14.3 s), 58.7 MB with 4 (6.9 s), 64.0 MB with 8 (6.0 s) and 74.4 MB
-#: with 16 (5.7 s).
-GRAPH_WINDOWS = 4
+#: all run in graphs of at most this many.  Larger graphs take fewer,
+#: larger numpy calls but hold more memory: at model defaults, `side train`
+#: on `side synth --seed 1001 --weeks 330 --docs-per-week 12` (one CPU, one
+#: BLAS thread) peaked at 57.5 MB of RSS with 4 windows per graph, 57.4 MB
+#: with 8 and 65.5 MB with 16.  At 8, the `paper_default` benchmark's
+#: pipeline, mostly training, took about 11 % less time than at 4.  One
+#: forward and backward pass of 8 windows peaks at 6.8 MiB of numpy
+#: allocations (tracemalloc), 13.3 MiB at 16.
+GRAPH_WINDOWS = 8
 
 
 @dataclass(frozen=True)

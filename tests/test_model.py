@@ -1,6 +1,7 @@
 """Network components vs hand computations and brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from side import numerics as nm
 from side.core import IMPACT_DIM
 from side.model import ModelConfig
 
-from test_numerics import finite_diff, rel_err
+from test_numerics import finite_diff, rel_err, unfused_attention, unfused_feed_forward
 
 
 def tiny_cfg(**kw):
@@ -248,7 +249,7 @@ def test_end_to_end_gradient_matches_finite_differences(seed):
 
 @pytest.mark.parametrize("ablation", mdl.ABLATIONS)
 def test_batched_forward_rows_equal_single_window_forward(ablation):
-    # 7 windows: not a multiple of the 4 windows per graph that training uses
+    # 7 windows: fewer than the 8 windows per graph that training uses
     cfg = tiny_cfg(ablation=ablation)
     rng = np.random.default_rng(11)
     params = mdl.init_params(cfg, rng)
@@ -296,3 +297,89 @@ def test_positional_table_shape_and_range():
     assert table[0, 0] == 0.0 and table[0, 1] == 1.0  # sin(0), cos(0)
     # built once and shared by every forward pass, so nobody may write into it
     assert mdl.sinusoidal_positions(10, 8) is table and not table.flags.writeable
+
+
+def reference_forward(params, cfg, severity_in, impact_in):
+    """:func:`side.model.forward` from primitives only, attention and feed-forward unfused."""
+    table = mdl.sinusoidal_positions(cfg.lookback, cfg.width)
+    positions = nm.constant(np.broadcast_to(table, (severity_in.shape[0], *table.shape)))
+    inv = 1.0 / math.sqrt(cfg.width)
+
+    def encode(seq, prefix):
+        w = {name.removeprefix(prefix + "."): p for name, p in params.items() if name.startswith(prefix)}
+        x = nm.add(nm.matmul(nm.constant(seq), w["proj"]), positions)
+        q, k, v = (nm.matmul(x, w[f"attn.{name}"]) for name in ("wq", "wk", "wv"))
+        x = nm.layer_norm_rows(nm.add(x, nm.matmul(unfused_attention(q, k, v, inv), w["attn.wo"])))
+        return nm.layer_norm_rows(nm.add(x, unfused_feed_forward(x, w["ff.w1"], w["ff.w2"])))
+
+    h_m, h_d = encode(impact_in, "enc_impact"), encode(severity_in[..., None], "enc_severity")
+    if cfg.ablation != "no_attention":
+        def mm(h, w):
+            return nm.matmul(h, params[f"cross.{w}"])
+
+        h_m, h_d = (
+            unfused_attention(mm(h_m, "wq_m"), mm(h_d, "wk_d"), mm(h_d, "wv_d"), inv),
+            unfused_attention(mm(h_d, "wq_d"), mm(h_m, "wk_m"), mm(h_m, "wv_m"), inv),
+        )
+    return mdl.decode(h_m, h_d, params, cfg)
+
+
+def reference_backward(root):
+    """Backward as it ran before leaves took their gradients early: each waits in ``local`` for its turn."""
+    local = {id(root): np.ones(())}
+    for node in reversed(nm._topo_order(root)):
+        g = local.pop(id(node), None)
+        if g is None:
+            continue
+        if node.vjp is None:
+            if node.grad is not None:
+                node.grad += g
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            local[id(parent)] = local[id(parent)] + pg if id(parent) in local else pg
+
+
+@pytest.mark.parametrize("ablation", mdl.ABLATIONS)
+def test_fused_forward_and_backward_are_bit_equal_to_primitives(ablation):
+    # a minibatch of 4 chunks of 8 windows, each chunk's gradient added into
+    # params.grad, at model defaults
+    cfg = ModelConfig(ablation=ablation)
+    rng = np.random.default_rng(21)
+    fused, ref = (mdl.init_params(cfg, np.random.default_rng(3)) for _ in range(2))
+    for _ in range(4):
+        sev_in, sev_out = rng.normal(size=(8, cfg.lookback)), rng.normal(size=(8, cfg.horizon))
+        imp_in = mdl.apply_input_mask(rng.uniform(0, 1, size=(8, cfg.lookback, IMPACT_DIM)), ablation)
+        imp_out = rng.uniform(0, 1, size=(8, cfg.horizon, IMPACT_DIM))
+        outputs = []
+        for params, fwd, bwd in ((fused, mdl.forward, nm.backward), (ref, reference_forward, reference_backward)):
+            sev, imp = fwd(params, cfg, sev_in, imp_in)
+            loss = mdl.joint_loss(sev, sev_out, imp, imp_out, 0.7, 1.3)
+            bwd(nm.scale(loss, 0.25))
+            outputs.append(sev.value.tobytes() + imp.value.tobytes() + loss.value.tobytes())
+        assert outputs[0] == outputs[1]
+    assert fused.grad.tobytes() == ref.grad.tobytes()
+    assert np.count_nonzero(fused.grad) > fused.grad.size // 2
+
+
+def test_eight_window_pass_stays_in_its_memory():
+    # one forward and backward pass of 8 windows at model defaults; with
+    # every intermediate the primitive chains keep, this peaked at 10.9 MiB
+    cfg = ModelConfig()
+    rng = np.random.default_rng(8)
+    params = mdl.init_params(cfg, rng)
+    sev_in, sev_out = rng.normal(size=(8, cfg.lookback)), rng.normal(size=(8, cfg.horizon))
+    imp_in = rng.uniform(0, 1, size=(8, cfg.lookback, IMPACT_DIM))
+    imp_out = rng.uniform(0, 1, size=(8, cfg.horizon, IMPACT_DIM))
+    tracemalloc.start()
+    try:
+        sev, imp = mdl.forward(params, cfg, sev_in, imp_in)
+        loss = mdl.joint_loss(sev, sev_out, imp, imp_out, 1.0, 1.0)
+        nm.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    # the graph survives its backward pass: a second one adds the same gradient
+    once = params.grad.copy()
+    nm.backward(loss)
+    assert np.array_equal(params.grad, 2.0 * once)

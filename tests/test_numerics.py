@@ -243,6 +243,84 @@ def test_weight_gradient_adds_each_pass_in_place():
     assert np.array_equal(w.grad, expected)
 
 
+def unfused_attention(q, k, v, factor):
+    return nm.matmul(nm.softmax_rows(nm.scale(nm.matmul(q, nm.transpose(k)), factor)), v)
+
+
+def unfused_feed_forward(x, w1, w2):
+    return nm.matmul(nm.tanh(nm.matmul(x, w1)), w2)
+
+
+def tanh_of_first(nodes):
+    return [nm.tanh(nodes[0]), *nodes[1:]]
+
+
+def _attention_loss(n, attend):
+    # as in the model, q, k and v come from one node through three weights,
+    # and a residual add uses that node too: it sums four gradients, in the
+    # order its consumers' VJPs run, and the key gradient enters a matmul VJP
+    x, wq, wk, wv = tanh_of_first(n)
+    q, k, v = (nm.matmul(x, w) for w in (wq, wk, wv))
+    return nm.mean_all(nm.square(nm.add(x, attend(q, k, v, 0.3))))
+
+
+def _feed_forward_loss(n, ff):
+    x, w1, w2 = tanh_of_first(n)
+    return nm.mean_all(nm.square(nm.add(x, ff(x, w1, w2))))
+
+
+def _fused_and_unfused_gradients(loss_of, fused, unfused, shapes, seed):
+    rng = np.random.default_rng(seed)
+    values = {f"x{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+    out = []
+    for op in (fused, unfused):
+        params = nm.Params(values)
+        loss = loss_of(list(params.values()), op)
+        nm.backward(loss)
+        out.append((loss.value.tobytes(), params.grad.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (8,)])
+def test_fused_ops_are_bit_equal_to_their_primitive_chains(lead):
+    # the model's shapes: 52 steps of width 32, a feed-forward 4 times wider
+    x = (*lead, 52, 32)
+    fused, unfused = _fused_and_unfused_gradients(
+        _attention_loss, nm.attention, unfused_attention, [x] + [(32, 32)] * 3, seed=sum(lead)
+    )
+    assert fused == unfused, "attention value or gradients differ from the chain's"
+    fused, unfused = _fused_and_unfused_gradients(
+        _feed_forward_loss, nm.feed_forward, unfused_feed_forward, [x, (32, 128), (128, 32)], seed=sum(lead)
+    )
+    assert fused == unfused, "feed-forward value or gradients differ from the chain's"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_op_gradients_match_finite_differences(seed):
+    for shapes in ([(3, 4), (5, 4), (5, 2)], [(2, 3, 4), (2, 5, 4), (2, 5, 2)]):
+        check_grad(lambda n: nm.mean_all(nm.square(nm.attention(n[0], n[1], n[2], 0.6))), shapes, seed)
+    for lead in ((), (2,)):
+        check_grad(
+            lambda n: nm.mean_all(nm.square(nm.feed_forward(n[0], n[1], n[2]))),
+            [(*lead, 3, 4), (4, 6), (6, 2)],
+            seed,
+        )
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    def z(*shape):
+        return nm.constant(np.zeros(shape))
+
+    with pytest.raises(ShapeError, match="attention"):
+        nm.attention(z(2, 3, 4), z(2, 5, 4), z(2, 6, 4), 1.0)
+    with pytest.raises(ShapeError, match="attention"):
+        nm.attention(z(2, 3, 4), z(5, 4), z(5, 4), 1.0)
+    with pytest.raises(ShapeError, match="feed_forward"):
+        nm.feed_forward(z(2, 3, 4), z(4, 6), z(5, 2))
+    with pytest.raises(ShapeError, match="feed_forward"):
+        nm.feed_forward(z(2, 3, 4), z(2, 4, 6), z(6, 2))
+
+
 def test_params_are_views_of_two_flat_vectors():
     params = nm.Params({"a": np.arange(6.0).reshape(2, 3), "b": [7.0, 8.0]})
     np.testing.assert_array_equal(params.value, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])

@@ -214,10 +214,22 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("batch_size", [16, 7, 1])
-def test_minibatch_gradient_is_mean_of_window_gradients(batch_size):
+def test_minibatch_gradient_is_mean_of_window_gradients(batch_size, monkeypatch):
     # 16: a full minibatch; 7: a ragged last graph; 1: the last minibatch
-    # of the 193 training windows at defaults (193 % 16 = 1)
-    assert GRAPH_WINDOWS < 7
+    # of the 193 training windows at defaults (193 % 16 = 1).  Graphs of 3
+    # windows, so that 16 and 7 each span several graphs, one of them ragged.
+    monkeypatch.setattr(train_eval, "GRAPH_WINDOWS", 3)
+    _check_minibatch_gradient(batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [16, 11])
+def test_minibatch_gradient_at_shipped_graph_windows(batch_size):
+    # two graphs at the shipped size: two full ones, or a full and a ragged one
+    assert GRAPH_WINDOWS < batch_size <= 2 * GRAPH_WINDOWS
+    _check_minibatch_gradient(batch_size)
+
+
+def _check_minibatch_gradient(batch_size):
     windows = synthetic_samples(total=40)
     cfg = small_cfg()
     units = _model_units(windows, Standardizer.fit(windows), cfg)
