@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import re
 import threading
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -77,12 +77,14 @@ STOPWORDS = frozenset(
     whom why will with you your yours""".split()
 )
 
-_TOKEN_RE = re.compile(r"[a-z][a-z']*")
+#: ``bytes.translate`` table that keeps ``a``-``z`` and ``'`` and turns every other byte into a space.
+_TOKEN_BYTES = bytes(b if b == ord("'") or ord("a") <= b <= ord("z") else ord(" ") for b in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word tokens with stopwords removed."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
+    """Lowercase word tokens with stopwords removed: :func:`encode` of one text, as strings."""
+    tokens = encode([text])
+    return [tokens.terms[j] for j in tokens.ids]
 
 
 @dataclass(frozen=True)
@@ -135,22 +137,50 @@ class Tokens:
 
     def in_vocabulary(self, vocab: dict[str, int]) -> Tokens:
         """These documents with each term id replaced by its column in ``vocab``; tokens of other terms are dropped."""
-        columns = np.array([vocab.get(t, -1) for t in self.terms], dtype=np.int32)[self.ids]
+        return self.relabel(np.array([vocab.get(t, -1) for t in self.terms], dtype=np.int32), tuple(vocab))
+
+    def relabel(self, columns: np.ndarray, terms: tuple[str, ...]) -> Tokens:
+        """These documents as ids into ``terms``: term id ``j`` becomes ``columns[j]``, and is dropped where that is -1."""
+        columns = columns[self.ids]
         known = columns >= 0
         known_before = np.zeros(len(known) + 1, dtype=np.int64)
         np.cumsum(known, out=known_before[1:])
-        return Tokens(tuple(vocab), columns[known], known_before[self.offsets])
+        return Tokens(terms, columns[known], known_before[self.offsets])
+
+
+class _Numbering(dict):
+    """A dict that numbers each key it is asked for and does not hold yet: 0, 1, 2, ..."""
+
+    def __missing__(self, key):
+        self[key] = number = len(self)
+        return number
 
 
 def encode(texts) -> Tokens:
-    """The :func:`tokenize` tokens of each text as term ids, numbered in order of first appearance."""
-    index: dict[str, int] = {}
-    ids: list[int] = []
+    """The tokens of each text as term ids, numbered in order of first appearance.
+
+    A token is what ``[a-z][a-z']*`` finds in the lowercased text, unless it
+    is a stopword: each maximal run of ``a``-``z`` and ``'`` that holds a
+    letter, without its leading apostrophes.  Texts are split as ASCII bytes
+    (any other character, ``?`` in that encoding, is a boundary like any
+    other), each distinct run is numbered as it comes, and the work per
+    term (apostrophes, stopwords, numbering) is done once per run.
+    """
+    runs = _Numbering()
+    ids = array("i")
     offsets = [0]
     for text in texts:
-        ids += [index.setdefault(t, len(index)) for t in tokenize(text)]
+        ids.extend(map(runs.__getitem__, text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()))
         offsets.append(len(ids))
-    return Tokens(tuple(index), np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64))
+    spelled = Tokens(tuple(run.decode("ascii") for run in runs), np.asarray(ids, dtype=np.int32),
+                     np.array(offsets, dtype=np.int64))
+    terms: dict[str, int] = {}
+    columns = np.full(len(runs), -1, dtype=np.int32)
+    for j, run in enumerate(spelled.terms):
+        word = run.lstrip("'")
+        if word and word not in STOPWORDS:
+            columns[j] = terms.setdefault(word, len(terms))
+    return spelled.relabel(columns, tuple(terms))
 
 
 def _cells(tokens: Tokens, rows, width: int) -> np.ndarray:
@@ -216,15 +246,18 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray,
     centroid, ties broken by the lowest centroid index.  A Lloyd pass
     skips the points whose bounds prove their nearest centroid unchanged
     (Hamerly, SDM 2010) and assigns exactly as a pass over all distances.
+    A centroid is its members' sum, adding their rows one by one in row
+    order, over their count: ``mean(axis=0)``, bit for bit, of two or more
+    columns (numpy sums a single column pairwise).
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    n = vectors.shape[0]
+    n, dims = vectors.shape
     k = min(n_clusters, n)
     rng = np.random.default_rng(seed)
     x_sq = _row_sq_norms(vectors)
 
-    centroids = np.empty((k, vectors.shape[1]))
+    centroids = np.empty((k, dims))
     centroids[0] = vectors[rng.integers(n)]
     closest = _sq_dists(vectors, centroids[0][None, :], x_sq)[:, 0]
     for c in range(1, k):
@@ -240,22 +273,28 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray,
     # to its centroid, lower[i] at most its distance to any other centroid.
     upper = np.full(n, np.inf)
     lower = np.zeros(n)
-    margin = PRUNE_MARGIN * math.sqrt((2 * vectors.shape[1] + 3) * np.finfo(float).eps * x_sq.max())
+    margin = PRUNE_MARGIN * math.sqrt((2 * dims + 3) * np.finfo(float).eps * x_sq.max())
+
+    # The nonzero cells in row order, as per-row counts, int32 columns and
+    # values: a zero adds nothing to a row-by-row sum.
+    cells = np.flatnonzero(vectors)
+    per_row = np.diff(np.searchsorted(cells, np.arange(n + 1) * dims))
+    cols = np.empty(len(cells), dtype=np.int32)
+    np.remainder(cells, dims, out=cols, casting="unsafe")
+    values = vectors.ravel()[cells]
+    del cells
+
     assignments = np.zeros(n, dtype=np.int64)
     for i in range(KMEANS_MAX_ITER):
         new_assignments = _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin)
-        # A cluster that kept exactly its members keeps its mean, bit for bit;
-        # the first pass replaces the k-means++ seeds, so it updates them all.
-        moved = new_assignments != assignments
-        stale = range(k) if i == 0 else np.union1d(new_assignments[moved], assignments[moved])
-        # Members in row order, as a boolean mask would pick them, so every
-        # mean sums the same rows in the same order.
-        order = np.argsort(new_assignments, kind="stable")
-        groups = np.split(order, np.cumsum(np.bincount(new_assignments, minlength=k))[:-1])
+        keys = np.repeat(new_assignments * dims, per_row)
+        keys += cols
+        sums = np.bincount(keys, weights=values, minlength=k * dims).reshape(k, dims)
+        del keys  # not to live through the next pass's distances
+        counts = np.bincount(new_assignments, minlength=k)
+        filled = counts > 0  # an empty cluster keeps its centroid
         before = centroids.copy()
-        for c in stale:
-            if len(groups[c]):
-                centroids[c] = vectors[groups[c]].mean(axis=0)
+        centroids[filled] = sums[filled] / counts[filled, None]
         # A point's centroid moved by at most shift[its cluster], any other by
         # at most the largest other shift.
         shift = np.sqrt(((centroids - before) ** 2).sum(axis=1))

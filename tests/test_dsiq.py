@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 import threading
 import tracemalloc
 from datetime import date, timedelta
@@ -10,6 +11,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from side import dsiq, ingest
 from side.core import DETERMINANT_COUNT, DETERMINANT_NAMES, OTHER_INDEX, SeveritySeries
@@ -19,6 +22,7 @@ from side.dsiq import (
     BLOCK_ROWS,
     KEYWORDS_PER_TOPIC,
     MAP_PARALLELISM,
+    STOPWORDS,
     LexiconBackend,
     LlmBackend,
     TopicCluster,
@@ -44,6 +48,23 @@ from side.dsiq import (
 )
 
 
+_TOKEN_RE = re.compile(r"[a-z][a-z']*")
+
+
+def _reference_tokenize(text):
+    """The token rule as first written: each regex match in the lowercased text that is not a stopword."""
+    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
+
+
+def _reference_encode(texts):
+    """``encode``'s terms, ids and offsets from :func:`_reference_tokenize`, one dict lookup per token."""
+    index, ids, offsets = {}, [], [0]
+    for text in texts:
+        ids += [index.setdefault(t, len(index)) for t in _reference_tokenize(text)]
+        offsets.append(len(ids))
+    return tuple(index), ids, offsets
+
+
 def week(texts, model):
     """One week's ``texts`` as :func:`quantify` takes them: encoded, in the vocabulary of ``model``."""
     return encode(texts).in_vocabulary(model.vocabulary)
@@ -51,13 +72,47 @@ def week(texts, model):
 
 def in_vocab(token_lists, vocab):
     """Token lists through the encoder, as documents in ``vocab``; each token must be one tokenizer word."""
-    assert [tokenize(" ".join(tokens)) for tokens in token_lists] == token_lists
+    assert [_reference_tokenize(" ".join(tokens)) for tokens in token_lists] == token_lists
     return encode(" ".join(tokens) for tokens in token_lists).in_vocabulary(vocab)
 
 
 def term(j):
     """A tokenizer word for the number ``j``: ``x`` and one letter per digit."""
     return "x" + "".join("abcdefghij"[int(c)] for c in str(j))
+
+
+#: Texts at the edges of the token rule, by what they test.
+_TOKENIZER_EDGES = {
+    "kelvin_sign": "\u212aelvin \u212a",  # lowercases to "k"
+    "dotted_capital_i": "\u0130stanbul \u0130i",  # lowercases to "i" and U+0307
+    "leading_apostrophes": "'tis 'Tis ''twas",
+    "trailing_apostrophes": "x' x'' x'y' ''",
+    "lone_apostrophes": "' '' ' '",
+    "right_single_quote": "don\u2019t it\u2019s",  # U+2019 is not an apostrophe
+    "digits": "a1b b2c3",
+    "nul": "crop\x00field \x00",
+    "lone_surrogate": "dry\ud800land \udfff",
+    "tabs_and_newlines": "crop\tfield\nwells\r\n",
+    "capitalized_stopwords": "The And OF Crop IT'S it's",
+    "empty": "",
+    "blank": "   ",
+    "accented": "caf\u00e9 na\u00efve \u00fcber",
+    "astral": "\U0001f525fire\U0001f525",
+}
+
+
+_TEXTS = st.lists(st.text(alphabet=st.one_of(st.sampled_from("abzAZ' \t\n-1\u2019\u212a\u0130"), st.characters()),
+                          max_size=40), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+@example([*_TOKENIZER_EDGES.values(), *(text.upper() for text in _TOKENIZER_EDGES.values())])
+def test_encode_matches_regex_oracle(texts):
+    tokens = encode(texts)
+    assert (tokens.terms, tokens.ids.tolist(), tokens.offsets.tolist()) == _reference_encode(texts)
+    assert tokens.ids.dtype == np.int32 and tokens.offsets.dtype == np.int64
+    assert [tokenize(text) for text in texts] == [_reference_tokenize(text) for text in texts]
 
 
 class TestVectorize:
@@ -128,8 +183,23 @@ class TestKmeans:
         assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
 
 
+def _row_order_mean(members):
+    """The members' sum, adding one row after another, over their count.
+
+    This is ``members.mean(axis=0)`` for two or more columns, where numpy adds
+    the rows one by one; one column it sums pairwise, which can round differently.
+    """
+    total = np.zeros(members.shape[1])
+    for row in members:
+        total += row
+    mean = total / len(members)
+    if members.shape[1] > 1:
+        assert mean.tobytes() == members.mean(axis=0).tobytes()
+    return mean
+
+
 def _reference_kmeans(vectors, n_clusters, seed, max_iter=100):
-    """k-means as first written: norms per distance call, one boolean mask per cluster."""
+    """k-means as first written: norms per distance call, one boolean mask per cluster, row-order means."""
     n = vectors.shape[0]
     k = min(n_clusters, n)
     rng = np.random.default_rng(seed)
@@ -152,7 +222,7 @@ def _reference_kmeans(vectors, n_clusters, seed, max_iter=100):
         for c in range(k):
             members = vectors[new_assignments == c]
             if len(members):
-                centroids[c] = members.mean(axis=0)
+                centroids[c] = _row_order_mean(members)
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments
             break
@@ -327,9 +397,11 @@ def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary(monkeypatch):
     matrix_bytes = n * dims * 8
     assert _peak_bytes(doc_matrix, tokens, idf) < matrix_bytes / 4
     vectors = doc_matrix(tokens, idf)
-    # A mean update still gathers one cluster's rows; at 50 clusters that is small.
+    # The mean update sums the nonzero cells, so no k gathers a cluster's rows;
+    # at k = 1 that cluster would be the whole matrix.
     monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", 5)
     assert _peak_bytes(kmeans, vectors, 50, 0) < matrix_bytes / 4
+    assert _peak_bytes(kmeans, vectors, 1, 0) < matrix_bytes / 4
 
 
 def _reference_term_counts(token_lists, vocab):
@@ -351,7 +423,7 @@ def _reference_doc_matrix(token_lists, vocab, idf):
 
 def _reference_fit_tfidf(texts):
     """Vocabulary, IDF, TF-IDF rows and token lists of ``texts`` from strings, one ``set(tokens)`` per document."""
-    token_lists = [tokenize(text) for text in texts]
+    token_lists = [_reference_tokenize(text) for text in texts]
     df = {}
     for tokens in token_lists:
         for t in set(tokens):
@@ -387,7 +459,7 @@ def _reference_quantify(texts, model):
     """One week's determinant distribution, each text tokenized afresh."""
     if not texts:
         return np.zeros(DETERMINANT_COUNT)
-    vectors = _reference_doc_matrix([tokenize(t) for t in texts], model.vocabulary, model.idf)
+    vectors = _reference_doc_matrix([_reference_tokenize(t) for t in texts], model.vocabulary, model.idf)
     topics = np.argmin(_reference_sq_dists(vectors, model.centroids), axis=1)
     determinants = np.array([c.determinant_index for c in model.clusters])
     return np.bincount(determinants[topics], minlength=DETERMINANT_COUNT) / len(texts)

@@ -1,7 +1,9 @@
 """File parsing, weekly bucketing, and geographic filtering."""
 
+import json
 import logging
-from datetime import date, timedelta
+import sys
+from datetime import date, datetime, timedelta
 
 import pytest
 
@@ -142,6 +144,24 @@ class TestLoadDocuments:
         result = load_documents(path, series(4))
         assert result.documents == [] and result.timesteps == []
         assert result.malformed_count == 1
+
+
+    def test_timestamps_read_the_same_on_every_python(self, tmp_path):
+        read = ["2017-01-03", "2017-01-03T10", "2017-01-03 10:00", "2017-01-03T10:00:00.500Z",
+                "2017-01-03T10:00:00.500000+05:30", "2017-01-03T10:00:00-07:00:00", "2017-01-03t10:00:00z"]
+        # From Python 3.11 on, fromisoformat reads these as well; 3.10's does not.
+        newer = ["2017-01-03T10:00:00.5Z", "20170103T100000Z", "2017-W01-2T10:00:00Z", "2017-01-03T10:00:00,500Z",
+                 "2017-01-03T10:00:00+0530", "2017-01-03T1000"]
+        if sys.version_info >= (3, 11):
+            for stamp in newer:
+                datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        malformed = newer + ["2017-01-03T", "2017-01-03T10:"]
+        stamps = read + malformed
+        lines = [json.dumps({"id": str(i), "timestamp": stamp, "text": stamp}) for i, stamp in enumerate(stamps)]
+        path = write(tmp_path / "posts.jsonl", "".join(line + "\n" for line in lines))
+        result = load_documents(path, series(4))
+        assert result.documents == read and result.timesteps == [0] * len(read)
+        assert result.malformed_count == len(malformed)
 
 
 class TestGeofilter:
