@@ -57,9 +57,10 @@ class EntityList:
 def load_severity(path) -> SeveritySeries:
     """Parse a ``week_start,dsci`` CSV into a weekly severity series.
 
-    Dates must be ISO-8601, strictly ascending in exact 7-day steps; a
-    gap or duplicate is an error rather than something to impute, since
-    a silently missing week would shift every downstream window.
+    Dates must be ``YYYY-MM-DD``, not the basic or week forms Python 3.11
+    also reads, strictly ascending in exact 7-day steps; a gap or duplicate
+    is an error rather than something to impute, since a silently missing
+    week would shift every downstream window.
     Values outside [0, 500] are clamped with a warning.
 
     Raises:
@@ -70,6 +71,8 @@ def load_severity(path) -> SeveritySeries:
     start = prev = None
     for lineno, (day_cell, value_cell) in read_csv(path, ("week_start", "dsci")):
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", day_cell):
+                raise ValueError("expected YYYY-MM-DD")
             day = date.fromisoformat(day_cell)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad date {day_cell!r}: {exc}") from exc

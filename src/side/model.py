@@ -80,37 +80,28 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> nm.Params:
     })
 
 
-def _attend(q: Node, k: Node, v: Node, width: int) -> Node:
-    """Scaled dot-product attention within each window: ``softmax_rows(q @ k.T / sqrt(width)) @ v``."""
-    return nm.attention(q, k, v, 1.0 / math.sqrt(width))
-
-
-def encode(seq: Node, params: dict[str, Node], prefix: str, positions: Node, width: int) -> Node:
+def encode(seq: Node, params: dict[str, Node], prefix: str) -> Node:
     """Project, add positions, then one self-attention + feed-forward block.
 
-    ``seq`` is ``(..., lookback, features)`` and ``positions`` is
-    ``(..., lookback, width)`` with the same leading axes; each window
-    attends only within itself.  Residual connections wrap both
-    sub-blocks; each is followed by layer normalization over the last axis.
+    ``seq`` is ``(..., lookback, features)``; the sinusoidal table is sized
+    from the projection, and each window attends only within itself.
+    Residual connections wrap both sub-blocks; each is followed by layer
+    normalization over the last axis.
     """
-    if seq.value.ndim < 2 or seq.value.shape[:-1] != positions.value.shape[:-1]:
-        raise ShapeError(
-            f"encode: sequence shape {seq.value.shape} does not match "
-            f"positional table {positions.value.shape}"
-        )
-    x = nm.add(nm.matmul(seq, params[f"{prefix}.proj"]), positions)
+    x = nm.matmul(seq, params[f"{prefix}.proj"])
+    x = nm.add(x, nm.constant(np.broadcast_to(sinusoidal_positions(*x.value.shape[-2:]), x.value.shape)))
 
     q = nm.matmul(x, params[f"{prefix}.attn.wq"])
     k = nm.matmul(x, params[f"{prefix}.attn.wk"])
     v = nm.matmul(x, params[f"{prefix}.attn.wv"])
-    attended = nm.matmul(_attend(q, k, v, width), params[f"{prefix}.attn.wo"])
+    attended = nm.matmul(nm.attention(q, k, v), params[f"{prefix}.attn.wo"])
     x = nm.layer_norm_rows(nm.add(x, attended))
 
     ff = nm.feed_forward(x, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.w2"])
     return nm.layer_norm_rows(nm.add(x, ff))
 
 
-def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], width: int) -> tuple[Node, Node]:
+def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node]) -> tuple[Node, Node]:
     """Bidirectional single-head cross-attention between the two channels.
 
     Returns the impact representation cross-attended onto severity and
@@ -127,10 +118,10 @@ def cross_attend(h_impact: Node, h_severity: Node, params: dict[str, Node], widt
     q_d = nm.matmul(h_severity, params["cross.wq_d"])
     k_m = nm.matmul(h_impact, params["cross.wk_m"])
     v_m = nm.matmul(h_impact, params["cross.wv_m"])
-    return _attend(q_m, k_d, v_d, width), _attend(q_d, k_m, v_m, width)
+    return nm.attention(q_m, k_d, v_d), nm.attention(q_d, k_m, v_m)
 
 
-def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) -> tuple[Node, Node]:
+def decode(h_md: Node, h_dm: Node, params: dict[str, Node]) -> tuple[Node, Node]:
     """Two-layer readout of the concatenated representations.
 
     The inputs are ``(n, lookback, width)``.  Returns the severity forecast
@@ -144,8 +135,9 @@ def decode(h_md: Node, h_dm: Node, params: dict[str, Node], cfg: ModelConfig) ->
     n, lookback, joint_width = joined.value.shape
     flat = nm.reshape(joined, (n, lookback * joint_width))
     hidden = nm.tanh(nm.matmul(flat, params["dec.w1"]))
-    out = nm.reshape(nm.matmul(hidden, params["dec.w2"]), (n, cfg.horizon, 1 + IMPACT_DIM))
-    severity = nm.reshape(nm.slice_last_dim(out, 0, 1), (n, cfg.horizon))
+    horizon = params["dec.w2"].value.shape[1] // (1 + IMPACT_DIM)
+    out = nm.reshape(nm.matmul(hidden, params["dec.w2"]), (n, horizon, 1 + IMPACT_DIM))
+    severity = nm.reshape(nm.slice_last_dim(out, 0, 1), (n, horizon))
     impact = nm.slice_last_dim(out, 1, 1 + IMPACT_DIM)
     return severity, impact
 
@@ -188,19 +180,16 @@ def forward(
         raise ShapeError(
             f"impact_in shape {impact_in.shape}, expected ({n}, {cfg.lookback}, {IMPACT_DIM})"
         )
-    table = sinusoidal_positions(cfg.lookback, cfg.width)
-    positions = nm.constant(np.broadcast_to(table, (n, cfg.lookback, cfg.width)))
-
-    h_m = encode(nm.constant(impact_in), params, "enc_impact", positions, cfg.width)
-    h_d = encode(nm.constant(severity_in[..., None]), params, "enc_severity", positions, cfg.width)
+    h_m = encode(nm.constant(impact_in), params, "enc_impact")
+    h_d = encode(nm.constant(severity_in[..., None]), params, "enc_severity")
 
     if cfg.ablation == "no_attention":
         # Ablation path: hand the encoder outputs straight to the decoder.
         h_md, h_dm = h_m, h_d
     else:
-        h_md, h_dm = cross_attend(h_m, h_d, params, cfg.width)
+        h_md, h_dm = cross_attend(h_m, h_d, params)
 
-    return decode(h_md, h_dm, params, cfg)
+    return decode(h_md, h_dm, params)
 
 
 def joint_loss(

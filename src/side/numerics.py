@@ -291,12 +291,12 @@ def layer_norm_rows(a: Node) -> Node:
 # that other nodes use too sums its gradients in the chain's order.
 
 
-def attention(q: Node, k: Node, v: Node, scale: float) -> Node:
-    """``softmax_rows(q @ k^T * scale) @ v`` within each leading index.
+def attention(q: Node, k: Node, v: Node) -> Node:
+    """``softmax_rows(q @ k^T / sqrt(d)) @ v`` within each leading index.
 
     ``q`` is ``(..., n, d)``, ``k`` is ``(..., t, d)`` and ``v`` is
     ``(..., t, m)`` with equal leading axes.  Equals
-    ``matmul(softmax_rows(scale(matmul(q, transpose(k)), scale)), v)``, but
+    ``matmul(softmax_rows(scale(matmul(q, transpose(k)), 1 / sqrt(d))), v)``, but
     keeps only ``q``, ``k``, ``v`` and the probabilities, not the transposed
     keys or the raw and scaled scores.
     """
@@ -309,7 +309,7 @@ def attention(q: Node, k: Node, v: Node, scale: float) -> Node:
         and kv.shape[-2] == vv.shape[-2]
     ):
         raise ShapeError(f"attention: {qv.shape}, {kv.shape}, {vv.shape}")
-    c = float(scale)
+    c = 1.0 / math.sqrt(qv.shape[-1])
     p = _softmax(qv @ np.swapaxes(kv, -1, -2).copy() * c)
 
     def vjp(g):

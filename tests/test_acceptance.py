@@ -163,7 +163,7 @@ def test_criterion_3_cross_attention_oracle():
         params = cross_params(rng, d)
         h_m = rng.normal(size=(t, d))
         h_d = rng.normal(size=(t, d))
-        got_md, got_dm = mdl.cross_attend(nm.constant(h_m), nm.constant(h_d), params, d)
+        got_md, got_dm = mdl.cross_attend(nm.constant(h_m), nm.constant(h_d), params)
         want_md, want_dm = brute_force_cross_attention(
             h_m, h_d, {k: p.value for k, p in params.items()}
         )

@@ -128,6 +128,23 @@ def test_invalid_values_rejected():
             cfgmod.from_dict({"train": {"learning_rate": lr}})
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[]", "config root must be a JSON object"),
+        ('{"train": 5}', "config section 'train' must be an object"),
+        ('{"dsiq": {"topic_count": 0}}', "topic_count must be >= 1"),
+        ('{"seed": 1,', r"c\.json: invalid JSON"),
+    ],
+    ids=["list_root", "number_section", "zero_topics", "not_json"],
+)
+def test_malformed_config_file_rejected(tmp_path, text, match):
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        cfgmod.load(path)
+
+
 @pytest.mark.parametrize("patience", [0, -3])
 def test_patience_below_one_rejected(patience):
     with pytest.raises(ConfigError, match="patience must be >= 1"):

@@ -751,6 +751,21 @@ class TestLlmBackend:
         assert post.calls == 3  # the first topic's retries, then none
         assert len(caplog.records) == 1
 
+    @pytest.mark.parametrize(
+        "reply",
+        [{"scores": [0.5] * (DETERMINANT_COUNT - 1)}, {"scores": [0.5] * (DETERMINANT_COUNT - 1) + ["nan"]}],
+        ids=["ten_scores", "nan_score"],
+    )
+    def test_invalid_reply_is_retried_then_falls_back(self, caplog, reply):
+        calls = []
+        backend = LlmBackend("http://llm.test/score", post=lambda *args: calls.append(args) or reply)
+        with caplog.at_level(logging.WARNING, logger="side.dsiq"):
+            scores = backend.score(["crop", "harvest"])
+        assert len(calls) == 3
+        assert scores == LexiconBackend().score(["crop", "harvest"])
+        [record] = caplog.records
+        assert "backend returned invalid scores" in record.getMessage()
+
     def test_unreachable_endpoint_falls_back(self, monkeypatch):
         monkeypatch.setattr(dsiq, "LLM_RETRIES", 1)
         monkeypatch.setattr(dsiq, "LLM_TIMEOUT_S", 0.2)
@@ -916,8 +931,9 @@ def test_impact_csv_round_trip(tmp_path):
         ("1", "nan", "social part .*outside"),
         ("1", "0.5", "social part .*sums to"),
         ("2", "0.0", "timestep 2 where 1 was expected"),
+        ("1", "x", "could not convert string to float: 'x'"),
     ],
-    ids=["nan", "bad_sum", "timestep_out_of_order"],
+    ids=["nan", "bad_sum", "timestep_out_of_order", "not_a_number"],
 )
 def test_read_impact_csv_rejects_bad_row_with_line(tmp_path, timestep, cell, match):
     zeros = ["0.0"] * (2 * DETERMINANT_COUNT)
@@ -959,9 +975,10 @@ def test_load_lexicon_custom_path(tmp_path):
         ({"Agriculture": ["crop", "more"]}, "'Agriculture' term 'more' is not one"),
         ({"Agriculture": ["crop", "co2"]}, "'Agriculture' term 'co2' is not one"),
         ({"Agriculture": [], "Energy": []}, "lex.json: lexicon holds no term"),
+        (["crop", "farm"], "lex.json: lexicon must be a JSON object"),
     ],
     ids=["misspelt_name", "string_value", "non_string_term", "multi_word_term", "stopword_term", "digit_term",
-         "no_terms"],
+         "no_terms", "json_list"],
 )
 def test_load_lexicon_rejects_bad_entries(tmp_path, lexicon, match):
     path = tmp_path / "lex.json"

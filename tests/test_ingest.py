@@ -79,6 +79,23 @@ class TestLoadSeverity:
         with pytest.raises(ParseError, match="header"):
             load_severity(path)
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            # Python 3.11's date.fromisoformat reads these three; 3.10 does not
+            ("20170102,10.0\n", r"dsci\.csv:2: bad date '20170102'"),
+            ("2017-W01-1,10.0\n", r"dsci\.csv:2: bad date '2017-W01-1'"),
+            ("2017W011,10.0\n", r"dsci\.csv:2: bad date '2017W011'"),
+            ("2017-01-02,10.0\n2017-01-09,nan\n", r"dsci\.csv:3: non-finite DSCI value 'nan'"),
+            ("", r"dsci\.csv: no data rows"),
+        ],
+        ids=["basic_date", "week_date", "basic_week_date", "nan_value", "header_only"],
+    )
+    def test_rejected_file_names_path_and_line(self, tmp_path, rows, match):
+        path = write(tmp_path / "dsci.csv", "week_start,dsci\n" + rows)
+        with pytest.raises(ParseError, match=match):
+            load_severity(path)
+
 
 class TestLoadDocuments:
     def test_bucketing_by_week(self, tmp_path):

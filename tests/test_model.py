@@ -72,7 +72,7 @@ class TestCrossAttend:
         params = nm.Params({n: np.array([[1.0]]) for n in cross_params(np.random.default_rng(0), 1)})
         h_m = nm.constant([[2.0]])
         h_d = nm.constant([[3.0]])
-        h_md, h_dm = mdl.cross_attend(h_m, h_d, params, width=1)
+        h_md, h_dm = mdl.cross_attend(h_m, h_d, params)
         np.testing.assert_allclose(h_md.value, [[3.0]])
         np.testing.assert_allclose(h_dm.value, [[2.0]])
 
@@ -84,7 +84,7 @@ class TestCrossAttend:
             params = cross_params(rng, d)
             h_m = rng.normal(size=(t, d))
             h_d = rng.normal(size=(t, d))
-            got_md, got_dm = mdl.cross_attend(nm.constant(h_m), nm.constant(h_d), params, d)
+            got_md, got_dm = mdl.cross_attend(nm.constant(h_m), nm.constant(h_d), params)
             want_md, want_dm = brute_force_cross_attention(
                 h_m, h_d, {k: p.value for k, p in params.items()}
             )
@@ -109,10 +109,9 @@ class TestEncode:
         cfg = tiny_cfg()
         rng = np.random.default_rng(0)
         params = mdl.init_params(cfg, rng)
-        pos = nm.constant(mdl.sinusoidal_positions(cfg.lookback, cfg.width))
         seq = rng.normal(size=(cfg.lookback, IMPACT_DIM))
-        h1 = mdl.encode(nm.constant(seq), params, "enc_impact", pos, cfg.width)
-        h2 = mdl.encode(nm.constant(seq.copy()), params, "enc_impact", pos, cfg.width)
+        h1 = mdl.encode(nm.constant(seq), params, "enc_impact")
+        h2 = mdl.encode(nm.constant(seq.copy()), params, "enc_impact")
         assert h1.value.shape == (cfg.lookback, cfg.width)
         np.testing.assert_array_equal(h1.value, h2.value)
 
@@ -120,15 +119,14 @@ class TestEncode:
         cfg = tiny_cfg()
         rng = np.random.default_rng(1)
         params = mdl.init_params(cfg, rng)
-        pos = nm.constant(mdl.sinusoidal_positions(cfg.lookback, cfg.width))
         seq_value = rng.normal(size=(cfg.lookback, 1))
 
         seq = nm.Params({"seq": seq_value})["seq"]
-        loss = nm.mean_all(nm.square(mdl.encode(seq, params, "enc_severity", pos, cfg.width)))
+        loss = nm.mean_all(nm.square(mdl.encode(seq, params, "enc_severity")))
         nm.backward(loss)
 
         def f(x):
-            out = mdl.encode(nm.constant(x), params, "enc_severity", pos, cfg.width)
+            out = mdl.encode(nm.constant(x), params, "enc_severity")
             return float(nm.mean_all(nm.square(out)).value)
 
         fd = finite_diff(f, seq_value.copy())
@@ -142,7 +140,7 @@ class TestDecode:
         rng = np.random.default_rng(1)
         h_md = nm.constant(rng.normal(size=(3, 52, 8)))
         h_dm = nm.constant(rng.normal(size=(3, 52, 8)))
-        sev, imp = mdl.decode(h_md, h_dm, params, cfg)
+        sev, imp = mdl.decode(h_md, h_dm, params)
         assert sev.value.shape == (3, 5)
         assert imp.value.shape == (3, 5, 22)
 
@@ -303,13 +301,12 @@ def reference_forward(params, cfg, severity_in, impact_in):
     """:func:`side.model.forward` from primitives only, attention and feed-forward unfused."""
     table = mdl.sinusoidal_positions(cfg.lookback, cfg.width)
     positions = nm.constant(np.broadcast_to(table, (severity_in.shape[0], *table.shape)))
-    inv = 1.0 / math.sqrt(cfg.width)
 
     def encode(seq, prefix):
         w = {name.removeprefix(prefix + "."): p for name, p in params.items() if name.startswith(prefix)}
         x = nm.add(nm.matmul(nm.constant(seq), w["proj"]), positions)
         q, k, v = (nm.matmul(x, w[f"attn.{name}"]) for name in ("wq", "wk", "wv"))
-        x = nm.layer_norm_rows(nm.add(x, nm.matmul(unfused_attention(q, k, v, inv), w["attn.wo"])))
+        x = nm.layer_norm_rows(nm.add(x, nm.matmul(unfused_attention(q, k, v), w["attn.wo"])))
         return nm.layer_norm_rows(nm.add(x, unfused_feed_forward(x, w["ff.w1"], w["ff.w2"])))
 
     h_m, h_d = encode(impact_in, "enc_impact"), encode(severity_in[..., None], "enc_severity")
@@ -318,10 +315,10 @@ def reference_forward(params, cfg, severity_in, impact_in):
             return nm.matmul(h, params[f"cross.{w}"])
 
         h_m, h_d = (
-            unfused_attention(mm(h_m, "wq_m"), mm(h_d, "wk_d"), mm(h_d, "wv_d"), inv),
-            unfused_attention(mm(h_d, "wq_d"), mm(h_m, "wk_m"), mm(h_m, "wv_m"), inv),
+            unfused_attention(mm(h_m, "wq_m"), mm(h_d, "wk_d"), mm(h_d, "wv_d")),
+            unfused_attention(mm(h_d, "wq_d"), mm(h_m, "wk_m"), mm(h_m, "wv_m")),
         )
-    return mdl.decode(h_m, h_d, params, cfg)
+    return mdl.decode(h_m, h_d, params)
 
 
 def reference_backward(root):

@@ -1,6 +1,7 @@
 """Autodiff engine: forward values, gradients vs finite differences, Adam."""
 
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -170,7 +171,7 @@ def test_backward_linearity():
 
 
 def test_shared_constant_keeps_no_gradient():
-    # the positional table is one constant shared by every window's graph
+    # a constant, as the positional table is, takes no gradient in any graph it joins
     table = nm.constant(np.ones((2, 2)))
     w = nm.Params({"w": np.eye(2)})["w"]
     for _ in range(2):
@@ -243,8 +244,9 @@ def test_weight_gradient_adds_each_pass_in_place():
     assert np.array_equal(w.grad, expected)
 
 
-def unfused_attention(q, k, v, factor):
-    return nm.matmul(nm.softmax_rows(nm.scale(nm.matmul(q, nm.transpose(k)), factor)), v)
+def unfused_attention(q, k, v):
+    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / math.sqrt(q.value.shape[-1]))
+    return nm.matmul(nm.softmax_rows(scores), v)
 
 
 def unfused_feed_forward(x, w1, w2):
@@ -261,7 +263,7 @@ def _attention_loss(n, attend):
     # order its consumers' VJPs run, and the key gradient enters a matmul VJP
     x, wq, wk, wv = tanh_of_first(n)
     q, k, v = (nm.matmul(x, w) for w in (wq, wk, wv))
-    return nm.mean_all(nm.square(nm.add(x, attend(q, k, v, 0.3))))
+    return nm.mean_all(nm.square(nm.add(x, attend(q, k, v))))
 
 
 def _feed_forward_loss(n, ff):
@@ -298,7 +300,7 @@ def test_fused_ops_are_bit_equal_to_their_primitive_chains(lead):
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_op_gradients_match_finite_differences(seed):
     for shapes in ([(3, 4), (5, 4), (5, 2)], [(2, 3, 4), (2, 5, 4), (2, 5, 2)]):
-        check_grad(lambda n: nm.mean_all(nm.square(nm.attention(n[0], n[1], n[2], 0.6))), shapes, seed)
+        check_grad(lambda n: nm.mean_all(nm.square(nm.attention(n[0], n[1], n[2]))), shapes, seed)
     for lead in ((), (2,)):
         check_grad(
             lambda n: nm.mean_all(nm.square(nm.feed_forward(n[0], n[1], n[2]))),
@@ -312,9 +314,9 @@ def test_fused_ops_reject_mismatched_shapes():
         return nm.constant(np.zeros(shape))
 
     with pytest.raises(ShapeError, match="attention"):
-        nm.attention(z(2, 3, 4), z(2, 5, 4), z(2, 6, 4), 1.0)
+        nm.attention(z(2, 3, 4), z(2, 5, 4), z(2, 6, 4))
     with pytest.raises(ShapeError, match="attention"):
-        nm.attention(z(2, 3, 4), z(5, 4), z(5, 4), 1.0)
+        nm.attention(z(2, 3, 4), z(5, 4), z(5, 4))
     with pytest.raises(ShapeError, match="feed_forward"):
         nm.feed_forward(z(2, 3, 4), z(4, 6), z(5, 2))
     with pytest.raises(ShapeError, match="feed_forward"):

@@ -119,6 +119,12 @@ class TestStandardizer:
         back = float(std.inverse(std.transform(np.array([x])))[0])
         assert abs(back - x) <= 1e-9 * max(1.0, abs(x))
 
+    def test_constant_split_is_scaled_by_one(self):
+        series = SeveritySeries(start=WEEK0, values=[120.0] * 20)
+        parts = np.tile(np.eye(DETERMINANT_COUNT)[0], (20, 2))
+        std = Standardizer.fit(make_windows(series, parts, 8, 2))
+        assert (std.mean, std.std) == (120.0, 1.0)
+
     def test_rejects_nonpositive_std(self):
         with pytest.raises(ValueError):
             Standardizer(mean=0.0, std=0.0)
@@ -178,6 +184,47 @@ class TestTrain:
         assert result.best_val_loss == result.history[0]["val_loss"]
         assert len(result.history) == 2 and math.isnan(result.history[1]["val_loss"])
         assert result.params.value.tobytes() == epoch_one[0].tobytes()
+
+    def test_patience_stale_epochs_stop_training(self, monkeypatch):
+        # an improvement at epochs 1 and 2, then stale epochs: patience 3 stops after epoch 5
+        val_losses = iter([3.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        seen = []
+
+        def mean_loss(params, *args):
+            seen.append(params.value.copy())
+            return next(val_losses)
+
+        monkeypatch.setattr(train_eval, "_mean_loss", mean_loss)
+        train_s, val_s, _ = chronological_split(synthetic_samples())
+        result = train(train_s, val_s, small_cfg(), TrainConfig(max_epochs=8, patience=3, seed=0))
+        assert len(result.history) == 5
+        assert result.best_epoch == 2 and result.best_val_loss == 2.0
+        assert result.params.value.tobytes() == seen[1].tobytes()
+
+    def test_non_finite_gradient_aborts_with_last_good_epoch(self, monkeypatch):
+        # the loss stays finite; from epoch 2 on, backward leaves an inf in one gradient
+        real_backward, real_mean_loss = nm.backward, train_eval._mean_loss
+        epochs = []
+
+        def mean_loss(params, *args):
+            epochs.append((params, params.value.copy()))
+            return real_mean_loss(params, *args)
+
+        def backward(root):
+            real_backward(root)
+            if epochs:
+                epochs[0][0]["dec.w2"].grad[0, 0] = np.inf
+
+        monkeypatch.setattr(train_eval, "_mean_loss", mean_loss)
+        monkeypatch.setattr(nm, "backward", backward)
+        train_s, val_s, _ = chronological_split(synthetic_samples())
+        tc = TrainConfig(max_epochs=5, patience=5, seed=0)
+        message = "^aborted at epoch 2: non-finite gradient in parameter 'dec.w2'"
+        with pytest.raises(DivergenceError, match=message) as excinfo:
+            train(train_s, val_s, small_cfg(), tc)
+        result = excinfo.value.result
+        assert result.best_epoch == 1 and len(result.history) == 1
+        assert result.params.value.tobytes() == epochs[0][1].tobytes()
 
     @pytest.mark.parametrize(
         "lr_plateau, halvings",
