@@ -42,10 +42,16 @@ MAP_THRESHOLD = 0.15
 KEYWORDS_PER_TOPIC = 10
 KMEANS_MAX_ITER = 100
 
-#: Rows per distance GEMM in a k-means pass (the matrix's row count when it
-#: has fewer), and per squared-norm block.  A GEMM over fewer rows can round
-#: differently from the same rows of the full product (OpenBLAS, below about
-#: 1200 / k rows at k centroids), so a pass pads every block to this shape.
+#: Rows per dense block: of documents per TF-IDF build, and of rows per
+#: k-means product (the row count when there are fewer), the only dense rows
+#: k-means holds.  A GEMM over fewer rows can round differently from the same
+#: rows of the full product (OpenBLAS, below about 1200 / k rows at k
+#: centroids), so a Lloyd pass pads every block to this shape.  A k-means++
+#: seed's GEMV must not pad: OpenBLAS takes its rows 4 at a time and the
+#: ``n mod 4`` left over with another kernel, so each run starts at a multiple
+#: of 4 and the last one ends at the last row, as in the whole product.  numpy
+#: takes a one-row product as a dot product, so no run after the first is one
+#: row long.
 BLOCK_ROWS = 1024
 
 #: k-means skips a point's distances only when its bounds clear each other by
@@ -127,12 +133,9 @@ class Tokens:
 
     def take(self, rows: np.ndarray) -> Tokens:
         """The documents ``rows`` (an integer array), in that order."""
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
+        index, lengths = _flat_index(self.offsets, rows)
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        index = np.repeat(starts - offsets[:-1], lengths)
-        index += np.arange(offsets[-1])
         return Tokens(self.terms, self.ids[index], offsets)
 
     def in_vocabulary(self, vocab: dict[str, int]) -> Tokens:
@@ -146,6 +149,62 @@ class Tokens:
         known_before = np.zeros(len(known) + 1, dtype=np.int64)
         np.cumsum(known, out=known_before[1:])
         return Tokens(terms, columns[known], known_before[self.offsets])
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Rows of a ``width``-column matrix as their nonzero cells, in row-major order.
+
+    Row ``i`` holds ``values[a:b]`` in the columns ``columns[a:b]``, for ``a, b = offsets[i], offsets[i + 1]``;
+    ``offsets``, one longer than the rows, is ``int64``, ``columns`` ``int32`` and ``values`` ``float64``.
+    """
+
+    offsets: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+    width: int
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def densify(self, rows, block: np.ndarray) -> np.ndarray:
+        """Write ``rows``, a run ``slice(start, stop)`` or an integer array, into the first rows of the zeroed ``block``.
+
+        Returns the flat indices into the C-ordered ``block`` of the cells written, for the caller to zero again.
+        """
+        if isinstance(rows, slice):
+            lengths = np.diff(self.offsets[rows.start:rows.stop + 1])
+            index = slice(self.offsets[rows.start], self.offsets[rows.stop])
+        else:
+            index, lengths = _flat_index(self.offsets, rows)
+        cells = np.repeat(np.arange(0, len(lengths) * self.width, self.width), lengths)
+        cells += self.columns[index]
+        block.ravel()[cells] = self.values[index]
+        return cells
+
+
+def _flat_index(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the items of ``rows`` in a flat array that ``offsets`` splits into rows, and their counts."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index))
+    return index, lengths
+
+
+def _sparse_rows(blocks, width: int) -> SparseRows:
+    """The nonzero cells of the dense ``width``-column row ``blocks``, one block after the other; at least one block."""
+    counts, columns, values = [np.zeros(1, dtype=np.int64)], [], []
+    for x in blocks:
+        cells = np.flatnonzero(x != 0.0)  # a bool mask is scanned faster than the floats
+        counts.append(np.diff(np.searchsorted(cells, np.arange(len(x) + 1) * width)))
+        columns.append(np.remainder(cells, width).astype(np.int32))
+        values.append(x.ravel()[cells])
+        del x, cells  # not to live through the making of the next block
+    # Each list goes once its array is made, so the cells are held twice only one array at a time.
+    offsets = np.cumsum(np.concatenate(counts), dtype=np.int64)
+    columns = np.concatenate(columns)
+    return SparseRows(offsets, columns, np.concatenate(values), width)
 
 
 class _Numbering(dict):
@@ -190,12 +249,14 @@ def _cells(tokens: Tokens, rows, width: int) -> np.ndarray:
     return cells
 
 
-def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, np.ndarray, Tokens]:
-    """Vocabulary, IDF, L2-normalized TF-IDF vectors of the documents ``tokens``, and those documents in the vocabulary.
+def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, SparseRows]:
+    """Vocabulary, IDF and L2-normalized TF-IDF rows of the documents ``tokens``.
 
     The vocabulary keeps terms that appear in at least two documents, in
     sorted order; IDF is ln(N / df), so a term present in every document
-    gets zero weight.
+    gets zero weight.  The rows are :func:`doc_matrix`'s, made
+    ``BLOCK_ROWS`` documents at a time, each block of documents put in
+    the vocabulary on its own, and kept as their nonzero cells.
 
     Raises:
         ValueError: no documents, or the vocabulary comes out empty.
@@ -206,13 +267,20 @@ def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, np.ndarray, 
     # A document counts once towards the frequency of each term it holds.
     cells = np.sort(_cells(tokens, np.arange(n), width))
     df = np.bincount(cells[np.diff(cells, prepend=-1) != 0] % width, minlength=width).tolist()
+    del cells
     frequent = sorted((term, df[j]) for j, term in enumerate(tokens.terms) if df[j] >= 2)
     if not frequent:
         raise ValueError("vocabulary is empty: no term appears in two or more documents")
     vocab = {term: j for j, (term, _) in enumerate(frequent)}
     idf = np.array([math.log(n / count) for _, count in frequent])
-    tokens = tokens.in_vocabulary(vocab)
-    return vocab, idf, doc_matrix(tokens, idf), tokens
+    columns, terms = np.array([vocab.get(t, -1) for t in tokens.terms], dtype=np.int32), tuple(vocab)
+    ids, offsets = tokens.ids, tokens.offsets
+    # Every step of doc_matrix is row-local, so a block's rows are those of the whole matrix.
+    starts = range(0, n, BLOCK_ROWS)
+    blocks = (doc_matrix(Tokens(tokens.terms, ids[offsets[s]:offsets[e]], offsets[s:e + 1] - offsets[s])
+                         .relabel(columns, terms), idf)
+              for s, e in zip(starts, [*starts[1:], n]))
+    return vocab, idf, _sparse_rows(blocks, len(vocab))
 
 
 def term_counts(tokens: Tokens, rows=None) -> np.ndarray:
@@ -238,7 +306,7 @@ def doc_matrix(tokens: Tokens, idf: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kmeans(vectors: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(rows: SparseRows, n_clusters: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ plus at most ``KMEANS_MAX_ITER`` Lloyd passes; fully deterministic.
 
     The effective cluster count is min(n_clusters, n_points).  Returns
@@ -248,48 +316,47 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray,
     (Hamerly, SDM 2010) and assigns exactly as a pass over all distances.
     A centroid is its members' sum, adding their rows one by one in row
     order, over their count: ``mean(axis=0)``, bit for bit, of two or more
-    columns (numpy sums a single column pairwise).
+    columns (numpy sums a single column pairwise).  Every product runs on
+    one dense block of ``min(BLOCK_ROWS, n)`` rows, so the whole dense
+    matrix never exists, and gives the bits of the whole matrix's product.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    n, dims = vectors.shape
+    n, dims = len(rows), rows.width
     k = min(n_clusters, n)
     rng = np.random.default_rng(seed)
-    x_sq = _row_sq_norms(vectors)
+    block = np.zeros((min(BLOCK_ROWS, n), dims))
+    x_sq = np.empty(n)
+    for run, x in _runs(rows, block):
+        x_sq[run] = _row_sq_norms(x)
 
-    centroids = np.empty((k, dims))
-    centroids[0] = vectors[rng.integers(n)]
-    closest = _sq_dists(vectors, centroids[0][None, :], x_sq)[:, 0]
+    centroids = np.zeros((k, dims))
+    rows.densify(np.array([rng.integers(n)]), centroids)
+    closest = _seed_dists(rows, block, x_sq, centroids[0])
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
             idx = rng.integers(n)
         else:
             idx = rng.choice(n, p=closest / total)
-        centroids[c] = vectors[idx]
-        closest = np.minimum(closest, _sq_dists(vectors, centroids[c][None, :], x_sq)[:, 0])
+        rows.densify(np.array([idx]), centroids[c:])
+        closest = np.minimum(closest, _seed_dists(rows, block, x_sq, centroids[c]))
+    del closest
 
     # Hamerly's bounds, as distances: upper[i] is at least point i's distance
     # to its centroid, lower[i] at most its distance to any other centroid.
     upper = np.full(n, np.inf)
     lower = np.zeros(n)
     margin = PRUNE_MARGIN * math.sqrt((2 * dims + 3) * np.finfo(float).eps * x_sq.max())
-
-    # The nonzero cells in row order, as per-row counts, int32 columns and
-    # values: a zero adds nothing to a row-by-row sum.
-    cells = np.flatnonzero(vectors)
-    per_row = np.diff(np.searchsorted(cells, np.arange(n + 1) * dims))
-    cols = np.empty(len(cells), dtype=np.int32)
-    np.remainder(cells, dims, out=cols, casting="unsafe")
-    values = vectors.ravel()[cells]
-    del cells
+    # A zero adds nothing to a row-by-row sum, so the nonzero cells give the means.
+    per_row = np.diff(rows.offsets)
 
     assignments = np.zeros(n, dtype=np.int64)
     for i in range(KMEANS_MAX_ITER):
-        new_assignments = _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin)
+        new_assignments = _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin)
         keys = np.repeat(new_assignments * dims, per_row)
-        keys += cols
-        sums = np.bincount(keys, weights=values, minlength=k * dims).reshape(k, dims)
+        keys += rows.columns
+        sums = np.bincount(keys, weights=rows.values, minlength=k * dims).reshape(k, dims)
         del keys  # not to live through the next pass's distances
         counts = np.bincount(new_assignments, minlength=k)
         filled = counts > 0  # an empty cluster keeps its centroid
@@ -307,19 +374,45 @@ def kmeans(vectors: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray,
                 return new_assignments, centroids
             break
         assignments = new_assignments
-    return _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin), centroids
+    return _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin), centroids
 
 
-def _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin) -> np.ndarray:
+def _runs(rows: SparseRows, block: np.ndarray):
+    """Each run of rows as its slice and the rows of ``block`` that hold it; the block is zero again after it.
+
+    A run is ``len(block)`` rows, the last one fewer, but a last run of one
+    row after others starts 4 rows sooner (see ``BLOCK_ROWS``).
+    """
+    n, size = len(rows), len(block)
+    starts = list(range(0, n, size))
+    if n > size and n % size == 1:
+        starts[-1] -= 4
+    for start, stop in zip(starts, starts[1:] + [n]):
+        run = slice(start, stop)
+        cells = rows.densify(run, block)
+        yield run, block[:stop - start]
+        block.ravel()[cells] = 0.0
+
+
+def _seed_dists(rows: SparseRows, block: np.ndarray, x_sq: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """``_sq_dists(vectors, centroid[None, :], x_sq)[:, 0]``, bit for bit, ``vectors`` the dense matrix of ``rows``."""
+    out = np.empty(len(rows))
+    for run, x in _runs(rows, block):
+        out[run] = _sq_dists(x, centroid[None, :], x_sq[run])[:, 0]
+    return out
+
+
+def _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin) -> np.ndarray:
     """``np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1)``, bit for bit, from the bounds.
 
-    Only the rows whose ``upper`` and ``lower`` bounds (about
-    ``assignments``) leave their nearest centroid open get distances, and
-    their bounds become exact.  Every GEMM runs on ``min(BLOCK_ROWS, n)``
-    rows: the whole matrix when it is that small, else blocks of open rows,
-    the last one padded with row 0.
+    ``vectors`` is the dense matrix of ``rows``.  Only the rows whose
+    ``upper`` and ``lower`` bounds (about ``assignments``) leave their
+    nearest centroid open get distances, and their bounds become exact.
+    Every GEMM runs on the zeroed ``block``'s ``min(BLOCK_ROWS, n)`` rows:
+    all rows when there are that few, else blocks of open rows, the last
+    one padded with row 0.
     """
-    n = len(vectors)
+    n = len(rows)
     # A point nearer its centroid than half the way to the centroid's
     # nearest neighbour is nearer it than any other centroid.
     between = _sq_dists(centroids, centroids)
@@ -327,23 +420,21 @@ def _nearest(vectors, x_sq, centroids, assignments, upper, lower, margin) -> np.
     half_gap = 0.5 * np.sqrt(between.min(axis=1))
     open_rows = np.flatnonzero(upper + margin >= np.maximum(half_gap[assignments], lower))
     nearest = assignments.copy()
-    size = min(BLOCK_ROWS, n)
+    size = len(block)
     if len(open_rows) and n == size:
         open_rows = np.arange(n)
-    padded = np.zeros(-(-len(open_rows) // size) * size, dtype=np.intp)
-    padded[:len(open_rows)] = open_rows
-    block = np.empty((size, vectors.shape[1]))
     for start in range(0, len(open_rows), size):
-        rows, take = open_rows[start:start + size], padded[start:start + size]
-        # mode="clip" lets take write into block directly; "raise" would buffer.
-        x = vectors if n == size else np.take(vectors, take, axis=0, out=block, mode="clip")
-        d = _sq_dists(x, centroids, x_sq[take])[:len(rows)]
+        part = open_rows[start:start + size]
+        take = np.pad(part, (0, size - len(part))) if len(part) < size else part
+        cells = rows.densify(take, block)
+        d = _sq_dists(block, centroids, x_sq[take])[:len(part)]
+        block.ravel()[cells] = 0.0
         best = np.argmin(d, axis=1)
-        nearest[rows] = best
-        took = np.arange(len(rows))
-        upper[rows] = np.sqrt(d[took, best])
+        nearest[part] = best
+        took = np.arange(len(part))
+        upper[part] = np.sqrt(d[took, best])
         d[took, best] = np.inf
-        lower[rows] = np.sqrt(d.min(axis=1))
+        lower[part] = np.sqrt(d.min(axis=1))
     return nearest
 
 
@@ -391,11 +482,9 @@ def cluster_keywords(tokens: Tokens, assignments) -> list[tuple[str, ...]]:
     keywords = []
     for c in range(n_clusters):
         scores = weighted[c] if (weighted[c] > 0).any() else counts[c]
-        ranked = sorted(
-            (j for j in range(len(terms)) if scores[j] > 0),
-            key=lambda j: (-scores[j], terms[j]),
-        )
-        keywords.append(tuple(terms[j] for j in ranked[:KEYWORDS_PER_TOPIC]))
+        kept = np.flatnonzero(scores > 0)
+        ranked = sorted(zip((-scores[kept]).tolist(), [terms[j] for j in kept.tolist()]))
+        keywords.append(tuple(t for _, t in ranked[:KEYWORDS_PER_TOPIC]))
     return keywords
 
 
@@ -584,14 +673,15 @@ def fit_topic_model(
 
     Topics are mapped on ``MAP_PARALLELISM`` threads, in topic order.
     """
-    vocab, idf, vectors, tokens = _fit_tfidf(tokens)
-    assignments, centroids = kmeans(vectors, topic_count, seed)
+    vocab, idf, rows = _fit_tfidf(tokens)
+    assignments, centroids = kmeans(rows, topic_count, seed)
+    del rows
     # Renumber the clusters that kept members as 0..live-1.
     live, assignments = np.unique(assignments, return_inverse=True)
     centroids = centroids[live]
 
     doc_counts = np.bincount(assignments, minlength=len(live))
-    keywords = cluster_keywords(tokens, assignments)
+    keywords = cluster_keywords(tokens.in_vocabulary(vocab), assignments)
 
     with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
         det_indices = list(pool.map(lambda kw: map_topic(kw, backend), keywords))

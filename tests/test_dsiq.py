@@ -3,11 +3,15 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from side.dsiq import (
     _fit_tfidf,
     _nearest,
     _row_sq_norms,
+    _sparse_rows,
     _sq_dists,
     cluster_keywords,
     doc_matrix,
@@ -81,6 +86,18 @@ def term(j):
     return "x" + "".join("abcdefghij"[int(c)] for c in str(j))
 
 
+def sparse(x):
+    """The dense rows ``x`` as :func:`kmeans` takes them, through the step that keeps each TF-IDF block's cells."""
+    return _sparse_rows([x], x.shape[1])
+
+
+def dense(rows):
+    """The dense matrix of ``rows``."""
+    x = np.zeros((len(rows), rows.width))
+    rows.densify(slice(0, len(rows)), x)
+    return x
+
+
 #: Texts at the edges of the token rule, by what they test.
 _TOKENIZER_EDGES = {
     "kelvin_sign": "\u212aelvin \u212a",  # lowercases to "k"
@@ -118,20 +135,22 @@ def test_encode_matches_regex_oracle(texts):
 class TestVectorize:
     def test_identical_documents_get_identical_vectors(self):
         docs = ["dry crop fields", "dry crop fields"]
-        _, _, vectors, _ = _fit_tfidf(encode(docs))
+        _, _, rows = _fit_tfidf(encode(docs))
+        vectors = dense(rows)
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_term_in_every_document_weighs_zero(self):
         # ln(N/N) = 0, so the shared term contributes nothing
         docs = ["drought crop crop", "drought wells wells", "drought crop wells"]
-        vocab, _, vectors, _ = _fit_tfidf(encode(docs))
+        vocab, _, rows = _fit_tfidf(encode(docs))
+        vectors = dense(rows)
         assert vectors[:, vocab["drought"]].max() == 0.0
         assert vectors[:, vocab["crop"]].max() > 0.0
 
     def test_self_cosine_is_one(self):
         docs = ["crop crop harvest", "wells water", "crop wells water harvest"]
-        _, _, vectors, _ = _fit_tfidf(encode(docs))
-        for row in vectors:
+        _, _, rows = _fit_tfidf(encode(docs))
+        for row in dense(rows):
             if row.any():
                 assert math.isclose(float(row @ row), 1.0, abs_tol=1e-12)
 
@@ -160,7 +179,7 @@ class TestKmeans:
         blob_a = rng.normal(0.0, 0.05, size=(20, 2)) + np.array([1.0, 0.0])
         blob_b = rng.normal(0.0, 0.05, size=(20, 2)) + np.array([0.0, 1.0])
         points = np.vstack([blob_a, blob_b])
-        assignments, centroids = kmeans(points, 2, seed=0)
+        assignments, centroids = kmeans(sparse(points), 2, seed=0)
 
         first = assignments[0]
         assert np.all(assignments[:20] == first)
@@ -171,15 +190,15 @@ class TestKmeans:
 
     def test_more_clusters_than_points_gives_singletons(self):
         points = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-        assignments, centroids = kmeans(points, 50, seed=0)
+        assignments, centroids = kmeans(sparse(points), 50, seed=0)
         assert centroids.shape[0] == 3
         assert sorted(assignments.tolist()) == [0, 1, 2]
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(11)
         points = rng.normal(size=(40, 6))
-        a1, c1 = kmeans(points, 5, seed=7)
-        a2, c2 = kmeans(points, 5, seed=7)
+        a1, c1 = kmeans(sparse(points), 5, seed=7)
+        a2, c2 = kmeans(sparse(points), 5, seed=7)
         assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
 
 
@@ -280,6 +299,9 @@ def _kmeans_cases():
         "block_rows_minus_1": (large[:BLOCK_ROWS - 1], 16, 4, 100),
         "block_rows": (large[:BLOCK_ROWS], 16, 4, 100),
         "block_rows_plus_1": (large[:BLOCK_ROWS + 1], 16, 4, 100),
+        # The last seeding GEMV's 2 and 3 rows past a multiple of 4, which OpenBLAS takes apart from the rest.
+        "two_blocks_plus_2": (large[:2 * BLOCK_ROWS + 2], 16, 5, 100),
+        "two_blocks_plus_3": (large[:2 * BLOCK_ROWS + 3], 16, 6, 100),
         "halfway": (halfway, 2, 0, 100),
         "duplicate_rows": (duplicates, 6, 1, 100),
         "k_above_n": (tfidf[:7], 20, 0, 100),
@@ -296,7 +318,7 @@ def test_kmeans_matches_reference(monkeypatch, case):
     vectors, n_clusters, seed, max_iter = _kmeans_cases()[case]
     want_a, want_c = _reference_kmeans(vectors, n_clusters, seed, max_iter)
     monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", max_iter)
-    got_a, got_c = kmeans(vectors, n_clusters, seed)
+    got_a, got_c = kmeans(sparse(vectors), n_clusters, seed)
     assert np.array_equal(got_a, want_a)
     assert np.array_equal(got_c, want_c)
     x_sq = (vectors * vectors).sum(axis=1)
@@ -328,7 +350,7 @@ def test_kmeans_skips_distances_it_can_bound(monkeypatch, case):
 
     monkeypatch.setattr(dsiq, "_nearest", nearest)
     monkeypatch.setattr(dsiq, "_sq_dists", sq_dists)
-    kmeans(vectors, n_clusters, seed)
+    kmeans(sparse(vectors), n_clusters, seed)
     full = -(-len(vectors) // BLOCK_ROWS)
     assert blocks[0] == full and sum(blocks) < 0.8 * full * len(blocks)
 
@@ -351,13 +373,43 @@ def test_padded_block_rows_equal_full_product_rows(k):
         open_rows = np.sort(rng.choice(len(x), count, replace=False))
         upper, lower = np.zeros(len(x)), np.full(len(x), np.inf)
         upper[open_rows] = np.inf
-        nearest = _nearest(x, x_sq, centroids, np.zeros(len(x), dtype=np.int64), upper, lower, 0.0)
+        block = np.zeros((BLOCK_ROWS, x.shape[1]))
+        nearest = _nearest(sparse(x), block, x_sq, centroids, np.zeros(len(x), dtype=np.int64), upper, lower, 0.0)
+        assert not block.any()
         best = np.argmin(full[open_rows], axis=1)
         assert np.array_equal(nearest[open_rows], best)
         assert np.array_equal(upper[open_rows], np.sqrt(full[open_rows, best]))
         rest = full[open_rows].copy()
         rest[np.arange(count), best] = np.inf
         assert np.array_equal(lower[open_rows], np.sqrt(rest.min(axis=1)))
+
+
+#: Prints, per row count in argv, how many rows' k-means++ seed distances
+#: differ from one GEMV over the whole matrix, for 8 centroids.
+_SEED_DISTS_PROBE = """
+import sys
+import numpy as np
+from side.dsiq import BLOCK_ROWS, _row_sq_norms, _seed_dists, _sparse_rows, _sq_dists
+rng = np.random.default_rng(0)
+for n in map(int, sys.argv[1:]):
+    x = rng.random((n, 186))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    rows, x_sq, block = _sparse_rows([x], 186), _row_sq_norms(x), np.zeros((BLOCK_ROWS, 186))
+    centroids = x[rng.integers(n, size=(8, 2))].mean(axis=1)
+    print(n, sum(np.count_nonzero(_seed_dists(rows, block, x_sq, c) != _sq_dists(x, c[None, :], x_sq)[:, 0])
+                 for c in centroids))
+"""
+
+
+def test_seed_distances_equal_whole_matrix_gemv():
+    # The last run of rows is 1 to 4 rows long, and one row after one full block.  At one BLAS
+    # thread: a multithreaded GEMV splits the rows between its threads wherever.
+    sizes = [2 * BLOCK_ROWS + tail for tail in (1, 2, 3, 4)] + [BLOCK_ROWS + 1]
+    env = dict(os.environ, PYTHONPATH=str(Path(dsiq.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _SEED_DISTS_PROBE, *map(str, sizes)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [f"{n} 0" for n in sizes]
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
@@ -377,14 +429,16 @@ def test_doc_matrix_matches_linalg_norm():
     assert np.array_equal(doc_matrix(tokens, idf), np.divide(x, norms, out=x, where=norms > 0))
 
 
-def _peak_bytes(fn, *args):
-    """Bytes ``fn(*args)`` allocates at its peak, beyond what it returns."""
+def _peak_bytes(fn, *args, with_result=False):
+    """Bytes ``fn(*args)`` allocates at its peak, beyond the arrays it returns unless ``with_result``."""
     tracemalloc.start()
     try:
         result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    if with_result:
+        return peak
     return peak - sum(a.nbytes for a in (result if isinstance(result, tuple) else (result,)))
 
 
@@ -396,12 +450,28 @@ def test_kmeans_and_doc_matrix_allocate_no_matrix_sized_temporary(monkeypatch):
     idf = rng.random(dims) + 0.5
     matrix_bytes = n * dims * 8
     assert _peak_bytes(doc_matrix, tokens, idf) < matrix_bytes / 4
-    vectors = doc_matrix(tokens, idf)
+    rows = sparse(doc_matrix(tokens, idf))
     # The mean update sums the nonzero cells, so no k gathers a cluster's rows;
     # at k = 1 that cluster would be the whole matrix.
     monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", 5)
-    assert _peak_bytes(kmeans, vectors, 50, 0) < matrix_bytes / 4
-    assert _peak_bytes(kmeans, vectors, 1, 0) < matrix_bytes / 4
+    assert _peak_bytes(kmeans, rows, 50, 0) < matrix_bytes / 4
+    assert _peak_bytes(kmeans, rows, 1, 0) < matrix_bytes / 4
+
+
+def test_fit_allocates_no_matrix(monkeypatch):
+    """The fit keeps the TF-IDF rows as nonzero cells, which it returns, and densifies them a block at a time.
+
+    A document holds 7 tokens, about as many as a synthetic corpus's fit
+    document holds in the vocabulary (6.5).
+    """
+    rng = np.random.default_rng(5)
+    n, dims = 20_000, 186
+    vocab = {term(j): j for j in range(dims)}
+    tokens = in_vocab([[term(j) for j in rng.integers(0, dims, 7)] for _ in range(n)], vocab)
+    matrix_bytes = n * dims * 8
+    assert _peak_bytes(_fit_tfidf, tokens, with_result=True) < matrix_bytes / 4
+    monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", 5)
+    assert _peak_bytes(fit_topic_model, tokens, LexiconBackend(), 50, 0, with_result=True) < matrix_bytes / 4
 
 
 def _reference_term_counts(token_lists, vocab):
@@ -494,14 +564,47 @@ def test_fit_tfidf_matches_string_reference(n):
         with pytest.raises(ValueError, match="vocabulary is empty"):
             _fit_tfidf(encode(texts))
         return
-    vocab, idf, rows, tokens = _fit_tfidf(encode(texts))
+    vocab, idf, rows = _fit_tfidf(encode(texts))
+    tokens = encode(texts).in_vocabulary(vocab)
     assert list(vocab.items()) == list(want[0].items()) and tokens.terms == tuple(want[0])
     assert idf.tobytes() == want[1].tobytes()
-    assert rows.tobytes() == want[2].tobytes()
+    assert dense(rows).tobytes() == want[2].tobytes()
     in_vocabulary = [[t for t in tokens if t in vocab] for tokens in want[3]]
     assert [[tokens.terms[j] for j in tokens.ids[a:b]] for a, b in zip(tokens.offsets, tokens.offsets[1:])] \
         == in_vocabulary
     assert tokens.ids.dtype == np.int32 and tokens.offsets.dtype == np.int64
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["empty_documents", "idf_zero_column"])
+def test_fit_tfidf_rows_are_doc_matrix_rows(shared):
+    """Rows made ``BLOCK_ROWS`` documents at a time are one ``doc_matrix`` over all documents, bit for bit.
+
+    Documents that are empty or hold no vocabulary term, and with ``shared``
+    a term in every document, whose idf is 0, give all-zero rows.
+    """
+    rng = np.random.default_rng(8)
+    n = 3 * BLOCK_ROWS + 5
+    texts = _random_texts(rng, n, rare_from=0)
+    blank = rng.choice(n, 60, replace=False)
+    for i in blank[:30]:
+        texts[i] = term(10**6 + i) if shared else ""
+    for i in blank[30:]:
+        texts[i] = term(10**6 + i)
+    if shared:
+        texts = [f"{text} everywhere" for text in texts]
+    vocab, idf, rows = _fit_tfidf(encode(texts))
+    tokens = encode(texts).in_vocabulary(vocab)
+    assert ("everywhere" in vocab) is shared and (idf == 0.0).any() == shared
+    want = doc_matrix(tokens, idf)
+    assert not want[blank].any()
+    assert dense(rows).tobytes() == want.tobytes()
+    assert rows.offsets.dtype == np.int64 and rows.columns.dtype == np.int32 and rows.values.dtype == np.float64
+    assert rows.values.all() and len(rows.values) == np.count_nonzero(want)
+    # Any rows, repeated and in any order, as a k-means pass pads its open rows.
+    some = np.concatenate([rng.permutation(n)[:BLOCK_ROWS - 2], blank[:1], [0, 0]])
+    block = np.zeros((len(some), len(vocab)))
+    rows.densify(some, block)
+    assert block.tobytes() == want[some].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -544,7 +647,7 @@ def test_weekly_halves_match_string_reference(tmp_path):
     assert len(fit_texts) > BLOCK_ROWS
     vocab, idf, rows, token_lists = _reference_fit_tfidf(fit_texts)
     assert "lateterm" not in vocab
-    assignments, centroids = kmeans(rows, 12, 3)
+    assignments, centroids = kmeans(sparse(rows), 12, 3)
     live, assignments = np.unique(assignments, return_inverse=True)
     keywords = _reference_cluster_keywords(token_lists, assignments, vocab)
     counts = np.bincount(assignments)
