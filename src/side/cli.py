@@ -13,6 +13,7 @@ import ctypes
 import hashlib
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -90,14 +91,10 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     backend = dsiq.backend_from_env(cfg.backend, lexicon)
     cutoff = training_cutoff(len(series), cfg.model.lookback, cfg.model.horizon)
 
-    models, halves = [], []
-    for source, path in zip(SOURCES, (cfg.social_path, cfg.news_path)):
-        counts, model, half = dsiq.quantify_source(
-            source, path, series, entities, backend, cutoff, cfg.topic_count, cfg.train.seed
-        )
-        print(f"{source}: " + ", ".join(f"{label} {n}" for label, n in counts.items()))
-        models.append(model)
-        halves.append(half)
+    counters, models, halves = zip(*(
+        dsiq.quantify_source(source, path, series, entities, backend, cutoff, cfg.topic_count, cfg.train.seed)
+        for source, path in zip(SOURCES, (cfg.social_path, cfg.news_path))
+    ))
 
     impacts = np.hstack(halves)
     check_impacts(impacts)
@@ -108,6 +105,8 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
     rows = [(source, cluster_id, f'"{DETERMINANT_NAMES[c.determinant_index]}"', c.doc_count, " ".join(c.keywords))
             for source, model in zip(SOURCES, models) for cluster_id, c in enumerate(model.clusters)]
     write_csv(topics_path, ("source", "cluster_id", "determinant", "doc_count", "keywords"), rows)
+    for source, counts in zip(SOURCES, counters):
+        print(f"{source}: " + ", ".join(f"{label} {n}" for label, n in counts.items()))
     print(f"wrote {impact_path} and {topics_path}")
     return 0
 
@@ -257,11 +256,20 @@ def main(argv=None) -> int:
     level = logger.level
     logger.setLevel(args.log_level)
     logger.addHandler(handler)
+    code = 0
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # The reader closed stdout (``side quantify ... | head -0``).  Every command prints only after
+        # its files are written, so they are complete; what is still buffered goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
+    return code
 
 
 def _run(args) -> int:
@@ -273,6 +281,8 @@ def _run(args) -> int:
         # Before any input is read, so an out_dir that cannot be one fails at once.
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         return commands[args.command](cfg)
+    except BrokenPipeError:
+        raise  # a closed stdout, not a bad input: main handles it
     except (DivergenceError, NumericsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

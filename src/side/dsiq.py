@@ -43,15 +43,11 @@ KEYWORDS_PER_TOPIC = 10
 KMEANS_MAX_ITER = 100
 
 #: Rows per dense block: of documents per TF-IDF build, and of rows per
-#: k-means product (the row count when there are fewer), the only dense rows
-#: k-means holds.  A GEMM over fewer rows can round differently from the same
-#: rows of the full product (OpenBLAS, below about 1200 / k rows at k
-#: centroids), so a Lloyd pass pads every block to this shape.  A k-means++
-#: seed's GEMV must not pad: OpenBLAS takes its rows 4 at a time and the
-#: ``n mod 4`` left over with another kernel, so each run starts at a multiple
-#: of 4 and the last one ends at the last row, as in the whole product.  numpy
-#: takes a one-row product as a dot product, so no run after the first is one
-#: row long.
+#: Lloyd pass product (the row count when there are fewer), the only dense
+#: rows k-means holds.  A GEMM over fewer rows can round differently from the
+#: same rows of the full product (OpenBLAS, below about 1200 / k rows at k
+#: centroids), so a Lloyd pass pads every block to this shape, and its
+#: distances are the whole product's bit for bit.
 BLOCK_ROWS = 1024
 
 #: k-means skips a point's distances only when its bounds clear each other by
@@ -157,26 +153,24 @@ class SparseRows:
 
     Row ``i`` holds ``values[a:b]`` in the columns ``columns[a:b]``, for ``a, b = offsets[i], offsets[i + 1]``;
     ``offsets``, one longer than the rows, is ``int64``, ``columns`` ``int32`` and ``values`` ``float64``.
+    ``sq_norms[i]`` is row ``i``'s squared norm, :func:`_row_sq_norms` of the dense row.
     """
 
     offsets: np.ndarray
     columns: np.ndarray
     values: np.ndarray
     width: int
+    sq_norms: np.ndarray
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def densify(self, rows, block: np.ndarray) -> np.ndarray:
-        """Write ``rows``, a run ``slice(start, stop)`` or an integer array, into the first rows of the zeroed ``block``.
+    def densify(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Write ``rows``, an integer array, into the first rows of the zeroed ``block``.
 
         Returns the flat indices into the C-ordered ``block`` of the cells written, for the caller to zero again.
         """
-        if isinstance(rows, slice):
-            lengths = np.diff(self.offsets[rows.start:rows.stop + 1])
-            index = slice(self.offsets[rows.start], self.offsets[rows.stop])
-        else:
-            index, lengths = _flat_index(self.offsets, rows)
+        index, lengths = _flat_index(self.offsets, rows)
         cells = np.repeat(np.arange(0, len(lengths) * self.width, self.width), lengths)
         cells += self.columns[index]
         block.ravel()[cells] = self.values[index]
@@ -193,9 +187,10 @@ def _flat_index(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _sparse_rows(blocks, width: int) -> SparseRows:
-    """The nonzero cells of the dense ``width``-column row ``blocks``, one block after the other; at least one block."""
-    counts, columns, values = [np.zeros(1, dtype=np.int64)], [], []
+    """The nonzero cells and squared norms of the dense ``width``-column row ``blocks``, in order; at least one block."""
+    counts, columns, values, sq_norms = [np.zeros(1, dtype=np.int64)], [], [], []
     for x in blocks:
+        sq_norms.append(_row_sq_norms(x))
         cells = np.flatnonzero(x != 0.0)  # a bool mask is scanned faster than the floats
         counts.append(np.diff(np.searchsorted(cells, np.arange(len(x) + 1) * width)))
         columns.append(np.remainder(cells, width).astype(np.int32))
@@ -204,7 +199,7 @@ def _sparse_rows(blocks, width: int) -> SparseRows:
     # Each list goes once its array is made, so the cells are held twice only one array at a time.
     offsets = np.cumsum(np.concatenate(counts), dtype=np.int64)
     columns = np.concatenate(columns)
-    return SparseRows(offsets, columns, np.concatenate(values), width)
+    return SparseRows(offsets, columns, np.concatenate(values), width, np.concatenate(sq_norms))
 
 
 class _Numbering(dict):
@@ -316,23 +311,25 @@ def kmeans(rows: SparseRows, n_clusters: int, seed: int) -> tuple[np.ndarray, np
     (Hamerly, SDM 2010) and assigns exactly as a pass over all distances.
     A centroid is its members' sum, adding their rows one by one in row
     order, over their count: ``mean(axis=0)``, bit for bit, of two or more
-    columns (numpy sums a single column pairwise).  Every product runs on
-    one dense block of ``min(BLOCK_ROWS, n)`` rows, so the whole dense
-    matrix never exists, and gives the bits of the whole matrix's product.
+    columns (numpy sums a single column pairwise).  Every Lloyd pass's
+    product runs on one dense block of ``min(BLOCK_ROWS, n)`` rows, so the
+    whole dense matrix never exists, and gives the bits of the whole
+    matrix's product.  The seeds, whose distances come from the nonzero
+    cells, are the plain algorithm's unless a uniform draw lands within
+    about 1e-15 of a boundary of the D² distribution.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     n, dims = len(rows), rows.width
     k = min(n_clusters, n)
     rng = np.random.default_rng(seed)
-    block = np.zeros((min(BLOCK_ROWS, n), dims))
-    x_sq = np.empty(n)
-    for run, x in _runs(rows, block):
-        x_sq[run] = _row_sq_norms(x)
+    x_sq = rows.sq_norms
+    per_row = np.diff(rows.offsets)
 
     centroids = np.zeros((k, dims))
+    row_ids = np.repeat(np.arange(n), per_row)
     rows.densify(np.array([rng.integers(n)]), centroids)
-    closest = _seed_dists(rows, block, x_sq, centroids[0])
+    closest = _seed_dists(rows, row_ids, centroids[0])
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -340,20 +337,20 @@ def kmeans(rows: SparseRows, n_clusters: int, seed: int) -> tuple[np.ndarray, np
         else:
             idx = rng.choice(n, p=closest / total)
         rows.densify(np.array([idx]), centroids[c:])
-        closest = np.minimum(closest, _seed_dists(rows, block, x_sq, centroids[c]))
-    del closest
+        closest = np.minimum(closest, _seed_dists(rows, row_ids, centroids[c]))
+    del closest, row_ids
 
+    block = np.zeros((min(BLOCK_ROWS, n), dims))
     # Hamerly's bounds, as distances: upper[i] is at least point i's distance
     # to its centroid, lower[i] at most its distance to any other centroid.
     upper = np.full(n, np.inf)
     lower = np.zeros(n)
     margin = PRUNE_MARGIN * math.sqrt((2 * dims + 3) * np.finfo(float).eps * x_sq.max())
-    # A zero adds nothing to a row-by-row sum, so the nonzero cells give the means.
-    per_row = np.diff(rows.offsets)
 
     assignments = np.zeros(n, dtype=np.int64)
     for i in range(KMEANS_MAX_ITER):
         new_assignments = _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin)
+        # A zero adds nothing to a row-by-row sum, so the nonzero cells give the means.
         keys = np.repeat(new_assignments * dims, per_row)
         keys += rows.columns
         sums = np.bincount(keys, weights=rows.values, minlength=k * dims).reshape(k, dims)
@@ -377,29 +374,16 @@ def kmeans(rows: SparseRows, n_clusters: int, seed: int) -> tuple[np.ndarray, np
     return _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin), centroids
 
 
-def _runs(rows: SparseRows, block: np.ndarray):
-    """Each run of rows as its slice and the rows of ``block`` that hold it; the block is zero again after it.
+def _seed_dists(rows: SparseRows, row_ids: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Squared distances of ``rows`` to ``centroid``, clipped at 0; ``row_ids`` is each nonzero cell's row.
 
-    A run is ``len(block)`` rows, the last one fewer, but a last run of one
-    row after others starts 4 rows sooner (see ``BLOCK_ROWS``).
+    Each dot product adds its row's cells in order, so a distance can differ from a GEMV's by about 1e-16.
     """
-    n, size = len(rows), len(block)
-    starts = list(range(0, n, size))
-    if n > size and n % size == 1:
-        starts[-1] -= 4
-    for start, stop in zip(starts, starts[1:] + [n]):
-        run = slice(start, stop)
-        cells = rows.densify(run, block)
-        yield run, block[:stop - start]
-        block.ravel()[cells] = 0.0
-
-
-def _seed_dists(rows: SparseRows, block: np.ndarray, x_sq: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """``_sq_dists(vectors, centroid[None, :], x_sq)[:, 0]``, bit for bit, ``vectors`` the dense matrix of ``rows``."""
-    out = np.empty(len(rows))
-    for run, x in _runs(rows, block):
-        out[run] = _sq_dists(x, centroid[None, :], x_sq[run])[:, 0]
-    return out
+    weights = centroid[rows.columns]
+    weights *= rows.values
+    d = rows.sq_norms + centroid @ centroid
+    d -= 2.0 * np.bincount(row_ids, weights=weights, minlength=len(rows))
+    return np.maximum(d, 0.0, out=d)
 
 
 def _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin) -> np.ndarray:

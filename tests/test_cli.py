@@ -111,6 +111,29 @@ def test_quantify_rerun_byte_identical(workspace, tmp_path):
         assert (run / name).read_bytes() == (workspace["run"] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_quantify_into_a_closed_stdout_exits_0_with_its_files(workspace, tmp_path, unbuffered):
+    # As `side quantify ... | head -0`: the reader is gone before anything is printed.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import side
+
+    cfg_path, run = _run_config(workspace, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(side.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "side.cli", "quantify", "--config", str(cfg_path)],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (0, b"")
+    for name in ("synth_impact.csv", "synth_topics.csv"):
+        assert (run / name).read_bytes() == (workspace["run"] / name).read_bytes(), name
+
+
 def test_train_then_evaluate_and_determinism(workspace, tmp_path):
     cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv")
     cfg = str(cfg_path)

@@ -3,15 +3,11 @@
 import json
 import logging
 import math
-import os
 import re
-import subprocess
-import sys
 import threading
 import tracemalloc
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +30,7 @@ from side.dsiq import (
     _fit_tfidf,
     _nearest,
     _row_sq_norms,
+    _seed_dists,
     _sparse_rows,
     _sq_dists,
     cluster_keywords,
@@ -94,7 +91,7 @@ def sparse(x):
 def dense(rows):
     """The dense matrix of ``rows``."""
     x = np.zeros((len(rows), rows.width))
-    rows.densify(slice(0, len(rows)), x)
+    rows.densify(np.arange(len(rows)), x)
     return x
 
 
@@ -299,7 +296,7 @@ def _kmeans_cases():
         "block_rows_minus_1": (large[:BLOCK_ROWS - 1], 16, 4, 100),
         "block_rows": (large[:BLOCK_ROWS], 16, 4, 100),
         "block_rows_plus_1": (large[:BLOCK_ROWS + 1], 16, 4, 100),
-        # The last seeding GEMV's 2 and 3 rows past a multiple of 4, which OpenBLAS takes apart from the rest.
+        # 2 and 3 rows past a multiple of 4, which the reference's seeding GEMV (OpenBLAS) takes apart from the rest.
         "two_blocks_plus_2": (large[:2 * BLOCK_ROWS + 2], 16, 5, 100),
         "two_blocks_plus_3": (large[:2 * BLOCK_ROWS + 3], 16, 6, 100),
         "halfway": (halfway, 2, 0, 100),
@@ -384,32 +381,17 @@ def test_padded_block_rows_equal_full_product_rows(k):
         assert np.array_equal(lower[open_rows], np.sqrt(rest.min(axis=1)))
 
 
-#: Prints, per row count in argv, how many rows' k-means++ seed distances
-#: differ from one GEMV over the whole matrix, for 8 centroids.
-_SEED_DISTS_PROBE = """
-import sys
-import numpy as np
-from side.dsiq import BLOCK_ROWS, _row_sq_norms, _seed_dists, _sparse_rows, _sq_dists
-rng = np.random.default_rng(0)
-for n in map(int, sys.argv[1:]):
-    x = rng.random((n, 186))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    rows, x_sq, block = _sparse_rows([x], 186), _row_sq_norms(x), np.zeros((BLOCK_ROWS, 186))
-    centroids = x[rng.integers(n, size=(8, 2))].mean(axis=1)
-    print(n, sum(np.count_nonzero(_seed_dists(rows, block, x_sq, c) != _sq_dists(x, c[None, :], x_sq)[:, 0])
-                 for c in centroids))
-"""
-
-
-def test_seed_distances_equal_whole_matrix_gemv():
-    # The last run of rows is 1 to 4 rows long, and one row after one full block.  At one BLAS
-    # thread: a multithreaded GEMV splits the rows between its threads wherever.
-    sizes = [2 * BLOCK_ROWS + tail for tail in (1, 2, 3, 4)] + [BLOCK_ROWS + 1]
-    env = dict(os.environ, PYTHONPATH=str(Path(dsiq.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _SEED_DISTS_PROBE, *map(str, sizes)], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == [f"{n} 0" for n in sizes]
+@pytest.mark.parametrize("n", [2 * BLOCK_ROWS + tail for tail in (1, 2, 3, 4)] + [BLOCK_ROWS + 1])
+def test_seed_distances_near_dense_distances(n):
+    # k-means++ reads the seed distances only as sampling weights, so they need not be the GEMV's bits.
+    rng = np.random.default_rng(n)
+    x = _tfidf_like(rng, n, 186, zero_rows=20)
+    rows, x_sq = sparse(x), _row_sq_norms(x)
+    row_ids = np.repeat(np.arange(n), np.diff(rows.offsets))
+    for c in x[rng.integers(n, size=(8, 2))].mean(axis=1):
+        got = _seed_dists(rows, row_ids, c)
+        assert np.abs(got - _sq_dists(x, c[None, :], x_sq)[:, 0]).max() <= 1e-15
+        assert (got >= 0.0).all()
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
@@ -605,6 +587,17 @@ def test_fit_tfidf_rows_are_doc_matrix_rows(shared):
     block = np.zeros((len(some), len(vocab)))
     rows.densify(some, block)
     assert block.tobytes() == want[some].tobytes()
+
+
+def test_fit_tfidf_sq_norms_are_dense_row_norms():
+    # The Lloyd passes' distances take these norms; they keep the whole product's bits only if the norms do.
+    rng = np.random.default_rng(13)
+    texts = _random_texts(rng, 2 * BLOCK_ROWS + 3, rare_from=0)
+    texts[::97] = [""] * len(texts[::97])
+    _, _, rows = _fit_tfidf(encode(texts))
+    x = dense(rows)
+    assert not x[::97].any()
+    assert rows.sq_norms.tobytes() == _row_sq_norms(x).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
