@@ -289,6 +289,9 @@ def _run(args) -> int:
     except (SideError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return USER_ERROR
 
 
 if __name__ == "__main__":

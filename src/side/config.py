@@ -134,7 +134,7 @@ def load(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(str(not_utf8(path))) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return from_dict(raw)
 

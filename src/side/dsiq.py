@@ -8,8 +8,8 @@ the shipped lexicon), and weekly document counts per determinant become
 the impact vector components.
 
 Topic models are fitted once on the training date range and frozen;
-quantification with a fitted model is pure and may run concurrently
-across timesteps.
+quantification with a fitted model is pure and scores a whole source in
+one pass, ``BLOCK_ROWS`` documents at a time, whatever their weeks.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ MAP_THRESHOLD = 0.15
 KEYWORDS_PER_TOPIC = 10
 KMEANS_MAX_ITER = 100
 
-#: Rows per dense block: of documents per TF-IDF build, and of rows per
-#: Lloyd pass product (the row count when there are fewer), the only dense
-#: rows k-means holds.  A GEMM over fewer rows can round differently from the
+#: Rows per dense block: of documents per TF-IDF build or topic assignment
+#: (:meth:`Tokens.blocks`), and of rows per Lloyd pass product (the row count
+#: when there are fewer), the only dense rows k-means holds.  A GEMM over fewer rows can round differently from the
 #: same rows of the full product (OpenBLAS, below about 1200 / k rows at k
 #: centroids), so a Lloyd pass pads every block to this shape, and its
 #: distances are the whole product's bit for bit.
@@ -133,6 +133,12 @@ class Tokens:
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return Tokens(self.terms, self.ids[index], offsets)
+
+    def blocks(self):
+        """These documents as consecutive zero-copy runs of at most ``BLOCK_ROWS``, in order."""
+        for start in range(0, len(self), BLOCK_ROWS):
+            offsets = self.offsets[start:start + BLOCK_ROWS + 1]
+            yield Tokens(self.terms, self.ids[offsets[0]:offsets[-1]], offsets - offsets[0])
 
     def in_vocabulary(self, vocab: dict[str, int]) -> Tokens:
         """These documents with each term id replaced by its column in ``vocab``; tokens of other terms are dropped."""
@@ -249,9 +255,8 @@ def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, SparseRows]:
 
     The vocabulary keeps terms that appear in at least two documents, in
     sorted order; IDF is ln(N / df), so a term present in every document
-    gets zero weight.  The rows are :func:`doc_matrix`'s, made
-    ``BLOCK_ROWS`` documents at a time, each block of documents put in
-    the vocabulary on its own, and kept as their nonzero cells.
+    gets zero weight.  The rows are :func:`doc_matrix`'s, made one
+    :meth:`Tokens.blocks` block at a time and kept as their nonzero cells.
 
     Raises:
         ValueError: no documents, or the vocabulary comes out empty.
@@ -268,13 +273,8 @@ def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, SparseRows]:
         raise ValueError("vocabulary is empty: no term appears in two or more documents")
     vocab = {term: j for j, (term, _) in enumerate(frequent)}
     idf = np.array([math.log(n / count) for _, count in frequent])
-    columns, terms = np.array([vocab.get(t, -1) for t in tokens.terms], dtype=np.int32), tuple(vocab)
-    ids, offsets = tokens.ids, tokens.offsets
     # Every step of doc_matrix is row-local, so a block's rows are those of the whole matrix.
-    starts = range(0, n, BLOCK_ROWS)
-    blocks = (doc_matrix(Tokens(tokens.terms, ids[offsets[s]:offsets[e]], offsets[s:e + 1] - offsets[s])
-                         .relabel(columns, terms), idf)
-              for s, e in zip(starts, [*starts[1:], n]))
+    blocks = (doc_matrix(block, idf) for block in tokens.in_vocabulary(vocab).blocks())
     return vocab, idf, _sparse_rows(blocks, len(vocab))
 
 
@@ -495,7 +495,7 @@ def load_lexicon(path=None) -> dict[str, list[str]]:
         lexicon = json.loads(source.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise not_utf8(source) from None
-    except ValueError as exc:  # JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError; RecursionError: JSON nested too deep
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(lexicon, dict):
         raise ParseError(f"{source}: lexicon must be a JSON object mapping determinant -> term list")
@@ -687,17 +687,18 @@ def assign_clusters(tokens: Tokens, model: TopicModel) -> np.ndarray:
     return np.argmin(_sq_dists(vectors, model.centroids), axis=1)
 
 
-def quantify(tokens: Tokens, model: TopicModel) -> np.ndarray:
-    """Normalized determinant distribution of one week's documents, whose term ids are the model's vocabulary columns.
+def quantify(tokens: Tokens, model: TopicModel, timesteps: np.ndarray, weeks: int) -> np.ndarray:
+    """(weeks, DETERMINANT_COUNT) determinant distributions of ``tokens``, whose term ids are the model's columns.
 
-    Counts documents per determinant through their topic assignment and
-    divides by the total; an empty week yields the all-zero vector.
+    Document ``i`` falls in week ``timesteps[i]``, in ``range(weeks)`` and in any order.  Row ``t`` counts week ``t``'s
+    documents per determinant through their topics, assigned one :meth:`Tokens.blocks` block at a time, over their
+    number; an empty week is all zeros.
     """
-    if not len(tokens):
-        return np.zeros(DETERMINANT_COUNT)
     determinants = np.array([c.determinant_index for c in model.clusters])
-    counts = np.bincount(determinants[assign_clusters(tokens, model)], minlength=DETERMINANT_COUNT)
-    return counts / len(tokens)
+    topics = [np.zeros(0, dtype=np.int64)] + [assign_clusters(block, model) for block in tokens.blocks()]
+    cells = np.asarray(timesteps, dtype=np.int64) * DETERMINANT_COUNT + determinants[np.concatenate(topics)]
+    counts = np.bincount(cells, minlength=weeks * DETERMINANT_COUNT).reshape(weeks, DETERMINANT_COUNT)
+    return counts / np.maximum(counts.sum(axis=1), 1)[:, None]
 
 
 def quantify_source(
@@ -707,8 +708,8 @@ def quantify_source(
     """Ingest counters, topic model and (len(series), DETERMINANT_COUNT) impact half of one JSONL dump.
 
     Each kept document is tokenized once.  The model fits the kept documents before week ``cutoff``, and a
-    source with none, or with no term in two of them, raises ``ConfigError``; the counters carry the labels
-    ``side quantify`` prints.
+    source with none, or with no term in two of them, raises ``ConfigError``; one :func:`quantify` pass over
+    every kept document, in read order, makes the half.  The counters carry the labels ``side quantify`` prints.
     """
     loaded = ingest.load_documents(path, series)
     kept = ingest.geofilter(loaded.documents, entities)
@@ -733,11 +734,7 @@ def quantify_source(
     except ValueError as exc:  # an empty vocabulary
         raise ConfigError(f"{source} training range (before week {cutoff}): {exc}") from exc
 
-    tokens = tokens.in_vocabulary(model.vocabulary)
-    # Each week's documents in the order they were read.
-    order = np.argsort(timesteps, kind="stable")
-    weeks = np.split(order, np.cumsum(np.bincount(timesteps, minlength=len(series)))[:-1])
-    return counts, model, np.array([quantify(tokens.take(rows), model) for rows in weeks])
+    return counts, model, quantify(tokens.in_vocabulary(model.vocabulary), model, timesteps, len(series))
 
 
 # ---------------------------------------------------------------------------

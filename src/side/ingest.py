@@ -165,7 +165,7 @@ def load_documents(path, series: SeveritySeries) -> DocumentLoadResult:
                 if not (isinstance(stamp, str) and isinstance(text, str)):
                     raise TypeError("timestamp and text must be strings")
                 stamp = _parse_timestamp(stamp)
-            except (KeyError, TypeError, ValueError):  # JSONDecodeError, UnicodeDecodeError are ValueErrors
+            except (KeyError, TypeError, ValueError, RecursionError):  # RecursionError: JSON nested too deep
                 result.malformed_count += 1
                 continue
             if not text.strip():

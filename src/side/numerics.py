@@ -494,5 +494,5 @@ def load_checkpoint(path) -> dict:
             params = Params({name: np.zeros(shape) for name, shape in layout.items()})
             params.value[...] = values
             return {"params": params, "config": payload["config"], "extras": payload["extras"]}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise NumericsError(f"malformed checkpoint {path}: {exc!r}") from exc

@@ -202,17 +202,18 @@ def test_criterion_4_invariant_suite():
     for _ in range(100):
         n = int(rng.integers(0, 15))
         texts = [words[int(rng.integers(3))] for _ in range(n)]
-        out = dsiq.quantify(week(texts, model), model)
+        out = dsiq.quantify(week(texts, model), model, np.zeros(n, dtype=np.int64), 1)[0]
         total = out.sum()
         ok &= bool(np.all(out >= 0.0) and np.all(out <= 1.0))
         ok &= total == 0.0 or abs(total - 1.0) <= 1e-6
 
     # permutation invariance of quantify
     texts = [words[int(rng.integers(3))] for _ in range(12)]
-    base = dsiq.quantify(week(texts, model), model)
+    base = dsiq.quantify(week(texts, model), model, np.zeros(len(texts), dtype=np.int64), 1)[0]
     for _ in range(100):
         perm = rng.permutation(len(texts))
-        ok &= bool(np.array_equal(dsiq.quantify(week([texts[i] for i in perm], model), model), base))
+        ok &= bool(np.array_equal(dsiq.quantify(week([texts[i] for i in perm], model), model,
+                                                 np.zeros(len(texts), dtype=np.int64), 1)[0], base))
 
     # standardizer round trip
     for _ in range(100):

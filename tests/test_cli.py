@@ -393,6 +393,70 @@ def test_non_utf8_byte_names_the_file_and_line(workspace, tmp_path, capsys, name
     assert not (tmp_path / "run" / "synth_impact.csv").exists()
 
 
+#: JSON nested deeper than the json module recurses.
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_posts_line_is_malformed(workspace, tmp_path, capsys):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text((workspace["data"] / "posts.jsonl").read_text(encoding="utf-8") + DEEP_JSON + "\n",
+                     encoding="utf-8")
+    raw = workspace["raw"]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=dict(raw["paths"], social=str(posts),
+                                                        out_dir=str(tmp_path / "run")))), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 0
+    assert re.search(r"social: read \d+, malformed 1,", capsys.readouterr().out)
+    assert (tmp_path / "run" / "synth_impact.csv").read_bytes() == (workspace["run"] / "synth_impact.csv").read_bytes()
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    assert f"error: {cfg_path}: invalid JSON" in capsys.readouterr().err
+
+
+def test_deeply_nested_lexicon_exits_2_naming_it(workspace, tmp_path, capsys):
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text(DEEP_JSON, encoding="utf-8")
+    raw = workspace["raw"]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(raw, paths=dict(raw["paths"], lexicon=str(lexicon),
+                                                        out_dir=str(tmp_path / "run")))), encoding="utf-8")
+    assert main(["quantify", "--config", str(cfg_path)]) == 2
+    assert f"error: {lexicon}: invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "synth_impact.csv").exists()
+
+
+def test_deeply_nested_checkpoint_is_malformed(workspace, tmp_path, capsys):
+    cfg_path, run = _run_config(workspace, tmp_path, *TRAINED)
+    (run / "synth_checkpoint.json").write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_path)]) == 3
+    assert "numerical failure: malformed checkpoint" in capsys.readouterr().err
+    assert not (run / "synth_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+     "Unable to allocate 74.5 GiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_2(workspace, tmp_path, capsys, monkeypatch, message, shown):
+    # What {"model": {"width": 100000}} does, without allocating: the parameters do not fit.
+    from side import model
+
+    def init_params(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(model, "init_params", init_params)
+    cfg_path, run = _run_config(workspace, tmp_path, "synth_impact.csv")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {shown}") and "Traceback" not in err
+    assert not (run / "synth_checkpoint.json").exists()
+
+
 def test_out_dir_that_is_a_file_exits_2_before_ingest(workspace, tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.write_text("", encoding="utf-8")

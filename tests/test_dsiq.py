@@ -400,6 +400,18 @@ def test_row_sq_norms_equal_one_reduction(n):
     assert np.array_equal(_row_sq_norms(x), (x * x).sum(axis=1))
 
 
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+def test_blocks_are_consecutive_runs_of_block_rows(n):
+    rng = np.random.default_rng(n)
+    tokens = encode(" ".join(term(j) for j in rng.integers(0, 30, rng.integers(0, 6))) for _ in range(n))
+    blocks = list(tokens.blocks())
+    assert [len(b) for b in blocks] == [min(BLOCK_ROWS, n - s) for s in range(0, n, BLOCK_ROWS)]
+    assert all(b.terms is tokens.terms and b.offsets[0] == 0 for b in blocks)
+    assert all(np.shares_memory(b.ids, tokens.ids) for b in blocks if len(b.ids))
+    docs = [b.ids[x:y].tolist() for b in blocks for x, y in zip(b.offsets, b.offsets[1:])]
+    assert docs == [tokens.ids[x:y].tolist() for x, y in zip(tokens.offsets, tokens.offsets[1:])]
+
+
 def test_doc_matrix_matches_linalg_norm():
     rng = np.random.default_rng(9)
     vocab = {term(j): j for j in range(30)}
@@ -887,31 +899,37 @@ def _toy_model():
     )
 
 
+def _one_week(texts, model):
+    """:func:`quantify` of ``texts`` as one week: its only row."""
+    return quantify(week(texts, model), model, np.zeros(len(texts), dtype=np.int64), 1)[0]
+
+
 class TestQuantify:
     def test_distribution_matches_counts(self):
         model = _toy_model()
-        out = quantify(week(["crop", "crop", "clinic", "zzz"], model), model)
+        out = _one_week(["crop", "crop", "clinic", "zzz"], model)
         expected = np.zeros(11)
         expected[0], expected[6], expected[OTHER_INDEX] = 0.5, 0.25, 0.25
         np.testing.assert_allclose(out, expected)
 
     def test_empty_input_gives_zero_vector(self):
         model = _toy_model()
-        out = quantify(week([], model), model)
-        np.testing.assert_array_equal(out, np.zeros(11))
+        out = quantify(week([], model), model, np.zeros(0, dtype=np.int64), 3)
+        assert out.shape == (3, DETERMINANT_COUNT) and out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.zeros((3, DETERMINANT_COUNT)))
 
     def test_output_length_is_delta(self):
         model = _toy_model()
-        assert quantify(week(["crop"], model), model).shape == (11,)
+        assert _one_week(["crop"], model).shape == (11,)
 
     def test_permutation_invariance(self):
         model = _toy_model()
         rng = np.random.default_rng(5)
         texts = ["crop", "clinic", "zzz", "crop", "crop", "clinic"]
-        base = quantify(week(texts, model), model)
+        base = _one_week(texts, model)
         for _ in range(100):
             perm = rng.permutation(len(texts))
-            np.testing.assert_array_equal(quantify(week([texts[i] for i in perm], model), model), base)
+            np.testing.assert_array_equal(_one_week([texts[i] for i in perm], model), base)
 
     def test_components_bounded_and_normalized(self):
         model = _toy_model()
@@ -920,9 +938,35 @@ class TestQuantify:
         for _ in range(100):
             n = int(rng.integers(0, 12))
             texts = [words[rng.integers(3)] for _ in range(n)]
-            out = quantify(week(texts, model), model)
+            out = _one_week(texts, model)
             assert np.all(out >= 0) and np.all(out <= 1)
             assert out.sum() == 0.0 or abs(out.sum() - 1.0) <= 1e-6
+
+    def test_timesteps_in_any_order_and_empty_first_middle_last_weeks(self):
+        model = _toy_model()
+        texts = ["crop", "clinic", "zzz", "crop", "clinic", "crop crop", "zzz zzz"]
+        timesteps = np.array([3, 1, 3, 1, 3, 4, 1])
+        out = quantify(week(texts, model), model, timesteps, 6)
+        assert out.shape == (6, DETERMINANT_COUNT)
+        for t in (0, 2, 5):
+            assert out[t].tobytes() == np.zeros(DETERMINANT_COUNT).tobytes()
+        for t in (1, 3, 4):
+            rows = [text for text, w in zip(texts, timesteps) if w == t]
+            assert out[t].tobytes() == _one_week(rows, model).tobytes()
+
+    def test_weeks_across_blocks_match_string_reference(self):
+        """``BLOCK_ROWS + 300`` documents in shuffled weeks, so weeks span both blocks; weeks 0, 7 and 15 empty."""
+        rng = np.random.default_rng(21)
+        n, weeks = BLOCK_ROWS + 300, 16
+        texts = _random_texts(rng, n, rare_from=0)
+        model = fit_topic_model(encode(texts[:600]), LexiconBackend(), topic_count=8, seed=4)
+        timesteps = rng.choice([w for w in range(weeks) if w not in (0, 7, 15)], size=n)
+        assert set(timesteps[:BLOCK_ROWS].tolist()) == set(timesteps[BLOCK_ROWS:].tolist())
+        out = quantify(week(texts, model), model, timesteps, weeks)
+        want = np.array([_reference_quantify([text for text, w in zip(texts, timesteps) if w == t], model)
+                         for t in range(weeks)])
+        assert out.tobytes() == want.tobytes()
+        assert not out[[0, 7, 15]].any()
 
 
 WEEK0 = date(2021, 1, 4)
@@ -1011,8 +1055,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
 def test_impact_csv_round_trip(tmp_path):
     model = _toy_model()
     impacts = np.zeros((2, 2 * DETERMINANT_COUNT))  # no news documents: the news half stays zero
-    impacts[0, :DETERMINANT_COUNT] = quantify(week(["crop crop"], model), model)
-    impacts[1, :DETERMINANT_COUNT] = quantify(week(["crop wells", "clinic"], model), model)
+    impacts[:, :DETERMINANT_COUNT] = quantify(week(["crop crop", "crop wells", "clinic"], model), model, [0, 1, 1], 2)
     path = tmp_path / "impact.csv"
     write_impact_csv(path, impacts)
     header = path.read_text().splitlines()[0].split(",")
