@@ -43,11 +43,8 @@ KEYWORDS_PER_TOPIC = 10
 KMEANS_MAX_ITER = 100
 
 #: Rows per dense block: of documents per TF-IDF build or topic assignment
-#: (:meth:`Tokens.blocks`), and of rows per Lloyd pass product (the row count
-#: when there are fewer), the only dense rows k-means holds.  A GEMM over fewer rows can round differently from the
-#: same rows of the full product (OpenBLAS, below about 1200 / k rows at k
-#: centroids), so a Lloyd pass pads every block to this shape, and its
-#: distances are the whole product's bit for bit.
+#: (:meth:`Tokens.blocks`), and of open rows per Lloyd pass product, the only
+#: dense rows k-means holds.
 BLOCK_ROWS = 1024
 
 #: k-means skips a point's distances only when its bounds clear each other by
@@ -278,13 +275,12 @@ def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, SparseRows]:
     return vocab, idf, _sparse_rows(blocks, len(vocab))
 
 
-def term_counts(tokens: Tokens, rows=None) -> np.ndarray:
-    """Term counts of shape (rows, len(tokens.terms)); document ``i`` counts into row ``rows[i]``, by default ``i``."""
-    rows = np.arange(len(tokens)) if rows is None else np.asarray(rows)
-    n_rows, width = int(np.max(rows, initial=-1)) + 1, len(tokens.terms)
-    cells = _cells(tokens, rows, width)
+def term_counts(tokens: Tokens) -> np.ndarray:
+    """Term counts of shape (len(tokens), len(tokens.terms)), one row per document."""
+    n, width = len(tokens), len(tokens.terms)
+    cells = _cells(tokens, np.arange(n), width)
     # Float weights make bincount count straight into the float matrix, with no integer one to convert.
-    return np.bincount(cells, weights=np.ones(len(cells)), minlength=n_rows * width).reshape(n_rows, width)
+    return np.bincount(cells, weights=np.ones(len(cells)), minlength=n * width).reshape(n, width)
 
 
 def doc_matrix(tokens: Tokens, idf: np.ndarray) -> np.ndarray:
@@ -308,15 +304,16 @@ def kmeans(rows: SparseRows, n_clusters: int, seed: int) -> tuple[np.ndarray, np
     (assignments, centroids); every point is assigned to its nearest
     centroid, ties broken by the lowest centroid index.  A Lloyd pass
     skips the points whose bounds prove their nearest centroid unchanged
-    (Hamerly, SDM 2010) and assigns exactly as a pass over all distances.
+    (Hamerly, SDM 2010) and multiplies only the open rows, at most
+    ``BLOCK_ROWS`` at a time, so the whole dense matrix never exists.  It
+    assigns as a pass over the whole product would, unless an open point's
+    two nearest centroids are as near as rounding (:func:`_nearest`).
     A centroid is its members' sum, adding their rows one by one in row
     order, over their count: ``mean(axis=0)``, bit for bit, of two or more
-    columns (numpy sums a single column pairwise).  Every Lloyd pass's
-    product runs on one dense block of ``min(BLOCK_ROWS, n)`` rows, so the
-    whole dense matrix never exists, and gives the bits of the whole
-    matrix's product.  The seeds, whose distances come from the nonzero
-    cells, are the plain algorithm's unless a uniform draw lands within
-    about 1e-15 of a boundary of the D² distribution.
+    columns (numpy sums a single column pairwise).  The seeds, whose
+    distances come from the nonzero cells, are the plain algorithm's unless
+    a uniform draw lands within about 1e-15 of a boundary of the D²
+    distribution.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
@@ -387,16 +384,17 @@ def _seed_dists(rows: SparseRows, row_ids: np.ndarray, centroid: np.ndarray) -> 
 
 
 def _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin) -> np.ndarray:
-    """``np.argmin(_sq_dists(vectors, centroids, x_sq), axis=1)``, bit for bit, from the bounds.
+    """Each point's nearest centroid, from its ``upper`` and ``lower`` bounds about ``assignments`` or its distances.
 
-    ``vectors`` is the dense matrix of ``rows``.  Only the rows whose
-    ``upper`` and ``lower`` bounds (about ``assignments``) leave their
-    nearest centroid open get distances, and their bounds become exact.
-    Every GEMM runs on the zeroed ``block``'s ``min(BLOCK_ROWS, n)`` rows:
-    all rows when there are that few, else blocks of open rows, the last
-    one padded with row 0.
+    A point whose bounds prove its centroid nearest keeps it, as a pass over
+    all distances would assign it (``PRUNE_MARGIN``).  The other, open, rows
+    are densified into the zeroed ``block``, at most ``len(block)`` at a
+    time, and get the argmin of their distances, ties to the lowest index;
+    their bounds become exact.  A GEMM over fewer rows can round differently
+    from the same rows of the whole product (up to about 4e-16 on unit TF-IDF
+    rows), so an open point's centroid is the whole product's argmin unless
+    its two nearest centroids' distances differ by no more than that.
     """
-    n = len(rows)
     # A point nearer its centroid than half the way to the centroid's
     # nearest neighbour is nearer it than any other centroid.
     between = _sq_dists(centroids, centroids)
@@ -404,14 +402,10 @@ def _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin) ->
     half_gap = 0.5 * np.sqrt(between.min(axis=1))
     open_rows = np.flatnonzero(upper + margin >= np.maximum(half_gap[assignments], lower))
     nearest = assignments.copy()
-    size = len(block)
-    if len(open_rows) and n == size:
-        open_rows = np.arange(n)
-    for start in range(0, len(open_rows), size):
-        part = open_rows[start:start + size]
-        take = np.pad(part, (0, size - len(part))) if len(part) < size else part
-        cells = rows.densify(take, block)
-        d = _sq_dists(block, centroids, x_sq[take])[:len(part)]
+    for start in range(0, len(open_rows), len(block)):
+        part = open_rows[start:start + len(block)]
+        cells = rows.densify(part, block)
+        d = _sq_dists(block[:len(part)], centroids, x_sq[part])
         block.ravel()[cells] = 0.0
         best = np.argmin(d, axis=1)
         nearest[part] = best
@@ -456,8 +450,10 @@ def cluster_keywords(tokens: Tokens, assignments) -> list[tuple[str, ...]]:
     frequency decides.
     """
     terms = tokens.terms
-    counts = term_counts(tokens, assignments)
-    n_clusters = len(counts)
+    n_clusters, width = int(np.max(assignments, initial=-1)) + 1, len(terms)
+    # Counted as integers, with no float weight per token, and converted once, at k x V.
+    counts = np.bincount(_cells(tokens, assignments, width), minlength=n_clusters * width).astype(float)
+    counts = counts.reshape(n_clusters, width)
     cf = (counts > 0).sum(axis=0)
     with np.errstate(divide="ignore"):
         cluster_idf = np.log(np.where(cf > 0, n_clusters / np.maximum(cf, 1), 1.0))

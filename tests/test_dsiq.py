@@ -283,7 +283,7 @@ def _kmeans_cases():
     # and stops; the mean of 15 rows is not bit-equal to the row, so the
     # pass after it ties the points to cluster 1 instead.
     identical = np.tile(np.arange(1, 5) / 11, (15, 1))
-    # More than three blocks of rows, so later passes skip points and pad blocks.
+    # More than three blocks of rows, so later passes skip points and multiply part blocks.
     large = _topical(rng, 3 * BLOCK_ROWS + 5, 40, topics=12, zero_rows=50)
     # Seed 0 picks 4.0 then 0.0 as centroids 0 and 1; 2.0 is halfway between
     # them, so the first pass must give those points to centroid 0.
@@ -333,52 +333,54 @@ def test_kmeans_matches_reference(monkeypatch, case):
 @pytest.mark.parametrize("case", ["pruned_k2", "pruned_k8", "pruned_k50"])
 def test_kmeans_skips_distances_it_can_bound(monkeypatch, case):
     vectors, n_clusters, seed, _ = _kmeans_cases()[case]
-    blocks = []  # distance GEMMs per assignment pass
+    multiplied = []  # rows multiplied by the centroids, per assignment pass
 
     def nearest(*args):
-        blocks.append(0)
+        multiplied.append(0)
         return _nearest(*args)
 
     def sq_dists(x, centroids, x_sq=None):
         if x is not centroids and len(centroids) == n_clusters:
-            assert len(x) == BLOCK_ROWS  # every pass's GEMMs have one shape
-            blocks[-1] += 1
+            assert len(x) <= BLOCK_ROWS
+            multiplied[-1] += len(x)
         return _sq_dists(x, centroids, x_sq)
 
     monkeypatch.setattr(dsiq, "_nearest", nearest)
     monkeypatch.setattr(dsiq, "_sq_dists", sq_dists)
     kmeans(sparse(vectors), n_clusters, seed)
-    full = -(-len(vectors) // BLOCK_ROWS)
-    assert blocks[0] == full and sum(blocks) < 0.8 * full * len(blocks)
+    n = len(vectors)
+    assert multiplied[0] == n and sum(multiplied) < 0.8 * n * len(multiplied)
 
 
-# At k = 1 OpenBLAS computes x @ c.T as a matrix-vector product whose rounding
-# depends on a row's position, but k-means never needs those distances: every
-# point's nearest centroid is 0.
 @pytest.mark.parametrize("k", [2, 8, 50, 100])
-def test_padded_block_rows_equal_full_product_rows(k):
+def test_open_rows_get_the_full_products_argmin(k):
+    """A pass multiplies only its open rows, whose distances may round apart from the whole product's."""
     rng = np.random.default_rng(k)
     x = _tfidf_like(rng, 3 * BLOCK_ROWS + 5, 186, zero_rows=20)
     centroids = x[rng.choice(len(x), k, replace=False)] * 0.75
     x_sq = _row_sq_norms(x)
     full = _sq_dists(x, centroids, x_sq)
-    for rows in (rng.choice(len(x), BLOCK_ROWS, replace=False), np.arange(len(x) - BLOCK_ROWS, len(x))):
-        assert np.array_equal(_sq_dists(x[rows], centroids, x_sq[rows]), full[rows])
-    # A pass pads a few open rows to a block (a GEMM over 3 or 24 rows alone
-    # rounds differently here), so their bounds carry the full product's bits.
-    for count in (3, 24):
+    for count in (3, 24, BLOCK_ROWS + 5):
         open_rows = np.sort(rng.choice(len(x), count, replace=False))
-        upper, lower = np.zeros(len(x)), np.full(len(x), np.inf)
+        closed = np.setdiff1d(np.arange(len(x)), open_rows)
+        assignments = rng.integers(k, size=len(x))
+        # At margin 0 a row is closed where its upper bound is below its lower one.
+        upper = rng.random(len(x))
+        lower = upper + 10.0
         upper[open_rows] = np.inf
+        upper_before, lower_before = upper.copy(), lower.copy()
         block = np.zeros((BLOCK_ROWS, x.shape[1]))
-        nearest = _nearest(sparse(x), block, x_sq, centroids, np.zeros(len(x), dtype=np.int64), upper, lower, 0.0)
+        nearest = _nearest(sparse(x), block, x_sq, centroids, assignments, upper, lower, 0.0)
         assert not block.any()
         best = np.argmin(full[open_rows], axis=1)
         assert np.array_equal(nearest[open_rows], best)
-        assert np.array_equal(upper[open_rows], np.sqrt(full[open_rows, best]))
+        assert np.abs(upper[open_rows] - np.sqrt(full[open_rows, best])).max() <= 1e-15
         rest = full[open_rows].copy()
         rest[np.arange(count), best] = np.inf
-        assert np.array_equal(lower[open_rows], np.sqrt(rest.min(axis=1)))
+        assert np.abs(lower[open_rows] - np.sqrt(rest.min(axis=1))).max() <= 1e-15
+        assert np.array_equal(nearest[closed], assignments[closed])
+        assert np.array_equal(upper[closed], upper_before[closed])
+        assert np.array_equal(lower[closed], lower_before[closed])
 
 
 @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + tail for tail in (1, 2, 3, 4)] + [BLOCK_ROWS + 1])
@@ -466,6 +468,16 @@ def test_fit_allocates_no_matrix(monkeypatch):
     assert _peak_bytes(_fit_tfidf, tokens, with_result=True) < matrix_bytes / 4
     monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", 5)
     assert _peak_bytes(fit_topic_model, tokens, LexiconBackend(), 50, 0, with_result=True) < matrix_bytes / 4
+
+
+def test_cluster_keywords_counts_without_a_float_per_token():
+    """Keywords count the tokens as integers and convert the k x V counts once, so no float weight per token."""
+    rng = np.random.default_rng(6)
+    n, dims = 20_000, 186
+    vocab = {term(j): j for j in range(dims)}
+    tokens = in_vocab([[term(j) for j in rng.integers(0, dims, 12)] for _ in range(n)], vocab)
+    # A token's cell in the cluster count matrix takes 8 bytes; a float weight beside it would take 8 more.
+    assert _peak_bytes(cluster_keywords, tokens, rng.integers(50, size=n), with_result=True) < 12 * len(tokens.ids)
 
 
 def _reference_term_counts(token_lists, vocab):
@@ -594,7 +606,7 @@ def test_fit_tfidf_rows_are_doc_matrix_rows(shared):
     assert dense(rows).tobytes() == want.tobytes()
     assert rows.offsets.dtype == np.int64 and rows.columns.dtype == np.int32 and rows.values.dtype == np.float64
     assert rows.values.all() and len(rows.values) == np.count_nonzero(want)
-    # Any rows, repeated and in any order, as a k-means pass pads its open rows.
+    # Any rows, repeated and in any order.
     some = np.concatenate([rng.permutation(n)[:BLOCK_ROWS - 2], blank[:1], [0, 0]])
     block = np.zeros((len(some), len(vocab)))
     rows.densify(some, block)
@@ -621,8 +633,6 @@ def test_term_counts_and_keywords_match_string_reference(seed):
     assert term_counts(tokens).tobytes() == _reference_term_counts(token_lists, vocab).tobytes()
     # Cluster 3 of 6 holds no document.
     assignments = rng.choice([0, 1, 2, 4, 5], size=len(texts))
-    assert term_counts(tokens, assignments).tobytes() == _reference_term_counts(
-        [sum((t for t, c in zip(token_lists, assignments) if c == k), []) for k in range(6)], vocab).tobytes()
     assert cluster_keywords(tokens, assignments) == _reference_cluster_keywords(token_lists, assignments, vocab)
 
 

@@ -6,6 +6,8 @@ import sys
 from datetime import date, datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from side.core import SeveritySeries
 from side.errors import ParseError
@@ -255,3 +257,55 @@ def test_entity_list_rejects_empty(tmp_path):
     path.write_text("# only comments\n", encoding="utf-8")
     with pytest.raises(ParseError):
         EntityList.from_file(path)
+
+
+#: A small dump: two kept documents, an empty text, one after the series and one before it.
+_DUMP = [
+    {"id": "a", "timestamp": "2017-01-03T10:00:00Z", "text": "dust in fresno"},
+    {"id": 2, "timestamp": "2017-01-20", "text": "dry wells"},
+    {"id": "c", "timestamp": "2017-01-10T00:00:00+05:30", "text": " "},
+    {"id": "d", "timestamp": "2030-01-01T00:00:00Z", "text": "late"},
+    {"id": "e", "timestamp": "2016-12-31T23:59:59Z", "text": "early"},
+]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_dumps(draw):
+    """The bytes of ``_DUMP`` with one line flipped, truncated, short of a key, or with a field swapped or nested."""
+    lines = [json.dumps(row).encode() for row in _DUMP]
+    i = draw(st.integers(0, len(lines) - 1))
+    row, line = dict(_DUMP[i]), lines[i]
+    key = draw(st.sampled_from(sorted(row)))
+    kind = draw(st.sampled_from(["flip", "truncate", "drop", "swap", "nest"]))
+    if kind == "flip":
+        at = draw(st.integers(0, len(line) - 1))
+        lines[i] = line[:at] + bytes([line[at] ^ draw(st.integers(1, 255))]) + line[at + 1:]
+    elif kind == "truncate":
+        lines[i] = line[:draw(st.integers(0, len(line) - 1))]
+    elif kind == "drop":
+        del row[key]
+        lines[i] = json.dumps(row).encode()
+    elif kind == "swap":
+        row[key] = draw(_JSON.filter(lambda value: type(value) is not type(row[key])))
+        lines[i] = json.dumps(row).encode()
+    else:
+        row[key] = None
+        lines[i] = json.dumps(row).encode().replace(b"null", b"[" * 100_000 + b"]" * 100_000)
+    return b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=_mutated_dumps())
+def test_one_mutated_line_is_counted_never_raised(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_bytes(data)
+    result = load_documents(path, series(4))
+    counted = len(result.documents) + result.malformed_count + result.empty_text_count + result.out_of_range_count
+    assert counted == sum(1 for line in data.split(b"\n") if line.strip())
+    assert len(result.timesteps) == len(result.documents) and set(result.timesteps) <= set(range(4))
