@@ -15,7 +15,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections.abc import Iterator
 from datetime import date, timedelta
 from pathlib import Path
@@ -131,18 +130,31 @@ def determinant_mixture(severity_value: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _sample_without_replacement(draws, n: int, size: int) -> list[int]:
-    """``Generator.choice(n, size, replace=False)`` rebuilt from its bounded draws.
+#: Topic words per document.  Every topic pool (the lexicon's terms, or
+#: ``OTHER_TERMS``) holds more, so each bound of :func:`_choice_bounds` is at least 2.
+TOPIC_WORDS = 3
+
+#: Documents drawn at a time.  A chunk reads ``8 * CHUNK_DOCS`` raw generator
+#: outputs in one call, and a week yields its first document after one chunk.
+CHUNK_DOCS = 4096
+
+
+def _sample_without_replacement(draws: np.ndarray, n, size: int) -> np.ndarray:
+    """Rows of ``Generator.choice(n, size, replace=False)`` rebuilt from their bounded draws.
 
     For ``n <= 10000`` numpy picks with Floyd's algorithm (Bentley & Floyd,
-    CACM 1987), then shuffles the picks; ``draws`` are its ``2 * size - 1``
-    integers, drawn below :func:`_choice_bounds` in that order.
+    CACM 1987), then shuffles the picks; each row of ``draws`` holds its
+    ``2 * size - 1`` integers, drawn below :func:`_choice_bounds` in that
+    order.  ``n`` is one population size or one per row.
     """
-    picks: list[int] = []
-    for j, d in zip(range(n - size, n), draws):
-        picks.append(j if d in picks else d)
-    for i, d in zip(range(size - 1, 0, -1), draws[size:]):
-        picks[i], picks[d] = picks[d], picks[i]
+    rows = np.arange(len(draws))
+    picks = draws[:, :size].copy()
+    for i in range(1, size):  # pick n - size + i where the draw is taken already
+        taken = (picks[:, :i] == draws[:, i, None]).any(axis=1)
+        picks[:, i] = np.where(taken, n - size + i, draws[:, i])
+    for col, i in enumerate(range(size - 1, 0, -1), start=size):
+        d = draws[:, col]
+        picks[rows, i], picks[rows, d] = picks[rows, d], picks[rows, i]
     return picks
 
 
@@ -151,29 +163,99 @@ def _choice_bounds(n: int, size: int) -> tuple[int, ...]:
     return (*range(n - size + 1, n + 1), *range(size, 1, -1))
 
 
+def _draw_chunk(rng: np.random.Generator, n: int, cdf: np.ndarray, bounds: np.ndarray):
+    """Determinants, out-of-state flags and bounded integers of ``n`` documents.
+
+    Document i draws what ``det = bisect_right(cdf, rng.random())``,
+    ``out = rng.random() < OUT_OF_STATE_FRACTION`` and ``rng.integers(0,
+    bounds[det, out])`` would, and leaves ``rng`` in the state those calls
+    leave.  ``bounds`` is an int64 array of shape ``(len(cdf), 2, width)``
+    with an even ``width`` and every bound within [2, 2**32].
+
+    numpy's ``random()`` is a PCG64 output ``x`` as ``(x >> 11) * 2**-53``;
+    a bounded integer takes the next 32-bit half, low half first (a half
+    left over by the last call comes first), as Lemire's ``(u * b) >> 32``
+    (ACM TOMACS 2019), and draws again where ``(u * b) mod 2**32 < (2**32 -
+    b) mod b``.  So one ``random_raw`` call gives each document ``2 + width
+    / 2`` outputs.  A chunk with a draw to repeat (1.2-1.4e-8 per document
+    at the bounds of :func:`generate_documents`) is drawn again with the
+    calls themselves.
+    """
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    width = bounds.shape[-1]
+    raw = bitgen.random_raw(n * (2 + width // 2)).reshape(n, -1)
+    doubles = (raw[:, :2] >> 11) * 2.0**-53
+    det = np.searchsorted(cdf, doubles[:, 0], side="right")
+    out_of_state = doubles[:, 1] < OUT_OF_STATE_FRACTION
+    halves = np.stack((raw[:, 2:] & 0xFFFFFFFF, raw[:, 2:] >> 32), axis=-1).ravel()
+    if before["has_uint32"]:
+        halves = np.concatenate((np.array([before["uinteger"]], dtype=np.uint64), halves[:-1]))
+    rows = bounds[det, out_of_state.astype(np.intp)].view(np.uint64)
+    product = halves.reshape(n, width) * rows
+    if ((product & 0xFFFFFFFF) < (2**32 - rows) % rows).any():
+        bitgen.state = before
+        ints = np.empty((n, width), dtype=np.int64)
+        for i in range(n):
+            det[i] = np.searchsorted(cdf, rng.random(), side="right")
+            out_of_state[i] = rng.random() < OUT_OF_STATE_FRACTION
+            ints[i] = rng.integers(0, bounds[det[i], int(out_of_state[i])])
+        return det, out_of_state, ints
+    after = bitgen.state
+    after["uinteger"] = int(raw[-1, -1] >> 32)  # numpy keeps the last high half, read or not
+    bitgen.state = after
+    return det, out_of_state, (product >> 32).view(np.int64)
+
+
 def generate_documents(
     severity: np.ndarray, docs_per_week: float, source: str, rng: np.random.Generator
-) -> Iterator[dict]:
-    """Weekly document dicts (id, timestamp, text) for one source, one week of ``severity`` after another.
+) -> Iterator[str]:
+    """Weekly documents (id, text, timestamp) of one source as JSON lines, one week of ``severity`` after another.
 
     Each document draws, in order: its determinant, as ``rng.choice(11,
-    p=mixture)`` would; whether it is out of state; then one array of
-    bounded integers for day, hour, minute, topic words, fillers and place,
-    the same draws as the scalar ``integers`` and ``choice(pool, k,
-    replace=False)`` calls they stand for.  The stream, and so the output,
-    is the same as with those calls.
+    p=mixture)`` would; whether it is out of state; then its day, hour,
+    minute, topic words, fillers and place, as scalar ``integers`` and
+    ``choice(pool, k, replace=False)`` calls would.  The documents are drawn
+    :data:`CHUNK_DOCS` at a time by :func:`_draw_chunk`, from the same
+    stream, so the lines, and the state ``rng`` is left in after the last
+    week, are those of the calls.  A line is the bytes
+    ``json.dumps(doc, sort_keys=True)`` writes, without a newline.
+
+    Raises:
+        TypeError: ``rng``'s bit generator is not a ``PCG64``, whose outputs
+            the chunks rebuild the calls from; nothing is drawn then.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"generate_documents needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
+    return _document_lines(severity, docs_per_week, source, rng)
+
+
+def _escaped(*word_lists) -> np.ndarray:
+    """The words JSON-escaped, one row per list, padded with empty strings."""
+    width = max(map(len, word_lists))
+    rows = [[json.dumps(w)[1:-1] for w in words] + [""] * (width - len(words)) for words in word_lists]
+    return np.array(rows, dtype=object)
+
+
+def _document_lines(severity, docs_per_week, source, rng) -> Iterator[str]:
     lexicon = load_lexicon()
     pools = [OTHER_TERMS if d == OTHER_INDEX else tuple(lexicon[name]) for d, name in enumerate(DETERMINANT_NAMES)]
-    sizes = [min(3, len(pool)) for pool in pools]
+    pool_sizes = np.array([len(pool) for pool in pools])
+    topic_words, (fillers,) = _escaped(*pools), _escaped(FILLERS)
+    place_lists = (IN_STATE_PLACES, OUT_OF_STATE_PLACES)
+    places = _escaped(*place_lists)
+    # a document's draws: day, hour, minute, 2 * TOPIC_WORDS - 1 for its topic words, 3 for its fillers, its place
     filler_bounds = _choice_bounds(len(FILLERS), 2)
-    bounds = [
+    bounds = np.array(
         [
-            np.array((7, 24, 60, *_choice_bounds(len(pool), k), *filler_bounds, len(places)), dtype=np.int64)
-            for places in (IN_STATE_PLACES, OUT_OF_STATE_PLACES)
-        ]
-        for pool, k in zip(pools, sizes)
-    ]
+            [(7, 24, 60, *_choice_bounds(len(pool), TOPIC_WORDS), *filler_bounds, len(p)) for p in place_lists]
+            for pool in pools
+        ],
+        dtype=np.int64,
+    )
+    topic_draws = slice(3, 2 + 2 * TOPIC_WORDS)
+    filler_draws = slice(topic_draws.stop, topic_draws.stop + len(filler_bounds))
+    src = json.dumps(source)[1:-1]
     weeks = len(severity)
     lead = SOCIAL_LEAD if source == "social" else 0
     for t in range(weeks):
@@ -183,22 +265,21 @@ def generate_documents(
         count = int(rng.poisson(lam))
         cdf = determinant_mixture(driver).cumsum()
         cdf /= cdf[-1]
-        cdf = cdf.tolist()
         week_start = START + timedelta(days=7 * t)
         days = [(week_start + timedelta(days=d)).isoformat() for d in range(7)]
-        for i in range(count):
-            det = bisect_right(cdf, rng.random())
-            out_of_state = rng.random() < OUT_OF_STATE_FRACTION
-            day, hour, minute, *draws = rng.integers(0, bounds[det][out_of_state]).tolist()
-            pool, k = pools[det], sizes[det]
-            topic_words = [pool[j] for j in _sample_without_replacement(draws, len(pool), k)]
-            fillers = [FILLERS[j] for j in _sample_without_replacement(draws[2 * k - 1 :], len(FILLERS), 2)]
-            place = (OUT_OF_STATE_PLACES if out_of_state else IN_STATE_PLACES)[draws[-1]]
-            yield {
-                "id": f"{source}-{t:04d}-{i:03d}",
-                "timestamp": f"{days[day]}T{hour:02d}:{minute:02d}:00Z",
-                "text": f"{fillers[0]} {topic_words[0]} {' '.join(topic_words[1:])} in {place} {fillers[1]}",
-            }
+        for first in range(0, count, CHUNK_DOCS):
+            det, out_of_state, draws = _draw_chunk(rng, min(CHUNK_DOCS, count - first), cdf, bounds)
+            picks = _sample_without_replacement(draws[:, topic_draws], pool_sizes[det], TOPIC_WORDS)
+            topics = topic_words[det[:, None], picks]
+            fills = fillers[_sample_without_replacement(draws[:, filler_draws], len(FILLERS), 2)]
+            doc_places = places[out_of_state.astype(np.intp), draws[:, -1]]
+            for i, (day, hour, minute), (f0, f1), topic, place in zip(
+                range(first, count), draws[:, :3].tolist(), fills.tolist(), topics.tolist(), doc_places.tolist()
+            ):
+                yield (
+                    f'{{"id": "{src}-{t:04d}-{i:03d}", "text": "{f0} {" ".join(topic)} in {place} {f1}", '
+                    f'"timestamp": "{days[day]}T{hour:02d}:{minute:02d}:00Z"}}'
+                )
 
 
 def write_dataset(out_dir, weeks: int, docs_per_week: float, seed: int) -> dict[str, Path]:
@@ -229,11 +310,10 @@ def write_dataset(out_dir, weeks: int, docs_per_week: float, seed: int) -> dict[
     }
     week_starts = ((START + timedelta(days=7 * t)).isoformat() for t in range(weeks))
     write_csv(paths["dsci"], ("week_start", "dsci"), zip(week_starts, severity.tolist()))
-    encode = json.JSONEncoder(sort_keys=True).encode
     for source in ("social", "news"):
         with atomic_write(paths[source]) as fh:
-            for doc in generate_documents(severity, docs_per_week, source, rng):
-                fh.write(encode(doc) + "\n")
+            for line in generate_documents(severity, docs_per_week, source, rng):
+                fh.write(line + "\n")
     with atomic_write(paths["entities"]) as fh:
         fh.write("# synthetic in-state location entities\n")
         for place in IN_STATE_PLACES:

@@ -16,6 +16,7 @@ from side.synth import (
     OTHER_TERMS,
     OUT_OF_STATE_PLACES,
     _choice_bounds,
+    _draw_chunk,
     _sample_without_replacement,
     determinant_mixture,
     generate_documents,
@@ -74,13 +75,20 @@ def test_documents_match_the_reference_generator(monkeypatch, docs_per_week, soc
     monkeypatch.setattr(synth, "SOCIAL_LEAD", social_lead)
     monkeypatch.setattr(synth, "OUT_OF_STATE_FRACTION", out_of_state_fraction)
     severity = generate_severity(weeks, np.random.default_rng(seed))
-    fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    slow = np.random.default_rng(seed + 1)
+    want = []
     for source in ("social", "news"):
-        got = list(generate_documents(severity, docs_per_week, source, fast))
-        want = _reference_generate_documents(severity, docs_per_week, source, slow)
-        assert got == want
-        # the next source (or the next draw of any kind) continues from the same state
-        assert fast.bit_generator.state == slow.bit_generator.state
+        want.append((source, _reference_generate_documents(severity, docs_per_week, source, slow), slow.bit_generator.state))
+    # one document a chunk, and chunks that split weeks, count ids on across them
+    for chunk_docs in (synth.CHUNK_DOCS, 1, 5):
+        monkeypatch.setattr(synth, "CHUNK_DOCS", chunk_docs)
+        fast = np.random.default_rng(seed + 1)
+        for source, docs, state in want:
+            lines = list(generate_documents(severity, docs_per_week, source, fast))
+            assert [json.loads(line) for line in lines] == docs
+            assert lines == [json.dumps(doc, sort_keys=True) for doc in docs]
+            # the next source (or the next draw of any kind) continues from the same state
+            assert fast.bit_generator.state == state
 
 
 def test_written_lines_match_the_reference(tmp_path):
@@ -98,8 +106,8 @@ def test_sample_without_replacement_is_generator_choice(n):
         bounds = np.array(_choice_bounds(n, size), dtype=np.int64)
         for seed in range(50):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _sample_without_replacement(fast.integers(0, bounds).tolist(), n, size)
-            assert got == slow.choice(n, size, replace=False).tolist(), (n, size, seed)
+            got = _sample_without_replacement(fast.integers(0, bounds)[None], n, size)
+            assert got.tolist() == [slow.choice(n, size, replace=False).tolist()], (n, size, seed)
             assert fast.bit_generator.state == slow.bit_generator.state, (n, size, seed)
 
 
@@ -136,8 +144,8 @@ def test_document_rate_rises_with_severity(monkeypatch):
     severity = generate_severity(60, rng)
     docs = generate_documents(severity, 12.0, "news", rng)
     by_week = np.zeros(60)
-    for d in docs:
-        week = int(d["id"].split("-")[1])
+    for line in docs:
+        week = int(json.loads(line)["id"].split("-")[1])
         by_week[week] += 1
     hi = severity > np.median(severity)
     assert by_week[hi].mean() > by_week[~hi].mean()
@@ -189,8 +197,53 @@ def test_spec_validation(tmp_path):
 def test_documents_stream_one_at_a_time():
     # a billion documents a week: the first arrives without the week being drawn
     severity = generate_severity(3, np.random.default_rng(0))
-    doc = next(generate_documents(severity, 1e9, "social", np.random.default_rng(1)))
-    assert doc["id"] == "social-0000-000"
+    line = next(generate_documents(severity, 1e9, "social", np.random.default_rng(1)))
+    assert json.loads(line)["id"] == "social-0000-000"
+
+
+def _outputs_between(before, after):
+    """How many raw outputs a PCG64 generator drew from state ``before`` to ``after``."""
+    clone = np.random.PCG64()
+    clone.state = before
+    drawn = 0
+    while clone.state["state"] != after["state"]:
+        clone.random_raw()
+        drawn += 1
+    return drawn
+
+
+def test_draw_chunk_matches_the_calls_through_rejections():
+    # a bound of 3 * 2**30 repeats a draw whose (u * b) mod 2**32 is below
+    # 2**30, a quarter of them; 2**32 takes the half as it is
+    cdf = determinant_mixture(300.0).cumsum()
+    cdf /= cdf[-1]
+    bounds = np.empty((len(cdf), 2, 12), dtype=np.int64)
+    bounds[...] = (7, 24, 60, 3 * 2**30, 14, 15, 3, 2, 11, 12, 2**32, 8)
+    bounds[:, :, 0] = 2 + np.arange(2 * len(cdf)).reshape(len(cdf), 2)
+    fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+    seen = set()
+    for chunk in range(300):
+        n = 1 + chunk % 3
+        before = slow.bit_generator.state
+        det, out_of_state, draws = _draw_chunk(fast, n, cdf, bounds)
+        for i in range(n):
+            d = np.searchsorted(cdf, slow.random(), side="right")
+            o = slow.random() < synth.OUT_OF_STATE_FRACTION
+            assert (det[i], out_of_state[i]) == (d, o), chunk
+            assert draws[i].tolist() == slow.integers(0, bounds[d, int(o)]).tolist(), chunk
+        after = slow.bit_generator.state
+        assert fast.bit_generator.state == after, chunk
+        # eight outputs a document and the same leftover half: no draw was repeated
+        repeated = _outputs_between(before, after) != 8 * n or after["has_uint32"] != before["has_uint32"]
+        seen.add((before["has_uint32"], repeated))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_a_generator_other_than_pcg64_is_refused():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        generate_documents(np.full(3, 200.0), 12.0, "news", rng)
+    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()
 
 
 def test_zero_lead_makes_sources_statistically_identical(monkeypatch):
@@ -207,8 +260,8 @@ def test_zero_lead_makes_sources_statistically_identical(monkeypatch):
 
     def det_freq(docs):
         counts = np.zeros(len(DETERMINANT_NAMES))
-        for d in docs:
-            words = set(d["text"].split())
+        for line in docs:
+            words = set(json.loads(line)["text"].split())
             for i, name in enumerate(DETERMINANT_NAMES):
                 if words & lexicon[name]:
                     counts[i] += 1
