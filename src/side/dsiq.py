@@ -43,8 +43,9 @@ KEYWORDS_PER_TOPIC = 10
 KMEANS_MAX_ITER = 100
 
 #: Rows per dense block: of documents per TF-IDF build or topic assignment
-#: (:meth:`Tokens.blocks`), and of open rows per Lloyd pass product, the only
-#: dense rows k-means holds.
+#: (:meth:`Tokens.blocks`), and of a run of cluster-ordered open rows per Lloyd
+#: pass product, held in only the columns the run uses: the only dense rows
+#: k-means holds.
 BLOCK_ROWS = 1024
 
 #: k-means skips a point's distances only when its bounds clear each other by
@@ -179,6 +180,21 @@ class SparseRows:
         block.ravel()[cells] = self.values[index]
         return cells
 
+    def compact(self, rows: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Write ``rows``, an integer array, in only the columns they hold into the first cells of the zeroed ``block``.
+
+        Returns that C-ordered ``len(rows) x len(used)`` view of ``block``, ``used`` (the columns held, ascending) and
+        the flat indices into ``block`` of the cells written, for the caller to zero again.
+        """
+        index, lengths = _flat_index(self.offsets, rows)
+        columns = self.columns[index]
+        held = np.bincount(columns, minlength=self.width) > 0
+        used = np.flatnonzero(held)
+        cells = np.repeat(np.arange(len(rows)) * len(used), lengths)
+        cells += (np.cumsum(held) - 1)[columns]
+        block.ravel()[cells] = self.values[index]
+        return block.ravel()[:len(rows) * len(used)].reshape(len(rows), len(used)), used, cells
+
 
 def _flat_index(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the items of ``rows`` in a flat array that ``offsets`` splits into rows, and their counts."""
@@ -304,10 +320,11 @@ def kmeans(rows: SparseRows, n_clusters: int, seed: int) -> tuple[np.ndarray, np
     (assignments, centroids); every point is assigned to its nearest
     centroid, ties broken by the lowest centroid index.  A Lloyd pass
     skips the points whose bounds prove their nearest centroid unchanged
-    (Hamerly, SDM 2010) and multiplies only the open rows, at most
-    ``BLOCK_ROWS`` at a time, so the whole dense matrix never exists.  It
-    assigns as a pass over the whole product would, unless an open point's
-    two nearest centroids are as near as rounding (:func:`_nearest`).
+    (Hamerly, SDM 2010) and multiplies only the open rows, ordered by
+    cluster, in runs of at most ``BLOCK_ROWS``, each by only the columns its
+    rows hold, so the whole dense matrix never exists.  It assigns as a
+    pass over the whole product would, unless an open point's two nearest
+    centroids are as near as rounding (:func:`_nearest`).
     A centroid is its members' sum, adding their rows one by one in row
     order, over their count: ``mean(axis=0)``, bit for bit, of two or more
     columns (numpy sums a single column pairwise).  The seeds, whose
@@ -388,24 +405,31 @@ def _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin) ->
 
     A point whose bounds prove its centroid nearest keeps it, as a pass over
     all distances would assign it (``PRUNE_MARGIN``).  The other, open, rows
-    are densified into the zeroed ``block``, at most ``len(block)`` at a
-    time, and get the argmin of their distances, ties to the lowest index;
-    their bounds become exact.  A GEMM over fewer rows can round differently
-    from the same rows of the whole product (up to about 4e-16 on unit TF-IDF
-    rows), so an open point's centroid is the whole product's argmin unless
-    its two nearest centroids' distances differ by no more than that.
+    are ordered by their cluster and taken in runs of at most ``len(block)``;
+    each run is densified into the zeroed ``block`` in only the columns it
+    holds, multiplied by those columns of the centroids, and gets the argmin
+    of its distances, ties to the lowest index; their bounds become exact.
+    A dropped column adds only zero products, but a GEMM over other rows
+    and columns can round differently from the same rows of the whole
+    product (up to about 4e-16 on unit TF-IDF rows), so an open point's
+    centroid is the whole product's argmin unless its two nearest
+    centroids' distances differ by no more than that.
     """
+    c_sq = (centroids * centroids).sum(axis=1)
     # A point nearer its centroid than half the way to the centroid's
     # nearest neighbour is nearer it than any other centroid.
-    between = _sq_dists(centroids, centroids)
+    between = _sq_dists(centroids, centroids, c_sq, c_sq)
     np.fill_diagonal(between, np.inf)
     half_gap = 0.5 * np.sqrt(between.min(axis=1))
     open_rows = np.flatnonzero(upper + margin >= np.maximum(half_gap[assignments], lower))
+    # One cluster's rows share most of their terms, so a run of them holds few
+    # columns.  The keys (cluster, then row) are unique, so any sort gives this order.
+    open_rows = open_rows[np.argsort(assignments[open_rows] * len(assignments) + open_rows)]
     nearest = assignments.copy()
     for start in range(0, len(open_rows), len(block)):
         part = open_rows[start:start + len(block)]
-        cells = rows.densify(part, block)
-        d = _sq_dists(block[:len(part)], centroids, x_sq[part])
+        x, used, cells = rows.compact(part, block)
+        d = _sq_dists(x, centroids[:, used], x_sq[part], c_sq)
         block.ravel()[cells] = 0.0
         best = np.argmin(d, axis=1)
         nearest[part] = best
@@ -425,17 +449,20 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
+def _sq_dists(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None,
+              c_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances, shape (len(x), len(centroids)), clipped at 0.
 
-    ``x_sq`` is ``(x * x).sum(axis=1)``, passed in by callers that reuse it.
+    ``x_sq`` is ``(x * x).sum(axis=1)`` and ``c_sq`` ``(centroids * centroids).sum(axis=1)``, passed in by callers
+    that reuse them, or that multiply only the columns where ``x`` is nonzero and pass the whole centroids' norms.
     """
     if x_sq is None:
         x_sq = (x * x).sum(axis=1)
-    g = x @ centroids.T
-    g *= 2.0
-    d = x_sq[:, None] + (centroids * centroids).sum(axis=1)[None, :]
-    d -= g
+    if c_sq is None:
+        c_sq = (centroids * centroids).sum(axis=1)
+    d = x_sq[:, None] + c_sq[None, :]
+    # Doubling the centroids doubles each product exactly, as doubling the product would.
+    d -= x @ (2.0 * centroids).T
     return np.maximum(d, 0.0, out=d)
 
 

@@ -261,10 +261,18 @@ def _tfidf_like(rng, n, d, zero_rows):
     return x
 
 
-def _topical(rng, n, d, topics, zero_rows):
-    """Rows like ``_tfidf_like`` drawn around ``topics`` sparse prototypes, so they cluster."""
+def _topical(rng, n, d, topics, zero_rows, own_terms=False):
+    """Rows like ``_tfidf_like`` drawn around ``topics`` sparse prototypes, so they cluster.
+
+    Each row adds random weights to about a tenth of the columns; with ``own_terms`` only to its prototype's, so that,
+    as in text, a topic's rows hold only the topic's terms and a run of one cluster's rows holds few columns.
+    """
     prototypes = rng.random((topics, d)) * (rng.random((topics, d)) < 0.2)
-    x = prototypes[rng.integers(topics, size=n)] + rng.random((n, d)) * (rng.random((n, d)) < 0.1)
+    x = prototypes[rng.integers(topics, size=n)]
+    noise = rng.random((n, d)) * (rng.random((n, d)) < 0.1)
+    if own_terms:
+        noise *= x > 0
+    x += noise
     x[rng.choice(n, zero_rows, replace=False)] = 0.0
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     np.divide(x, norms, out=x, where=norms > 0)
@@ -285,6 +293,8 @@ def _kmeans_cases():
     identical = np.tile(np.arange(1, 5) / 11, (15, 1))
     # More than three blocks of rows, so later passes skip points and multiply part blocks.
     large = _topical(rng, 3 * BLOCK_ROWS + 5, 40, topics=12, zero_rows=50)
+    # Two blocks of open rows and more, whose runs of one cluster's rows hold few of the 186 columns.
+    compacted = _topical(rng, 2 * BLOCK_ROWS + 3, 186, topics=12, zero_rows=30, own_terms=True)
     # Seed 0 picks 4.0 then 0.0 as centroids 0 and 1; 2.0 is halfway between
     # them, so the first pass must give those points to centroid 0.
     halfway = np.array([0.0] * 1500 + [4.0] * 1500 + [2.0] * 100)[:, None]
@@ -299,6 +309,7 @@ def _kmeans_cases():
         # 2 and 3 rows past a multiple of 4, which the reference's seeding GEMV (OpenBLAS) takes apart from the rest.
         "two_blocks_plus_2": (large[:2 * BLOCK_ROWS + 2], 16, 5, 100),
         "two_blocks_plus_3": (large[:2 * BLOCK_ROWS + 3], 16, 6, 100),
+        "compacted_k50": (compacted, 50, 7, 100),
         "halfway": (halfway, 2, 0, 100),
         "duplicate_rows": (duplicates, 6, 1, 100),
         "k_above_n": (tfidf[:7], 20, 0, 100),
@@ -339,11 +350,11 @@ def test_kmeans_skips_distances_it_can_bound(monkeypatch, case):
         multiplied.append(0)
         return _nearest(*args)
 
-    def sq_dists(x, centroids, x_sq=None):
+    def sq_dists(x, centroids, x_sq=None, c_sq=None):
         if x is not centroids and len(centroids) == n_clusters:
             assert len(x) <= BLOCK_ROWS
             multiplied[-1] += len(x)
-        return _sq_dists(x, centroids, x_sq)
+        return _sq_dists(x, centroids, x_sq, c_sq)
 
     monkeypatch.setattr(dsiq, "_nearest", nearest)
     monkeypatch.setattr(dsiq, "_sq_dists", sq_dists)
@@ -352,35 +363,90 @@ def test_kmeans_skips_distances_it_can_bound(monkeypatch, case):
     assert multiplied[0] == n and sum(multiplied) < 0.8 * n * len(multiplied)
 
 
+def test_later_passes_multiply_few_columns(monkeypatch):
+    """Runs of one cluster's rows hold only their topics' columns, so the passes after the first multiply few."""
+    vectors = _topical(np.random.default_rng(3), 12 * BLOCK_ROWS, 186, topics=6, zero_rows=20, own_terms=True)
+    products = []  # (rows, columns) of each product by the centroids, per assignment pass
+
+    def nearest(*args):
+        products.append([])
+        return _nearest(*args)
+
+    def sq_dists(x, centroids, x_sq=None, c_sq=None):
+        if x is not centroids and len(centroids) == 6:
+            products[-1].append(x.shape)
+        return _sq_dists(x, centroids, x_sq, c_sq)
+
+    monkeypatch.setattr(dsiq, "_nearest", nearest)
+    monkeypatch.setattr(dsiq, "_sq_dists", sq_dists)
+    kmeans(sparse(vectors), 6, seed=3)
+    later = [shape for made in products[1:] for shape in made]
+    # Some later pass opens more rows than one run holds, so the order of the runs counts.
+    assert max(sum(rows for rows, _ in made) for made in products[1:]) > BLOCK_ROWS
+    assert np.mean([columns for _, columns in later]) < 186 / 2
+
+
+def _check_open_rows(x, centroids, open_rows, assignments, upper, tol=1e-15):
+    """``_nearest`` at margin 0 gives ``open_rows`` the whole product's argmin and its distances within ``tol`` as
+    bounds, and leaves every other row as it was.
+
+    Returns the (rows, columns) of each product it made, in order.
+    """
+    products = []
+
+    def sq_dists(part, used_centroids, x_sq=None, c_sq=None):
+        products.append(part.shape)
+        return _sq_dists(part, used_centroids, x_sq, c_sq)
+
+    x_sq = _row_sq_norms(x)
+    full = _sq_dists(x, centroids, x_sq)
+    closed = np.setdiff1d(np.arange(len(x)), open_rows)
+    # At margin 0 a row is closed where its upper bound is below its lower one.
+    lower = upper + 10.0
+    upper[open_rows] = np.inf
+    upper_before, lower_before = upper.copy(), lower.copy()
+    block = np.zeros((BLOCK_ROWS, x.shape[1]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsiq, "_sq_dists", sq_dists)
+        nearest = _nearest(sparse(x), block, x_sq, centroids, assignments, upper, lower, 0.0)
+    assert not block.any()
+    best = np.argmin(full[open_rows], axis=1)
+    assert np.array_equal(nearest[open_rows], best)
+    assert np.abs(upper[open_rows] - np.sqrt(full[open_rows, best])).max() <= tol
+    rest = full[open_rows].copy()
+    rest[np.arange(len(open_rows)), best] = np.inf
+    assert np.abs(lower[open_rows] - np.sqrt(rest.min(axis=1))).max() <= tol
+    assert np.array_equal(nearest[closed], assignments[closed])
+    assert np.array_equal(upper[closed], upper_before[closed])
+    assert np.array_equal(lower[closed], lower_before[closed])
+    return products[1:]  # the first is the centroids' distances to each other
+
+
 @pytest.mark.parametrize("k", [2, 8, 50, 100])
 def test_open_rows_get_the_full_products_argmin(k):
     """A pass multiplies only its open rows, whose distances may round apart from the whole product's."""
     rng = np.random.default_rng(k)
     x = _tfidf_like(rng, 3 * BLOCK_ROWS + 5, 186, zero_rows=20)
     centroids = x[rng.choice(len(x), k, replace=False)] * 0.75
-    x_sq = _row_sq_norms(x)
-    full = _sq_dists(x, centroids, x_sq)
     for count in (3, 24, BLOCK_ROWS + 5):
         open_rows = np.sort(rng.choice(len(x), count, replace=False))
-        closed = np.setdiff1d(np.arange(len(x)), open_rows)
         assignments = rng.integers(k, size=len(x))
-        # At margin 0 a row is closed where its upper bound is below its lower one.
-        upper = rng.random(len(x))
-        lower = upper + 10.0
-        upper[open_rows] = np.inf
-        upper_before, lower_before = upper.copy(), lower.copy()
-        block = np.zeros((BLOCK_ROWS, x.shape[1]))
-        nearest = _nearest(sparse(x), block, x_sq, centroids, assignments, upper, lower, 0.0)
-        assert not block.any()
-        best = np.argmin(full[open_rows], axis=1)
-        assert np.array_equal(nearest[open_rows], best)
-        assert np.abs(upper[open_rows] - np.sqrt(full[open_rows, best])).max() <= 1e-15
-        rest = full[open_rows].copy()
-        rest[np.arange(count), best] = np.inf
-        assert np.abs(lower[open_rows] - np.sqrt(rest.min(axis=1))).max() <= 1e-15
-        assert np.array_equal(nearest[closed], assignments[closed])
-        assert np.array_equal(upper[closed], upper_before[closed])
-        assert np.array_equal(lower[closed], lower_before[closed])
+        _check_open_rows(x, centroids, open_rows, assignments, rng.random(len(x)))
+    # Rows in clusters: all the zero rows in cluster 0, every other row in its nearest of the rest.
+    x = _topical(rng, 3 * BLOCK_ROWS + 5, 186, topics=12, zero_rows=BLOCK_ROWS, own_terms=True)
+    zero = np.flatnonzero(~x.any(axis=1))
+    held = np.setdiff1d(np.arange(len(x)), zero)
+    centroids = x[rng.choice(held, k, replace=False)] * 0.75
+    assignments = 1 + np.argmin(_sq_dists(x, centroids[1:]), axis=1)
+    assignments[zero] = 0
+    open_rows = np.sort(np.concatenate([zero, rng.choice(held, BLOCK_ROWS + 1, replace=False)]))
+    # These rows hold about 40 terms each and lie near their centroids. A run's product over fewer columns can
+    # round a squared distance up to about 1e-15 apart from the whole product's (9e-16 at k = 2 with OpenBLAS
+    # 0.3.31), and the root of a small distance magnifies that.
+    products = _check_open_rows(x, centroids, open_rows, assignments, rng.random(len(x)), tol=1e-14)
+    # The zero rows make a run that holds no column, and the last run is one row.
+    assert len(zero) == BLOCK_ROWS and products[0] == (BLOCK_ROWS, 0)
+    assert [rows for rows, _ in products] == [BLOCK_ROWS, BLOCK_ROWS, 1]
 
 
 @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + tail for tail in (1, 2, 3, 4)] + [BLOCK_ROWS + 1])
