@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import hashlib
 import logging
 import math
 import os
@@ -20,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import dsiq, ingest, synth, train_eval
+from . import dsiq, ingest
 from .core import (
     DETERMINANT_NAMES, SOURCES, SPLIT, check_impacts, chronological_split, make_windows, training_cutoff, write_csv,
 )
 from .errors import ConfigError, DivergenceError, NumericsError, SideError
-from .model import ModelConfig, param_shapes
+
+# synth and the training modules (train_eval, model, numerics) are imported in the commands that use them:
+# quantify loads none of them, and synth no training module.
 
 USER_ERROR = 2
 NUMERIC_ERROR = 3
@@ -113,6 +114,8 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
 
 def _provenance(cfg: cfgmod.RunConfig) -> dict:
     """What ``train`` records in the checkpoint and ``evaluate`` checks: the split and the input digests."""
+    import hashlib
+
     def sha256(path):
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -134,7 +137,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_BYTES = 64 << 20
 
 
-def _keep_freed_heap(model_cfg: ModelConfig) -> None:
+def _keep_freed_heap(model_cfg: cfgmod.ModelConfig) -> None:
     """Let freed heap memory stay in the process for the rest of its life.
 
     Training builds and frees one autodiff graph per few windows, and each
@@ -151,6 +154,7 @@ def _keep_freed_heap(model_cfg: ModelConfig) -> None:
     except (OSError, TypeError):  # no C library to open by this name
         return
     if mallopt is not None:
+        from .model import param_shapes
         largest_bytes = 8 * max(math.prod(shape) for shape in param_shapes(model_cfg).values())
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
@@ -158,6 +162,7 @@ def _keep_freed_heap(model_cfg: ModelConfig) -> None:
 
 
 def cmd_train(cfg: cfgmod.RunConfig) -> int:
+    from . import train_eval
     _keep_freed_heap(cfg.model)
     train_s, val_s, _ = _load_windows(cfg)
     provenance = _provenance(cfg)
@@ -199,6 +204,7 @@ def _write_predictions_csvs(cfg: cfgmod.RunConfig, predictions) -> None:
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
+    from . import train_eval
     checkpoint_path = _out_path(cfg, "checkpoint.json")
     _require_files(checkpoint_path)
     train_s, _, test_s = _load_windows(cfg)
@@ -222,6 +228,7 @@ def cmd_evaluate(cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
+    from . import train_eval
     _keep_freed_heap(cfg.model)
     train_s, val_s, test_s = _load_windows(cfg)
     results = {}  # filled variant by variant, so a divergence keeps the variants that finished
@@ -240,6 +247,7 @@ def cmd_ablate(cfg: cfgmod.RunConfig) -> int:
 def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    from . import synth
     paths = synth.write_dataset(args.out, args.weeks, args.docs_per_week, args.seed)
     for name, path in paths.items():
         print(f"{name}: {path}")

@@ -1,4 +1,8 @@
-"""Run configuration: strict JSON schema, file loading, flag overrides."""
+"""Run configuration: strict JSON schema, file loading, flag overrides.
+
+Holds the network's and the training loop's configs too, so that the CLI
+reads a config without loading the training modules.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,53 @@ from dataclasses import dataclass, field, replace
 
 from .core import not_utf8
 from .errors import ConfigError
-from .model import ModelConfig
-from .train_eval import TrainConfig
 
 STATES = ("ca", "tx", "synth")
 BACKENDS = ("lexicon", "llm")
+ABLATIONS = ("full", "no_social", "no_news", "no_attention")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    lookback: int = 52
+    horizon: int = 5
+    width: int = 32
+    hidden: int = 64
+    ablation: str = "full"
+
+    def __post_init__(self):
+        if self.ablation not in ABLATIONS:
+            raise ValueError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
+        for name in ("lookback", "horizon", "width", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    max_epochs: int = 20
+    patience: int = 10
+    batch_size: int = 16
+    learning_rate: float = 1e-3
+    seed: int = 0
+    lambda_severity: float = 1.0
+    lambda_impact: float = 1.0
+
+    def __post_init__(self):
+        if self.patience > self.max_epochs:
+            raise ValueError(
+                f"patience {self.patience} exceeds max_epochs {self.max_epochs}"
+            )
+        for name, least in (("max_epochs", 1), ("patience", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("lambda_severity", "lambda_impact"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails the comparison too
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        if self.lambda_severity == self.lambda_impact == 0:
+            raise ValueError("lambda_severity and lambda_impact must not both be 0")
 
 
 @dataclass(frozen=True)

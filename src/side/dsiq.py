@@ -115,7 +115,9 @@ class TopicModel:
 class Tokens:
     """Documents as term ids: document ``i``'s tokens are ``terms[j]`` for ``j`` in ``ids[offsets[i]:offsets[i + 1]]``.
 
-    ``ids`` is ``int32`` and ``offsets``, one longer than the documents, ``int64``.
+    ``ids`` is ``int32`` and ``offsets``, one longer than the documents, ``int64``.  The ids, one per token, stay
+    ``int32`` though numpy casts them on each gather: as ``intp`` they raised ``quantify``'s max RSS from 53.3 to
+    55.6 MB at 120 documents a week, with no time saved that a run could show.
     """
 
     terms: tuple[str, ...]
@@ -156,7 +158,8 @@ class SparseRows:
     """Rows of a ``width``-column matrix as their nonzero cells, in row-major order.
 
     Row ``i`` holds ``values[a:b]`` in the columns ``columns[a:b]``, for ``a, b = offsets[i], offsets[i + 1]``;
-    ``offsets``, one longer than the rows, is ``int64``, ``columns`` ``int32`` and ``values`` ``float64``.
+    ``offsets``, one longer than the rows, is ``int64``, ``columns`` ``np.intp`` and ``values`` ``float64``: numpy
+    gathers and counts with native indices without a cast, which k-means does with ``columns`` on every pass.
     ``sq_norms[i]`` is row ``i``'s squared norm, :func:`_row_sq_norms` of the dense row.
     """
 
@@ -212,7 +215,7 @@ def _sparse_rows(blocks, width: int) -> SparseRows:
         sq_norms.append(_row_sq_norms(x))
         cells = np.flatnonzero(x != 0.0)  # a bool mask is scanned faster than the floats
         counts.append(np.diff(np.searchsorted(cells, np.arange(len(x) + 1) * width)))
-        columns.append(np.remainder(cells, width).astype(np.int32))
+        columns.append(np.remainder(cells, width))
         values.append(x.ravel()[cells])
         del x, cells  # not to live through the making of the next block
     # Each list goes once its array is made, so the cells are held twice only one array at a time.

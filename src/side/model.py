@@ -12,32 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
+from .config import ModelConfig
 from .core import DETERMINANT_COUNT, IMPACT_DIM, SOURCES
 from .errors import ShapeError
 from .numerics import Node
-
-ABLATIONS = ("full", "no_social", "no_news", "no_attention")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    lookback: int = 52
-    horizon: int = 5
-    width: int = 32
-    hidden: int = 64
-    ablation: str = "full"
-
-    def __post_init__(self):
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
-        for name in ("lookback", "horizon", "width", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @functools.cache

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
+from .config import ABLATIONS, ModelConfig, TrainConfig
 from .core import DETERMINANT_NAMES, SOURCES, Windows, write_csv
 from .errors import ConfigError, DivergenceError, NumericsError
-from .model import ModelConfig
 
 MFA_EPSILON = 1e-6
 
@@ -36,33 +36,6 @@ LR_PLATEAU_EPOCHS = 3
 #: forward and backward pass of 8 windows peaks at 6.8 MiB of numpy
 #: allocations (tracemalloc), 13.3 MiB at 16.
 GRAPH_WINDOWS = 8
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 20
-    patience: int = 10
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    seed: int = 0
-    lambda_severity: float = 1.0
-    lambda_impact: float = 1.0
-
-    def __post_init__(self):
-        if self.patience > self.max_epochs:
-            raise ValueError(
-                f"patience {self.patience} exceeds max_epochs {self.max_epochs}"
-            )
-        for name, least in (("max_epochs", 1), ("patience", 1), ("batch_size", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("lambda_severity", "lambda_impact"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails the comparison too
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
-        if self.lambda_severity == self.lambda_impact == 0:
-            raise ValueError("lambda_severity and lambda_impact must not both be 0")
 
 
 @dataclass(frozen=True)
@@ -364,7 +337,7 @@ def run_ablation(
 ) -> dict[str, EvalResult]:
     """Train and evaluate the four variants on shared splits and seed, into ``results`` as each finishes."""
     results = {} if results is None else results
-    for variant in mdl.ABLATIONS:
+    for variant in ABLATIONS:
         cfg = replace(model_cfg, ablation=variant)
         try:
             trained = train(train_windows, val_windows, cfg, train_cfg)

@@ -675,6 +675,12 @@ def test_import_core_leaves_network_stack_unloaded():
     assert _fresh_python(f"import sys, side.core; print(sorted({stack} & set(sys.modules)))") == "[]"
 
 
+def test_import_cli_leaves_training_code_and_synth_unloaded():
+    # quantify loads none of them; synth, train, evaluate and ablate import what they use when they run.
+    unused = "{'side.model', 'side.numerics', 'side.train_eval', 'side.synth', 'hashlib'}"
+    assert _fresh_python(f"import sys, side.cli; print(sorted({unused} & set(sys.modules)))") == "[]"
+
+
 def test_quantify_reports_ingest_counts(workspace, tmp_path, capsys):
     posts = tmp_path / "posts.jsonl"
     original = (workspace["data"] / "posts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)

@@ -670,7 +670,7 @@ def test_fit_tfidf_rows_are_doc_matrix_rows(shared):
     want = doc_matrix(tokens, idf)
     assert not want[blank].any()
     assert dense(rows).tobytes() == want.tobytes()
-    assert rows.offsets.dtype == np.int64 and rows.columns.dtype == np.int32 and rows.values.dtype == np.float64
+    assert rows.offsets.dtype == np.int64 and rows.columns.dtype == np.intp and rows.values.dtype == np.float64
     assert rows.values.all() and len(rows.values) == np.count_nonzero(want)
     # Any rows, repeated and in any order.
     some = np.concatenate([rng.permutation(n)[:BLOCK_ROWS - 2], blank[:1], [0, 0]])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from side import ingest
 from side.core import SeveritySeries
 from side.errors import ParseError
 from side.ingest import EntityList, geofilter, load_documents, load_severity
@@ -309,3 +310,42 @@ def test_one_mutated_line_is_counted_never_raised(tmp_path_factory, data):
     counted = len(result.documents) + result.malformed_count + result.empty_text_count + result.out_of_range_count
     assert counted == sum(1 for line in data.split(b"\n") if line.strip())
     assert len(result.timesteps) == len(result.documents) and set(result.timesteps) <= set(range(4))
+
+
+#: What may stand before or after a line's JSON value: JSON whitespace, or also characters that are not JSON
+#: whitespace (a BOM, a no-break space, a vertical tab, a form feed, an ideographic space).
+_EDGES = st.text(st.sampled_from(" \t\r"), max_size=3) | st.text(
+    st.sampled_from(" \t\r\ufeff\u00a0\x0b\x0c\u3000"), min_size=1, max_size=3)
+
+
+@st.composite
+def _respaced_dumps(draw):
+    """The bytes of ``_DUMP`` with edged lines, CRLF or no line ends, trailing data, NaN, Infinity or deep nesting."""
+    lines = []
+    for row in _DUMP:
+        line = json.dumps(row)
+        if draw(st.booleans()):
+            row = dict(row, **{draw(st.sampled_from(sorted(row))): None})
+            value = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "[" * 100_000 + "]" * 100_000]))
+            line = json.dumps(row).replace("null", value)
+        tail = draw(st.just("") | st.sampled_from(["x", "0", "{}", "]", json.dumps(_DUMP[0])]))
+        # No line end joins this line to the next: two objects on one line.
+        end = draw(st.sampled_from(["\n", "\r\n", "\n", ""]))
+        lines.append(draw(_EDGES) + line + tail + draw(_EDGES) + end)
+    return "".join(lines).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=_respaced_dumps())
+def test_one_scan_keeps_drops_and_counts_as_json_loads(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "respaced.jsonl"
+    path.write_bytes(data)
+
+    def refuse(line):
+        raise ValueError("every line goes to json.loads")
+
+    got = load_documents(path, series(4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_raw_decode", refuse)
+        want = load_documents(path, series(4))
+    assert got == want

@@ -8,6 +8,7 @@ import pytest
 
 from side import model as mdl
 from side import numerics as nm
+from side.config import ABLATIONS
 from side.core import IMPACT_DIM
 from side.model import ModelConfig
 
@@ -245,7 +246,7 @@ def test_end_to_end_gradient_matches_finite_differences(seed):
         assert rel_err(params[name].grad, fd) < 1e-4, name
 
 
-@pytest.mark.parametrize("ablation", mdl.ABLATIONS)
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_batched_forward_rows_equal_single_window_forward(ablation):
     # 7 windows: fewer than the 8 windows per graph that training uses
     cfg = tiny_cfg(ablation=ablation)
@@ -336,7 +337,7 @@ def reference_backward(root):
             local[id(parent)] = local[id(parent)] + pg if id(parent) in local else pg
 
 
-@pytest.mark.parametrize("ablation", mdl.ABLATIONS)
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_fused_forward_and_backward_are_bit_equal_to_primitives(ablation):
     # a minibatch of 4 chunks of 8 windows, each chunk's gradient added into
     # params.grad, at model defaults
