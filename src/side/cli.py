@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import logging
 import math
 import os
@@ -114,8 +115,6 @@ def cmd_quantify(cfg: cfgmod.RunConfig) -> int:
 
 def _provenance(cfg: cfgmod.RunConfig) -> dict:
     """What ``train`` records in the checkpoint and ``evaluate`` checks: the split and the input digests."""
-    import hashlib
-
     def sha256(path):
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

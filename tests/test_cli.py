@@ -677,7 +677,7 @@ def test_import_core_leaves_network_stack_unloaded():
 
 def test_import_cli_leaves_training_code_and_synth_unloaded():
     # quantify loads none of them; synth, train, evaluate and ablate import what they use when they run.
-    unused = "{'side.model', 'side.numerics', 'side.train_eval', 'side.synth', 'hashlib'}"
+    unused = "{'side.model', 'side.numerics', 'side.train_eval', 'side.synth'}"
     assert _fresh_python(f"import sys, side.cli; print(sorted({unused} & set(sys.modules)))") == "[]"
 
 
