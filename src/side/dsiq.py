@@ -9,7 +9,8 @@ the impact vector components.
 
 Topic models are fitted once on the training date range and frozen;
 quantification with a fitted model is pure and scores a whole source in
-one pass, ``BLOCK_ROWS`` documents at a time, whatever their weeks.
+one pass, ``BLOCK_ROWS`` documents at a time, whatever their weeks.  The
+documents a model was fitted on keep the topics the fit gave them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,12 +268,13 @@ def _cells(tokens: Tokens, rows, width: int) -> np.ndarray:
     return cells
 
 
-def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, SparseRows]:
-    """Vocabulary, IDF and L2-normalized TF-IDF rows of the documents ``tokens``.
+def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, Tokens, SparseRows]:
+    """Vocabulary, IDF, the documents ``tokens`` in the vocabulary's columns and their L2-normalized TF-IDF rows.
 
     The vocabulary keeps terms that appear in at least two documents, in
     sorted order; IDF is ln(N / df), so a term present in every document
-    gets zero weight.  The rows are :func:`doc_matrix`'s, made one
+    gets zero weight.  The documents are ``tokens.in_vocabulary(vocab)``;
+    the rows are :func:`doc_matrix`'s of them, made one
     :meth:`Tokens.blocks` block at a time and kept as their nonzero cells.
 
     Raises:
@@ -289,9 +292,10 @@ def _fit_tfidf(tokens: Tokens) -> tuple[dict[str, int], np.ndarray, SparseRows]:
         raise ValueError("vocabulary is empty: no term appears in two or more documents")
     vocab = {term: j for j, (term, _) in enumerate(frequent)}
     idf = np.array([math.log(n / count) for _, count in frequent])
+    fitted = tokens.in_vocabulary(vocab)
     # Every step of doc_matrix is row-local, so a block's rows are those of the whole matrix.
-    blocks = (doc_matrix(block, idf) for block in tokens.in_vocabulary(vocab).blocks())
-    return vocab, idf, _sparse_rows(blocks, len(vocab))
+    blocks = (doc_matrix(block, idf) for block in fitted.blocks())
+    return vocab, idf, fitted, _sparse_rows(blocks, len(vocab))
 
 
 def term_counts(tokens: Tokens) -> np.ndarray:
@@ -440,6 +444,7 @@ def _nearest(rows, block, x_sq, centroids, assignments, upper, lower, margin) ->
         upper[part] = np.sqrt(d[took, best])
         d[took, best] = np.inf
         lower[part] = np.sqrt(d.min(axis=1))
+        del d  # not to live through the next run's product
     return nearest
 
 
@@ -673,25 +678,42 @@ def map_topic(keywords, backend) -> int:
 # ---------------------------------------------------------------------------
 
 
+class TopicFit(NamedTuple):
+    """A fitted model and ``topics[i]``, the topic id of fit document ``i``.
+
+    ``clusters`` is the model's, so a caller that counts a fit's topics (``bench/spans.py``) reads it as a model.
+    """
+
+    model: TopicModel
+    topics: np.ndarray
+
+    @property
+    def clusters(self) -> tuple[TopicCluster, ...]:
+        return self.model.clusters
+
+
 def fit_topic_model(
     tokens: Tokens,
     backend,
     topic_count: int,
     seed: int,
-) -> TopicModel:
+) -> TopicFit:
     """Cluster one source's documents, given as :func:`encode` made them, and map every topic to a determinant.
 
-    Topics are mapped on ``MAP_PARALLELISM`` threads, in topic order.
+    Returns the model and each document's topic, its final :func:`kmeans` assignment renumbered to the topics that
+    kept members: what :func:`assign_clusters` gives the same documents, unless :func:`kmeans`'s rounding caveat
+    applies.  Topics are mapped on ``MAP_PARALLELISM`` threads, in topic order.
     """
-    vocab, idf, rows = _fit_tfidf(tokens)
+    vocab, idf, fitted, rows = _fit_tfidf(tokens)
     assignments, centroids = kmeans(rows, topic_count, seed)
     del rows
-    # Renumber the clusters that kept members as 0..live-1.
-    live, assignments = np.unique(assignments, return_inverse=True)
+    # Renumber the clusters that kept members as 0..live-1; no centroid that lost all its members was any
+    # document's nearest, so dropping them moves no assignment.
+    live, topics = np.unique(assignments, return_inverse=True)
     centroids = centroids[live]
 
-    doc_counts = np.bincount(assignments, minlength=len(live))
-    keywords = cluster_keywords(tokens.in_vocabulary(vocab), assignments)
+    doc_counts = np.bincount(topics, minlength=len(live))
+    keywords = cluster_keywords(fitted, topics)
 
     with ThreadPoolExecutor(max_workers=MAP_PARALLELISM) as pool:
         det_indices = list(pool.map(lambda kw: map_topic(kw, backend), keywords))
@@ -704,7 +726,7 @@ def fit_topic_model(
         )
         for c in range(len(live))
     )
-    return TopicModel(vocabulary=vocab, idf=idf, centroids=centroids, clusters=clusters)
+    return TopicFit(TopicModel(vocabulary=vocab, idf=idf, centroids=centroids, clusters=clusters), topics)
 
 
 def assign_clusters(tokens: Tokens, model: TopicModel) -> np.ndarray:
@@ -713,18 +735,27 @@ def assign_clusters(tokens: Tokens, model: TopicModel) -> np.ndarray:
     return np.argmin(_sq_dists(vectors, model.centroids), axis=1)
 
 
+def _shares(model: TopicModel, topics: np.ndarray, timesteps: np.ndarray, weeks: int) -> np.ndarray:
+    """(weeks, DETERMINANT_COUNT) shares per determinant of each week's documents, an empty week all zeros.
+
+    Document ``i`` has topic ``topics[i]`` and falls in week ``timesteps[i]``, in ``range(weeks)`` and in any order.
+    """
+    determinants = np.array([c.determinant_index for c in model.clusters])
+    cells = np.asarray(timesteps, dtype=np.int64) * DETERMINANT_COUNT + determinants[topics]
+    counts = np.bincount(cells, minlength=weeks * DETERMINANT_COUNT).reshape(weeks, DETERMINANT_COUNT)
+    return counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+
+
 def quantify(tokens: Tokens, model: TopicModel, timesteps: np.ndarray, weeks: int) -> np.ndarray:
     """(weeks, DETERMINANT_COUNT) determinant distributions of ``tokens``, whose term ids are the model's columns.
 
     Document ``i`` falls in week ``timesteps[i]``, in ``range(weeks)`` and in any order.  Row ``t`` counts week ``t``'s
     documents per determinant through their topics, assigned one :meth:`Tokens.blocks` block at a time, over their
-    number; an empty week is all zeros.
+    number; an empty week is all zeros.  :func:`quantify_source` counts a source's kept documents the same way but
+    assigns only those its topic model was not fitted on.
     """
-    determinants = np.array([c.determinant_index for c in model.clusters])
     topics = [np.zeros(0, dtype=np.int64)] + [assign_clusters(block, model) for block in tokens.blocks()]
-    cells = np.asarray(timesteps, dtype=np.int64) * DETERMINANT_COUNT + determinants[np.concatenate(topics)]
-    counts = np.bincount(cells, minlength=weeks * DETERMINANT_COUNT).reshape(weeks, DETERMINANT_COUNT)
-    return counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+    return _shares(model, np.concatenate(topics), timesteps, weeks)
 
 
 def quantify_source(
@@ -734,8 +765,11 @@ def quantify_source(
     """Ingest counters, topic model and (len(series), DETERMINANT_COUNT) impact half of one JSONL dump.
 
     Each kept document is tokenized once.  The model fits the kept documents before week ``cutoff``, and a
-    source with none, or with no term in two of them, raises ``ConfigError``; one :func:`quantify` pass over
-    every kept document, in read order, makes the half.  The counters carry the labels ``side quantify`` prints.
+    source with none, or with no term in two of them, raises ``ConfigError``.  Those documents keep the topics
+    the fit gave them; only the documents from week ``cutoff`` on are vectorized and assigned, one
+    :meth:`Tokens.blocks` block at a time, and both count into the half as :func:`quantify` of every kept
+    document would, unless :func:`kmeans`'s rounding caveat applies.  The counters carry the labels
+    ``side quantify`` prints.
     """
     loaded = ingest.load_documents(path, series)
     kept = ingest.geofilter(loaded.documents, entities)
@@ -755,12 +789,17 @@ def quantify_source(
     fit_rows = np.flatnonzero(timesteps < cutoff)
     if not len(fit_rows):
         raise ConfigError(f"no {source} document falls in the training range (before week {cutoff})")
+    held = np.flatnonzero(timesteps >= cutoff)
+    fit_tokens, held_tokens = tokens.take(fit_rows), tokens.take(held)
+    del tokens  # the two parts, and not the whole as well, live through the fit
     try:
-        model = fit_topic_model(tokens.take(fit_rows), backend, topic_count=topic_count, seed=seed)
+        model, fit_topics = fit_topic_model(fit_tokens, backend, topic_count=topic_count, seed=seed)
     except ValueError as exc:  # an empty vocabulary
         raise ConfigError(f"{source} training range (before week {cutoff}): {exc}") from exc
 
-    return counts, model, quantify(tokens.in_vocabulary(model.vocabulary), model, timesteps, len(series))
+    held_tokens = held_tokens.in_vocabulary(model.vocabulary)
+    topics = np.concatenate([fit_topics] + [assign_clusters(block, model) for block in held_tokens.blocks()])
+    return counts, model, _shares(model, topics, timesteps[np.concatenate([fit_rows, held])], len(series))
 
 
 # ---------------------------------------------------------------------------

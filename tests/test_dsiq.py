@@ -132,21 +132,21 @@ def test_encode_matches_regex_oracle(texts):
 class TestVectorize:
     def test_identical_documents_get_identical_vectors(self):
         docs = ["dry crop fields", "dry crop fields"]
-        _, _, rows = _fit_tfidf(encode(docs))
+        *_, rows = _fit_tfidf(encode(docs))
         vectors = dense(rows)
         np.testing.assert_array_equal(vectors[0], vectors[1])
 
     def test_term_in_every_document_weighs_zero(self):
         # ln(N/N) = 0, so the shared term contributes nothing
         docs = ["drought crop crop", "drought wells wells", "drought crop wells"]
-        vocab, _, rows = _fit_tfidf(encode(docs))
+        vocab, _, _, rows = _fit_tfidf(encode(docs))
         vectors = dense(rows)
         assert vectors[:, vocab["drought"]].max() == 0.0
         assert vectors[:, vocab["crop"]].max() > 0.0
 
     def test_self_cosine_is_one(self):
         docs = ["crop crop harvest", "wells water", "crop wells water harvest"]
-        _, _, rows = _fit_tfidf(encode(docs))
+        *_, rows = _fit_tfidf(encode(docs))
         for row in dense(rows):
             if row.any():
                 assert math.isclose(float(row @ row), 1.0, abs_tol=1e-12)
@@ -636,8 +636,7 @@ def test_fit_tfidf_matches_string_reference(n):
         with pytest.raises(ValueError, match="vocabulary is empty"):
             _fit_tfidf(encode(texts))
         return
-    vocab, idf, rows = _fit_tfidf(encode(texts))
-    tokens = encode(texts).in_vocabulary(vocab)
+    vocab, idf, tokens, rows = _fit_tfidf(encode(texts))
     assert list(vocab.items()) == list(want[0].items()) and tokens.terms == tuple(want[0])
     assert idf.tobytes() == want[1].tobytes()
     assert dense(rows).tobytes() == want[2].tobytes()
@@ -664,7 +663,7 @@ def test_fit_tfidf_rows_are_doc_matrix_rows(shared):
         texts[i] = term(10**6 + i)
     if shared:
         texts = [f"{text} everywhere" for text in texts]
-    vocab, idf, rows = _fit_tfidf(encode(texts))
+    vocab, idf, _, rows = _fit_tfidf(encode(texts))
     tokens = encode(texts).in_vocabulary(vocab)
     assert ("everywhere" in vocab) is shared and (idf == 0.0).any() == shared
     want = doc_matrix(tokens, idf)
@@ -684,7 +683,7 @@ def test_fit_tfidf_sq_norms_are_dense_row_norms():
     rng = np.random.default_rng(13)
     texts = _random_texts(rng, 2 * BLOCK_ROWS + 3, rare_from=0)
     texts[::97] = [""] * len(texts[::97])
-    _, _, rows = _fit_tfidf(encode(texts))
+    *_, rows = _fit_tfidf(encode(texts))
     x = dense(rows)
     assert not x[::97].any()
     assert rows.sq_norms.tobytes() == _row_sq_norms(x).tobytes()
@@ -1035,7 +1034,7 @@ class TestQuantify:
         rng = np.random.default_rng(21)
         n, weeks = BLOCK_ROWS + 300, 16
         texts = _random_texts(rng, n, rare_from=0)
-        model = fit_topic_model(encode(texts[:600]), LexiconBackend(), topic_count=8, seed=4)
+        model, _ = fit_topic_model(encode(texts[:600]), LexiconBackend(), topic_count=8, seed=4)
         timesteps = rng.choice([w for w in range(weeks) if w not in (0, 7, 15)], size=n)
         assert set(timesteps[:BLOCK_ROWS].tolist()) == set(timesteps[BLOCK_ROWS:].tolist())
         out = quantify(week(texts, model), model, timesteps, weeks)
@@ -1114,6 +1113,120 @@ class TestQuantifySource:
             self.run(tmp_path, [_line(0, "crop harvest fresno"), _line(2, "crop harvest fresno")])
 
 
+def _topical_texts(rng, n, topics):
+    """``n`` texts around ``topics`` term sets, as ``_topical`` draws rows around prototypes, so that they cluster.
+
+    A topic holds 12 of 120 terms; a text takes 4 to 11 tokens of its topic's terms and, now and then, one of any term.
+    """
+    own = [rng.choice(120, 12, replace=False) for _ in range(topics)]
+    texts = []
+    for c in rng.integers(topics, size=n):
+        words = [term(j) for j in rng.choice(own[c], rng.integers(4, 12))]
+        if rng.random() < 0.3:
+            words.append(term(rng.integers(120)))
+        texts.append(" ".join(words))
+    return texts
+
+
+def _fit_cases():
+    """(texts, topic_count, seed, KMEANS_MAX_ITER) by how the fit's k-means ends."""
+    rng = np.random.default_rng(31)
+    topical = _topical_texts(rng, 600, topics=10)
+    # Eight distinct rows: "xb" is two texts, "xd" is not used, and "xd xd xd xd" is one term like it.
+    pool = ["xc xb xb", "xb xc xb xb", "xa xd xa", "xb", "xd xd xd xd", "xd", "xd xc xa", "xb", "xc xb", "xc xa xa"]
+    duplicates = [pool[i] for i in [9, 7, 7, 3, 4, 6, 1, 3, 9, 3, 6, 7, 4, 2, 2, 0, 9, 6, 9, 6, 7, 8, 2, 9, 7]]
+    return {
+        "converged_after_moves": (topical, 12, 0, 100),
+        "converged_at_first_pass": (topical, 1, 0, 100),
+        "stopped_at_max_iter": (topical, 12, 0, 2),
+        # Ten clusters of eight distinct rows; cluster 6 ends empty, so the topics after it are renumbered.
+        "emptied_cluster_renumbered": (duplicates, 10, 0, 100),
+    }
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+@pytest.mark.parametrize("case", list(_fit_cases()))
+def test_fit_topics_are_assign_clusters_topics(monkeypatch, case, block_rows):
+    """The topics a fit returns, which ``quantify_source`` counts, are what ``assign_clusters`` gives its documents.
+
+    At 7 rows a block the TF-IDF blocks and the Lloyd passes' runs split.
+    """
+    texts, topic_count, seed, max_iter = _fit_cases()[case]
+    passes = []  # the assignments of each k-means pass over the points, before renumbering
+
+    def nearest(*args):
+        passes.append(_nearest(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(dsiq, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(dsiq, "KMEANS_MAX_ITER", max_iter)
+    monkeypatch.setattr(dsiq, "_nearest", nearest)
+    tokens = encode(texts)
+    model, topics = fit_topic_model(tokens, LexiconBackend(), topic_count, seed)
+    assert np.array_equal(topics, dsiq.assign_clusters(tokens.in_vocabulary(model.vocabulary), model))
+    assert [c.doc_count for c in model.clusters] == np.bincount(topics).tolist()
+    moved = [not np.array_equal(a, b) for a, b in zip(passes, passes[1:])]
+    if case == "converged_after_moves":
+        # The pass that moved nothing returned from inside the loop.
+        assert 3 <= len(passes) <= max_iter and any(moved) and not moved[-1]
+    if case == "converged_at_first_pass":
+        # The first pass kept every point in cluster 0 and broke out; one more pass followed the mean update.
+        assert len(passes) == 2 and not passes[0].any()
+    if case == "stopped_at_max_iter":
+        assert len(passes) == max_iter + 1 and moved[0]
+    if case == "emptied_cluster_renumbered":
+        live = np.unique(passes[-1])
+        assert len(model.clusters) == len(live) < topic_count and live[-1] >= len(live)
+
+
+@pytest.mark.parametrize("order", ["shuffled", "held_out_first", "none_held_out"])
+def test_quantify_source_vectorizes_and_assigns_each_document_once(monkeypatch, tmp_path, order):
+    """Training-range documents keep their fit topics; only the later ones are vectorized again and assigned.
+
+    With ``none_held_out`` every kept document falls before the cutoff.
+    """
+    rng = np.random.default_rng(14)
+    weeks, cutoff = 12, 8
+    series = SeveritySeries(start=WEEK0, values=np.full(weeks, 100.0))
+    entities = EntityList.from_terms(["fresno"])
+    fit_lines, held_lines = [], []
+    for week in range(weeks):
+        count = 70 if week < cutoff else 0 if order == "none_held_out" else 40
+        for i, text in enumerate(_random_texts(rng, count, rare_from=1000 * week)):
+            place = "Fresno" if rng.random() < 0.9 else "reno"
+            (fit_lines if week < cutoff else held_lines).append(_line(week, f"{text} {place}", day=i % 7))
+    lines = held_lines + fit_lines
+    if order == "shuffled":
+        rng.shuffle(lines)
+    path = tmp_path / "posts.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assigned, vectorized = [], []  # rows per call
+    assign_clusters, doc_matrix = dsiq.assign_clusters, dsiq.doc_matrix
+
+    def assign_spy(tokens, model):
+        assigned.append(len(tokens))
+        return assign_clusters(tokens, model)
+
+    def doc_matrix_spy(tokens, idf):
+        vectorized.append(len(tokens))
+        return doc_matrix(tokens, idf)
+
+    monkeypatch.setattr(dsiq, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(dsiq, "assign_clusters", assign_spy)
+    monkeypatch.setattr(dsiq, "doc_matrix", doc_matrix_spy)
+    _, model, half = quantify_source("social", path, series, entities, LexiconBackend(),
+                                     cutoff=cutoff, topic_count=12, seed=3)
+
+    loaded = ingest.load_documents(path, series)
+    kept = [(loaded.documents[i], loaded.timesteps[i]) for i in ingest.geofilter(loaded.documents, entities)]
+    held = sum(t >= cutoff for _, t in kept)
+    assert sum(assigned) == held and all(0 < rows <= 64 for rows in assigned)
+    assert (held > 64) == (order != "none_held_out")
+    assert sum(vectorized) == len(kept)
+    want = np.array([_reference_quantify([text for text, t in kept if t == w], model) for w in range(weeks)])
+    assert half.tobytes() == want.tobytes()
+
+
 def test_fit_topic_model_maps_lexicon_terms_correctly():
     docs = [
         "crop harvest irrigation farm",
@@ -1121,7 +1234,7 @@ def test_fit_topic_model_maps_lexicon_terms_correctly():
         "water reservoir rationing wells",
         "water reservoir wells aquifer",
     ]
-    model = fit_topic_model(encode(docs), LexiconBackend(), topic_count=2, seed=0)
+    model, _ = fit_topic_model(encode(docs), LexiconBackend(), topic_count=2, seed=0)
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
     for cluster in model.clusters:
@@ -1211,7 +1324,7 @@ def test_fit_topic_model_with_llm_backend_parallel_mapping(llm_server, no_backof
         "water reservoir rationing",
     ]
     backend = LlmBackend(url)
-    model = fit_topic_model(encode(docs), backend, topic_count=2, seed=0)
+    model, _ = fit_topic_model(encode(docs), backend, topic_count=2, seed=0)
     # the server scores crop-topics as Agriculture, everything else Water Utilities
     assert {c.determinant_index for c in model.clusters} == {0, 8}
     assert sum(c.doc_count for c in model.clusters) == len(docs)
@@ -1224,10 +1337,10 @@ def test_fit_topic_model_on_dead_service_bounds_posts(caplog, no_backoff):
     post = FailingPost()
     backend = LlmBackend("http://llm.test/score", post=post)
     with caplog.at_level(logging.WARNING, logger="side.dsiq"):
-        model = fit_topic_model(encode(docs), backend, topic_count=8, seed=0)
+        model, _ = fit_topic_model(encode(docs), backend, topic_count=8, seed=0)
     assert len(model.clusters) == 8
     # only the topics in flight when the budget ran out may still call
     assert post.calls <= MAP_PARALLELISM * (dsiq.LLM_RETRIES + 1)
     assert len(caplog.records) == 1
-    lexicon = fit_topic_model(encode(docs), LexiconBackend(), topic_count=8, seed=0)
+    lexicon, _ = fit_topic_model(encode(docs), LexiconBackend(), topic_count=8, seed=0)
     assert [c.determinant_index for c in model.clusters] == [c.determinant_index for c in lexicon.clusters]
