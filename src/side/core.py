@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from datetime import date
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, InsufficientDataError, ParseError
 
@@ -116,6 +117,12 @@ class Windows:
     ``impact_in`` (n, lookback, IMPACT_DIM) and ``impact_out`` (n, horizon,
     IMPACT_DIM); impact rows are concatenated vectors, one part per source
     in ``SOURCES`` order.  A slice is again a ``Windows``.
+
+    From :func:`make_windows` every array is read-only, and the four
+    window arrays are views of one private copy of each series: a week's
+    values are stored once however many windows hold it, a write into a
+    window raises, and indexing with an index array (a training chunk's
+    gather, say) copies the windows it picks.
     """
 
     starts: np.ndarray
@@ -157,7 +164,10 @@ def make_windows(
         horizon: prediction window length (>= 1).
 
     Returns:
-        Exactly ``T - lookback - horizon + 1`` windows in chronological order.
+        Exactly ``T - lookback - horizon + 1`` windows in chronological
+        order, as read-only views of one float64 copy of each series taken
+        here (see :class:`Windows`), so a later write into ``impacts``
+        leaves them unchanged.
 
     Raises:
         AlignmentError: series and impacts differ in length.
@@ -167,7 +177,7 @@ def make_windows(
     if lookback < 1 or horizon < 1:
         raise ValueError(f"window sizes must be >= 1, got ({lookback}, {horizon})")
     total = len(severity)
-    impacts = np.asarray(impacts, dtype=np.float64)
+    impacts = np.array(impacts, dtype=np.float64)
     if len(impacts) != total:
         raise AlignmentError(
             f"severity has {total} timesteps but impacts has {len(impacts)}"
@@ -178,15 +188,23 @@ def make_windows(
             f"need at least {lookback + horizon} timesteps, have {total}"
         )
 
-    starts = np.arange(total - lookback - horizon + 1)
-    into = starts[:, None] + np.arange(lookback)
-    out = starts[:, None] + np.arange(lookback, lookback + horizon)
+    count = total - lookback - horizon + 1
+    starts = np.arange(count)
+    values = np.array(severity.values)
+    for array in (starts, values, impacts):
+        array.flags.writeable = False
+
+    def windows_of(series, start, length):
+        """Read-only view whose row i is ``series[start + i : start + i + length]``."""
+        view = sliding_window_view(series[start : start + count + length - 1], length, axis=0)
+        return np.moveaxis(view, -1, 1)  # impacts: (count, IMPACT_DIM, length) -> (count, length, IMPACT_DIM)
+
     return Windows(
         starts=starts,
-        severity_in=severity.values[into],
-        severity_out=severity.values[out],
-        impact_in=impacts[into],
-        impact_out=impacts[out],
+        severity_in=windows_of(values, 0, lookback),
+        severity_out=windows_of(values, lookback, horizon),
+        impact_in=windows_of(impacts, 0, lookback),
+        impact_out=windows_of(impacts, lookback, horizon),
     )
 
 

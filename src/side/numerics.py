@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -488,11 +489,16 @@ def load_checkpoint(path) -> dict:
             if config_hash(payload["config"]) != payload["config_hash"]:
                 raise NumericsError(f"checkpoint config hash mismatch in {path}")
             layout = {name: tuple(shape) for name, shape in payload["layout"]}
+            for name, shape in layout.items():
+                if any(dim < 0 for dim in shape):  # reshape would read -1 as "the rest"
+                    raise ValueError(f"parameter {name!r} has a negative dimension in {shape}")
             values = np.frombuffer(base64.b64decode(payload["values"], validate=True), dtype="<f8")
-            if values.size != sum(map(math.prod, layout.values())):  # checked before allocating
+            sizes = [math.prod(shape) for shape in layout.values()]
+            if values.size != sum(sizes):  # checked before allocating
                 raise ValueError(f"{values.size} values do not fill the layout")
-            params = Params({name: np.zeros(shape) for name, shape in layout.items()})
-            params.value[...] = values
+            # Params copies each parameter's slice of the decoded vector into its own buffer.
+            params = Params({name: values[lo : lo + size].reshape(shape)
+                             for (name, shape), lo, size in zip(layout.items(), accumulate(sizes, initial=0), sizes)})
             return {"params": params, "config": payload["config"], "extras": payload["extras"]}
         except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise NumericsError(f"malformed checkpoint {path}: {exc!r}") from exc

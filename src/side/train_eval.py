@@ -30,8 +30,8 @@ LR_PLATEAU_EPOCHS = 3
 #: all run in graphs of at most this many.  Larger graphs take fewer,
 #: larger numpy calls but hold more memory: at model defaults, `side train`
 #: on `side synth --seed 1001 --weeks 330 --docs-per-week 12` (one CPU, one
-#: BLAS thread) peaked at 57.5 MB of RSS with 4 windows per graph, 57.4 MB
-#: with 8 and 65.5 MB with 16.  At 8, the `paper_default` benchmark's
+#: BLAS thread) peaked at 55.6 MB of RSS with 4 windows per graph, 55.1 MB
+#: with 8 and 63.2 MB with 16.  At 8, the `paper_default` benchmark's
 #: pipeline, mostly training, took about 11 % less time than at 4.  One
 #: forward and backward pass of 8 windows peaks at 6.8 MiB of numpy
 #: allocations (tracemalloc), 13.3 MiB at 16.

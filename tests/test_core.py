@@ -1,5 +1,6 @@
 """Windowing, chronological split, impact series invariants and the CSV format."""
 
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -79,6 +80,45 @@ def test_alignment_error_on_length_mismatch():
         make_windows(make_series(10), zero_impacts(9), 3, 2)
 
 
+def test_windows_are_read_only_views_of_one_copy_per_series():
+    series, impacts = make_series(10), onehot_impacts(10)
+    samples = make_windows(series, impacts, 3, 2)
+    for name in ("starts", "severity_in", "severity_out", "impact_in", "impact_out"):
+        assert not getattr(samples, name).flags.writeable, name
+    assert np.shares_memory(samples.severity_in, samples.severity_out)
+    assert np.shares_memory(samples.impact_in, samples.impact_out)
+    assert not np.shares_memory(samples.severity_in, samples.impact_in)
+    assert not np.shares_memory(samples.severity_in, series.values)
+    assert not np.shares_memory(samples.impact_in, impacts)
+    with pytest.raises(ValueError, match="read-only"):
+        samples.impact_in[0, 0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        samples.severity_out[1] += 1.0
+
+
+def test_windows_do_not_follow_later_writes_to_the_impacts():
+    impacts = onehot_impacts(10)
+    samples = make_windows(make_series(10), impacts, 3, 2)
+    before = samples.impact_in.copy(), samples.impact_out.copy()
+    impacts[:] = 0.0
+    assert np.array_equal(samples.impact_in, before[0])
+    assert np.array_equal(samples.impact_out, before[1])
+
+
+def test_make_windows_allocates_about_the_series_not_the_windows():
+    # A window copy per lookback and horizon (the gathered layout) peaks at
+    # about 2.9 MB here; two series copies of 330 weeks are about 60 KB.
+    series, impacts = make_series(330), onehot_impacts(330)
+    tracemalloc.start()
+    try:
+        samples = make_windows(series, impacts, 52, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.impact_in.shape == (274, 52, 2 * DETERMINANT_COUNT)
+    assert peak < 256 * 1024, f"make_windows peaked at {peak / 1024:.0f} KB"
+
+
 @given(
     total=st.integers(min_value=2, max_value=80),
     lookback=st.integers(min_value=1, max_value=30),
@@ -87,7 +127,7 @@ def test_alignment_error_on_length_mismatch():
 @settings(max_examples=100, deadline=None)
 def test_window_count_formula_property(total, lookback, horizon):
     series = make_series(total)
-    impacts = zero_impacts(total)
+    impacts = onehot_impacts(total)
     if total < lookback + horizon:
         with pytest.raises(InsufficientDataError):
             make_windows(series, impacts, lookback, horizon)
@@ -95,6 +135,12 @@ def test_window_count_formula_property(total, lookback, horizon):
     samples = make_windows(series, impacts, lookback, horizon)
     assert len(samples) == total - lookback - horizon + 1
     assert np.all(np.diff(samples.starts) == 1)
+    into = samples.starts[:, None] + np.arange(lookback)
+    out = samples.starts[:, None] + np.arange(lookback, lookback + horizon)
+    assert np.array_equal(samples.severity_in, series.values[into])
+    assert np.array_equal(samples.severity_out, series.values[out])
+    assert np.array_equal(samples.impact_in, impacts[into])
+    assert np.array_equal(samples.impact_out, impacts[out])
 
 
 def test_split_330_samples():

@@ -500,6 +500,43 @@ def test_checkpoint_rejects_tampered_config(tmp_path):
         nm.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("layout", [
+    [["a", [-1]], ["b", [3]]],
+    [["a", [1.5]], ["b", [0.5]]],
+], ids=["negative", "fractional"])
+def test_checkpoint_rejects_a_layout_that_only_sums_to_the_values(tmp_path, layout):
+    import json
+
+    path = tmp_path / "ckpt.json"
+    nm.save_checkpoint(path, nm.Params({"a": np.zeros(1), "b": np.ones(1)}), {"d": 4})
+    payload = json.loads(path.read_text())
+    payload["layout"] = layout
+    path.write_text(json.dumps(payload))
+    with pytest.raises(NumericsError, match="malformed checkpoint"):
+        nm.load_checkpoint(path)
+
+
+def test_load_checkpoint_peak_memory(tmp_path):
+    import tracemalloc
+
+    # The base64 text (4/3 of the value bytes), the decoded bytes, and the
+    # loaded parameters' value and gradient vectors make 4.33 times the
+    # value bytes; a zeroed array per parameter besides them made 5.3.
+    rng = np.random.default_rng(3)
+    params = nm.Params({"a": rng.normal(size=(256, 512)), "b": rng.normal(size=(512, 256)), "c": rng.normal(size=9)})
+    path = tmp_path / "ckpt.json"
+    nm.save_checkpoint(path, params, {"d": 4})
+    nbytes = params.value.nbytes
+    tracemalloc.start()
+    try:
+        loaded = nm.load_checkpoint(path)["params"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.value.tobytes() == params.value.tobytes()
+    assert peak < 4.5 * nbytes, f"load_checkpoint peaked at {peak / nbytes:.2f} times the value bytes"
+
+
 def test_checkpoint_with_non_finite_extras_is_not_written(tmp_path):
     path = tmp_path / "ckpt.json"
     with pytest.raises(ValueError):
