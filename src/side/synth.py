@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from datetime import date, timedelta
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +220,9 @@ def generate_documents(
     :data:`CHUNK_DOCS` at a time by :func:`_draw_chunk`, from the same
     stream, so the lines, and the state ``rng`` is left in after the last
     week, are those of the calls.  A line is the bytes
-    ``json.dumps(doc, sort_keys=True)`` writes, without a newline.
+    ``json.dumps(doc, sort_keys=True)`` writes, without a newline, joined
+    from ready-made pieces by :func:`_document_lines`; each chunk's lines
+    are built together and then yielded one at a time.
 
     Raises:
         TypeError: ``rng``'s bit generator is not a ``PCG64``, whose outputs
@@ -227,7 +230,7 @@ def generate_documents(
     """
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError(f"generate_documents needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
-    return _document_lines(severity, docs_per_week, source, rng)
+    return chain.from_iterable(_document_lines(severity, docs_per_week, source, rng, _Pools()))
 
 
 def _escaped(*word_lists) -> np.ndarray:
@@ -237,24 +240,46 @@ def _escaped(*word_lists) -> np.ndarray:
     return np.array(rows, dtype=object)
 
 
-def _document_lines(severity, docs_per_week, source, rng) -> Iterator[str]:
-    lexicon = load_lexicon()
-    pools = [OTHER_TERMS if d == OTHER_INDEX else tuple(lexicon[name]) for d, name in enumerate(DETERMINANT_NAMES)]
-    pool_sizes = np.array([len(pool) for pool in pools])
-    topic_words, (fillers,) = _escaped(*pools), _escaped(FILLERS)
-    place_lists = (IN_STATE_PLACES, OUT_OF_STATE_PLACES)
-    places = _escaped(*place_lists)
-    # a document's draws: day, hour, minute, 2 * TOPIC_WORDS - 1 for its topic words, 3 for its fillers, its place
-    filler_bounds = _choice_bounds(len(FILLERS), 2)
-    bounds = np.array(
-        [
-            [(7, 24, 60, *_choice_bounds(len(pool), TOPIC_WORDS), *filler_bounds, len(p)) for p in place_lists]
-            for pool in pools
-        ],
-        dtype=np.int64,
-    )
-    topic_draws = slice(3, 2 + 2 * TOPIC_WORDS)
-    filler_draws = slice(topic_draws.stop, topic_draws.stop + len(filler_bounds))
+class _Pools:
+    """The JSON-escaped words documents are made of, and the bounds of a document's draws."""
+
+    def __init__(self):
+        lexicon = load_lexicon()
+        pools = [OTHER_TERMS if d == OTHER_INDEX else tuple(lexicon[name]) for d, name in enumerate(DETERMINANT_NAMES)]
+        self.sizes = np.array([len(pool) for pool in pools])
+        self.topic_words, (self.fillers,) = _escaped(*pools), _escaped(FILLERS)
+        place_lists = (IN_STATE_PLACES, OUT_OF_STATE_PLACES)
+        self.places = _escaped(*place_lists)
+        # a document's draws: day, hour, minute, 2 * TOPIC_WORDS - 1 for its topic words, 3 for its fillers, its place
+        filler_bounds = _choice_bounds(len(FILLERS), 2)
+        self.bounds = np.array(
+            [
+                [(7, 24, 60, *_choice_bounds(len(pool), TOPIC_WORDS), *filler_bounds, len(p)) for p in place_lists]
+                for pool in pools
+            ],
+            dtype=np.int64,
+        )
+        self.topic_draws = slice(3, 2 + 2 * TOPIC_WORDS)
+        self.filler_draws = slice(self.topic_draws.stop, self.topic_draws.stop + len(filler_bounds))
+
+
+#: Document numbers and clock times as a line writes them: ``_NUMBERS[i]`` is
+#: ``f"{i:03d}"`` and ``_CLOCK[60 * hour + minute]`` is ``f"{hour:02d}:{minute:02d}"``.
+_NUMBERS = tuple(f"{i:03d}" for i in range(1000))
+_CLOCK = tuple(f"{hour:02d}:{minute:02d}" for hour in range(24) for minute in range(60))
+
+
+def _document_lines(severity, docs_per_week, source, rng, pools: _Pools) -> Iterator[list[str]]:
+    """The lines of :func:`generate_documents`, one list per chunk of documents.
+
+    A line is one f-string over ready-made pieces, with no number formatted
+    per document: the id head ``{"id": "<source>-<week>-`` and the seven ``",
+    "timestamp": "<date>T`` strings are built once a week, the document
+    number and the clock time are entries of :data:`_NUMBERS` (a chunk with
+    a number past 999 formats its numbers) and :data:`_CLOCK`, and the text
+    is one ``" ".join`` of the document's words.  The bytes are still those
+    of the per-call generator's ``json.dumps(doc, sort_keys=True)``.
+    """
     src = json.dumps(source)[1:-1]
     weeks = len(severity)
     lead = SOCIAL_LEAD if source == "social" else 0
@@ -266,26 +291,33 @@ def _document_lines(severity, docs_per_week, source, rng) -> Iterator[str]:
         cdf = determinant_mixture(driver).cumsum()
         cdf /= cdf[-1]
         week_start = START + timedelta(days=7 * t)
-        days = [(week_start + timedelta(days=d)).isoformat() for d in range(7)]
+        head = f'{{"id": "{src}-{t:04d}-'
+        stamps = [f'", "timestamp": "{(week_start + timedelta(days=d)).isoformat()}T' for d in range(7)]
         for first in range(0, count, CHUNK_DOCS):
-            det, out_of_state, draws = _draw_chunk(rng, min(CHUNK_DOCS, count - first), cdf, bounds)
-            picks = _sample_without_replacement(draws[:, topic_draws], pool_sizes[det], TOPIC_WORDS)
-            topics = topic_words[det[:, None], picks]
-            fills = fillers[_sample_without_replacement(draws[:, filler_draws], len(FILLERS), 2)]
-            doc_places = places[out_of_state.astype(np.intp), draws[:, -1]]
-            for i, (day, hour, minute), (f0, f1), topic, place in zip(
-                range(first, count), draws[:, :3].tolist(), fills.tolist(), topics.tolist(), doc_places.tolist()
-            ):
-                yield (
-                    f'{{"id": "{src}-{t:04d}-{i:03d}", "text": "{f0} {" ".join(topic)} in {place} {f1}", '
-                    f'"timestamp": "{days[day]}T{hour:02d}:{minute:02d}:00Z"}}'
-                )
+            n = min(CHUNK_DOCS, count - first)
+            det, out_of_state, draws = _draw_chunk(rng, n, cdf, pools.bounds)
+            # a document's words: filler, TOPIC_WORDS topic words, "in", place, filler
+            words = np.empty((n, TOPIC_WORDS + 4), dtype=object)
+            fills = _sample_without_replacement(draws[:, pools.filler_draws], len(FILLERS), 2)
+            words[:, [0, -1]] = pools.fillers[fills]
+            picks = _sample_without_replacement(draws[:, pools.topic_draws], pools.sizes[det], TOPIC_WORDS)
+            words[:, 1:-3] = pools.topic_words[det[:, None], picks]
+            words[:, -3] = "in"
+            words[:, -2] = pools.places[out_of_state.astype(np.intp), draws[:, -1]]
+            last = first + n
+            numbers = _NUMBERS[first:last] if last <= len(_NUMBERS) else [f"{i:03d}" for i in range(first, last)]
+            minutes = (60 * draws[:, 1] + draws[:, 2]).tolist()  # of the day
+            yield [
+                f'{head}{number}", "text": "{" ".join(text)}{stamps[day]}{_CLOCK[minute]}:00Z"}}'
+                for number, text, day, minute in zip(numbers, words.tolist(), draws[:, 0].tolist(), minutes)
+            ]
 
 
 def write_dataset(out_dir, weeks: int, docs_per_week: float, seed: int) -> dict[str, Path]:
     """Generate and write dsci.csv, posts.jsonl, news.jsonl, entities.txt.
 
-    Each source's documents are written as they are drawn, social first.
+    Each source's documents are written as they are drawn, social first,
+    one write per chunk of :data:`CHUNK_DOCS` documents.
 
     Raises:
         ValueError: ``weeks`` below 1 or so many that the last week ends
@@ -310,10 +342,11 @@ def write_dataset(out_dir, weeks: int, docs_per_week: float, seed: int) -> dict[
     }
     week_starts = ((START + timedelta(days=7 * t)).isoformat() for t in range(weeks))
     write_csv(paths["dsci"], ("week_start", "dsci"), zip(week_starts, severity.tolist()))
+    pools = _Pools()
     for source in ("social", "news"):
         with atomic_write(paths[source]) as fh:
-            for line in generate_documents(severity, docs_per_week, source, rng):
-                fh.write(line + "\n")
+            for lines in _document_lines(severity, docs_per_week, source, rng, pools):
+                fh.write("\n".join(lines) + "\n")
     with atomic_write(paths["entities"]) as fh:
         fh.write("# synthetic in-state location entities\n")
         for place in IN_STATE_PLACES:

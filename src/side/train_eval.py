@@ -124,13 +124,16 @@ class TrainResult:
     best_epoch: int
 
 
-def _model_units(windows: Windows, standardizer: Standardizer, cfg: ModelConfig) -> Windows:
-    """The windows as the network sees them: standardized severity, masked impact inputs."""
+def _model_units(windows: Windows, standardizer: Standardizer) -> Windows:
+    """The windows with standardized severity; the impact arrays stay the windows' own views.
+
+    An input ablation masks each gathered chunk of impact inputs, not the
+    whole window stack.
+    """
     return replace(
         windows,
         severity_in=standardizer.transform(windows.severity_in),
         severity_out=standardizer.transform(windows.severity_out),
-        impact_in=mdl.apply_input_mask(windows.impact_in, cfg.ablation),
     )
 
 
@@ -141,7 +144,8 @@ def _chunks(order: np.ndarray):
 
 def _chunk_loss(params, cfg, train_cfg: TrainConfig, windows: Windows, idx: np.ndarray) -> nm.Node:
     """Mean joint loss of windows ``idx`` of ``windows`` (in model units), as one graph."""
-    sev_pred, imp_pred = mdl.forward(params, cfg, windows.severity_in[idx], windows.impact_in[idx])
+    impact_in = mdl.apply_input_mask(windows.impact_in[idx], cfg.ablation)
+    sev_pred, imp_pred = mdl.forward(params, cfg, windows.severity_in[idx], impact_in)
     return mdl.joint_loss(
         sev_pred, windows.severity_out[idx], imp_pred, windows.impact_out[idx],
         train_cfg.lambda_severity, train_cfg.lambda_impact,
@@ -196,8 +200,8 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
     params = mdl.init_params(model_cfg, rng)
 
-    train_units = _model_units(train_windows, standardizer, model_cfg)
-    val_units = _model_units(val_windows, standardizer, model_cfg)
+    train_units = _model_units(train_windows, standardizer)
+    val_units = _model_units(val_windows, standardizer)
 
     adam = nm.AdamState(learning_rate=train_cfg.learning_rate)
     best = params.value.copy()
@@ -296,11 +300,12 @@ def evaluate(
     if not test_windows:
         raise ValueError("test split is empty")
 
-    units = _model_units(test_windows, standardizer, model_cfg)
+    units = _model_units(test_windows, standardizer)
 
     sev_pred, imp_pred = [], []
     for idx in _chunks(np.arange(len(units))):
-        s_node, i_node = mdl.forward(params, model_cfg, units.severity_in[idx], units.impact_in[idx])
+        impact_in = mdl.apply_input_mask(units.impact_in[idx], model_cfg.ablation)
+        s_node, i_node = mdl.forward(params, model_cfg, units.severity_in[idx], impact_in)
         sev_pred.append(s_node.value)
         imp_pred.append(i_node.value)
         del s_node, i_node  # free this graph before the next chunk's forward pass

@@ -91,6 +91,26 @@ def test_documents_match_the_reference_generator(monkeypatch, docs_per_week, soc
             assert fast.bit_generator.state == state
 
 
+
+def test_document_numbers_past_999_match_the_reference_generator(monkeypatch):
+    # ids past 999 are formatted, not looked up; at 997 documents a chunk,
+    # one chunk runs from 997 to 1993 and the next starts at 1994
+    severity = generate_severity(2, np.random.default_rng(4))
+    slow = np.random.default_rng(5)
+    want = []
+    for source in ("social", "news"):
+        want.append((source, _reference_generate_documents(severity, 3000.0, source, slow), slow.bit_generator.state))
+    assert {len(doc["id"].rsplit("-", 1)[1]) for _, docs, _ in want for doc in docs} == {3, 4}
+    for chunk_docs in (synth.CHUNK_DOCS, 997):
+        monkeypatch.setattr(synth, "CHUNK_DOCS", chunk_docs)
+        fast = np.random.default_rng(5)
+        for source, docs, state in want:
+            assert list(generate_documents(severity, 3000.0, source, fast)) == [
+                json.dumps(doc, sort_keys=True) for doc in docs
+            ]
+            assert fast.bit_generator.state == state
+
+
 def test_written_lines_match_the_reference(tmp_path):
     paths = write_dataset(tmp_path, 20, 12.0, seed=3)
     rng = np.random.default_rng(3)

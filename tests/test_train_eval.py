@@ -39,6 +39,7 @@ from side.train_eval import (
     write_history_csv,
     write_metrics_csv,
     _accumulate_batch,
+    _chunk_loss,
     _model_units,
 )
 
@@ -279,7 +280,7 @@ def test_minibatch_gradient_at_shipped_graph_windows(batch_size):
 def _check_minibatch_gradient(batch_size):
     windows = synthetic_samples(total=40)
     cfg = small_cfg()
-    units = _model_units(windows, Standardizer.fit(windows), cfg)
+    units = _model_units(windows, Standardizer.fit(windows))
     params = init_params(cfg, np.random.default_rng(0))
     train_cfg = TrainConfig(lambda_severity=0.7, lambda_impact=1.3)
     batch = np.random.default_rng(1).permutation(len(units))[:batch_size]
@@ -298,6 +299,29 @@ def _check_minibatch_gradient(batch_size):
         losses.append(float(loss.value))
     assert rel_err(accumulated, np.mean(grads, axis=0)) < 1e-12
     assert math.isclose(total, sum(losses), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("ablation", ["no_social", "no_news"])
+def test_input_ablation_masks_each_chunk_not_the_window_stack(ablation):
+    windows = synthetic_samples(total=40)
+    standardizer = Standardizer.fit(windows)
+    units = _model_units(windows, standardizer)
+    assert np.shares_memory(units.impact_in, windows.impact_in)
+
+    # training and evaluation still see the masked inputs: the model's
+    # outputs are those of the full model on the masked chunk
+    cfg = small_cfg(ablation=ablation)
+    params = init_params(cfg, np.random.default_rng(0))
+    train_cfg = TrainConfig(lambda_severity=0.7, lambda_impact=1.3)
+    idx = np.arange(3, 3 + GRAPH_WINDOWS)
+    masked = mdl.apply_input_mask(windows.impact_in[idx], ablation)
+    assert not np.array_equal(masked, windows.impact_in[idx])
+    sev, imp = mdl.forward(params, small_cfg(), units.severity_in[idx], masked)
+    loss = mdl.joint_loss(sev, units.severity_out[idx], imp, units.impact_out[idx], 0.7, 1.3)
+    assert float(_chunk_loss(params, cfg, train_cfg, units, idx).value) == float(loss.value)
+    predictions = evaluate(params, cfg, standardizer, windows[3 : 3 + GRAPH_WINDOWS]).predictions
+    np.testing.assert_array_equal(predictions.severity_pred, standardizer.inverse(sev.value))
+    np.testing.assert_array_equal(predictions.impact_pred, np.clip(imp.value, 0.0, 1.0))
 
 
 class TestEvaluate:
